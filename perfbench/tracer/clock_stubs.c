@@ -1,0 +1,14 @@
+/* Monotonic nanosecond clock for span timestamps: Unix.gettimeofday
+   resolves only whole microseconds, coarser than the shortest calls
+   the traced pass times. */
+
+#include <time.h>
+#include <caml/mlvalues.h>
+
+value perfbench_now_ns(value unit)
+{
+  struct timespec ts;
+  (void)unit;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return Val_long((long)ts.tv_sec * 1000000000L + ts.tv_nsec);
+}
