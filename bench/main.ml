@@ -111,7 +111,11 @@ let () =
         Fmc.Sampler.prepare ~static_vuln:abl_sv Fmc.Sampler.Random abl_attack abl_pre
           ~placement:abl_placement
       in
-      let r = Fmc.Ssf.estimate ~causal:false ~impact_cycles:k abl_engine prep ~samples:abl_n ~seed:7 in
+      let r =
+        Fmc.Ssf.estimate ~causal:false
+          ~inject:(Fmc.Ssf.disc_ablation ~impact_cycles:k ())
+          abl_engine prep ~samples:abl_n ~seed:7
+      in
       Format.fprintf ppf "  impact=%d cycle(s) : SSF %.4f@." k r.Fmc.Ssf.ssf)
     [ 1; 2; 4 ];
 

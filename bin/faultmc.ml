@@ -9,7 +9,6 @@
      harden        critical registers and hardening trade-off
      lint          static-analysis passes over the benchmark netlists
      sva           sound masking certificates (workload constants, observability windows)
-     bench         standard benchmarks under full observability (BENCH_<rev>.json)
      serve         distributed-campaign coordinator (shard leases over TCP/Unix sockets)
      worker        distributed-campaign worker (leases shards from a coordinator or pool)
      sched         multi-campaign scheduler (durable WAL queue, crash recovery, shedding)
@@ -553,8 +552,8 @@ let evaluate_cmd =
       exit 0
     end;
     let model = fault_model_of_arg_or_die fault_model in
-    let inject = model.Fmc_fault.Model.inject in
-    if prune_flag && not model.Fmc_fault.Model.prunable then begin
+    let inject = Fmc_fault.Model.injector model in
+    if prune_flag && not inject.Fmc.Ssf.inj_prunable then begin
       Format.eprintf
         "faultmc: --prune is only sound for the disc-transient model (masking certificates do \
          not cover %s)@."
@@ -639,7 +638,7 @@ let evaluate_cmd =
         let report =
           match (half_width, shard_size, campaign_mode) with
           | Some hw, None, false when sample_budget = None ->
-              Fmc.Ssf.estimate_until ~obs ?prune ?inject engine prep ~half_width:hw ~z:1.96
+              Fmc.Ssf.estimate_until ~obs ?prune ~inject engine prep ~half_width:hw ~z:1.96
                 ~seed
           | Some _, _, _ ->
               prerr_endline "faultmc: --half-width cannot be combined with campaign options";
@@ -653,7 +652,7 @@ let evaluate_cmd =
               (* The single-process reference for a distributed run with
                  the same (samples, seed, shard size): bit-identical. *)
               let result =
-                Fmc.Campaign.estimate_sharded ~obs ?sample_budget ?prune ?inject engine prep
+                Fmc.Campaign.estimate_sharded ~obs ?sample_budget ?prune ~inject engine prep
                   ~samples ~seed ~shard_size:sz
               in
               let q = List.length result.Fmc.Campaign.quarantined in
@@ -664,7 +663,7 @@ let evaluate_cmd =
                   (clock_suffix ());
               result.Fmc.Campaign.report
           | None, None, false when sample_budget = None ->
-              Fmc.Ssf.estimate ~obs ?prune ?inject engine prep ~samples ~seed
+              Fmc.Ssf.estimate ~obs ?prune ~inject engine prep ~samples ~seed
           | None, None, _ ->
               if checkpoint_every <= 0 then begin
                 prerr_endline "faultmc: --checkpoint-every must be positive";
@@ -683,9 +682,9 @@ let evaluate_cmd =
                 try
                   match resume with
                   | Some path ->
-                      Fmc.Campaign.resume ~config ~obs ?prune ?inject engine prep ~path
+                      Fmc.Campaign.resume ~config ~obs ?prune ~inject engine prep ~path
                   | None ->
-                      Fmc.Campaign.run ~config ~obs ?prune ?inject engine prep ~samples ~seed
+                      Fmc.Campaign.run ~config ~obs ?prune ~inject engine prep ~samples ~seed
                 with
                 | Fmc.Campaign.Checkpoint_corrupt { path; reason } ->
                     Format.eprintf "faultmc: unusable checkpoint %s: %s@." path reason;
@@ -1073,272 +1072,6 @@ let sva_cmd =
           temporal masking bounds) for a benchmark.")
     Term.(const run $ benchmark_arg $ json $ check)
 
-(* bench *)
-
-let bench_rev () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some sha when String.length sha >= 7 -> String.sub sha 0 7
-  | Some sha when sha <> "" -> sha
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "dev"
-      with _ -> "dev")
-
-let bench_cmd =
-  let run samples out_dir seed rev_override =
-    with_context @@ fun ctx ->
-    (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let strategy = Fmc.Sampler.default_mixed in
-    let bench_one idx (program : Fmc_isa.Programs.t) =
-      let name = program.Fmc_isa.Programs.name in
-      let engine, prep = prepared ctx program strategy in
-      let reg = Fmc_obs.Metrics.create () in
-      let tracer = Fmc_obs.Span.create ~tid:(idx + 1) () in
-      let conv_path = Filename.concat out_dir ("convergence-" ^ name ^ ".jsonl") in
-      let conv_oc = open_out conv_path in
-      let obs =
-        Fmc_obs.Obs.create ~metrics:reg ~tracer
-          ~progress:(Fmc_obs.Progress.jsonl_sink conv_oc) ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let report = Fmc.Ssf.estimate ~obs engine prep ~samples ~seed in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      close_out conv_oc;
-      let sps = if elapsed > 0. then float_of_int samples /. elapsed else 0. in
-      Format.fprintf ppf "bench %s: SSF %.5f, %.2f s (%.0f samples/s); wrote %s@." name
-        report.Fmc.Ssf.ssf elapsed sps conv_path;
-      (* Pruned re-run with the same seed under the same sink kinds (so the
-         timing comparison is apples to apples): must be byte-identical —
-         this is the in-tree soundness assertion of the --prune path. *)
-      let preg = Fmc_obs.Metrics.create () in
-      let ptracer = Fmc_obs.Span.create ~tid:(100 + idx + 1) () in
-      let pconv_oc = open_out (Filename.concat out_dir ("convergence-" ^ name ^ "-pruned.jsonl")) in
-      let pobs =
-        Fmc_obs.Obs.create ~metrics:preg ~tracer:ptracer
-          ~progress:(Fmc_obs.Progress.jsonl_sink pconv_oc) ()
-      in
-      let pruner = Fmc_sva.Pruner.create ~obs:pobs engine in
-      let t1 = Unix.gettimeofday () in
-      let pruned_report =
-        Fmc.Ssf.estimate ~obs:pobs
-          ~prune:(fun s -> Fmc_sva.Pruner.check pruner s)
-          engine prep ~samples ~seed
-      in
-      let pruned_elapsed = Unix.gettimeofday () -. t1 in
-      close_out pconv_oc;
-      if Fmc.Export.report_json pruned_report <> Fmc.Export.report_json report then begin
-        Format.eprintf
-          "faultmc bench: pruned report diverged from the reference on %s — certificate unsound@."
-          name;
-        exit 1
-      end;
-      let psps = if pruned_elapsed > 0. then float_of_int samples /. pruned_elapsed else 0. in
-      let pstats = Fmc_sva.Pruner.stats pruner in
-      Format.fprintf ppf
-        "bench %s (pruned): byte-identical report, %.2f s (%.0f samples/s, prune ratio %.1f%%, \
-         speedup %.2fx)@."
-        name pruned_elapsed psps
-        (100. *. Fmc_sva.Pruner.prune_ratio pruner)
-        (if sps > 0. then psps /. sps else 0.);
-      (* v4: one row per registered fault model. The disc-transient row
-         reuses the headline run (same spec, same bytes); the synthetic
-         models are timed on their own estimate with the same seed. *)
-      let model_rows =
-        List.map
-          (fun mname ->
-            let m = Fmc_fault.Registry.parse_exn mname in
-            match m.Fmc_fault.Model.inject with
-            | None -> (m, report, elapsed)
-            | Some _ as inject ->
-                let t = Unix.gettimeofday () in
-                let r = Fmc.Ssf.estimate ?inject engine prep ~samples ~seed in
-                let e = Unix.gettimeofday () -. t in
-                Format.fprintf ppf "bench %s [%s]: SSF %.5f, %.2f s@." name mname r.Fmc.Ssf.ssf
-                  e;
-                (m, r, e))
-          Fmc_fault.Registry.names
-      in
-      (* v5: audit overhead — the same sharded campaign digested twice,
-         as a v5 worker digests every shard result: once with auditing
-         off, once re-executing a seeded --audit-rate 0.1 selection and
-         comparing digests (the coordinator's quorum check, minus the
-         wire). Also asserts shard-level determinism: a digest that
-         diverges between identical runs would make auditing useless. *)
-      let audit_rate = 0.1 in
-      let audit_shard_size = 250 in
-      let aplan = Fmc.Ssf.shard_plan ~samples ~shard_size:audit_shard_size in
-      let run_digest shard (start, len) =
-        let sh = Fmc.Campaign.run_shard engine prep ~seed ~shard ~start ~len in
-        Fmc_audit.Audit.Check.result_digest
-          ~tally:(Fmc.Ssf.Tally.to_string sh.Fmc.Campaign.sh_snapshot)
-          ~quarantined:sh.Fmc.Campaign.sh_quarantined
-      in
-      let t_off = Unix.gettimeofday () in
-      let digests = Array.mapi run_digest aplan in
-      let audit_off_s = Unix.gettimeofday () -. t_off in
-      let audit_seed = Int64.of_int seed in
-      let audited = ref 0 in
-      let t_on = Unix.gettimeofday () in
-      let digests_on = Array.mapi run_digest aplan in
-      Array.iteri
-        (fun shard d ->
-          if Fmc_audit.Audit.selected_pure ~rate:audit_rate ~seed:audit_seed ~shard then begin
-            incr audited;
-            if run_digest shard aplan.(shard) <> d then begin
-              Format.eprintf
-                "faultmc bench: audit re-execution diverged on %s shard %d — digests unsound@."
-                name shard;
-              exit 1
-            end
-          end)
-        digests_on;
-      let audit_on_s = Unix.gettimeofday () -. t_on in
-      if digests_on <> digests then begin
-        Format.eprintf "faultmc bench: shard digests diverged between runs on %s@." name;
-        exit 1
-      end;
-      Format.fprintf ppf "bench %s (audit): %d/%d shards audited at rate %g, overhead %.2fx@." name
-        !audited (Array.length aplan) audit_rate
-        (if audit_off_s > 0. then audit_on_s /. audit_off_s else 0.);
-      let audit_row =
-        (audit_rate, audit_shard_size, Array.length aplan, !audited, audit_off_s, audit_on_s)
-      in
-      ( name,
-        report,
-        elapsed,
-        (pruned_elapsed, Fmc_sva.Pruner.prune_ratio pruner, pstats.Fmc_sva.Pruner.certificates),
-        model_rows,
-        audit_row,
-        Fmc_obs.Metrics.merge (Fmc_obs.Metrics.snapshot reg) (Fmc_obs.Metrics.snapshot preg),
-        Fmc_obs.Span.events tracer,
-        Fmc_obs.Span.totals tracer )
-    in
-    let results =
-      List.mapi bench_one [ Fmc_isa.Programs.illegal_write; Fmc_isa.Programs.illegal_read ]
-    in
-    let rev = match rev_override with Some r -> r | None -> bench_rev () in
-    let buf = Buffer.create 2048 in
-    let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    pr "{\"schema\":\"faultmc-bench-v5\",\"rev\":\"%s\",\"strategy\":\"%s\",\"samples\":%d,\"seed\":%d,\"benchmarks\":["
-      (Fmc_obs.Jsonx.escape rev)
-      (Fmc_obs.Jsonx.escape (Fmc.Sampler.strategy_name strategy))
-      samples seed;
-    List.iteri
-      (fun i
-           ( name,
-             (report : Fmc.Ssf.report),
-             elapsed,
-             (pelapsed, pratio, certs),
-             model_rows,
-             (arate, ashard_size, ashards, aaudited, aoff, aon),
-             snap,
-             _,
-             totals ) ->
-        if i > 0 then pr ",";
-        let lo, hi = Fmc.Ssf.confidence_interval report ~z:1.96 in
-        let sps = if elapsed > 0. then float_of_int report.Fmc.Ssf.n /. elapsed else 0. in
-        let psps = if pelapsed > 0. then float_of_int report.Fmc.Ssf.n /. pelapsed else 0. in
-        (* v3: the pruner's own fmc_sva_prune_ratio gauge, read back from
-           the merged metrics snapshot — lets CI cross-check the derived
-           ratio against the live metric. *)
-        let prune_ratio_gauge =
-          match Fmc_obs.Metrics.find snap "fmc_sva_prune_ratio" with
-          | Some (Fmc_obs.Metrics.Gauge g) -> g
-          | _ -> 0.
-        in
-        pr
-          "{\"name\":\"%s\",\"samples\":%d,\"elapsed_s\":%.6f,\"samples_per_sec\":%.2f,\"ssf\":%.8f,\"ci95\":[%.8f,%.8f],\"ess\":%.2f,"
-          (Fmc_obs.Jsonx.escape name) report.Fmc.Ssf.n elapsed sps report.Fmc.Ssf.ssf lo hi
-          report.Fmc.Ssf.ess;
-        pr
-          "\"pruned\":{\"elapsed_s\":%.6f,\"samples_per_sec\":%.2f,\"prune_ratio\":%.4f,\"prune_ratio_gauge\":%.4f,\"certificates\":%d,\"speedup\":%.3f},"
-          pelapsed psps pratio prune_ratio_gauge certs
-          (if sps > 0. then psps /. sps else 0.);
-        (* v5 audit-overhead block: audit-off vs --audit-rate 0.1 *)
-        pr
-          "\"audit\":{\"rate\":%.4f,\"shard_size\":%d,\"shards\":%d,\"audited_shards\":%d,\"elapsed_off_s\":%.6f,\"elapsed_on_s\":%.6f,\"overhead_ratio\":%.4f},"
-          arate ashard_size ashards aaudited aoff aon
-          (if aoff > 0. then aon /. aoff else 0.);
-        (* v4 per-model rows *)
-        pr "\"models\":[";
-        List.iteri
-          (fun j ((m : Fmc_fault.Model.t), (r : Fmc.Ssf.report), e) ->
-            if j > 0 then pr ",";
-            let mlo, mhi = Fmc.Ssf.confidence_interval r ~z:1.96 in
-            pr
-              "{\"model\":\"%s\",\"ssf\":%.8f,\"ci95\":[%.8f,%.8f],\"successes\":%d,\"ess\":%.2f,\"elapsed_s\":%.6f,\"samples_per_sec\":%.2f}"
-              (Fmc_obs.Jsonx.escape (Fmc_fault.Model.canonical m))
-              r.Fmc.Ssf.ssf mlo mhi r.Fmc.Ssf.successes r.Fmc.Ssf.ess e
-              (if e > 0. then float_of_int r.Fmc.Ssf.n /. e else 0.))
-          model_rows;
-        pr "],";
-        pr "\"phases\":[";
-        List.iteri
-          (fun j (span, (count, total_us)) ->
-            if j > 0 then pr ",";
-            pr "{\"span\":\"%s\",\"count\":%d,\"total_us\":%.3f,\"mean_us\":%.3f}"
-              (Fmc_obs.Jsonx.escape span) count total_us
-              (if count > 0 then total_us /. float_of_int count else 0.))
-          totals;
-        pr "]}")
-      results;
-    pr "]}";
-    let bench_path = Filename.concat out_dir (Printf.sprintf "BENCH_%s.json" rev) in
-    write_file bench_path (Buffer.contents buf);
-    Format.fprintf ppf "wrote %s@." bench_path;
-    let merged_metrics =
-      List.fold_left
-        (fun acc (_, _, _, _, _, _, snap, _, _) -> Fmc_obs.Metrics.merge acc snap)
-        [] results
-    in
-    let prom_path = Filename.concat out_dir "metrics.prom" in
-    let mjson_path = Filename.concat out_dir "metrics.json" in
-    write_file prom_path (Fmc_obs.Metrics.to_prometheus merged_metrics);
-    write_file mjson_path (Fmc_obs.Metrics.to_json merged_metrics);
-    let all_events = List.concat_map (fun (_, _, _, _, _, _, _, events, _) -> events) results in
-    let trace_path = Filename.concat out_dir "trace.json" in
-    write_file trace_path (Fmc_obs.Span.to_chrome_json all_events);
-    Format.fprintf ppf "wrote %s, %s, %s@." prom_path mjson_path trace_path
-  in
-  let samples =
-    let doc = "Samples per benchmark: an integer, or $(b,small) (300, the CI smoke size)." in
-    let parse = function
-      | "small" -> Ok 300
-      | s -> (
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Ok n
-          | _ -> Error (`Msg (Printf.sprintf "expected a positive integer or \"small\", got %S" s)))
-    in
-    let print fmt n = Format.fprintf fmt "%d" n in
-    Arg.(value & opt (conv (parse, print)) 2000 & info [ "n"; "samples" ] ~docv:"N" ~doc)
-  in
-  let out_dir =
-    Arg.(
-      value & opt string "."
-      & info [ "out-dir" ] ~docv:"DIR" ~doc:"Directory for the bench artifacts (created if missing).")
-  in
-  let rev_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rev" ] ~docv:"REV"
-          ~doc:
-            "Override the revision tag in the artifact name and JSON (default: the current git \
-             revision). Used to commit a stable $(b,BENCH_baseline.json).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the standard benchmarks under full observability — each once unpruned and once with \
-          the Fmc_sva analytical pruner (asserting byte-identical reports) — and write \
-          BENCH_<rev>.json (per-phase timings, throughput, prune ratio, speedup, SSF + CI) plus \
-          metrics, trace and convergence artifacts.")
-    Term.(const run $ samples $ out_dir $ seed_arg $ rev_arg)
-
 (* serve *)
 
 let audit_rate_arg =
@@ -1613,7 +1346,7 @@ let worker_cmd =
           | _, _, Error e -> Error (Fmc_fault.Registry.error_message e)
           | Some b, Some s, Ok m ->
               let engine, prep = prepared ctx b s in
-              Ok (engine, prep, m.Fmc_fault.Model.inject)
+              Ok (engine, prep, Fmc_fault.Model.injector m)
         in
         Fmc_dist.Worker.run_pool ~obs ~on_reconnect config ~resolve ()
       else begin
@@ -1623,7 +1356,7 @@ let worker_cmd =
             ~fault_model:(Fmc_fault.Model.canonical model)
             ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ()
         in
-        Fmc_dist.Worker.run ~obs ?sample_budget ?inject:model.Fmc_fault.Model.inject
+        Fmc_dist.Worker.run ~obs ?sample_budget ~inject:(Fmc_fault.Model.injector model)
           ~on_reconnect config ~fingerprint engine prep ~seed
       end
     in
@@ -2145,7 +1878,7 @@ let matrix_cmd =
           fun (model, benchmark, strategy) ->
             let engine, prep = prepared (Lazy.force ctx) benchmark strategy in
             let result =
-              Fmc.Campaign.estimate_sharded ?inject:model.Fmc_fault.Model.inject engine prep
+              Fmc.Campaign.estimate_sharded ~inject:(Fmc_fault.Model.injector model) engine prep
                 ~samples ~seed ~shard_size
             in
             ( result.Fmc.Campaign.report,
@@ -2406,5 +2139,5 @@ let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit (Cmd.eval' (Cmd.group ~default (Cmd.info "faultmc" ~version:"1.0.0" ~doc)
     [ info_cmd; evaluate_cmd; characterize_cmd; sweep_cmd; harden_cmd; lint_cmd; sva_cmd;
-      bench_cmd; matrix_cmd; serve_cmd; worker_cmd; sched_cmd; submit_cmd; status_cmd;
+      matrix_cmd; serve_cmd; worker_cmd; sched_cmd; submit_cmd; status_cmd;
       cancel_cmd; top_cmd; trace_cmd; dot_cmd; experiments_cmd ]))

@@ -1,5 +1,4 @@
 module Rng = Fmc_prelude.Rng
-module System = Fmc_cpu.System
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
@@ -47,17 +46,14 @@ type result = {
 let checkpoint_version = 5
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint serialization: a line-oriented, versioned text format.
-   Since v3 the whole tally state is the shared {!Ssf.Tally.to_string}
+(* Checkpoint serialization: a line-oriented, versioned text format (v5;
+   any other version is refused). A campaign header (strategy, canonical
+   fault model, seed, RNG state) wraps the shared {!Ssf.Tally.to_string}
    codec (the same serializer the distributed wire protocol ships shard
-   results with); the checkpoint adds a campaign header (strategy, seed,
-   RNG state) around it. v4 appends a "crc %08x" trailer line — the
-   CRC-32 of every byte up to and including the "end" marker — so a
-   truncated or bit-flipped checkpoint is detected before any of it is
-   parsed. v5 adds a "model" header line carrying the canonical fault
-   model; v3/v4 files (no model line) are read as disc-transient, the
-   only model that existed when they were written. Floats are hex float
-   literals ("%h"), which round-trip bit-exactly through
+   results with), and a "crc %08x" trailer line — the CRC-32 of every
+   byte up to and including the "end" marker — detects a truncated or
+   bit-flipped checkpoint before any of it is parsed. Floats are hex
+   float literals ("%h"), which round-trip bit-exactly through
    [float_of_string]; the RNG state is the SplitMix64 int64 word. The
    file is written to a sibling ".tmp" and atomically renamed into
    place, so a kill mid-write can never destroy the previous good
@@ -113,7 +109,7 @@ let read_whole_file path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   really_input_string ic (in_channel_length ic)
 
-(* Strip and verify the v4 "crc %08x" trailer, returning the covered
+(* Strip and verify the "crc %08x" trailer, returning the covered
    body. Any framing defect — no trailing newline, no trailer line, a
    malformed word, a digest mismatch — means the file was truncated or
    corrupted after it was sealed, and is reported as such rather than as
@@ -158,13 +154,9 @@ let read_checkpoint path =
         | None -> corrupt "malformed version %S" v)
     | _ -> corrupt "malformed header %S" header
   in
-  let body =
-    if version = checkpoint_version || version = 4 then verify_crc_trailer path raw
-    else if version = 3 then raw (* pre-CRC format, still readable *)
-    else
-      corrupt "unsupported checkpoint version %d (this binary reads v3-v%d)" version
-        checkpoint_version
-  in
+  if version <> checkpoint_version then
+    corrupt "unsupported checkpoint version %d (this binary reads v%d)" version checkpoint_version;
+  let body = verify_crc_trailer path raw in
   let lines = ref (String.split_on_char '\n' body) in
   let lineno = ref 0 in
   let line () =
@@ -188,9 +180,7 @@ let read_checkpoint path =
   let int_of key v = try int_of_string v with _ -> corrupt "line %d: bad int %S in %s" !lineno v key in
   ignore (fields "faultmc-campaign" : string list);
   let strategy = one "strategy" in
-  (* v3/v4 checkpoints predate fault-model plurality: no model line
-     means the only model that existed then, the native disc transient. *)
-  let model = if version >= 5 then one "model" else "disc-transient" in
+  let model = one "model" in
   let seed = int_of "seed" (one "seed") in
   let rng =
     let v = one "rng" in
@@ -288,49 +278,33 @@ let quarantine_entry_of_string line =
   | _ -> bad "too few fields"
 
 (* ------------------------------------------------------------------ *)
-(* Supervised per-sample evaluation. *)
+(* Supervised per-sample evaluation: {!Ssf.run_samples} with a
+   quarantine sink that keeps the entry list (and journal) of a run. *)
 
-(* Pruning under a non-native fault model would silently bias the tally
-   (the certificates prove masking of the disc transient only); refuse
-   the combination at every campaign entry point. *)
-let check_inject_compat ~who prune inject =
-  match (prune, inject) with
-  | Some _, Some (inj : Ssf.inject) ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: ?prune cannot be combined with fault model %s (analytical masking certificates \
-            are only sound for disc-transient)"
-           who inj.Ssf.inj_model)
-  | _ -> ()
-
-let evaluate_guarded ~causal ?sample_budget ?fault_hook ?prune ?inject engine rng i sample =
-  match
-    match prune with
-    | Some covered when covered sample ->
-        (* Certified masked (see Ssf.estimate): skip the simulation, tally
-           analytically. The fault hook is an evaluation-crash injection
-           point, so a skipped evaluation also skips it. *)
-        (Ssf.pruned_result engine sample, [])
-    | _ ->
-        (match fault_hook with Some h -> h i sample | None -> ());
-        let result =
-          match inject with
-          | None -> Engine.run_sample engine ?cycle_budget:sample_budget rng sample
-          | Some (inj : Ssf.inject) -> inj.Ssf.inj_run engine ?cycle_budget:sample_budget rng sample
-        in
-        let attributed =
-          if result.Engine.success && causal then
-            match inject with
-            | None -> Engine.causal_flips engine result
-            | Some inj -> inj.Ssf.inj_causal engine result
-          else result.Engine.flips
-        in
-        (result, attributed)
-  with
-  | r -> Ok r
-  | exception System.Cycle_budget_exhausted _ -> Error Timed_out
-  | exception Sys.Break -> raise Sys.Break
-  | exception e -> Error (Crashed (Printexc.to_string e))
+let quarantine_sink ?journal entries i (sample : Sampler.sample) reason e =
+  let entry =
+    {
+      q_index = i;
+      q_disposition =
+        (match reason with
+        | Ssf.Q_timed_out -> Timed_out
+        | Ssf.Q_crashed -> Crashed (Printexc.to_string e));
+      q_stratum = sample.Sampler.stratum;
+      q_t = sample.Sampler.t;
+      q_center = sample.Sampler.center;
+      q_radius = sample.Sampler.radius;
+      q_width = sample.Sampler.width;
+      q_time_frac = sample.Sampler.time_frac;
+      q_weight = sample.Sampler.weight;
+    }
+  in
+  entries := entry :: !entries;
+  Option.iter
+    (fun oc ->
+      output_string oc (journal_line entry);
+      output_char oc '\n';
+      flush oc)
+    journal
 
 let install_handlers flag =
   let install s =
@@ -342,7 +316,7 @@ let install_handlers flag =
 let restore_handlers saved =
   List.iter (fun (s, old) -> try Sys.set_signal s old with Invalid_argument _ | Sys_error _ -> ()) saved
 
-let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng ~seed =
+let run_loop config ~obs ~causal ?fault_hook ?prune ~inject ?stop engine prepared ~tally ~rng ~seed =
   if config.checkpoint_every <= 0 then invalid_arg "Campaign: non-positive checkpoint_every";
   let samples = Ssf.Tally.total tally in
   let strategy = Sampler.name prepared in
@@ -354,7 +328,7 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepare
     | Some reg ->
         Some (Metrics.counter reg ~help:"durable campaign checkpoints written" "fmc_checkpoints_total")
   in
-  let journal_oc =
+  let journal =
     Option.map (fun p -> open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 p)
       config.journal_path
   in
@@ -364,66 +338,27 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepare
     | Some path ->
         Option.iter Metrics.inc ck_counter;
         Obs.span obs ~cat:"campaign" "checkpoint_write" (fun () ->
-            write_checkpoint path ~seed ~strategy ~model:(Ssf.inject_model inject)
+            write_checkpoint path ~seed ~strategy ~model:inject.Ssf.inj_model
               ~rng_state:(Rng.state rng) (Ssf.Tally.snapshot tally))
   in
   let quarantines = ref [] in
   let interrupted = ref false in
   let saved = if config.handle_signals then install_handlers interrupted else [] in
-  (* Engine phase spans land in the same sinks for the campaign's duration. *)
-  let saved_obs = if Obs.enabled obs then Some (Engine.obs engine) else None in
-  Option.iter (fun _ -> Engine.set_obs engine obs) saved_obs;
   Fun.protect
     ~finally:(fun () ->
-      Option.iter (Engine.set_obs engine) saved_obs;
       restore_handlers saved;
-      Option.iter close_out_noerr journal_oc)
+      Option.iter close_out_noerr journal)
   @@ fun () ->
-  let should_stop () =
-    !interrupted || (match stop with Some f -> f (Ssf.Tally.processed tally) | None -> false)
+  let stop t =
+    !interrupted || (match stop with Some f -> f (Ssf.Tally.processed t) | None -> false)
   in
-  let stopped = ref false in
-  while (not !stopped) && Ssf.Tally.processed tally < samples do
-    if should_stop () then stopped := true
-    else begin
-      let i = Ssf.Tally.processed tally + 1 in
-      let sample = Sampler.draw ~obs prepared rng in
-      (match
-         evaluate_guarded ~causal ?sample_budget:config.sample_budget ?fault_hook ?prune ?inject
-           engine rng i sample
-       with
-      | Ok (result, attributed) -> Ssf.Tally.record tally sample result ~attributed
-      | Error disposition ->
-          let reason =
-            match disposition with Timed_out -> Ssf.Q_timed_out | Crashed _ -> Ssf.Q_crashed
-          in
-          Ssf.Tally.quarantine tally sample ~reason;
-          let entry =
-            {
-              q_index = i;
-              q_disposition = disposition;
-              q_stratum = sample.Sampler.stratum;
-              q_t = sample.Sampler.t;
-              q_center = sample.Sampler.center;
-              q_radius = sample.Sampler.radius;
-              q_width = sample.Sampler.width;
-              q_time_frac = sample.Sampler.time_frac;
-              q_weight = sample.Sampler.weight;
-            }
-          in
-          quarantines := entry :: !quarantines;
-          Option.iter
-            (fun oc ->
-              output_string oc (journal_line entry);
-              output_char oc '\n';
-              flush oc)
-            journal_oc);
-      (* The checkpoint is taken after the sample's draws and statistics
-         landed, so the stored RNG state resumes with the next sample and
-         the continuation is bit-exact. *)
-      if i mod config.checkpoint_every = 0 then flush_checkpoint ()
-    end
-  done;
+  (* The checkpoint is taken after the sample's draws and statistics
+     landed, so the stored RNG state resumes with the next sample and the
+     continuation is bit-exact. *)
+  let after n = if n mod config.checkpoint_every = 0 then flush_checkpoint () in
+  Ssf.run_samples ~obs ~causal ?prune ~inject ?cycle_budget:config.sample_budget ?fault_hook
+    ~quarantine:(quarantine_sink ?journal quarantines)
+    ~after ~stop engine prepared tally rng;
   flush_checkpoint ();
   let elapsed_s = Fmc_obs.Clock.now () -. t_start in
   let done_here = Ssf.Tally.processed tally - base_processed in
@@ -436,12 +371,11 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepare
   }
 
 let run ?(config = default_config) ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?fault_hook
-    ?prune ?inject ?stop engine prepared ~samples ~seed =
+    ?prune ?(inject = Ssf.disc_transient) ?stop engine prepared ~samples ~seed =
   if samples <= 0 then invalid_arg "Campaign.run: non-positive sample count";
-  check_inject_compat ~who:"Campaign.run" prune inject;
   let rng = Rng.create seed in
   let tally = Ssf.Tally.create ~obs ?trace_every prepared ~total:samples in
-  run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng ~seed
+  run_loop config ~obs ~causal ?fault_hook ?prune ~inject ?stop engine prepared ~tally ~rng ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Shard-seeded execution: the unit of work of a distributed campaign.
@@ -461,48 +395,17 @@ type shard_result = {
   sh_quarantined : quarantine_entry list;
 }
 
-let run_shard ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample_budget ?fault_hook
-    ?prune ?inject ?on_sample engine prepared ~seed ~shard ~start ~len =
+let run_shard ?(obs = Obs.disabled) ?trace_every ?causal ?sample_budget ?fault_hook ?prune ?inject
+    ?on_sample engine prepared ~seed ~shard ~start ~len =
   if len <= 0 then invalid_arg "Campaign.run_shard: non-positive shard length";
   if start < 0 then invalid_arg "Campaign.run_shard: negative shard start";
-  check_inject_compat ~who:"Campaign.run_shard" prune inject;
   let rng = Rng.substream ~seed:(Int64.of_int seed) ~shard in
   let tally = Ssf.Tally.create ~obs ?trace_every prepared ~total:len in
   let quarantines = ref [] in
-  let saved_obs = if Obs.enabled obs then Some (Engine.obs engine) else None in
-  Option.iter (fun _ -> Engine.set_obs engine obs) saved_obs;
-  Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs engine) saved_obs) @@ fun () ->
   Obs.span obs ~cat:"dist" "shard" (fun () ->
-      for i = 1 to len do
-        let gi = start + i in
-        let sample = Sampler.draw ~obs prepared rng in
-        (match
-           evaluate_guarded ~causal ?sample_budget ?fault_hook ?prune ?inject engine rng gi sample
-         with
-        | Ok (result, attributed) -> Ssf.Tally.record tally sample result ~attributed
-        | Error disposition ->
-            let reason =
-              match disposition with Timed_out -> Ssf.Q_timed_out | Crashed _ -> Ssf.Q_crashed
-            in
-            Ssf.Tally.quarantine tally sample ~reason;
-            quarantines :=
-              {
-                q_index = gi;
-                q_disposition = disposition;
-                q_stratum = sample.Sampler.stratum;
-                q_t = sample.Sampler.t;
-                q_center = sample.Sampler.center;
-                q_radius = sample.Sampler.radius;
-                q_width = sample.Sampler.width;
-                q_time_frac = sample.Sampler.time_frac;
-                q_weight = sample.Sampler.weight;
-              }
-              :: !quarantines);
-        (* The progress hook runs outside the crash guard: an exception it
-           raises (e.g. a worker abandoning a lost lease) aborts the shard
-           instead of quarantining the current sample. *)
-        match on_sample with Some h -> h i | None -> ()
-      done);
+      Ssf.run_samples ~obs ?causal ?prune ?inject ?cycle_budget:sample_budget ?fault_hook
+        ~quarantine:(quarantine_sink quarantines) ?after:on_sample ~offset:start engine prepared
+        tally rng);
   {
     sh_shard = shard;
     sh_start = start;
@@ -540,18 +443,17 @@ let estimate_sharded ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample
     samples_per_sec = (if elapsed_s > 0. then float_of_int samples /. elapsed_s else 0.);
   }
 
-let resume ?config ?(obs = Obs.disabled) ?(causal = true) ?fault_hook ?prune ?inject ?stop engine
-    prepared ~path =
-  check_inject_compat ~who:"Campaign.resume" prune inject;
+let resume ?config ?(obs = Obs.disabled) ?(causal = true) ?fault_hook ?prune
+    ?(inject = Ssf.disc_transient) ?stop engine prepared ~path =
   let ck = read_checkpoint path in
   if ck.ck_strategy <> Sampler.name prepared then
     corrupt_at path
       "checkpoint was taken under strategy %S, not %S (the sample stream would diverge)"
       ck.ck_strategy (Sampler.name prepared);
-  if ck.ck_model <> Ssf.inject_model inject then
+  if ck.ck_model <> inject.Ssf.inj_model then
     corrupt_at path
       "checkpoint was taken under fault model %S, not %S (the evaluated outcomes would diverge)"
-      ck.ck_model (Ssf.inject_model inject);
+      ck.ck_model inject.Ssf.inj_model;
   let config =
     let c = Option.value config ~default:default_config in
     (* Keep writing to the checkpoint we resumed from unless redirected. *)
@@ -559,5 +461,5 @@ let resume ?config ?(obs = Obs.disabled) ?(causal = true) ?fault_hook ?prune ?in
   in
   let rng = Rng.of_state ck.ck_rng in
   let tally = Ssf.Tally.restore ~obs ck.ck_snapshot in
-  run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng
+  run_loop config ~obs ~causal ?fault_hook ?prune ~inject ?stop engine prepared ~tally ~rng
     ~seed:ck.ck_seed

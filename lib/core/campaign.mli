@@ -1,5 +1,9 @@
 (** Fault-tolerant campaign runner: a supervised, resumable wrapper around
-    the {!Ssf} estimator for long Monte Carlo campaigns.
+    the {!Ssf} estimator for long Monte Carlo campaigns. Every entry point
+    drives the estimator's own sample loop ({!Ssf.run_samples}) and
+    supplies only what differs: the RNG stream (campaign seed, shard
+    substream or checkpointed state), the checkpoint/journal/signal sink,
+    the heartbeat hook and the stop rule.
 
     Three failure modes of a long campaign are handled:
 
@@ -18,25 +22,21 @@
     {2 Checkpoint format}
 
     A versioned line-oriented text file (header [faultmc-campaign 5];
-    v3 factored the whole tally state out into the shared
-    {!Ssf.Tally.to_string} codec — the same serializer the distributed
+    every other version is refused rather than silently misread): a
+    campaign header — strategy, the canonical fault model
+    ([inj_model] of the {!Ssf.inject}, refused on resume mismatch
+    exactly like the strategy), seed, RNG state — around the shared
+    {!Ssf.Tally.to_string} codec (the same serializer the distributed
     campaign service ([Fmc_dist]) ships shard results and coordinator
-    state with — leaving the checkpoint a campaign header (strategy,
-    seed, RNG state) around that blob; v4 seals the file with a
-    [crc %08x] trailer line (CRC-32 of every byte up to and including
-    the [end] marker), so truncation or bit rot is detected before any
-    of the body is parsed; v5 adds a [model] header line carrying the
-    canonical fault model ({!Ssf.inject_model}), refused on resume
-    mismatch exactly like the strategy. v3/v4 files are still read (no
-    model line means disc-transient, the only model that existed when
-    they were written); older versions are refused rather than
-    silently misread. Every float is a
-    hex float literal ([%h]) so the round-trip through
-    [float_of_string] is bit-exact; the RNG state is the raw SplitMix64
-    int64 word. Checkpoints are written to [path ^ ".tmp"] and renamed
-    into place, so a crash mid-write never corrupts the previous
-    checkpoint. Unknown versions, CRC mismatches and malformed files
-    raise {!Checkpoint_corrupt} carrying the offending path.
+    state with), sealed by a [crc %08x] trailer line (CRC-32 of every
+    byte up to and including the [end] marker), so truncation or bit rot
+    is detected before any of the body is parsed. Every float is a hex
+    float literal ([%h]) so the round-trip through [float_of_string] is
+    bit-exact; the RNG state is the raw SplitMix64 int64 word.
+    Checkpoints are written to [path ^ ".tmp"] and renamed into place,
+    so a crash mid-write never corrupts the previous checkpoint. Unknown
+    versions, CRC mismatches and malformed files raise
+    {!Checkpoint_corrupt} carrying the offending path.
 
     {2 Failure journal}
 
@@ -113,11 +113,12 @@ val run :
   seed:int ->
   result
 (** Run a fresh campaign. With no quarantines and no interruption the
-    report is identical to [Ssf.estimate ~causal engine prepared ~samples
-    ~seed]. [inject] evaluates every sample under a pluggable fault model
-    instead of the native disc transient (see {!Ssf.inject}); it is
-    recorded in the checkpoint header and refused in combination with
-    [prune] (masking certificates are disc-transient-only).
+    report is identical to [Ssf.estimate ~causal ~inject engine prepared
+    ~samples ~seed]. [inject] (default {!Ssf.disc_transient}) is the
+    fault model every sample is evaluated under; its name is recorded in
+    the checkpoint header, and combining [prune] with a non-prunable one
+    raises [Invalid_argument] (masking certificates cover the unmodified
+    disc transient only).
     [stop] is polled with the processed-sample count before each
     draw (a [true] stops the campaign exactly like a signal would);
     [fault_hook] runs inside the per-sample guard before evaluation — an
@@ -183,8 +184,9 @@ val run_shard :
   start:int ->
   len:int ->
   shard_result
-(** Evaluate one shard with the same per-sample supervision as {!run}
-    (crash guard, cycle-budget watchdog, quarantine accounting).
+(** Evaluate one shard with the same sample loop and per-sample
+    supervision as {!run} (crash guard, cycle-budget watchdog, quarantine
+    accounting, [prune]/[inject] guard).
     [on_sample] is called with the within-shard sample count (1-based)
     after every consumed sample, {e outside} the crash guard — a worker
     uses it to send heartbeats, and may raise from it to abandon the

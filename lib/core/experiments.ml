@@ -250,7 +250,7 @@ let fig10 ?(samples = 8000) ?(seed = 11) ctx =
     let a = { attack with Attack.spatial = Attack.Uniform_cells cells } in
     let prep = Sampler.prepare Sampler.Random a ctx.precharac ~placement in
     let cell_filter c = keep (N.kind net c) in
-    Ssf.estimate ~cell_filter engine prep ~samples ~seed
+    Ssf.estimate ~inject:(Ssf.disc_ablation ~cell_filter ()) engine prep ~samples ~seed
   in
   let comb = run comb_cells (function K.Gate _ -> true | _ -> false) in
   let seq = run seq_cells (function K.Dff _ -> true | _ -> false) in

@@ -28,7 +28,9 @@ let evaluate engine prepared ~plan ~samples ~seed =
   Array.iter (fun d -> Hashtbl.replace set d ()) plan.registers;
   let hardened_pred d = Hashtbl.mem set d in
   let hardened =
-    Ssf.estimate ~hardened:hardened_pred ~resilience:plan.resilience engine prepared ~samples ~seed
+    Ssf.estimate
+      ~inject:(Ssf.disc_ablation ~hardened:hardened_pred ~resilience:plan.resilience ())
+      engine prepared ~samples ~seed
   in
   let net = (Engine.circuit engine).Fmc_cpu.Circuit.net in
   let extra = Area.hardened_overhead net ~hardened:plan.registers ~factor:plan.area_factor in

@@ -164,8 +164,8 @@ module Tally = struct
     Array.iteri (fun i (s, _) -> index.(tag s) <- i) strata;
     index
 
-  let of_strata ?(obs = Obs.disabled) ?(trace_every = 50) strata_list ~total =
-    let strata = Array.of_list strata_list in
+  let create ?(obs = Obs.disabled) ?(trace_every = 50) prepared ~total =
+    let strata = Array.of_list (Sampler.strata prepared) in
     {
       total;
       trace_every;
@@ -193,9 +193,6 @@ module Tally = struct
       base = 0;
     }
 
-  let create ?obs ?trace_every prepared ~total =
-    of_strata ?obs ?trace_every (Sampler.strata prepared) ~total
-
   let slot t stratum =
     let i = t.index.(tag stratum) in
     if i < 0 then invalid_arg "Ssf.Tally: sample from a stratum unknown to this tally";
@@ -210,7 +207,6 @@ module Tally = struct
 
   let processed t = t.processed
   let total t = t.total
-  let quarantined t = t.quarantined
 
   let kish t = if t.sum_w2 > 0. then t.sum_w *. t.sum_w /. t.sum_w2 else float_of_int t.processed
 
@@ -253,12 +249,18 @@ module Tally = struct
             elapsed_s = elapsed;
           }
 
+  let trace_point t =
+    let est = current_estimate t in
+    t.trace <- (t.processed, est) :: t.trace;
+    if Obs.enabled t.obs then emit_progress t est
+
   let bump_trace t =
-    if t.processed mod t.trace_every = 0 || t.processed = t.total then begin
-      let est = current_estimate t in
-      t.trace <- (t.processed, est) :: t.trace;
-      if Obs.enabled t.obs then emit_progress t est
-    end
+    if t.processed mod t.trace_every = 0 || t.processed = t.total then trace_point t
+
+  (* End the trace at the current count, as a tally sized to it would
+     have: how a run that stops early still reports its final point. *)
+  let close_trace t =
+    match t.trace with (k, _) :: _ when k = t.processed -> () | _ -> trace_point t
 
   let bump_draw inst (sample : Sampler.sample) =
     Metrics.inc inst.i_samples;
@@ -581,77 +583,110 @@ let pruned_result engine (sample : Sampler.sample) =
     struck_cells = 0;
   }
 
-(* A pluggable per-sample injector (a fault model other than the
-   engine's native disc transient). The record is plain functions so
-   [lib/core] stays independent of the model registry ([Fmc_fault]
-   constructs these). [inj_model] is the canonical model string
+(* A per-sample fault model. The record is plain functions so [lib/core]
+   stays independent of the model registry ([Fmc_fault] constructs the
+   synthetic ones). [inj_model] is the canonical model string
    ("name:k=v,...") recorded in campaign checkpoints and error
    messages. *)
 type inject = {
   inj_model : string;
   inj_run : Engine.t -> ?cycle_budget:int -> Fmc_prelude.Rng.t -> Sampler.sample -> Engine.run_result;
   inj_causal : Engine.t -> Engine.run_result -> (string * int) list;
+  inj_prunable : bool;
 }
 
-let inject_model = function None -> "disc-transient" | Some i -> i.inj_model
+let disc_transient =
+  {
+    inj_model = "disc-transient";
+    inj_run =
+      (fun engine ?cycle_budget rng sample -> Engine.run_sample engine ?cycle_budget rng sample);
+    inj_causal = Engine.causal_flips;
+    inj_prunable = true;
+  }
 
-let check_prune_compat ~who prune ~cell_filter ~impact_cycles ~hardened ~inject =
-  if prune <> None && (cell_filter <> None || impact_cycles <> None || hardened <> None) then
+let disc_ablation ?cell_filter ?impact_cycles ?hardened ?resilience () =
+  if cell_filter = None && impact_cycles = None && hardened = None then disc_transient
+  else
+    let tags =
+      [
+        Option.map (fun _ -> "cell_filter") cell_filter;
+        Option.map (Printf.sprintf "impact_cycles=%d") impact_cycles;
+        Option.map (fun _ -> "hardened") hardened;
+        Option.map (Printf.sprintf "resilience=%g") resilience;
+      ]
+    in
+    {
+      inj_model = String.concat "+" ("disc-transient" :: List.filter_map Fun.id tags);
+      inj_run =
+        (fun engine ?cycle_budget rng sample ->
+          Engine.run_sample engine ?cell_filter ?impact_cycles ?hardened ?resilience ?cycle_budget
+            rng sample);
+      (* The leave-one-out replay re-strikes with the unmodified model, so
+         it cannot attribute a filtered, multi-cycle or hardened strike;
+         credit the raw flips instead. The certificates do not cover
+         these variants either. *)
+      inj_causal = (fun _ result -> result.Engine.flips);
+      inj_prunable = false;
+    }
+
+let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_transient)
+    ?cycle_budget ?fault_hook ?quarantine ?(after = ignore) ?(offset = 0) ?(stop = fun _ -> false)
+    engine prepared tally rng =
+  if prune <> None && not inject.inj_prunable then
     invalid_arg
-      (who ^ ": ?prune cannot be combined with ?cell_filter/?impact_cycles/?hardened (the \
-              certificates assume the unmodified single-cycle fault model)");
-  match (prune, inject) with
-  | Some _, Some inj ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: ?prune cannot be combined with fault model %s (analytical masking certificates \
-            are only sound for disc-transient)"
-           who inj.inj_model)
-  | _ -> ()
-
-let estimate ?(obs = Obs.disabled) ?(trace_every = 50) ?(causal = true) ?cell_filter ?impact_cycles
-    ?hardened ?resilience ?prune ?inject engine prepared ~samples ~seed =
-  if samples <= 0 then invalid_arg "Ssf.estimate: non-positive sample count";
-  check_prune_compat ~who:"Ssf.estimate" prune ~cell_filter ~impact_cycles ~hardened ~inject;
-  let rng = Rng.create seed in
-  let tally = Tally.create ~obs ~trace_every prepared ~total:samples in
+      (Printf.sprintf
+         "Ssf: ?prune cannot be combined with fault model %s (analytical masking certificates are \
+          only sound for the unmodified disc-transient model)"
+         inject.inj_model);
+  let evaluate i sample =
+    match prune with
+    | Some covered when covered sample ->
+        (* Certified masked: skip the simulation (and the fault hook) and
+           tally analytically with the original weight. The native model
+           consumes no randomness, so the RNG stream — and hence every
+           later draw and the final report — is untouched by the skip. *)
+        (pruned_result engine sample, [])
+    | _ ->
+        Option.iter (fun h -> h i sample) fault_hook;
+        let result = inject.inj_run engine ?cycle_budget rng sample in
+        let attributed =
+          if result.Engine.success && causal then inject.inj_causal engine result
+          else result.Engine.flips
+        in
+        (result, attributed)
+  in
   (* Route the handle into the engine's phase instrumentation for the
-     duration of this run (restoring whatever the engine carried before),
+     duration of the run (restoring whatever the engine carried before),
      so callers only ever thread one [?obs]. *)
   let saved = if Obs.enabled obs then Some (Engine.obs engine) else None in
   Option.iter (fun _ -> Engine.set_obs engine obs) saved;
   Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs engine) saved) @@ fun () ->
-  for _ = 1 to samples do
+  while Tally.processed tally < Tally.total tally && not (stop tally) do
     let sample = Sampler.draw ~obs prepared rng in
-    match prune with
-    | Some covered when covered sample ->
-        (* Certified masked: skip the simulation and tally analytically
-           with the original weight. [run_sample] consumes no randomness
-           without ?hardened, so the RNG stream — and hence every later
-           draw and the final report — is untouched by the skip. *)
-        Tally.record tally sample (pruned_result engine sample) ~attributed:[]
-    | _ ->
-        let result =
-          match inject with
-          | None ->
-              Engine.run_sample engine ?cell_filter ?impact_cycles ?hardened ?resilience rng sample
-          | Some inj -> inj.inj_run engine rng sample
-        in
-        let attributed =
-          (* Leave-one-out causal attribution strips incidental co-flips; it
-             replays deterministically, so it is disabled when hardening
-             randomness is in play, and also under a cell filter (the replay
-             would not see the filter). *)
-          if result.Engine.success
-             && causal && hardened = None && cell_filter = None && impact_cycles = None
-          then
-            match inject with
-            | None -> Engine.causal_flips engine result
-            | Some inj -> inj.inj_causal engine result
-          else result.Engine.flips
-        in
+    let i = offset + Tally.processed tally + 1 in
+    (match quarantine with
+    | None ->
+        let result, attributed = evaluate i sample in
         Tally.record tally sample result ~attributed
-  done;
+    | Some sink -> (
+        match evaluate i sample with
+        | result, attributed -> Tally.record tally sample result ~attributed
+        | exception Sys.Break -> raise Sys.Break
+        | exception e ->
+            let reason =
+              match e with Fmc_cpu.System.Cycle_budget_exhausted _ -> Q_timed_out | _ -> Q_crashed
+            in
+            Tally.quarantine tally sample ~reason;
+            sink i sample reason e));
+    (* Outside the guard: an exception here aborts the run instead of
+       quarantining the sample. *)
+    after (Tally.processed tally)
+  done
+
+let estimate ?obs ?(trace_every = 50) ?causal ?prune ?inject engine prepared ~samples ~seed =
+  if samples <= 0 then invalid_arg "Ssf.estimate: non-positive sample count";
+  let tally = Tally.create ?obs ~trace_every prepared ~total:samples in
+  run_samples ?obs ?causal ?prune ?inject engine prepared tally (Rng.create seed);
   Tally.report tally ~strategy:(Sampler.name prepared)
 
 (* Permutation-invariant float reduction: sort the addends before folding.
@@ -865,22 +900,29 @@ let confidence_interval report ~z =
   let half = z *. sqrt (report.variance /. float_of_int (max 1 report.n)) in
   (Float.max 0. (report.ssf -. half), Float.min 1. (report.ssf +. half))
 
-let estimate_until ?obs ?trace_every ?causal ?prune ?inject ?(batch = 500)
+let estimate_until ?obs ?(trace_every = 50) ?causal ?prune ?inject ?(batch = 500)
     ?(max_samples = 200_000) engine prepared ~half_width ~z ~seed =
   if half_width <= 0. then invalid_arg "Ssf.estimate_until: non-positive half_width";
   if batch <= 0 then invalid_arg "Ssf.estimate_until: non-positive batch";
-  (* Deterministic growth: re-estimate with a growing sample count so the
-     stream stays reproducible (estimation cost is linear in the final n,
-     and the doubling schedule keeps the total within ~4x of one pass).
-     Metrics and spans accumulate over every pass — they report the work
-     actually done, which for the doubling schedule exceeds the final n. *)
-  let rec go n =
-    let report = estimate ?obs ?trace_every ?causal ?prune ?inject engine prepared ~samples:n ~seed in
-    let lo, hi = confidence_interval report ~z in
-    if (hi -. lo) /. 2. <= half_width || n >= max_samples then report
-    else go (min max_samples (max (n + batch) (2 * n)))
+  let strategy = Sampler.name prepared in
+  let tally = Tally.create ?obs ~trace_every prepared ~total:(max batch max_samples) in
+  (* One pass over the seed's stream, tested for convergence only at the
+     doubling schedule's points, so the report at a stop is exactly
+     [estimate ~samples:n]'s. *)
+  let check_at = ref batch in
+  let stop t =
+    let n = Tally.processed t in
+    n = !check_at
+    && begin
+         let lo, hi = confidence_interval (Tally.report t ~strategy) ~z in
+         let converged = (hi -. lo) /. 2. <= half_width in
+         if not converged then check_at := min max_samples (max (n + batch) (2 * n));
+         converged
+       end
   in
-  go batch
+  run_samples ?obs ?causal ?prune ?inject ~stop engine prepared tally (Rng.create seed);
+  Tally.close_trace tally;
+  Tally.report tally ~strategy
 
 let contribution_coverage report ~fraction =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. report.contributions in

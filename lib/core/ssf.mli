@@ -53,12 +53,11 @@ type report = {
   success_by_comb : int;  (** successes caused purely by combinational transients *)
 }
 
-(** The incremental estimator state behind {!estimate}, exposed so the
-    fault-tolerant campaign runner ({!Campaign}) can drive the same
-    statistics one sample at a time, quarantine pathological samples, and
-    durably snapshot/restore the whole accumulator mid-run. A tally fed the
-    same (sample, result, attribution) stream as {!estimate} produces a
-    bit-identical report. *)
+(** The incremental estimator state that {!run_samples} feeds, exposed
+    so the fault-tolerant campaign runner ({!Campaign}) can own it across
+    a run — quarantine pathological samples, and durably snapshot/restore
+    the whole accumulator mid-run. A tally fed the same (sample, result,
+    attribution) stream as {!estimate} produces a bit-identical report. *)
 module Tally : sig
   type t
 
@@ -102,7 +101,6 @@ module Tally : sig
   (** Samples consumed so far, including quarantined ones. *)
 
   val total : t -> int
-  val quarantined : t -> int
 
   val record : t -> Sampler.sample -> Engine.run_result -> attributed:(string * int) list -> unit
   (** Fold one evaluated sample into the estimate. [attributed] is the flip
@@ -145,15 +143,13 @@ module Tally : sig
       distributed result audit ([Fmc_audit]) is built on. *)
 end
 
-(** {2 Pluggable fault models}
+(** {2 Fault models}
 
-    A per-sample injector substituted for the engine's native
-    disc-transient path. The estimator stays model-agnostic: it draws
-    the sample stream exactly as before and hands each drawn sample to
-    [inj_run] instead of {!Engine.run_sample}. [lib/core] deliberately
-    knows nothing about the model registry — [Fmc_fault] builds these
-    records; [None] everywhere means the native disc-transient model
-    and produces byte-identical reports to the pre-subsystem code. *)
+    A per-sample injector: how one drawn sample is evaluated. Every
+    estimator below takes one ([?inject], default {!disc_transient});
+    the sample stream is drawn the same way whatever the model.
+    [lib/core] deliberately knows nothing about the model registry —
+    [Fmc_fault] builds the synthetic models' records. *)
 type inject = {
   inj_model : string;
       (** canonical model string ([name\[:k=v,...\]]) recorded in
@@ -168,11 +164,30 @@ type inject = {
       (** contribution attribution for a successful run (the model's
           analogue of {!Engine.causal_flips}; returning
           [result.flips] is always sound) *)
+  inj_prunable : bool;
+      (** whether analytical masking certificates ([?prune]) are sound
+          for this model; the one place prunability is declared *)
 }
 
-val inject_model : inject option -> string
-(** The canonical model string an injector option denotes:
-    ["disc-transient"] for [None]. *)
+val disc_transient : inject
+(** The paper's native model, named ["disc-transient"]: [inj_run] is
+    {!Engine.run_sample}, [inj_causal] is {!Engine.causal_flips}, and
+    it is the only prunable model. *)
+
+val disc_ablation :
+  ?cell_filter:(Fmc_netlist.Netlist.node -> bool) ->
+  ?impact_cycles:int ->
+  ?hardened:(Fmc_netlist.Netlist.node -> bool) ->
+  ?resilience:float ->
+  unit ->
+  inject
+(** The native model with {!Engine.run_sample}'s ablations applied
+    (comb-vs-seq cell filter, multi-cycle impact, register hardening).
+    With none of [cell_filter]/[impact_cycles]/[hardened] it is
+    {!disc_transient} itself. Otherwise it is named apart
+    (["disc-transient+hardened+resilience=10"], ...), is not prunable,
+    and credits raw flips instead of replaying causally: the
+    leave-one-out replay re-strikes with the unmodified model. *)
 
 val shard_plan : samples:int -> shard_size:int -> (int * int) array
 (** Cut a campaign into contiguous sample-index shards: [(start, len)]
@@ -187,18 +202,54 @@ val shard_plan : samples:int -> shard_size:int -> (int * int) array
 val pruned_result : Engine.t -> Sampler.sample -> Engine.run_result
 (** The analytical result a certified-masked sample is tallied with:
     field-for-field what {!Engine.run_sample} returns on its masked path
-    ([outcome = Masked], [success = false], no flips). Shared by
-    {!estimate} and [Campaign]'s pruned paths so both stay bit-identical
-    to the simulated run. *)
+    ([outcome = Masked], [success = false], no flips), so a pruned run
+    stays bit-identical to the simulated one. *)
+
+val run_samples :
+  ?obs:Fmc_obs.Obs.t ->
+  ?causal:bool ->
+  ?prune:(Sampler.sample -> bool) ->
+  ?inject:inject ->
+  ?cycle_budget:int ->
+  ?fault_hook:(int -> Sampler.sample -> unit) ->
+  ?quarantine:(int -> Sampler.sample -> quarantine_reason -> exn -> unit) ->
+  ?after:(int -> unit) ->
+  ?offset:int ->
+  ?stop:(Tally.t -> bool) ->
+  Engine.t ->
+  Sampler.prepared ->
+  Tally.t ->
+  Fmc_prelude.Rng.t ->
+  unit
+(** The one sample loop behind every estimator ({!estimate},
+    {!estimate_until}, and [Campaign]'s runs, shards and resumes).
+    Until the tally holds {!Tally.total} samples or [stop tally] (polled
+    before every draw) holds: draw a sample from [rng]; if [prune]
+    certifies it masked, tally {!pruned_result}; otherwise run
+    [fault_hook i sample], evaluate with [inject.inj_run] (default
+    {!disc_transient}, watchdog [cycle_budget]), attribute a success
+    with [inject.inj_causal] when [causal] (default true), and
+    {!Tally.record} it; finally call [after (Tally.processed tally)].
+    [i] is the sample's 1-based index, [offset] (default 0) plus the
+    tally's count.
+
+    Without [quarantine] an evaluation exception propagates. With it,
+    an exception from the fault hook or the evaluation (other than
+    [Sys.Break]) is {!Tally.quarantine}d — [Q_timed_out] for
+    {!Fmc_cpu.System.Cycle_budget_exhausted}, [Q_crashed] otherwise —
+    and handed to the sink. [after] runs outside that guard, so an
+    exception it raises (a worker's lost lease) aborts the run.
+
+    [obs] (default disabled) is installed on [engine] for the loop's
+    duration, restoring the previous handle after. Raises
+    [Invalid_argument] when [prune] is given with a non-prunable
+    [inject]: the certificates prove masking of the unmodified
+    disc transient only. *)
 
 val estimate :
   ?obs:Fmc_obs.Obs.t ->
   ?trace_every:int ->
   ?causal:bool ->
-  ?cell_filter:(Fmc_netlist.Netlist.node -> bool) ->
-  ?impact_cycles:int ->
-  ?hardened:(Fmc_netlist.Netlist.node -> bool) ->
-  ?resilience:float ->
   ?prune:(Sampler.sample -> bool) ->
   ?inject:inject ->
   Engine.t ->
@@ -206,12 +257,10 @@ val estimate :
   samples:int ->
   seed:int ->
   report
-(** [inject] substitutes a pluggable fault model for the native
-    disc-transient evaluation (the sample stream is unchanged); it
-    cannot be combined with [prune] — masking certificates are only
-    sound for disc-transient — nor is [cell_filter]/[impact_cycles]/
-    [hardened] applied to an injected model (those modify the native
-    path only).
+(** [samples] iterations of {!run_samples} over [Rng.create seed],
+    under fault model [inject] (default {!disc_transient}); an evaluation
+    exception propagates. Deterministic for fixed arguments, including
+    under [obs]: observability reads the sample stream but never the RNG.
 
     [prune] is an analytical masking oracle (e.g.
     [Fmc_sva.Pruner.check]): when it returns true the sample {e must} be
@@ -219,20 +268,11 @@ val estimate :
     skipped and the sample is tallied analytically as a masked failure
     with its original weight, leaving the report byte-identical to the
     unpruned run (an unsound oracle silently biases the estimate; use the
-    certified pruner). Raises [Invalid_argument] when combined with
-    [cell_filter]/[impact_cycles]/[hardened], whose modified fault models
-    the certificates do not cover.
-
-    Deterministic for fixed arguments, including under [obs]:
-    observability reads the sample stream but never the RNG, so an
-    instrumented run returns the bit-identical report. While the run is in
-    flight the handle is also installed on [engine] (its previous handle is
-    restored afterwards), so the engine's phase spans and cycle counters
-    land in the same sinks. [causal] (default true) applies
-    leave-one-out counterfactual attribution to successful runs so that the
-    contribution list reflects causal bits rather than incidental co-flips;
-    it is automatically disabled when [hardened] is supplied. Raises
-    [Invalid_argument] on a non-positive sample count. *)
+    certified pruner). [causal] (default true) credits successful runs
+    through the model's attribution (leave-one-out {!Engine.causal_flips}
+    for the native model), so the contribution list reflects causal bits
+    rather than incidental co-flips. Raises [Invalid_argument] on a
+    non-positive sample count or a non-prunable [inject] with [prune]. *)
 
 val merge_reports : report list -> report
 (** Pool split-run reports (parallel domains, checkpointed shards,
@@ -302,11 +342,16 @@ val estimate_until :
   z:float ->
   seed:int ->
   report
-(** The paper's stopping rule made concrete: keep sampling (in batches,
-    default 500) until the confidence interval's half-width drops below
-    [half_width], or [max_samples] (default 200_000) is reached. The
-    returned report covers all samples taken. Raises [Invalid_argument] on
-    a non-positive [half_width]. *)
+(** The paper's stopping rule made concrete: one {!run_samples} pass
+    over [Rng.create seed] that tests the confidence interval's
+    half-width at [batch] (default 500) and then at every doubling
+    ([n -> max (n + batch) (2n)], capped at [max_samples], default
+    200_000), stopping at the first point where it is at most
+    [half_width] or [max_samples] is reached. The report is
+    byte-identical to [estimate ~samples:r.n]'s with the same seed, and
+    each sample is evaluated once (progress rows count up from the first
+    draw without restarting). Raises [Invalid_argument] on a
+    non-positive [half_width] or [batch]. *)
 
 val contribution_coverage : report -> fraction:float -> ((string * int) * float) list
 (** The smallest prefix of [contributions] covering at least [fraction] of

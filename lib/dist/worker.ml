@@ -248,62 +248,62 @@ let with_reconnects ~obs ~mx ~rng ~retry ~on_reconnect ~progress session =
             Obs.span obs ~cat:"dist" "reconnect-backoff" (fun () -> Unix.sleepf sleep_s))
   done
 
-let run ?(obs = Obs.disabled) ?causal ?sample_budget ?inject
-    ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~fingerprint engine
-    prepared ~seed =
+(* One leased shard, identical for a campaign's Assign and a pool's Job
+   (they differ only in the messages [heartbeat] and [finished] build):
+   run it with a heartbeat every [heartbeat_every] samples, where a
+   refused heartbeat abandons the shard, then send the result, counting
+   it in [completed] once accepted. *)
+let work_lease (obs : Obs.t) config conn ~negotiated ~(aext : Protocol.extension) ~completed
+    ~shard ~heartbeat ~finished run_shard =
+  let v4 = negotiated >= 4 in
+  let trace_id, span_id =
+    match aext.Protocol.ext_trace with Some (t, s) when v4 -> (t, s) | _ -> ("", "")
+  in
+  let piggyback spans = if v4 then Some (telemetry_ext obs ~trace_id ~spans) else None in
+  let on_sample i =
+    if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
+      let msg, what = heartbeat i in
+      send ?ext:(piggyback []) conn msg;
+      match recv conn what with
+      | Protocol.Ack { accepted = true; _ } -> ()
+      | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
+      | _ -> protocol_error what
+    end
+  in
+  let t0 = Clock.now_us () in
+  match run_shard ~on_sample with
+  | sh -> (
+      let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
+      let quarantined = sh.Campaign.sh_quarantined in
+      let msg, what = finished ~tally ~quarantined in
+      send
+        ?ext:
+          (digest_ext config ~negotiated ~tally ~quarantined
+             (piggyback [ shard_span obs ~span_id ~shard ~t0 ]))
+        conn msg;
+      match recv conn what with
+      | Protocol.Ack { accepted; _ } -> if accepted then incr completed
+      | _ -> protocol_error what)
+  | exception Lease_lost -> ()
+
+(* Sessions of lease requests until the server reports the campaign (or
+   pool) finished, under the reconnect state machine. [lease] handles
+   one work message and raises [protocol_error] on anything else. *)
+let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
   let mx = mx_create obs in
   let completed = ref 0 in
-  (* One session: serve leases until the campaign finishes. Raises on
-     any transport trouble; returns on No_work{finished}. *)
   let session () =
     let conn, negotiated = connect ~obs config ~fingerprint in
-    let v4 = negotiated >= 4 in
-    let run_one ((a : Protocol.server_msg), (aext : Protocol.extension)) =
-      match a with
-      | Protocol.Assign { shard; epoch; start; len } ->
-          let trace_id, span_id =
-            match aext.Protocol.ext_trace with
-            | Some (t, s) when v4 -> (t, s)
-            | _ -> ("", "")
-          in
-          let piggyback spans =
-            if v4 then Some (telemetry_ext obs ~trace_id ~spans) else None
-          in
-          let on_sample i =
-            if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
-              send ?ext:(piggyback []) conn
-                (Protocol.Heartbeat { shard; epoch; samples_done = i });
-              match recv conn "heartbeat" with
-              | Protocol.Ack { accepted = true; _ } -> ()
-              | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
-              | _ -> protocol_error "heartbeat"
-            end
-          in
-          let t0 = Clock.now_us () in
-          (match
-             Campaign.run_shard ~obs ?causal ?sample_budget ?inject ~on_sample engine prepared
-               ~seed ~shard ~start ~len
-           with
-          | sh ->
-              let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
-              let quarantined = sh.Campaign.sh_quarantined in
-              send
-                ?ext:
-                  (digest_ext config ~negotiated ~tally ~quarantined
-                     (piggyback [ shard_span obs ~span_id ~shard ~t0 ]))
-                conn
-                (Protocol.Shard_done { shard; epoch; tally; quarantined });
-              (match recv conn "shard_done" with
-              | Protocol.Ack { accepted; _ } -> if accepted then incr completed
-              | _ -> protocol_error "shard_done")
-          | exception Lease_lost -> ());
-          `Continue
+    let run_one (msg, aext) =
+      match msg with
       | Protocol.No_work { finished = true } -> `Finished
       | Protocol.No_work { finished = false } ->
           Unix.sleepf config.retry_delay_s;
           `Continue
       | Protocol.Reject { reason } -> raise (Session_error ("rejected: " ^ reason))
-      | _ -> protocol_error "request_shard"
+      | msg ->
+          lease msg (work_lease obs config conn ~negotiated ~aext ~completed);
+          `Continue
     in
     Fun.protect
       ~finally:(fun () -> Wire.close conn)
@@ -318,6 +318,14 @@ let run ?(obs = Obs.disabled) ?causal ?sample_budget ?inject
         in
         loop ())
   in
+  with_reconnects ~obs ~mx ~rng ~retry:config.retry ~on_reconnect
+    ~progress:(fun () -> !completed)
+    session;
+  !completed
+
+let run ?(obs = Obs.disabled) ?causal ?sample_budget ?inject
+    ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~fingerprint engine
+    prepared ~seed =
   (* The worker's backoff schedule is drawn from its own substream of
      the campaign seed, so a (seed, worker name) pair retries on a
      replayable schedule under the chaos harness. *)
@@ -325,21 +333,27 @@ let run ?(obs = Obs.disabled) ?causal ?sample_budget ?inject
     Rng.substream ~seed:(Int64.of_int seed)
       ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
   in
-  with_reconnects ~obs ~mx ~rng ~retry:config.retry ~on_reconnect
-    ~progress:(fun () -> !completed)
-    session;
-  !completed
+  serve_leases ~obs ~on_reconnect config ~fingerprint ~rng (fun msg work ->
+      match msg with
+      | Protocol.Assign { shard; epoch; start; len } ->
+          work ~shard
+            ~heartbeat:(fun i ->
+              (Protocol.Heartbeat { shard; epoch; samples_done = i }, "heartbeat"))
+            ~finished:(fun ~tally ~quarantined ->
+              (Protocol.Shard_done { shard; epoch; tally; quarantined }, "shard_done"))
+            (fun ~on_sample ->
+              Campaign.run_shard ~obs ?causal ?sample_budget ?inject ~on_sample engine prepared
+                ~seed ~shard ~start ~len)
+      | _ -> protocol_error "request_shard")
 
 (* -- pool mode: serve every campaign the scheduler holds ----------------- *)
 
 let run_pool ?(obs = Obs.disabled) ?causal
     ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~resolve () =
-  let mx = mx_create obs in
-  let completed = ref 0 in
   (* Engines are expensive to elaborate; resolve each spec's toolchain
      once and reuse it for every later job of the same campaign (and, in
      the resolver's discretion, across campaigns sharing a benchmark). *)
-  let resolved : (string, Engine.t * Sampler.prepared * Ssf.inject option) Hashtbl.t =
+  let resolved : (string, Engine.t * Sampler.prepared * Ssf.inject) Hashtbl.t =
     Hashtbl.create 8
   in
   let toolchain_for spec =
@@ -353,11 +367,12 @@ let run_pool ?(obs = Obs.disabled) ?causal
             Ok triple
         | Error _ as e -> e)
   in
-  let session () =
-    let conn, negotiated = connect ~obs config ~fingerprint:Protocol.pool_fingerprint in
-    let v4 = negotiated >= 4 in
-    let run_one ((a : Protocol.server_msg), (aext : Protocol.extension)) =
-      match a with
+  let rng =
+    Rng.substream ~seed:1L ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
+  in
+  serve_leases ~obs ~on_reconnect config ~fingerprint:Protocol.pool_fingerprint ~rng
+    (fun msg work ->
+      match msg with
       | Protocol.Job { spec; shard; epoch; start; len } -> (
           let fingerprint = Protocol.spec_fingerprint spec in
           match toolchain_for spec with
@@ -369,71 +384,17 @@ let run_pool ?(obs = Obs.disabled) ?causal
                  the misconfiguration into a clear terminal failure. *)
               raise (Session_error ("cannot build campaign: " ^ reason))
           | Ok (engine, prepared, inject) ->
-              let trace_id, span_id =
-                match aext.Protocol.ext_trace with
-                | Some (t, s) when v4 -> (t, s)
-                | _ -> ("", "")
-              in
-              let piggyback spans =
-                if v4 then Some (telemetry_ext obs ~trace_id ~spans) else None
-              in
-              let on_sample i =
-                if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
-                  send ?ext:(piggyback []) conn
-                    (Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = i });
-                  match recv conn "job_heartbeat" with
-                  | Protocol.Ack { accepted = true; _ } -> ()
-                  | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
-                  | _ -> protocol_error "job_heartbeat"
-                end
-              in
-              let t0 = Clock.now_us () in
-              (match
-                 Campaign.run_shard ~obs ?causal ?sample_budget:spec.Protocol.sp_sample_budget
-                   ?inject ~on_sample engine prepared ~seed:spec.Protocol.sp_seed ~shard ~start
-                   ~len
-               with
-              | sh ->
-                  let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
-                  let quarantined = sh.Campaign.sh_quarantined in
-                  send
-                    ?ext:
-                      (digest_ext config ~negotiated ~tally ~quarantined
-                         (piggyback [ shard_span obs ~span_id ~shard ~t0 ]))
-                    conn
-                    (Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined });
-                  (match recv conn "job_done" with
-                  | Protocol.Ack { accepted; _ } -> if accepted then incr completed
-                  | _ -> protocol_error "job_done")
-              | exception Lease_lost -> ());
-              `Continue)
-      | Protocol.No_work { finished = true } -> `Finished
-      | Protocol.No_work { finished = false } ->
-          Unix.sleepf config.retry_delay_s;
-          `Continue
-      | Protocol.Reject { reason } -> raise (Session_error ("rejected: " ^ reason))
-      | _ -> protocol_error "request_shard"
-    in
-    Fun.protect
-      ~finally:(fun () -> Wire.close conn)
-      (fun () ->
-        let rec loop () =
-          send conn Protocol.Request_shard;
-          match run_one (recv_ext conn "request_shard") with
-          | `Continue -> loop ()
-          | `Finished -> (
-              try send conn Protocol.Goodbye
-              with Wire.Closed | Wire.Timeout | Unix.Unix_error _ -> ())
-        in
-        loop ())
-  in
-  let rng =
-    Rng.substream ~seed:1L ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
-  in
-  with_reconnects ~obs ~mx ~rng ~retry:config.retry ~on_reconnect
-    ~progress:(fun () -> !completed)
-    session;
-  !completed
+              work ~shard
+                ~heartbeat:(fun i ->
+                  ( Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = i },
+                    "job_heartbeat" ))
+                ~finished:(fun ~tally ~quarantined ->
+                  (Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined }, "job_done"))
+                (fun ~on_sample ->
+                  Campaign.run_shard ~obs ?causal ?sample_budget:spec.Protocol.sp_sample_budget
+                    ~inject ~on_sample engine prepared ~seed:spec.Protocol.sp_seed ~shard ~start
+                    ~len))
+      | _ -> protocol_error "request_shard")
 
 (* -- report fetching ----------------------------------------------------- *)
 

@@ -88,9 +88,9 @@ val run :
 (** Work until the coordinator reports the campaign finished; returns
     the number of shard results this worker got accepted. [causal],
     [sample_budget], [inject] (the campaign's fault-model injector,
-    omitted for disc-transient) and [seed] must match the fingerprint's
-    campaign (the fingerprint encodes them — a mismatch is rejected at
-    hello).
+    default {!Ssf.disc_transient}) and [seed] must match the
+    fingerprint's campaign (the fingerprint encodes them — a mismatch is
+    rejected at hello).
     [on_reconnect] fires before each backoff sleep (CLI logging).
     Under [obs], counts wire bytes, [fmc_dist_reconnects_total], the
     [fmc_dist_reconnect_backoff_seconds] histogram, and inherits
@@ -103,7 +103,7 @@ val run_pool :
   ?causal:bool ->
   ?on_reconnect:(attempt:int -> sleep_s:float -> reason:string -> unit) ->
   config ->
-  resolve:(Protocol.spec -> (Engine.t * Sampler.prepared * Ssf.inject option, string) result) ->
+  resolve:(Protocol.spec -> (Engine.t * Sampler.prepared * Ssf.inject, string) result) ->
   unit ->
   int
 (** Pool mode ([faultmc worker --pool]): hello with
@@ -111,12 +111,12 @@ val run_pool :
     campaign the scheduler wants run, until it answers
     [No_work {finished = true}] (drained and told to exit). Each
     {!Protocol.Job} carries its campaign's {!Protocol.spec}; [resolve]
-    turns a spec into the local engine and prepared sampler (typically
-    by elaborating the named benchmark) — resolutions are cached by
-    fingerprint for the process lifetime, and a resolution [Error]
-    tears the session down (the lease expires to another worker; a
-    worker that can never resolve exhausts its reconnect budget and
-    fails loudly). Seed and sample budget come from the spec itself.
+    turns a spec into the local engine, prepared sampler and fault-model
+    injector (typically by elaborating the named benchmark) —
+    resolutions are cached by fingerprint for the process lifetime, and
+    a resolution [Error] tears the session down (the lease expires to
+    another worker; a worker that can never resolve exhausts its
+    reconnect budget and fails loudly). Seed and sample budget come from the spec itself.
     Returns the number of accepted shard results; shares {!run}'s
     reconnect machinery, metrics and terminal failures. *)
 

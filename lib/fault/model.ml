@@ -3,9 +3,10 @@ type t = {
   params : (string * string) list;
   doc : string;
   rng_draws : int;
-  prunable : bool;
   inject : Fmc.Ssf.inject option;
 }
+
+let injector t = Option.value t.inject ~default:Fmc.Ssf.disc_transient
 
 let canonical t =
   match t.params with

@@ -3,18 +3,19 @@
 
     The estimator ({!Fmc.Ssf}) stays model-agnostic — it draws the same
     spatial/temporal sample stream regardless — and a model supplies the
-    per-sample injector that turns a drawn sample into a run result. The
-    native model, [disc-transient] (the paper's radiation disc inducing
-    voltage transients), carries no injector at all: its evaluation is
-    the engine's own {!Fmc.Engine.run_sample} path, so a campaign under
-    the default model is byte-identical to the pre-subsystem code.
+    per-sample injector ({!Fmc.Ssf.inject}) that turns a drawn sample
+    into a run result. The native model, [disc-transient] (the paper's
+    radiation disc inducing voltage transients), is no exception: it
+    carries {!Fmc.Ssf.disc_transient}, the engine's own
+    {!Fmc.Engine.run_sample} path, so a campaign under the default model
+    is byte-identical to the pre-subsystem code.
 
     Every model declares its RNG budget ([rng_draws], an upper bound on
     randomness consumed per sample); all built-in models consume zero,
     which is what makes per-model campaigns deterministic and shard
-    merging bit-exact. [prunable] marks whether {!Fmc_sva} masking
-    certificates are sound for the model — only the disc transient they
-    were proved against. *)
+    merging bit-exact. Whether {!Fmc_sva} masking certificates are sound
+    for a model is its injector's [inj_prunable] — true only for the
+    disc transient they were proved against. *)
 
 type t = {
   name : string;  (** registry name, e.g. ["seu-burst"] *)
@@ -23,11 +24,14 @@ type t = {
           appends after the name *)
   doc : string;  (** one-line description for [--list-fault-models] *)
   rng_draws : int;  (** upper bound on RNG draws per sample (0 for all builtins) *)
-  prunable : bool;  (** analytical masking certificates sound for this model *)
   inject : Fmc.Ssf.inject option;
-      (** the per-sample injector; [None] means the engine's native
-          disc-transient path (and byte-identical reports) *)
+      (** the per-sample injector, [Some] for every registered model.
+          It stays an option only because the vendored benchmark tracer
+          ([perfbench/tracer]) matches on it; use {!injector}. *)
 }
+
+val injector : t -> Fmc.Ssf.inject
+(** The model's injector ({!Fmc.Ssf.disc_transient} for [disc-transient]). *)
 
 val canonical : t -> string
 (** The canonical model string: [name] alone when every parameter is at

@@ -106,8 +106,8 @@ let count_run ~metric engine =
         (Metrics.counter reg ~help:"per-model sample evaluations"
            ("fmc_fault_" ^ metric ^ "_runs_total"))
 
-let injected ~name ~params ~doc ~prunable make_run =
-  let stub = { Model.name; params; doc; rng_draws = 0; prunable; inject = None } in
+let injected ~name ~params ~doc make_run =
+  let stub = { Model.name; params; doc; rng_draws = 0; inject = None } in
   let metric = Model.metric_name stub in
   {
     stub with
@@ -120,11 +120,12 @@ let injected ~name ~params ~doc ~prunable make_run =
               count_run ~metric engine;
               make_run engine ?cycle_budget sample);
           inj_causal = (fun _engine (r : Engine.run_result) -> r.Engine.flips);
+          inj_prunable = false;
         };
   }
 
 (* ------------------------------------------------------------------ *)
-(* disc-transient: the engine's own path — no injector at all. *)
+(* disc-transient: the engine's own path, [Ssf.disc_transient]. *)
 
 let disc_transient params =
   let* () = check_keys ~valid:[] params in
@@ -134,8 +135,7 @@ let disc_transient params =
       params = [];
       doc = "radiation disc: direct SEUs + gate-level voltage transients (the paper's native model)";
       rng_draws = 0;
-      prunable = true;
-      inject = None;
+      inject = Some Ssf.disc_transient;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +171,7 @@ let seu_burst params =
             "direct multi-bit SEU burst: up to %d struck flip-flops take state flips, no \
              transients"
             bits)
-       ~prunable:false run)
+       run)
 
 (* ------------------------------------------------------------------ *)
 (* instr-skip: ISS-level skip/corrupt of the fetched instruction. *)
@@ -223,7 +223,7 @@ let instr_skip params =
          | Corrupt ->
              Printf.sprintf
                "ISS-level instruction corruption: the fetched word is XORed with 0x%04x" mask)
-       ~prunable:false run)
+       run)
 
 (* ------------------------------------------------------------------ *)
 (* double-strike: the native strike, repeated at the same location after
@@ -268,4 +268,4 @@ let double_strike params =
        ~doc:
          (Printf.sprintf
             "temporal double strike: the sampled disc strikes twice, %d cycle(s) apart" gap)
-       ~prunable:false run)
+       run)

@@ -50,14 +50,61 @@ let with_tmp name f =
 
 (* ------------------------------------------------------------------ *)
 
+(* Both run the one sample loop, so they agree byte for byte under every
+   registered fault model, the native disc transient included. *)
 let test_campaign_matches_estimate () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
-  let baseline = Ssf.estimate e prep ~samples:300 ~seed:11 in
-  let r = Campaign.run ~config:no_signals e prep ~samples:300 ~seed:11 in
-  Alcotest.(check bool) "completed" true (r.Campaign.status = Campaign.Completed);
-  Alcotest.(check int) "nothing quarantined" 0 (List.length r.Campaign.quarantined);
-  check_reports_equal baseline r.Campaign.report
+  List.iter
+    (fun name ->
+      let inject = Fmc_fault.Model.injector (Fmc_fault.Registry.parse_exn name) in
+      let baseline = Ssf.estimate ~inject e prep ~samples:300 ~seed:11 in
+      let r = Campaign.run ~config:no_signals ~inject e prep ~samples:300 ~seed:11 in
+      Alcotest.(check bool) (name ^ ": completed") true (r.Campaign.status = Campaign.Completed);
+      Alcotest.(check int) (name ^ ": nothing quarantined") 0 (List.length r.Campaign.quarantined);
+      Alcotest.(check string) (name ^ ": report bytes") (Export.report_json baseline)
+        (Export.report_json r.Campaign.report))
+    Fmc_fault.Registry.names
+
+(* One loop, three failure policies: an evaluation exception escapes
+   Ssf.estimate (estimate_parallel's batch retry relies on it), is
+   quarantined by the campaign entry points, and an exception from a
+   shard's per-sample hook (a worker's lost lease) aborts the shard
+   instead of quarantining the sample in flight. *)
+let test_failure_policies () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let calls = ref 0 in
+  let flaky =
+    {
+      Ssf.disc_transient with
+      Ssf.inj_model = "flaky";
+      inj_run =
+        (fun engine ?cycle_budget rng sample ->
+          incr calls;
+          if !calls mod 7 = 0 then failwith "flaky evaluation";
+          Ssf.disc_transient.Ssf.inj_run engine ?cycle_budget rng sample);
+    }
+  in
+  Alcotest.(check bool) "estimate propagates" true
+    (try
+       ignore (Ssf.estimate ~inject:flaky e prep ~samples:20 ~seed:11);
+       false
+     with Failure _ -> true);
+  calls := 0;
+  let r = Campaign.run ~config:no_signals ~inject:flaky e prep ~samples:20 ~seed:11 in
+  Alcotest.(check int) "run quarantines" 2 r.Campaign.report.Ssf.outcomes.Ssf.q_crashed;
+  calls := 0;
+  let sh = Campaign.run_shard ~inject:flaky e prep ~seed:11 ~shard:0 ~start:40 ~len:20 in
+  Alcotest.(check (list int)) "run_shard quarantines at global indices" [ 47; 54 ]
+    (List.map (fun q -> q.Campaign.q_index) sh.Campaign.sh_quarantined);
+  Alcotest.(check bool) "a raising per-sample hook aborts the shard" true
+    (try
+       ignore
+         (Campaign.run_shard e prep ~seed:11 ~shard:0 ~start:0 ~len:20 ~on_sample:(fun i ->
+              if i = 5 then raise Exit));
+       false
+     with Exit -> true)
 
 let test_checkpoint_resume_bit_exact () =
   with_tmp "ckpt" @@ fun path ->
@@ -250,15 +297,23 @@ let test_corrupt_checkpoint_rejected () =
        ignore (Campaign.resume ~config:no_signals e prep ~path);
        false
      with Campaign.Checkpoint_corrupt { path = p; _ } -> p = path);
-  (* A future format version is refused rather than misread. *)
-  let oc = open_out path in
-  output_string oc "faultmc-campaign 99\n";
-  close_out oc;
-  Alcotest.(check bool) "version mismatch raises" true
-    (try
-       ignore (Campaign.resume ~config:no_signals e prep ~path);
-       false
-     with Campaign.Checkpoint_corrupt { path = p; _ } -> p = path)
+  (* Any version but v5 — a future one, or the retired pre-model v4 — is
+     refused for its version, before the rest is read. *)
+  let unsupported reason =
+    let key = "unsupported checkpoint version" in
+    String.length reason >= String.length key && String.sub reason 0 (String.length key) = key
+  in
+  List.iter
+    (fun header ->
+      let oc = open_out path in
+      output_string oc (header ^ "\n");
+      close_out oc;
+      Alcotest.(check bool) (header ^ " raises") true
+        (try
+           ignore (Campaign.resume ~config:no_signals e prep ~path);
+           false
+         with Campaign.Checkpoint_corrupt { path = p; reason } -> p = path && unsupported reason))
+    [ "faultmc-campaign 99"; "faultmc-campaign 4" ]
 
 let () =
   Alcotest.run "campaign"
@@ -266,6 +321,7 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "matches Ssf.estimate" `Slow test_campaign_matches_estimate;
+          Alcotest.test_case "failure policies" `Slow test_failure_policies;
           Alcotest.test_case "checkpoint/resume bit-exact" `Slow test_checkpoint_resume_bit_exact;
           Alcotest.test_case "quarantine accounting" `Slow test_quarantine_accounting;
           Alcotest.test_case "cycle-budget timeout" `Slow test_cycle_budget_timeout;

@@ -570,6 +570,32 @@ let test_ssf_estimate_until () =
     (Invalid_argument "Ssf.estimate_until: non-positive half_width") (fun () ->
       ignore (Ssf.estimate_until e prep ~half_width:0. ~z:1.96 ~seed:1))
 
+(* The stopping rule is one pass over the seed's stream, not a re-run
+   per doubling: the report equals estimate ~samples:n byte for byte
+   (also when the stop point is off the trace grid, as every batch-70
+   schedule point is), and the sample counter sees each sample once. *)
+let test_ssf_estimate_until_one_pass () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  List.iter
+    (fun batch ->
+      let what = match batch with None -> "default batch" | Some b -> Printf.sprintf "batch %d" b in
+      let reg = Fmc_obs.Metrics.create () in
+      let obs = Fmc_obs.Obs.create ~metrics:reg () in
+      let r = Ssf.estimate_until ~obs ?batch e prep ~half_width:0.006 ~z:1.96 ~seed:5 in
+      Alcotest.(check bool) (what ^ ": stopped past the first check") true
+        (r.Ssf.n > Option.value batch ~default:500);
+      if batch = Some 70 then
+        Alcotest.(check bool) (what ^ ": stop point off the trace grid") true (r.Ssf.n mod 50 <> 0);
+      let direct = Ssf.estimate e prep ~samples:r.Ssf.n ~seed:5 in
+      Alcotest.(check string) (what ^ ": byte-identical to estimate ~samples:n")
+        (Export.report_json direct) (Export.report_json r);
+      match List.assoc_opt "fmc_samples_total" (Fmc_obs.Metrics.snapshot reg) with
+      | Some (_, Fmc_obs.Metrics.Counter v) ->
+          Alcotest.(check (float 0.)) (what ^ ": each sample counted once") (float_of_int r.Ssf.n) v
+      | _ -> Alcotest.fail "fmc_samples_total missing")
+    [ None; Some 70 ]
+
 let test_ssf_parallel () =
   let prep = prepare Sampler.default_mixed in
   (* Each domain needs a private engine (mutable simulator state). *)
@@ -768,6 +794,7 @@ let () =
           Alcotest.test_case "confidence interval" `Slow test_ssf_confidence_interval;
           Alcotest.test_case "effective sample size" `Slow test_ssf_effective_sample_size;
           Alcotest.test_case "estimate until convergence" `Slow test_ssf_estimate_until;
+          Alcotest.test_case "estimate until is one pass" `Slow test_ssf_estimate_until_one_pass;
           Alcotest.test_case "parallel estimation" `Slow test_ssf_parallel;
           Alcotest.test_case "contribution coverage" `Slow test_ssf_contribution_coverage;
         ] );

@@ -2,9 +2,10 @@
    registry's parameter codec and typed errors, byte-identity of the
    default model against the committed pre-subsystem reference reports,
    per-model determinism (locally, sharded and through Fmc_dist with a
-   dead worker), the prune/inject soundness guard, the campaign
-   checkpoint's model line (v5) with v4 back-compat, and the
-   fault-model component of distributed fingerprints and spec lines. *)
+   dead worker), the prune/inject soundness guard at every entry
+   point, the campaign
+   checkpoint's model line (v5), and the fault-model component of
+   distributed fingerprints and spec lines. *)
 
 module Programs = Fmc_isa.Programs
 module Model = Fmc_fault.Model
@@ -68,16 +69,25 @@ let test_registry_canonical () =
     (Model.canonical (model (Model.canonical m)));
   Alcotest.(check string) "metric name sanitized" "seu_burst_bits_4"
     (Model.metric_name (model "seu-burst:bits=4"));
-  (* The default model is native: no injector, prunable. *)
+  (* The default model carries the engine's native injector, the only
+     prunable one; every model's injector is named by its canonical
+     string. *)
   let disc = model "disc-transient" in
-  Alcotest.(check bool) "disc has no injector" true (disc.Model.inject = None);
-  Alcotest.(check bool) "disc is prunable" true disc.Model.prunable;
+  Alcotest.(check bool) "disc carries Ssf.disc_transient" true
+    (Model.injector disc == Ssf.disc_transient);
+  Alcotest.(check bool) "disc is prunable" true (Model.injector disc).Ssf.inj_prunable;
   List.iter
     (fun name ->
       let m = model name in
-      Alcotest.(check bool) (name ^ " carries an injector") true (m.Model.inject <> None);
-      Alcotest.(check bool) (name ^ " is not prunable") false m.Model.prunable;
+      Alcotest.(check bool) (name ^ " carries an injector") true (Option.is_some m.Model.inject);
+      Alcotest.(check string) (name ^ " injector named canonically") (Model.canonical m)
+        (Model.injector m).Ssf.inj_model;
       Alcotest.(check int) (name ^ " draws no rng") 0 m.Model.rng_draws)
+    Registry.names;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not prunable") false
+        (Model.injector (model name)).Ssf.inj_prunable)
     [ "seu-burst"; "instr-skip"; "double-strike" ]
 
 let test_registry_errors () =
@@ -140,60 +150,75 @@ let test_per_model_determinism () =
   let e = engine () in
   List.iter
     (fun spec ->
-      let inject = (model spec).Model.inject in
-      let a = Ssf.estimate ?inject e prep ~samples:150 ~seed:23 in
-      let b = Ssf.estimate ?inject e prep ~samples:150 ~seed:23 in
+      let inject = Model.injector (model spec) in
+      let a = Ssf.estimate ~inject e prep ~samples:150 ~seed:23 in
+      let b = Ssf.estimate ~inject e prep ~samples:150 ~seed:23 in
       check_reports_equal (spec ^ " plain deterministic") a b;
-      let sa = Campaign.estimate_sharded ?inject e prep ~samples:150 ~seed:23 ~shard_size:50 in
-      let sb = Campaign.estimate_sharded ?inject e prep ~samples:150 ~seed:23 ~shard_size:50 in
+      let sa = Campaign.estimate_sharded ~inject e prep ~samples:150 ~seed:23 ~shard_size:50 in
+      let sb = Campaign.estimate_sharded ~inject e prep ~samples:150 ~seed:23 ~shard_size:50 in
       check_reports_equal (spec ^ " sharded deterministic") sa.Campaign.report
         sb.Campaign.report)
     [ "seu-burst"; "seu-burst:bits=8"; "instr-skip"; "instr-skip:mode=corrupt"; "double-strike" ]
 
 (* ------------------------------------------------------------------ *)
-(* Soundness guard: masking certificates only cover disc-transient, so
-   every prune+inject combination is refused with a typed error. *)
+(* Soundness guard: masking certificates only cover the unmodified
+   disc transient, so every entry point that takes ?prune refuses a
+   non-prunable injector — a synthetic model or an ablated disc variant
+   alike — with a typed error, through the one guard in the shared
+   sample loop. *)
 
 let test_prune_inject_refused () =
   let prep = prepare Sampler.default_mixed in
   let e = engine () in
-  let inject = Option.get (model "seu-burst").Model.inject in
-  let refused f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
+  let prune _ = false in
+  let refused what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
   in
-  Alcotest.(check bool) "estimate refuses" true
-    (refused (fun () ->
-         Ssf.estimate ~prune:(fun _ -> false) ~inject e prep ~samples:10 ~seed:1));
-  Alcotest.(check bool) "estimate_sharded refuses" true
-    (refused (fun () ->
-         Campaign.estimate_sharded
-           ~prune:(fun _ -> false)
-           ~inject e prep ~samples:10 ~seed:1 ~shard_size:5));
-  Alcotest.(check bool) "run refuses" true
-    (refused (fun () ->
-         Campaign.run ~config:no_signals
-           ~prune:(fun _ -> false)
-           ~inject e prep ~samples:10 ~seed:1))
+  let hardened = Ssf.disc_ablation ~hardened:(fun _ -> true) () in
+  Alcotest.(check bool) "hardened variant named apart" true
+    (hardened.Ssf.inj_model <> Ssf.disc_transient.Ssf.inj_model);
+  List.iter
+    (fun (inject : Ssf.inject) ->
+      let who entry = entry ^ " refuses " ^ inject.Ssf.inj_model in
+      refused (who "estimate") (fun () -> Ssf.estimate ~prune ~inject e prep ~samples:10 ~seed:1);
+      refused (who "estimate_until") (fun () ->
+          Ssf.estimate_until ~prune ~inject e prep ~half_width:0.5 ~z:1.96 ~seed:1);
+      refused (who "run") (fun () ->
+          Campaign.run ~config:no_signals ~prune ~inject e prep ~samples:10 ~seed:1);
+      refused (who "run_shard") (fun () ->
+          Campaign.run_shard ~prune ~inject e prep ~seed:1 ~shard:0 ~start:0 ~len:5);
+      refused (who "estimate_sharded") (fun () ->
+          Campaign.estimate_sharded ~prune ~inject e prep ~samples:10 ~seed:1 ~shard_size:5);
+      with_tmp "ckpt" (fun path ->
+          let config = { no_signals with Campaign.checkpoint_path = Some path } in
+          let half =
+            Campaign.run ~config ~inject ~stop:(fun i -> i >= 5) e prep ~samples:10 ~seed:1
+          in
+          Alcotest.(check bool) "checkpoint to resume from" true
+            (half.Campaign.status = Campaign.Interrupted);
+          refused (who "resume") (fun () ->
+              Campaign.resume ~config:no_signals ~prune ~inject e prep ~path)))
+    [ Model.injector (model "seu-burst"); hardened ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign checkpoints: v5 records the model; resuming under another
-   model is refused; a hand-built v4 checkpoint (no model line) still
-   reads, defaulting to disc-transient. *)
+   model is refused. *)
 
 let test_checkpoint_records_model () =
   with_tmp "ckpt" @@ fun path ->
   let prep = prepare Sampler.default_mixed in
   let e = engine () in
-  let inject = (model "seu-burst:bits=3").Model.inject in
-  let uninterrupted = Campaign.run ~config:no_signals ?inject e prep ~samples:120 ~seed:9 in
+  let inject = Model.injector (model "seu-burst:bits=3") in
+  let uninterrupted = Campaign.run ~config:no_signals ~inject e prep ~samples:120 ~seed:9 in
   let config =
     { no_signals with Campaign.checkpoint_path = Some path; Campaign.checkpoint_every = 20 }
   in
   let half =
-    Campaign.run ~config ?inject ~stop:(fun i -> i >= 60) e prep ~samples:120 ~seed:9
+    Campaign.run ~config ~inject ~stop:(fun i -> i >= 60) e prep ~samples:120 ~seed:9
   in
   Alcotest.(check bool) "interrupted" true (half.Campaign.status = Campaign.Interrupted);
   let raw = read_file path in
@@ -207,44 +232,10 @@ let test_checkpoint_records_model () =
        ignore (Campaign.resume ~config:no_signals e prep ~path);
        false
      with Campaign.Checkpoint_corrupt { path = p; _ } -> p = path);
-  let resumed = Campaign.resume ~config:no_signals ?inject e prep ~path in
+  let resumed = Campaign.resume ~config:no_signals ~inject e prep ~path in
   Alcotest.(check bool) "resumed to completion" true
     (resumed.Campaign.status = Campaign.Completed);
   check_reports_equal "resume bit-exact under seu-burst" uninterrupted.Campaign.report
-    resumed.Campaign.report
-
-let test_checkpoint_v4_back_compat () =
-  with_tmp "v4" @@ fun path ->
-  let prep = prepare Sampler.default_mixed in
-  let e = engine () in
-  let uninterrupted = Campaign.run ~config:no_signals e prep ~samples:120 ~seed:9 in
-  let config =
-    { no_signals with Campaign.checkpoint_path = Some path; Campaign.checkpoint_every = 20 }
-  in
-  let half = Campaign.run ~config ~stop:(fun i -> i >= 60) e prep ~samples:120 ~seed:9 in
-  Alcotest.(check bool) "interrupted" true (half.Campaign.status = Campaign.Interrupted);
-  (* Downgrade the fresh v5 file to the v4 format a pre-fault-model
-     build wrote: version 4, no model line, CRC over the new body. *)
-  let raw = read_file path in
-  let starts_with prefix l =
-    String.length l >= String.length prefix && String.sub l 0 (String.length prefix) = prefix
-  in
-  let body_lines =
-    String.split_on_char '\n' raw
-    |> List.filter (fun l -> not (starts_with "model " l || starts_with "crc " l))
-    |> List.map (fun l -> if l = "faultmc-campaign 5" then "faultmc-campaign 4" else l)
-  in
-  (* split_on_char leaves a trailing "" for the final newline, so the
-     rejoin reproduces the byte-exact newline-terminated body. *)
-  let body = String.concat "\n" body_lines in
-  let oc = open_out_bin path in
-  output_string oc body;
-  Printf.fprintf oc "crc %08x\n" (Fmc_prelude.Crc32.string body);
-  close_out oc;
-  let resumed = Campaign.resume ~config:no_signals e prep ~path in
-  Alcotest.(check bool) "v4 resumed to completion" true
-    (resumed.Campaign.status = Campaign.Completed);
-  check_reports_equal "v4 resume bit-exact" uninterrupted.Campaign.report
     resumed.Campaign.report
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +305,7 @@ let test_loopback_model_campaign () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
   let m = model "seu-burst:bits=4" in
-  let inject = m.Model.inject in
+  let inject = Model.injector m in
   let samples = 90 and shard_size = 30 and seed = 13 in
   let plan = Ssf.shard_plan ~samples ~shard_size in
   let fp ?fault_model () =
@@ -358,7 +349,7 @@ let test_loopback_model_campaign () =
         | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
         | _ -> Alcotest.fail "expected an assignment"
       in
-      let sh = Campaign.run_shard ?inject e prep ~seed ~shard ~start ~len in
+      let sh = Campaign.run_shard ~inject e prep ~seed ~shard ~start ~len in
       let blob = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
       Thread.delay 1.6 (* past the TTL: the coordinator expires the lease *);
       send conn (Protocol.Shard_done { shard; epoch; tally = blob; quarantined = [] });
@@ -374,7 +365,7 @@ let test_loopback_model_campaign () =
           retry_delay_s = 0.1;
         }
       in
-      let accepted = Worker.run ?inject wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run ~inject wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
       Thread.join server;
       let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
@@ -383,7 +374,7 @@ let test_loopback_model_campaign () =
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
-      let reference = Campaign.estimate_sharded ?inject e prep ~samples ~seed ~shard_size in
+      let reference = Campaign.estimate_sharded ~inject e prep ~samples ~seed ~shard_size in
       check_reports_equal "distributed seu-burst bit-identical to local reference"
         reference.Campaign.report dist)
 
@@ -413,7 +404,6 @@ let () =
         [
           Alcotest.test_case "v5 records the model; mismatch refused" `Slow
             test_checkpoint_records_model;
-          Alcotest.test_case "v4 checkpoint still reads" `Slow test_checkpoint_v4_back_compat;
         ] );
       ( "dist",
         [

@@ -472,7 +472,8 @@ let test_service_loopback_pool () =
             let wcfg =
               { (Worker.default_config ~addr ~worker_name:"pool-1") with Worker.retry_delay_s = 0.05 }
             in
-            accepted := Worker.run_pool wcfg ~resolve:(fun _ -> Ok (e, prep, None)) ())
+            accepted :=
+              Worker.run_pool wcfg ~resolve:(fun _ -> Ok (e, prep, Ssf.disc_transient)) ())
           ()
       in
       (* Wait for the report on a campaign-scoped connection; pending
