@@ -42,6 +42,13 @@ let make_einst (obs : Obs.t) =
               "fmc_sample_duration_us";
         }
 
+(* What the golden run does in cycle [c], filled on first use. *)
+type entry = {
+  arch : Arch.t;  (* golden architectural state at the start of [c] *)
+  writes : (int * int) list;  (* (address, value) of the data words cycle [c] changes *)
+  settled : Bytes.t;  (* fault-free settled node values, a Cycle_sim.save_values image *)
+}
+
 type t = {
   precharac : Precharac.t;
   circuit : Circuit.t;
@@ -51,7 +58,12 @@ type t = {
   timing : Glitch.timing;
   program : Programs.t;
   golden : Golden.t;
-  netsys : Netsys.t;  (* reused across samples; state rewritten per run *)
+  (* Per-engine scratch and memo: reused across samples, never shared
+     across domains ([Ssf.estimate_parallel] runs one engine per domain). *)
+  netsys : Netsys.t;  (* simulator state rewritten per gate-level cycle *)
+  transient : Transient.scratch;
+  watch : N.node array;  (* the memory write port: dmem_we, dmem_addr, dmem_wdata *)
+  cache : (int, entry) Hashtbl.t;  (* golden cycle -> entry *)
   (* Mutable so cached/shared engines (e.g. Experiments' per-benchmark
      cache) can be instrumented per run; [Ssf.estimate] installs its
      handle for the duration of a run and restores the previous one. *)
@@ -82,6 +94,11 @@ let create ?(checkpoint_every = 16) ?(placement_seed = 1) ~precharac program =
     program;
     golden;
     netsys;
+    transient = Transient.scratch circuit.Circuit.net;
+    watch =
+      Array.concat
+        [ [| circuit.Circuit.dmem_we |]; circuit.Circuit.dmem_addr; circuit.Circuit.dmem_wdata ];
+    cache = Hashtbl.create 64;
     obs = Obs.disabled;
     einst = None;
   }
@@ -93,6 +110,35 @@ let circuit t = t.circuit
 let transient_config t = t.tconfig
 let program t = t.program
 
+let restore t cycle =
+  match t.einst with
+  | None -> Golden.restore_at t.golden cycle
+  | Some ei ->
+      Metrics.inc ei.e_restores;
+      Golden.restore_at ~on_step:(fun () -> Metrics.inc ei.e_rtl_cycles) t.golden cycle
+
+let entry t c =
+  match Hashtbl.find_opt t.cache c with
+  | Some e -> e
+  | None ->
+      let sys = restore t c in
+      let arch = Arch.copy (System.state sys) in
+      let net_dmem = Netsys.dmem t.netsys in
+      Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
+      Netsys.load_arch t.netsys arch;
+      Netsys.settle t.netsys;
+      let settled = Cycle_sim.save_values (Netsys.sim t.netsys) in
+      ignore (System.step sys);
+      let writes = ref [] in
+      Array.iteri
+        (fun a v -> if v <> net_dmem.(a) then writes := (a, v) :: !writes)
+        (System.dmem sys);
+      let e = { arch; writes = List.rev !writes; settled } in
+      Hashtbl.add t.cache c e;
+      e
+
+let golden_settled t c = (entry t c).settled
+
 type outcome = Masked | Analytical of bool | Resumed of bool
 
 type run_result = {
@@ -101,63 +147,67 @@ type run_result = {
   outcome : outcome;
   success : bool;
   flips : (string * int) list;
+  dmem_diffs : (int * int) list;
   direct : N.node array;
   latched : N.node array;
   struck_cells : int;
 }
 
-(* Evaluate the injection cycle at gate level: [sys] stands at [Te] with
-   direct flips already applied. Returns the latched-error flip-flops; [sys]
-   is advanced one cycle (state and memory reflect the gate-level cycle). *)
-let gate_level_cycle t sys (sample : Sampler.sample) gate_strikes =
-  let net_dmem = Netsys.dmem t.netsys in
-  Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
-  Netsys.load_arch t.netsys (System.state sys);
-  Netsys.settle t.netsys;
-  let strikes =
-    List.map
-      (fun g ->
-        {
-          Transient.node = g;
-          time = sample.Sampler.time_frac *. t.tconfig.Transient.clock_period;
-          width = sample.Sampler.width;
-        })
-      gate_strikes
-  in
-  (* The external memory's write port is a synchronous sample point too:
-     transients reaching dmem_we / dmem_addr / dmem_wdata in the latch
-     window are captured by the RAM exactly like a flip-flop would — this
-     is the same-cycle channel a classic fault attack uses to commit a
-     store whose violation flag was suppressed. *)
-  let we_node = t.circuit.Circuit.dmem_we in
-  let addr_nodes = t.circuit.Circuit.dmem_addr in
-  let wdata_nodes = t.circuit.Circuit.dmem_wdata in
-  let watch = Array.concat [ [| we_node |]; addr_nodes; wdata_nodes ] in
-  let result = Transient.inject ~watch (Netsys.sim t.netsys) t.tconfig ~strikes in
-  let hit node = Array.mem node result.Transient.watched_hits in
+(* The settled values of [sys]'s cycle: the golden image, re-settled where
+   [sys] differs from it. *)
+let settle_at t sys =
+  Cycle_sim.load_values (Netsys.sim t.netsys) (entry t (System.cycle sys)).settled;
+  Netsys.resettle t.netsys (System.state sys) ~dmem:(System.dmem sys)
+
+(* The external memory's write port is a synchronous sample point too:
+   [hit n] says a transient on port node [n] overlaps the latch window, so
+   the RAM captures the corrupted value exactly like a flip-flop would —
+   the same-cycle channel a classic fault attack uses to commit a store
+   whose violation flag was suppressed. Returns the (address, previous
+   value) of the word written, if any. *)
+let commit_write t sys ~hit =
   let sim = Netsys.sim t.netsys in
-  let corrupted_bus nodes =
-    let v = ref 0 in
-    Array.iteri
-      (fun i node ->
-        let bit = Cycle_sim.value sim node <> hit node in
-        if bit then v := !v lor (1 lsl i))
-      nodes;
-    !v
-  in
-  let we_eff = Cycle_sim.value sim we_node <> hit we_node in
-  (if we_eff then begin
-     let addr = corrupted_bus addr_nodes in
-     net_dmem.(addr land (Array.length net_dmem - 1)) <- corrupted_bus wdata_nodes
-   end);
-  Cycle_sim.latch sim;
-  (* Write the (fault-free-latched) next state and memory back to RTL. *)
-  let next = Netsys.read_arch t.netsys in
+  let bit node = Cycle_sim.value sim node <> hit node in
+  if not (bit t.circuit.Circuit.dmem_we) then None
+  else begin
+    let bus nodes =
+      let v = ref 0 in
+      Array.iteri (fun i node -> if bit node then v := !v lor (1 lsl i)) nodes;
+      !v
+    in
+    let dmem = System.dmem sys in
+    let addr = bus t.circuit.Circuit.dmem_addr land (Array.length dmem - 1) in
+    let previous = dmem.(addr) in
+    dmem.(addr) <- bus t.circuit.Circuit.dmem_wdata;
+    Some (addr, previous)
+  end
+
+(* Write the latched next state back to RTL and count the cycle. *)
+let writeback t sys =
+  let sim = Netsys.sim t.netsys in
   let st = System.state sys in
-  List.iter (fun (name, _) -> Arch.set_group st name (Arch.get_group next name)) Arch.groups;
-  Array.blit net_dmem 0 (System.dmem sys) 0 (Array.length net_dmem);
-  System.advance_externally sys;
-  result.Transient.latched
+  List.iter (fun (name, _) -> Arch.set_group st name (Cycle_sim.read_group sim name)) Arch.groups;
+  System.advance_externally sys
+
+(* [gate_level_cycle], also returning the memory write it committed. *)
+let gate_cycle t sys (sample : Sampler.sample) gate_strikes =
+  settle_at t sys;
+  let time = sample.Sampler.time_frac *. t.tconfig.Transient.clock_period in
+  let strikes =
+    List.map (fun g -> { Transient.node = g; time; width = sample.Sampler.width }) gate_strikes
+  in
+  let sim = Netsys.sim t.netsys in
+  let result = Transient.inject ~scratch:t.transient ~watch:t.watch sim t.tconfig ~strikes in
+  let write =
+    commit_write t sys ~hit:(fun node -> Array.mem node result.Transient.watched_hits)
+  in
+  (* The flip-flops latch fault-free values; the latched errors are the
+     caller's to apply. *)
+  Cycle_sim.latch sim;
+  writeback t sys;
+  (result.Transient.latched, write)
+
+let gate_level_cycle t sys sample gate_strikes = fst (gate_cycle t sys sample gate_strikes)
 
 let partition_disc ?(cell_filter = fun _ -> true) t center radius =
   let cells =
@@ -196,6 +246,21 @@ let state_bit_diffs faulty golden_state =
       bits 0 [])
     Arch.groups
 
+(* Data words where [sys]'s memory differs from the golden run's at
+   [te + cycles], ascending by address. [sys] held the golden memory at
+   [te] and has since taken the faulty [writes] ((address, previous
+   value), oldest first); in between, the golden run changed only the
+   words its cache entries list. *)
+let dmem_diffs t sys ~te ~cycles writes =
+  let golden_writes = List.concat (List.init cycles (fun k -> (entry t (te + k)).writes)) in
+  let dmem = System.dmem sys in
+  let golden a =
+    let base = match List.assoc_opt a writes with Some previous -> previous | None -> dmem.(a) in
+    List.fold_left (fun v (a', w) -> if a' = a then w else v) base golden_writes
+  in
+  List.sort_uniq compare (List.map fst writes @ List.map fst golden_writes)
+  |> List.filter_map (fun a -> if dmem.(a) <> golden a then Some (a, dmem.(a)) else None)
+
 let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) ?(resilience = 10.)
     ?cycle_budget rng (sample : Sampler.sample) =
   if impact_cycles < 1 then invalid_arg "Engine.run_sample: impact_cycles must be >= 1";
@@ -207,24 +272,15 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
       outcome = Masked;
       success = false;
       flips = [];
+      dmem_diffs = [];
       direct = [||];
       latched = [||];
       struck_cells = 0;
     }
   else begin
     let t_begin = match t.einst with None -> 0. | Some _ -> Fmc_obs.Clock.now_us () in
-    let on_step =
-      match t.einst with
-      | None -> None
-      | Some ei -> Some (fun () -> Metrics.inc ei.e_rtl_cycles)
-    in
-    let restore cycle =
-      (match t.einst with None -> () | Some ei -> Metrics.inc ei.e_restores);
-      Obs.span t.obs ~cat:"engine" "restore" (fun () ->
-          Golden.restore_at ?on_step t.golden cycle)
-    in
     let net = t.circuit.Circuit.net in
-    let sys = restore te in
+    let sys = Obs.span t.obs ~cat:"engine" "restore" (fun () -> restore t te) in
     let dff_hits, gate_hits, struck_cells = partition_disc ?cell_filter t sample.Sampler.center sample.Sampler.radius in
     let survives dff = (not (hardened dff)) || Rng.float rng 1.0 < 1. /. resilience in
     let direct = List.filter survives dff_hits in
@@ -233,13 +289,13 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
        cycle (paper §3.2: "our framework can easily incorporate multi-cycle
        impact"). *)
     List.iter (apply_flip sys net) direct;
-    let latched = ref [] in
+    let latched = ref [] and writes = ref [] in
     for _ = 1 to impact_cycles do
-      let latched_raw =
+      let latched_raw, write =
         (match t.einst with None -> () | Some ei -> Metrics.inc ei.e_gate_cycles);
-        Obs.span t.obs ~cat:"engine" "gate_cycle" (fun () ->
-            gate_level_cycle t sys sample gate_hits)
+        Obs.span t.obs ~cat:"engine" "gate_cycle" (fun () -> gate_cycle t sys sample gate_hits)
       in
+      Option.iter (fun w -> writes := w :: !writes) write;
       let survivors = List.filter survives (Array.to_list latched_raw) in
       (* Latched errors corrupt the post-cycle state before the next
          impacted cycle executes. *)
@@ -248,12 +304,12 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
     done;
     let latched = List.sort_uniq compare !latched in
     (* Exact error set vs the golden run just past the impact window. *)
-    let flips, mem_clean =
+    let flips, dmem_diffs =
       Obs.span t.obs ~cat:"engine" "masking" (fun () ->
-          let golden_ref = restore (te + impact_cycles) in
-          ( state_bit_diffs (System.state sys) (System.state golden_ref),
-            System.dmem sys = System.dmem golden_ref ))
+          ( state_bit_diffs (System.state sys) (entry t (te + impact_cycles)).arch,
+            dmem_diffs t sys ~te ~cycles:impact_cycles (List.rev !writes) ))
     in
+    let mem_clean = dmem_diffs = [] in
     let flip_nodes = List.map (fun (g, b) -> (N.register_group net g).(b)) flips in
     let outcome, success =
       if flips = [] && mem_clean then (Masked, false)
@@ -291,6 +347,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
       outcome;
       success;
       flips;
+      dmem_diffs;
       direct = Array.of_list direct;
       latched = Array.of_list latched;
       struck_cells;
@@ -303,25 +360,13 @@ let run_glitch t ~te ~period =
   if te < 1 then { g_te = te; g_success = false; g_stale = [] }
   else begin
     let net = t.circuit.Circuit.net in
-    let sys = Golden.restore_at t.golden te in
+    let sys = restore t te in
     (* Evaluate the glitched cycle at gate level: settle, commit the memory
        write at the nominal edge, clock with the shortened period. *)
-    let net_dmem = Netsys.dmem t.netsys in
-    Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
-    Netsys.load_arch t.netsys (System.state sys);
-    Netsys.settle t.netsys;
-    let sim = Netsys.sim t.netsys in
-    (if Cycle_sim.value sim t.circuit.Circuit.dmem_we then begin
-       let addr = Cycle_sim.read_bus sim t.circuit.Circuit.dmem_addr in
-       net_dmem.(addr land (Array.length net_dmem - 1)) <-
-         Cycle_sim.read_bus sim t.circuit.Circuit.dmem_wdata
-     end);
-    let stale = Glitch.latch_with_glitch t.timing t.tconfig sim ~period in
-    let next = Netsys.read_arch t.netsys in
-    let st = System.state sys in
-    List.iter (fun (name, _) -> Arch.set_group st name (Arch.get_group next name)) Arch.groups;
-    Array.blit net_dmem 0 (System.dmem sys) 0 (Array.length net_dmem);
-    System.advance_externally sys;
+    settle_at t sys;
+    ignore (commit_write t sys ~hit:(fun _ -> false));
+    let stale = Glitch.latch_with_glitch t.timing t.tconfig (Netsys.sim t.netsys) ~period in
+    writeback t sys;
     let budget = t.program.Programs.max_cycles + 100 in
     ignore (System.run sys ~max_cycles:(max 1 (budget - System.cycle sys)));
     {
@@ -333,29 +378,28 @@ let run_glitch t ~te ~period =
 
 let glitch_critical_path t = Glitch.critical_path t.timing
 
-(* Leave-one-out counterfactual attribution: replay the injection cycle
-   deterministically, then for each flipped bit resume the RTL run with that
-   one bit restored; the bits whose restoration defeats the attack are the
-   causal ones. Falls back to the full flip set when no single bit is
-   individually necessary (jointly caused successes) or the run failed. *)
+(* Leave-one-out counterfactual attribution: rebuild the post-injection
+   state from the golden run at [te + 1], the register flips and the
+   differing data words the sample recorded, then for each flipped bit
+   resume the RTL run with that one bit restored; the bits whose
+   restoration defeats the attack are the causal ones. Falls back to the
+   full flip set when no single bit is individually necessary (jointly
+   caused successes) or the run failed. *)
 let causal_flips t (r : run_result) =
   if (not r.success) || r.flips = [] || r.te < 1 then r.flips
   else
     Obs.span t.obs ~cat:"engine" "causal" @@ fun () ->
     begin
-    let net = t.circuit.Circuit.net in
-    let sys = Golden.restore_at t.golden r.te in
-    Array.iter (apply_flip sys net) r.direct;
-    let _, gate_hits, _ = partition_disc t r.sample.Sampler.center r.sample.Sampler.radius in
-    ignore (gate_level_cycle t sys r.sample gate_hits);
-    Array.iter (apply_flip sys net) r.latched;
+    let flip st (group, bit) = Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit)) in
+    let sys = restore t (r.te + 1) in
+    List.iter (flip (System.state sys)) r.flips;
+    List.iter (fun (a, v) -> (System.dmem sys).(a) <- v) r.dmem_diffs;
     let cp = System.checkpoint sys in
     let budget = t.program.Programs.max_cycles + 100 in
-    let fails_without (group, bit) =
+    let fails_without f =
       let trial = System.create t.program in
       System.restore trial cp;
-      let st = System.state trial in
-      Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit));
+      flip (System.state trial) f;
       ignore (System.run trial ~max_cycles:(max 1 (budget - System.cycle trial)));
       not (observables_differ t trial)
     in
@@ -375,7 +419,7 @@ let static_vulnerable t =
         | Programs.Attack_write -> Arch.Write
         | Programs.Attack_exec -> Arch.Exec
       in
-      let base = Golden.state_at t.golden (Golden.target_cycle t.golden) in
+      let base = System.state (restore t (Golden.target_cycle t.golden)) in
       Array.iter
         (fun dff ->
           let group, bit = N.dff_group net dff in
@@ -400,7 +444,7 @@ let static_vulnerable t =
 let gate_flips_only t rng (sample : Sampler.sample) =
   ignore rng;
   let te = max 1 (Golden.target_cycle t.golden - sample.Sampler.t) in
-  let sys = Golden.restore_at t.golden te in
+  let sys = restore t te in
   let dff_hits, gate_hits, _ = partition_disc t sample.Sampler.center sample.Sampler.radius in
   List.iter (apply_flip sys t.circuit.Circuit.net) dff_hits;
   let latched = gate_level_cycle t sys sample gate_hits in

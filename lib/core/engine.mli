@@ -5,11 +5,14 @@
       injection cycle [Te = Tt - t] and warm up to [Te];
     + resolve the radiated disc [(g, r)] on the placement; flip struck
       flip-flops directly (direct SEUs);
-    + switch to gate level for the injection cycle: transfer the
-      architectural state into the netlist, settle, propagate the voltage
-      transients ([Fmc_gatesim.Transient]), and collect the registers that
-      latch errors;
-    + classify: no flips — masked; flips confined to memory-type
+    + switch to gate level for the injection cycle: settle the netlist on
+      the architectural state (incrementally, from the golden run's
+      settled values for that cycle, see {!gate_level_cycle}), propagate
+      the voltage transients through the struck fan-out
+      ([Fmc_gatesim.Transient]), and collect the registers that latch
+      errors;
+    + compare the post-cycle state and memory against the golden run at
+      [Te + 1], then classify: no flips — masked; flips confined to memory-type
       registers — analytical evaluation; otherwise inject the flips back
       into the RTL state and resume RTL simulation to completion;
     + the attack succeeded iff a benchmark observable differs from the
@@ -38,12 +41,29 @@ val set_obs : t -> Fmc_obs.Obs.t -> unit
     phase spans (restore / gate_cycle / masking / analytical / rtl_resume)
     and bump the engine counters ([fmc_restores_total],
     [fmc_rtl_cycles_total], [fmc_gate_cycles_total],
-    [fmc_sample_duration_us]). Callers rarely need this directly:
+    [fmc_sample_duration_us]). The restore and RTL-cycle counters cover
+    every golden restore made through {!restore}: samples, causal
+    attribution, golden-cycle cache fills and the fault models. Callers rarely need this directly:
     {!Ssf.estimate} installs its [?obs] on the engine for the run's
     duration and restores the previous handle afterwards. Observability
     never consumes randomness — results are bit-identical either way. *)
 
 val golden : t -> Golden.t
+
+val restore : t -> int -> Fmc_cpu.System.t
+(** [Golden.restore_at] of the engine's golden run: a fresh system at the
+    given cycle. The one way the engine and the fault models restore a
+    golden checkpoint; with observability installed it bumps
+    [fmc_restores_total] and arms the [fmc_rtl_cycles_total] hook on the
+    returned system (warm-up cycles and any later resume count). *)
+
+val golden_settled : t -> int -> Bytes.t
+(** The fault-free settled node values at the start of golden cycle [c]
+    (every gate at its stable value, inputs driven from the golden
+    memories), one byte per node as {!Fmc_gatesim.Cycle_sim.save_values}
+    encodes them. Comes from the engine's golden-cycle cache (see
+    {!gate_level_cycle}); callers must not mutate it. *)
+
 val placement : t -> Fmc_layout.Placement.t
 val precharac : t -> Precharac.t
 val circuit : t -> Fmc_cpu.Circuit.t
@@ -61,6 +81,9 @@ type run_result = {
   outcome : outcome;
   success : bool;
   flips : (string * int) list;  (** (group, bit) register errors after [Te] *)
+  dmem_diffs : (int * int) list;
+      (** (address, value) data words where the memory after [Te] differs
+          from the golden run's, ascending by address *)
   direct : Fmc_netlist.Netlist.node array;  (** directly struck flip-flops (post-hardening) *)
   latched : Fmc_netlist.Netlist.node array;  (** flip-flops that latched transients (post-hardening) *)
   struck_cells : int;  (** cells inside the radiated disc *)
@@ -121,12 +144,20 @@ val state_bit_diffs : Fmc_cpu.Arch.t -> Fmc_cpu.Arch.t -> (string * int) list
 
 val gate_level_cycle :
   t -> Fmc_cpu.System.t -> Sampler.sample -> Fmc_netlist.Netlist.node list -> Fmc_netlist.Netlist.node array
-(** Evaluate one injection cycle at gate level: transfer the system's
-    state into the netlist, settle, propagate voltage transients at the
-    struck gates ([sample]'s intra-cycle time and pulse width apply),
-    capture the memory write port, latch, and write the next state back.
-    The system is advanced one cycle; returns the flip-flops that
-    latched errors. *)
+(** Evaluate one injection cycle at gate level: settle the netlist on the
+    system's state and memory, propagate voltage transients at the struck
+    gates ([sample]'s intra-cycle time and pulse width apply), capture the
+    memory write port, latch, and write the fault-free-latched next state
+    back. The system is advanced one cycle; returns the flip-flops that
+    latched errors (applying them is the caller's choice).
+
+    Works for any system state: the settle starts from the golden settled
+    values of [System.cycle sys] ({!golden_settled}) and
+    {!Fmc_cpu.Netsys.resettle} re-evaluates only the fan-out of the
+    register bits and fetched / read-data bits where the system differs
+    from golden, then the transients visit only the struck fan-out. The
+    cost is therefore proportional to those two cones, plus one golden
+    restore and full settle the first time the engine sees a cycle. *)
 
 type glitch_result = {
   g_te : int;
@@ -145,12 +176,14 @@ val glitch_critical_path : t -> float
 (** Longest-path delay of the netlist under the engine's timing config. *)
 
 val causal_flips : t -> run_result -> (string * int) list
-(** Leave-one-out counterfactual attribution for a successful run: replay
-    the injection deterministically and resume the RTL run once per flipped
-    bit with that bit restored; returns the bits whose restoration defeats
-    the attack. Falls back to the full flip set for failed runs and for
-    jointly-caused successes (no single bit necessary). Only valid for
-    results produced without hardening (the replay is deterministic). *)
+(** Leave-one-out counterfactual attribution for a successful run: rebuild
+    the post-injection state as the golden state at [te + 1] with the
+    result's [flips] and [dmem_diffs] applied (no gate-level replay), and
+    resume the RTL run once per flipped bit with that bit restored;
+    returns the bits whose restoration defeats the attack. Falls back to
+    the full flip set for failed runs and for jointly-caused successes (no
+    single bit necessary). Only valid for single-cycle results
+    ([impact_cycles = 1]), whose errors are measured at [te + 1]. *)
 
 val static_vulnerable : t -> Fmc_netlist.Netlist.node -> bool
 (** Analytical single-bit vulnerability scan (pre-characterization step 3,

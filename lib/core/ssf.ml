@@ -578,6 +578,7 @@ let pruned_result engine (sample : Sampler.sample) =
     outcome = Engine.Masked;
     success = false;
     flips = [];
+    dmem_diffs = [];
     direct = [||];
     latched = [||];
     struck_cells = 0;

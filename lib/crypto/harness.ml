@@ -2,9 +2,11 @@ module Cycle_sim = Fmc_gatesim.Cycle_sim
 module Transient = Fmc_gatesim.Transient
 module N = Fmc_netlist.Netlist
 
-type t = { circuit : Core_circuit.t; sim : Cycle_sim.t }
+type t = { circuit : Core_circuit.t; sim : Cycle_sim.t; transient : Transient.scratch }
 
-let create circuit = { circuit; sim = Cycle_sim.create circuit.Core_circuit.net }
+let create circuit =
+  let net = circuit.Core_circuit.net in
+  { circuit; sim = Cycle_sim.create net; transient = Transient.scratch net }
 
 let circuit t = t.circuit
 let sim t = t.sim
@@ -49,7 +51,7 @@ let encrypt_with_strikes t ~key ~plaintext ~cycle ~strikes config =
       in
       List.iter (fun s -> Cycle_sim.flip t.sim s.Transient.node) direct;
       Cycle_sim.eval_comb t.sim;
-      let result = Transient.inject t.sim config ~strikes:comb in
+      let result = Transient.inject ~scratch:t.transient t.sim config ~strikes:comb in
       Cycle_sim.latch t.sim;
       Array.iter (fun d -> Cycle_sim.flip t.sim d) result.Transient.latched
     end

@@ -52,6 +52,7 @@ let masked_result te ~struck_cells (sample : Sampler.sample) =
     outcome = Engine.Masked;
     success = false;
     flips = [];
+    dmem_diffs = [];
     direct = [||];
     latched = [||];
     struck_cells;
@@ -67,18 +68,22 @@ let resume_and_judge engine ?cycle_budget sys =
   System.set_watchdog sys None;
   Engine.observables_differ engine sys
 
-(* Exact register-error set just past the injection window, against a
-   fresh golden reference at the same cycle (as the native engine
-   computes it), plus whether the data memory stayed clean. *)
+(* Exact register-error set and differing data words just past the
+   injection window, against a fresh golden reference at the same cycle
+   (as the native engine computes them). *)
 let diffs_vs_golden engine sys at =
-  let golden_ref = Golden.restore_at (Engine.golden engine) at in
-  ( Engine.state_bit_diffs (System.state sys) (System.state golden_ref),
-    System.dmem sys = System.dmem golden_ref )
+  let golden_ref = Engine.restore engine at in
+  let golden_dmem = System.dmem golden_ref in
+  let dmem_diffs = ref [] in
+  Array.iteri
+    (fun a v -> if v <> golden_dmem.(a) then dmem_diffs := (a, v) :: !dmem_diffs)
+    (System.dmem sys);
+  (Engine.state_bit_diffs (System.state sys) (System.state golden_ref), List.rev !dmem_diffs)
 
 let classify engine ?cycle_budget sys te ~struck_cells ~direct ~latched ~at
     (sample : Sampler.sample) =
-  let flips, mem_clean = diffs_vs_golden engine sys at in
-  if flips = [] && mem_clean then masked_result te ~struck_cells sample
+  let flips, dmem_diffs = diffs_vs_golden engine sys at in
+  if flips = [] && dmem_diffs = [] then masked_result te ~struck_cells sample
   else begin
     let success = resume_and_judge engine ?cycle_budget sys in
     {
@@ -87,6 +92,7 @@ let classify engine ?cycle_budget sys te ~struck_cells ~direct ~latched ~at
       outcome = Engine.Resumed success;
       success;
       flips;
+      dmem_diffs;
       direct;
       latched;
       struck_cells;
@@ -156,7 +162,7 @@ let seu_burst params =
       let direct = List.filteri (fun i _ -> i < bits) dffs in
       if direct = [] then masked_result te ~struck_cells sample
       else begin
-        let sys = Golden.restore_at golden te in
+        let sys = Engine.restore engine te in
         List.iter (Engine.apply_flip sys net) direct;
         classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list direct)
           ~latched:[||] ~at:te sample
@@ -198,7 +204,7 @@ let instr_skip params =
     let te = Golden.target_cycle golden - sample.Sampler.t in
     if te < 1 then masked_result te ~struck_cells:0 sample
     else begin
-      let sys = Golden.restore_at golden te in
+      let sys = Engine.restore engine te in
       System.set_fetch_override sys
         (Some
            (fun ~pc:_ word ->
@@ -241,7 +247,7 @@ let double_strike params =
       let dffs, gates, struck_cells =
         Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
       in
-      let sys = Golden.restore_at golden te in
+      let sys = Engine.restore engine te in
       let strike () =
         List.iter (Engine.apply_flip sys net) dffs;
         let latched = Engine.gate_level_cycle engine sys sample gates in

@@ -29,6 +29,36 @@ val value : t -> Fmc_netlist.Netlist.node -> bool
 (** Settled value after {!eval_comb} (a flip-flop node reads its stored Q;
     an input reads its driven value). *)
 
+(** {2 Incremental evaluation}
+
+    Starting from settled values, change some primary inputs or stored
+    flip-flop bits with {!drive} and re-settle with {!propagate}: only the
+    gates downstream of a changed node are re-evaluated, and every node
+    ends with the value a full {!eval_comb} would give it. *)
+
+val drive : t -> Fmc_netlist.Worklist.t -> Fmc_netlist.Netlist.node -> bool -> unit
+(** Set a primary input or a flip-flop's stored bit; if the value changed,
+    queue the node's gate fan-outs. Raises [Invalid_argument] on any other
+    node kind. *)
+
+val drive_bus : t -> Fmc_netlist.Worklist.t -> Fmc_netlist.Netlist.node array -> int -> unit
+(** {!drive} each node of a bus, LSB-first. *)
+
+val propagate : t -> Fmc_netlist.Worklist.t -> unit
+(** Drain the worklist: re-evaluate each queued gate in level order and
+    queue the fan-outs of every gate whose value changed. Exact when the
+    values were settled before the {!drive} calls that filled the
+    worklist. *)
+
+val save_values : t -> Bytes.t
+(** A copy of every node's value, one byte per node (['\000'] false,
+    ['\001'] true). *)
+
+val load_values : t -> Bytes.t -> unit
+(** Overwrite every node's value from a {!save_values} image of a
+    simulator of the same netlist. Raises [Invalid_argument] on a length
+    mismatch. *)
+
 val read_bus : t -> Fmc_netlist.Netlist.node array -> int
 
 val latch : t -> unit

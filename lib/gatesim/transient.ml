@@ -116,10 +116,41 @@ let attenuate config p =
     if width < config.min_width then None else Some { p with width }
   end
 
-let inject ?(watch = [||]) sim config ~strikes =
-  let net = Cycle_sim.netlist sim in
+(* Reusable propagation state: per-node pulse lists, the nodes that
+   carry any (so a call clears only those), and the level-ordered
+   worklist. *)
+type scratch = {
+  wl : Fmc_netlist.Worklist.t;
+  pulses : pulse list array;
+  touched : N.node array;  (* the first [ntouched] entries carry pulses *)
+  mutable ntouched : int;
+}
+
+let scratch net =
   let n = N.num_nodes net in
-  let pulses : pulse list array = Array.make n [] in
+  { wl = Fmc_netlist.Worklist.create net; pulses = Array.make n []; touched = Array.make n 0; ntouched = 0 }
+
+(* Within one call a node's pulse list never shrinks back to empty, so a
+   node is recorded in [touched] at most once. *)
+let set_pulses s node ps =
+  (match (s.pulses.(node), ps) with
+  | [], _ :: _ ->
+      s.touched.(s.ntouched) <- node;
+      s.ntouched <- s.ntouched + 1
+  | _ -> ());
+  s.pulses.(node) <- ps
+
+let inject ?scratch:s ?(watch = [||]) sim config ~strikes =
+  let module W = Fmc_netlist.Worklist in
+  let net = Cycle_sim.netlist sim in
+  let s = match s with Some s -> s | None -> scratch net in
+  (* Forget the previous call's pulses, also those of a call an exception
+     cut short. *)
+  for i = 0 to s.ntouched - 1 do
+    s.pulses.(s.touched.(i)) <- []
+  done;
+  s.ntouched <- 0;
+  W.reset s.wl;
   let direct = ref [] in
   let seeded = ref 0 in
   List.iter
@@ -129,21 +160,26 @@ let inject ?(watch = [||]) sim config ~strikes =
       match N.kind net node with
       | K.Dff _ -> direct := node :: !direct
       | K.Gate _ ->
-          pulses.(node) <- add_pulse config pulses.(node) { start = time; width };
+          set_pulses s node (add_pulse config s.pulses.(node) { start = time; width });
           incr seeded
       | K.Input | K.Const _ -> ())
     strikes;
-  (* Topological sweep: prepend pulses arriving from fan-ins to each gate's
-     own (seeded) pulses. Seeded pulses on a gate are treated as born at the
-     gate output, so they are not re-delayed. *)
-  Array.iter
-    (fun g ->
-      match N.kind net g with
+  for i = 0 to s.ntouched - 1 do
+    W.push_fanouts s.wl s.touched.(i)
+  done;
+  (* Event-driven sweep in level order: a gate is visited only when a
+     fan-in carries a pulse, after all its fan-ins are final, and adds the
+     arriving pulses to its own (seeded) ones exactly as a full
+     topological sweep would. Seeded pulses on a gate are treated as born
+     at the gate output, so they are not re-delayed. *)
+  let rec drain () =
+    let g = W.pop s.wl in
+    if g >= 0 then begin
+      (match N.kind net g with
       | K.Gate gate ->
-          let fanins = N.fanins net g in
           Array.iteri
             (fun idx f ->
-              match pulses.(f) with
+              match s.pulses.(f) with
               | [] -> ()
               | incoming ->
                   if sensitized sim net g idx then
@@ -153,29 +189,38 @@ let inject ?(watch = [||]) sim config ~strikes =
                         | None -> ()
                         | Some p ->
                             let p = { p with start = p.start +. gate_delay config gate } in
-                            pulses.(g) <- add_pulse config pulses.(g) p)
+                            set_pulses s g (add_pulse config s.pulses.(g) p))
                       incoming)
-            fanins
-      | _ -> ())
-    (N.gates net);
-  (* Latching-window check at every flip-flop's D input. *)
+            (N.fanins net g);
+          (match s.pulses.(g) with [] -> () | _ -> W.push_fanouts s.wl g)
+      | _ -> ());
+      drain ()
+    end
+  in
+  drain ();
+  (* Latching-window check at every flip-flop's D input; only a node
+     carrying pulses can feed one a pulse. *)
   let win_lo = config.clock_period -. config.setup_time in
   let win_hi = config.clock_period +. config.hold_time in
+  let hits p = p.start < win_hi && p.start +. p.width > win_lo in
   let latched = ref [] in
   let reached = ref 0 in
-  Array.iter
-    (fun d ->
-      let dnode = N.dff_d net d in
-      match pulses.(dnode) with
-      | [] -> ()
-      | ps ->
-          reached := !reached + List.length ps;
-          let hits p = p.start < win_hi && p.start +. p.width > win_lo in
-          if List.exists hits ps then latched := d :: !latched)
-    (N.dffs net);
-  let hits p = p.start < win_hi && p.start +. p.width > win_lo in
+  for i = 0 to s.ntouched - 1 do
+    let node = s.touched.(i) in
+    match s.pulses.(node) with
+    | [] -> ()
+    | ps ->
+        Array.iter
+          (fun d ->
+            match N.kind net d with
+            | K.Dff _ ->
+                reached := !reached + List.length ps;
+                if List.exists hits ps then latched := d :: !latched
+            | _ -> ())
+          (N.fanouts net node)
+  done;
   let watched_hits =
-    Array.to_list watch |> List.filter (fun node -> List.exists hits pulses.(node))
+    Array.to_list watch |> List.filter (fun node -> List.exists hits s.pulses.(node))
   in
   let sort_nodes l = Array.of_list (List.sort_uniq compare l) in
   {

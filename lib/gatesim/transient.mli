@@ -59,10 +59,32 @@ type result = {
       (** watched nodes with a pulse overlapping the latch window *)
 }
 
-val inject : ?watch:Fmc_netlist.Netlist.node array -> Cycle_sim.t -> config -> strikes:strike list -> result
+type scratch
+(** Reusable propagation state for one netlist: one per simulator
+    instance, never shared across domains. *)
+
+val scratch : Fmc_netlist.Netlist.t -> scratch
+
+val inject :
+  ?scratch:scratch ->
+  ?watch:Fmc_netlist.Netlist.node array ->
+  Cycle_sim.t ->
+  config ->
+  strikes:strike list ->
+  result
 (** Raises [Invalid_argument] on a strike with non-positive width or
     negative time. Strikes on inputs/constants are ignored (the paper's
     model only radiates cells).
+
+    Propagation is event-driven: only gates with a pulse on some fan-in
+    are visited, in logic-level order ({!Fmc_netlist.Worklist}), so the
+    cost follows the struck fan-out rather than the netlist size. The
+    result equals a full topological sweep's, because a gate's pulses
+    depend only on its own seeded pulses and its fan-ins' final pulses,
+    and a gate no pulse reaches keeps its seeded ones. Without [scratch]
+    each call allocates its own; a caller that injects repeatedly passes
+    one (the state of a call an exception interrupted is discarded by
+    the next call).
 
     [watch] nodes model additional synchronous sample points outside the
     netlist's flip-flops — e.g. the write port of an external memory, which

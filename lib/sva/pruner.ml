@@ -1,11 +1,9 @@
 module N = Fmc_netlist.Netlist
 module K = Fmc_netlist.Kind
 module Rng = Fmc_prelude.Rng
-module Cycle_sim = Fmc_gatesim.Cycle_sim
+module Worklist = Fmc_netlist.Worklist
 module Placement = Fmc_layout.Placement
 module Circuit = Fmc_cpu.Circuit
-module Netsys = Fmc_cpu.Netsys
-module System = Fmc_cpu.System
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 module Engine = Fmc.Engine
@@ -22,7 +20,8 @@ type inst = {
 }
 
 (* The abstract state lives in a byte per node — [b_false]/[b_true] are
-   definite (equal to golden), [b_unknown] is X. Bytes keep the per-sample
+   definite (equal to golden; the same bytes as the engine's
+   [Engine.golden_settled] images), [b_unknown] is X. Bytes keep the per-sample
    state reset a plain memmove (a boxed option array pays a write barrier
    per element); the option view required by the shared
    {!Fmc_netlist.Kind.eval3} kernel is reconstructed at the evaluation
@@ -42,19 +41,14 @@ type t = {
   net : N.t;
   circuit : Circuit.t;
   pindex : Placement.index;
-  harness : Netsys.t;  (* private gate-level system; never touches the engine's *)
   target_cycle : int;
   pc_members : N.node array;
   sink : int array;
       (* bit 1: flip-flop D input or the memory write-enable; bit 2:
          write-port bus bit (address/data), a sink only on golden-write
          cycles. An X reaching a live sink refutes the certificate. *)
-  golden : (int, Bytes.t) Hashtbl.t;  (* te -> settled fault-free node values *)
   values : Bytes.t;  (* scratch abstract state *)
-  buckets : N.node array array;  (* scratch worklist, one stack per logic level *)
-  bucket_len : int array;
-  queued : int array;  (* epoch stamps: queued.(g) = epoch iff g enqueued *)
-  mutable epoch : int;
+  wl : Worklist.t;
   stats : stats;
   inst : inst option;
 }
@@ -93,16 +87,11 @@ let create ?(obs = Obs.disabled) engine =
     net;
     circuit;
     pindex = Placement.index (Engine.placement engine);
-    harness = Netsys.create circuit (Engine.program engine);
     target_cycle = Golden.target_cycle (Engine.golden engine);
     pc_members = N.register_group net "pc";
     sink;
-    golden = Hashtbl.create 97;
     values = Bytes.make n b_false;
-    buckets = Array.make (N.max_level net + 1) [||];
-    bucket_len = Array.make (N.max_level net + 1) 0;
-    queued = Array.make n (-1);
-    epoch = -1;
+    wl = Worklist.create net;
     stats = { checked = 0; pruned = 0; certificates = 0 };
     inst;
   }
@@ -112,27 +101,6 @@ let stats t = t.stats
 let prune_ratio t =
   if t.stats.checked = 0 then 0.
   else float_of_int t.stats.pruned /. float_of_int t.stats.checked
-
-(* Settled fault-free node values at the start of cycle [te]: restore the
-   RTL golden state, mirror it (registers + data memory) into the private
-   gate-level harness and settle — the same protocol as the engine's
-   injection cycle, minus the strikes. *)
-let golden_values t te =
-  match Hashtbl.find_opt t.golden te with
-  | Some v -> v
-  | None ->
-      let sys = Golden.restore_at (Engine.golden t.engine) te in
-      let net_dmem = Netsys.dmem t.harness in
-      Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
-      Netsys.load_arch t.harness (System.state sys);
-      Netsys.settle t.harness;
-      let sim = Netsys.sim t.harness in
-      let v =
-        Bytes.init (N.num_nodes t.net) (fun n ->
-            if Cycle_sim.value sim n then b_true else b_false)
-      in
-      Hashtbl.add t.golden te v;
-      v
 
 let any_unknown values nodes = Array.exists (fun n -> Bytes.get values n = b_unknown) nodes
 
@@ -162,9 +130,8 @@ let work_budget = 160
    poisons the fetched word up front (register values never change during
    the sweep), and an unknown address bit poisons the read data, which
    re-enters the worklist. The address bus cannot itself depend on
-   [dmem_rdata] (Netsys settles it first), so one widening round is a
-   fixpoint; any dependence the netlist did have would re-taint through
-   the ordinary gate propagation after the widening.
+   [dmem_rdata] ([Netsys.create] rejects such a circuit), so one widening
+   round is a fixpoint.
 
    Covered iff no live sink was ever tainted: every flip-flop D and the
    memory write port are then definite and equal to golden, so the
@@ -172,60 +139,37 @@ let work_budget = 160
    the engine would classify the sample as exactly [Masked]. *)
 let compute t ~te ~(cells : N.node array) =
   let net = t.net in
-  let gold = golden_values t te in
+  let gold = Engine.golden_settled t.engine te in
   let values = t.values in
   Bytes.blit gold 0 values 0 (Bytes.length gold);
-  t.epoch <- t.epoch + 1;
-  let lo = ref (Array.length t.buckets) in
-  let push g =
-    (* Only combinational gates are evaluated; register/output fanouts of a
-       tainted node are judged through the sink flags alone. *)
-    if t.queued.(g) <> t.epoch then begin
-      t.queued.(g) <- t.epoch;
-      let l = N.level net g in
-      let len = t.bucket_len.(l) in
-      if len >= Array.length t.buckets.(l) then begin
-        let grown = Array.make (max 8 (2 * len)) g in
-        Array.blit t.buckets.(l) 0 grown 0 len;
-        t.buckets.(l) <- grown
-      end;
-      t.buckets.(l).(len) <- g;
-      t.bucket_len.(l) <- len + 1;
-      if l < !lo then lo := l
-    end
-  in
+  Worklist.reset t.wl;
   let gold_we = Bytes.get gold t.circuit.Circuit.dmem_we = b_true in
   let taint n =
     if Bytes.get values n <> b_unknown then begin
       let s = t.sink.(n) in
       if s land 1 <> 0 || (gold_we && s land 2 <> 0) then raise Refuted;
       Bytes.set values n b_unknown;
-      Array.iter
-        (fun f -> match N.kind net f with K.Gate _ -> push f | _ -> ())
-        (N.fanouts net n)
+      (* Only combinational gates are evaluated; register/output fanouts of
+         a tainted node are judged through the sink flags alone. *)
+      Worklist.push_fanouts t.wl n
     end
   in
   let work = ref 0 in
-  let drain () =
-    while !lo < Array.length t.buckets do
-      if t.bucket_len.(!lo) = 0 then incr lo
-      else begin
-        let l = !lo in
-        let g = t.buckets.(l).(t.bucket_len.(l) - 1) in
-        t.bucket_len.(l) <- t.bucket_len.(l) - 1;
-        if Bytes.get values g <> b_unknown then
-          match N.kind net g with
-          | K.Gate kind ->
-              incr work;
-              if !work > work_budget then raise Refuted;
-              let fi = N.fanins net g in
-              let vs = Array.map (fun f -> decode (Bytes.get values f)) fi in
-              if K.eval3 kind vs = None then taint g
-          | _ -> ()
-      end
-    done
+  let rec drain () =
+    let g = Worklist.pop t.wl in
+    if g >= 0 then begin
+      (if Bytes.get values g <> b_unknown then
+         match N.kind net g with
+         | K.Gate kind ->
+             incr work;
+             if !work > work_budget then raise Refuted;
+             let fi = N.fanins net g in
+             let vs = Array.map (fun f -> decode (Bytes.get values f)) fi in
+             if K.eval3 kind vs = None then taint g
+         | _ -> ());
+      drain ()
+    end
   in
-  let reset_buckets () = Array.fill t.bucket_len 0 (Array.length t.bucket_len) 0 in
   let struck_any = ref false in
   let covered =
     try
@@ -247,9 +191,9 @@ let compute t ~te ~(cells : N.node array) =
         if any_unknown values t.pc_members then Array.iter taint t.circuit.Circuit.instr;
         drain ();
         if any_unknown values t.circuit.Circuit.dmem_addr then begin
-          (* New epoch so gates settled definite in the first round are
+          (* New round so gates settled definite in the first round are
              re-enqueued when the widened read data re-taints them. *)
-          t.epoch <- t.epoch + 1;
+          Worklist.rearm t.wl;
           Array.iter taint t.circuit.Circuit.dmem_rdata;
           drain ()
         end
@@ -257,7 +201,6 @@ let compute t ~te ~(cells : N.node array) =
       true
     with Refuted -> false
   in
-  reset_buckets ();
   covered
 
 let covered t (sample : Sampler.sample) =

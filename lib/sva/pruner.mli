@@ -19,16 +19,17 @@
     cone with a logic-level-ordered worklist, refutes at the first X that
     reaches a live sink, and gives up (soundly reporting "not covered")
     at a fixed gate-evaluation budget — so the per-sample cost is bounded
-    far below one simulation. Golden settled-value snapshots are memoized
-    per injection cycle. *)
+    far below one simulation. The golden settled values it starts from
+    are the engine's own per-cycle memo ({!Fmc.Engine.golden_settled}). *)
 
 type t
 
 type stats = { mutable checked : int; mutable pruned : int; mutable certificates : int }
 
 val create : ?obs:Fmc_obs.Obs.t -> Fmc.Engine.t -> t
-(** Builds a private gate-level harness (the engine's own simulator state
-    is never touched). When [obs] carries a metrics registry, registers
+(** A pruner over the engine's golden run and placement; it keeps only
+    its own abstract-state scratch, so it must run on the engine's domain.
+    When [obs] carries a metrics registry, registers
     [fmc_sva_samples_checked_total], [fmc_sva_samples_pruned_total],
     [fmc_sva_certificates_total] and the [fmc_sva_prune_ratio] gauge. *)
 

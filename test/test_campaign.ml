@@ -106,6 +106,35 @@ let test_failure_policies () =
        false
      with Exit -> true)
 
+(* A sample that raises inside the engine — here half-way through its
+   gate-level cycle — is quarantined, and the campaign carries on with the
+   same engine: the report equals one whose same samples fail before the
+   engine is touched. *)
+let test_quarantine_keeps_engine_clean () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let flaky ~poison =
+    let calls = ref 0 in
+    {
+      Ssf.disc_transient with
+      Ssf.inj_model = "flaky";
+      inj_run =
+        (fun engine ?cycle_budget rng sample ->
+          incr calls;
+          if !calls mod 5 = 0 then begin
+            if poison then ignore (Engine.run_sample engine rng { sample with Sampler.width = -1. });
+            failwith "flaky evaluation"
+          end;
+          Ssf.disc_transient.Ssf.inj_run engine ?cycle_budget rng sample);
+    }
+  in
+  let run ~poison = Campaign.run ~config:no_signals ~inject:(flaky ~poison) e prep ~samples:200 ~seed:11 in
+  let clean = run ~poison:false in
+  let poisoned = run ~poison:true in
+  Alcotest.(check int) "quarantined" 40 poisoned.Campaign.report.Ssf.outcomes.Ssf.q_crashed;
+  Alcotest.(check string) "report bytes" (Export.report_json clean.Campaign.report)
+    (Export.report_json poisoned.Campaign.report)
+
 let test_checkpoint_resume_bit_exact () =
   with_tmp "ckpt" @@ fun path ->
   let e = engine () in
@@ -322,6 +351,8 @@ let () =
         [
           Alcotest.test_case "matches Ssf.estimate" `Slow test_campaign_matches_estimate;
           Alcotest.test_case "failure policies" `Slow test_failure_policies;
+          Alcotest.test_case "quarantine keeps the engine clean" `Slow
+            test_quarantine_keeps_engine_clean;
           Alcotest.test_case "checkpoint/resume bit-exact" `Slow test_checkpoint_resume_bit_exact;
           Alcotest.test_case "quarantine accounting" `Slow test_quarantine_accounting;
           Alcotest.test_case "cycle-budget timeout" `Slow test_cycle_budget_timeout;

@@ -506,13 +506,26 @@ let test_lying_proxy_caught_by_audit () =
           (* The liar: runs every shard honestly but attaches no digest,
              and every Shard_done crosses the lying proxy. The mutated
              results arrive wire-valid and are accepted. *)
-          let fd = Wire.connect ~attempts:40 ~delay_s:0.05 proxy_addr in
-          let conn = Wire.conn fd in
-          send conn
-            (Protocol.Hello { version = Protocol.version; worker = "mallory"; fingerprint });
-          (match recv conn with
-          | Protocol.Welcome _ -> ()
-          | _ -> Alcotest.fail "expected welcome");
+          (* The coordinator binds in its own thread and the proxy dials
+             upstream once per client, so a liar that arrives first is
+             cut off before its Welcome; it dials again, as a worker
+             would. *)
+          let rec handshake attempts =
+            let fd = Wire.connect ~attempts:40 ~delay_s:0.05 proxy_addr in
+            let conn = Wire.conn fd in
+            match
+              send conn
+                (Protocol.Hello { version = Protocol.version; worker = "mallory"; fingerprint });
+              recv conn
+            with
+            | Protocol.Welcome _ -> conn
+            | _ -> Alcotest.fail "expected welcome"
+            | exception Wire.Closed when attempts > 1 ->
+                Wire.close conn;
+                Thread.delay 0.05;
+                handshake (attempts - 1)
+          in
+          let conn = handshake 40 in
           let rec grab n =
             if n > 0 then begin
               send conn Protocol.Request_shard;

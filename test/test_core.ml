@@ -440,6 +440,152 @@ let test_engine_multi_cycle_impact () =
       let rng = Rng.create 1 in
       ignore (Engine.run_sample e ~impact_cycles:0 rng (Sampler.draw prep rng)))
 
+(* ------------------------------------------------------------------ *)
+(* The injection cycle's incremental paths against full recomputation *)
+
+(* Reference attribution by replay: re-run the injection cycle from the
+   golden state at [te], then leave one flipped bit out per RTL trial.
+   Also checks the result's error record against the replayed state:
+   [flips] and [dmem_diffs] are exactly where it differs from the golden
+   run at [te + 1]. *)
+let replayed_causal e (r : Engine.run_result) =
+  let net = (Engine.circuit e).Circuit.net in
+  let sys = Golden.restore_at (Engine.golden e) r.Engine.te in
+  Array.iter (Engine.apply_flip sys net) r.Engine.direct;
+  let _, gate_hits, _ =
+    Engine.partition_disc e r.Engine.sample.Sampler.center r.Engine.sample.Sampler.radius
+  in
+  ignore (Engine.gate_level_cycle e sys r.Engine.sample gate_hits);
+  Array.iter (Engine.apply_flip sys net) r.Engine.latched;
+  let golden = Golden.restore_at (Engine.golden e) (r.Engine.te + 1) in
+  let dmem_diffs =
+    List.filter_map
+      (fun a ->
+        let v = (System.dmem sys).(a) in
+        if v <> (System.dmem golden).(a) then Some (a, v) else None)
+      (List.init (Array.length (System.dmem sys)) Fun.id)
+  in
+  let record_ok =
+    Engine.state_bit_diffs (System.state sys) (System.state golden) = r.Engine.flips
+    && dmem_diffs = r.Engine.dmem_diffs
+  in
+  let cp = System.checkpoint sys in
+  let program = Engine.program e in
+  let budget = program.Programs.max_cycles + 100 in
+  let fails_without (group, bit) =
+    let trial = System.create program in
+    System.restore trial cp;
+    let st = System.state trial in
+    Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit));
+    ignore (System.run trial ~max_cycles:(max 1 (budget - System.cycle trial)));
+    not (Engine.observables_differ e trial)
+  in
+  let causal =
+    match List.filter fails_without r.Engine.flips with [] -> r.Engine.flips | c -> c
+  in
+  (record_ok, causal)
+
+let test_engine_causal_matches_replay () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let rng = Rng.create 21 in
+  let successes = ref 0 and draws = ref 0 in
+  while !successes < 200 && !draws < 5000 do
+    incr draws;
+    let r = Engine.run_sample e rng (Sampler.draw prep rng) in
+    if r.Engine.success && r.Engine.flips <> [] then begin
+      incr successes;
+      let record_ok, causal = replayed_causal e r in
+      if not record_ok then Alcotest.failf "draw %d: flips/dmem_diffs differ from the replay" !draws;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "draw %d: causal flips" !draws)
+        causal (Engine.causal_flips e r)
+    end
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d successes >= 200" !successes) true (!successes >= 200)
+
+(* A sample that raises part-way through the gate-level cycle (a bad
+   pulse width) or the RTL resume (an exhausted watchdog) leaves the
+   engine's scratch state behind; the next sample must not see it. *)
+let test_engine_exception_safety () =
+  let precharac = Experiments.precharac (Lazy.force ctx) in
+  let e = Engine.create ~precharac Programs.illegal_write in
+  let prep = prepare Sampler.default_mixed in
+  let rng = Rng.create 5 in
+  let raised = ref 0 in
+  for i = 1 to 30 do
+    let s = Sampler.draw prep rng in
+    let poisoned, cycle_budget =
+      if i mod 2 = 0 then ({ s with Sampler.width = -1. }, None) else (s, Some 0)
+    in
+    (try ignore (Engine.run_sample e ?cycle_budget (Rng.create i) poisoned)
+     with Invalid_argument _ | System.Cycle_budget_exhausted _ -> incr raised);
+    let next = Sampler.draw prep rng in
+    let a = Engine.run_sample e (Rng.create 0) next in
+    let b = Engine.run_sample (Engine.create ~precharac Programs.illegal_write) (Rng.create 0) next in
+    if a <> b then Alcotest.failf "sample %d after a raising sample differs from a fresh engine" i;
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "sample %d: causal" i) (Engine.causal_flips e a) (Engine.causal_flips e b)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d samples raised" !raised) true (!raised >= 10)
+
+let resettle_props =
+  let harness =
+    lazy
+      (let e = engine () in
+       let circuit = Engine.circuit e in
+       (e, Fmc_cpu.Netsys.create circuit Programs.illegal_write,
+        Fmc_cpu.Netsys.create circuit Programs.illegal_write))
+  in
+  [
+    QCheck.Test.make ~name:"resettle from the golden image = load_arch + settle" ~count:80
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let module Netsys = Fmc_cpu.Netsys in
+        let module Sim = Fmc_gatesim.Cycle_sim in
+        let e, full, incr = Lazy.force harness in
+        let rng = Rng.create seed in
+        let g = Engine.golden e in
+        let net = (Engine.circuit e).Circuit.net in
+        let c = Rng.int_in rng 1 (Golden.halt_cycle g) in
+        (* A random state near golden cycle [c]: flipped register bits, pc
+           bits and memory words, sometimes the word the cycle reads. *)
+        let mutate () =
+          let sys = Golden.restore_at g c in
+          let st = System.state sys and dmem = System.dmem sys in
+          for _ = 1 to Rng.int rng 4 do
+            Engine.apply_flip sys net (Rng.choose rng (N.dffs net))
+          done;
+          if Rng.bool rng then
+            Arch.set_group st "pc" (Arch.get_group st "pc" lxor (1 lsl Rng.int rng 4));
+          for _ = 1 to Rng.int rng 3 do
+            dmem.(Rng.int rng (Array.length dmem)) <- Rng.int rng 0x10000
+          done;
+          let settle () =
+            Array.blit dmem 0 (Netsys.dmem full) 0 (Array.length dmem);
+            Netsys.load_arch full st;
+            Netsys.settle full
+          in
+          settle ();
+          if Rng.bool rng then begin
+            let addr = Sim.read_bus (Netsys.sim full) (Engine.circuit e).Circuit.dmem_addr in
+            dmem.(addr land (Array.length dmem - 1)) <- Rng.int rng 0x10000;
+            settle ()
+          end;
+          (st, dmem)
+        in
+        (* Resettle from the golden image, sometimes via a detour through
+           another random state: any settled start must do. *)
+        Sim.load_values (Netsys.sim incr) (Engine.golden_settled e c);
+        if Rng.bool rng then begin
+          let st, dmem = mutate () in
+          Netsys.resettle incr st ~dmem
+        end;
+        let st, dmem = mutate () in
+        Netsys.resettle incr st ~dmem;
+        Sim.save_values (Netsys.sim incr) = Sim.save_values (Netsys.sim full));
+  ]
+
 let test_engine_glitch () =
   let e = engine () in
   let tt = Golden.target_cycle (Engine.golden e) in
@@ -785,6 +931,9 @@ let () =
           Alcotest.test_case "clock glitch" `Slow test_engine_glitch;
           Alcotest.test_case "illegal-exec policy" `Slow test_engine_exec_benchmark;
           Alcotest.test_case "multi-cycle impact" `Slow test_engine_multi_cycle_impact;
+          Alcotest.test_case "causal attribution matches replay" `Slow
+            test_engine_causal_matches_replay;
+          Alcotest.test_case "exception safety" `Slow test_engine_exception_safety;
         ] );
       ( "ssf",
         [
@@ -799,6 +948,7 @@ let () =
           Alcotest.test_case "contribution coverage" `Slow test_ssf_contribution_coverage;
         ] );
       ("engine-props", List.map QCheck_alcotest.to_alcotest engine_props);
+      ("resettle", List.map QCheck_alcotest.to_alcotest resettle_props);
       ("export", [ Alcotest.test_case "csv and json" `Slow test_export_csv_and_json ]);
       ( "harden",
         [

@@ -473,6 +473,40 @@ let test_netsys_responding_signal () =
   Alcotest.(check bool) "violation seen" true (!model_viol <> []);
   Alcotest.(check (list int)) "same cycles" !model_viol !gate_viol
 
+(* Netsys.settle, Netsys.resettle and the masking certificates resolve
+   the data address before the read data; a circuit whose address reads
+   the read data is refused up front, naming the offending bit. *)
+let test_netsys_rejects_addr_from_rdata () =
+  let module B = Fmc_netlist.Builder in
+  let module K = Fmc_netlist.Kind in
+  let b = B.create () in
+  let bus name = Array.init 2 (fun i -> B.add_input b ~name:(Printf.sprintf "%s%d" name i)) in
+  let instr = bus "instr" and rdata = bus "rdata" in
+  let addr = [| B.add_gate b K.Buf [| instr.(0) |]; B.add_gate b K.Buf [| rdata.(1) |] |] in
+  Array.iteri (fun i n -> B.set_output b ~name:(Printf.sprintf "addr%d" i) n) addr;
+  let net = Fmc_netlist.Netlist.of_builder b in
+  let other = addr.(0) in
+  let c =
+    {
+      Circuit.net;
+      instr;
+      dmem_rdata = rdata;
+      pc = [||];
+      dmem_addr = addr;
+      dmem_wdata = [| other |];
+      dmem_we = other;
+      dmem_re = other;
+      halted = other;
+      data_viol = other;
+      instr_viol = other;
+      priv_viol = other;
+    }
+  in
+  Alcotest.check_raises "addr = buf(rdata) rejected"
+    (Invalid_argument "Netsys.create: dmem_addr depends combinationally on dmem_rdata[1]")
+    (fun () -> ignore (Netsys.create c Programs.illegal_write));
+  ignore (Netsys.create (Lazy.force circuit) Programs.illegal_write)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cpu"
@@ -518,6 +552,8 @@ let () =
           Alcotest.test_case "illegal-exec benchmark" `Slow test_cosim_illegal_exec;
           Alcotest.test_case "synthetic benchmark" `Slow test_cosim_synthetic;
           Alcotest.test_case "responding signal alignment" `Slow test_netsys_responding_signal;
+          Alcotest.test_case "address must not read the read data" `Quick
+            test_netsys_rejects_addr_from_rdata;
         ] );
       ("cosim-props", q [ cosim_random_prop ]);
     ]

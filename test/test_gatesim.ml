@@ -453,6 +453,212 @@ let transient_props =
         r.Tr.seeded = 0 && Array.length r.Tr.latched = 0);
   ]
 
+module Rng = Fmc_prelude.Rng
+
+(* ------------------------------------------------------------------ *)
+(* Event-driven transient propagation against the reference: a full
+   topological sweep that visits every gate, with the same pulse
+   merging, sensitization and attenuation rules. *)
+
+module Sweep = struct
+  type pulse = { start : float; width : float }
+
+  let add_pulse (config : Tr.config) pulses p =
+    let overlaps a b = a.start <= b.start +. b.width && b.start <= a.start +. a.width in
+    let merged, rest = List.partition (fun existing -> overlaps existing p) pulses in
+    let p =
+      List.fold_left
+        (fun acc e ->
+          let start = Float.min acc.start e.start in
+          let stop = Float.max (acc.start +. acc.width) (e.start +. e.width) in
+          { start; width = stop -. start })
+        p merged
+    in
+    let out = p :: rest in
+    if List.length out <= config.Tr.max_pulses_per_net then out
+    else begin
+      let sorted = List.sort (fun a b -> compare b.width a.width) out in
+      List.filteri (fun i _ -> i < config.Tr.max_pulses_per_net) sorted
+    end
+
+  let sensitized sim net g idx =
+    let fanins = N.fanins net g in
+    match N.kind net g with
+    | K.Gate gate -> begin
+        match gate with
+        | K.Not | K.Buf -> true
+        | K.Xor | K.Xnor -> true
+        | K.And | K.Nand | K.Or | K.Nor -> begin
+            match K.controlling_value gate with
+            | Some c ->
+                let blocked = ref false in
+                Array.iteri
+                  (fun j f -> if j <> idx && Sim.value sim f = c then blocked := true)
+                  fanins;
+                not !blocked
+            | None -> true
+          end
+        | K.Mux ->
+            let sel = Sim.value sim fanins.(0) in
+            if idx = 0 then Sim.value sim fanins.(1) <> Sim.value sim fanins.(2)
+            else if idx = 1 then not sel
+            else sel
+      end
+    | _ -> false
+
+  let attenuate (config : Tr.config) p =
+    if p.width >= config.Tr.attenuation_threshold then Some p
+    else begin
+      let width = p.width -. config.Tr.attenuation in
+      if width < config.Tr.min_width then None else Some { p with width }
+    end
+
+  let inject ?(watch = [||]) sim (config : Tr.config) ~strikes =
+    let net = Sim.netlist sim in
+    let n = N.num_nodes net in
+    let pulses : pulse list array = Array.make n [] in
+    let direct = ref [] in
+    let seeded = ref 0 in
+    List.iter
+      (fun { Tr.node; time; width } ->
+        if width <= 0. then invalid_arg "Transient.inject: non-positive strike width";
+        if time < 0. then invalid_arg "Transient.inject: negative strike time";
+        match N.kind net node with
+        | K.Dff _ -> direct := node :: !direct
+        | K.Gate _ ->
+            pulses.(node) <- add_pulse config pulses.(node) { start = time; width };
+            incr seeded
+        | K.Input | K.Const _ -> ())
+      strikes;
+    Array.iter
+      (fun g ->
+        match N.kind net g with
+        | K.Gate gate ->
+            let fanins = N.fanins net g in
+            Array.iteri
+              (fun idx f ->
+                match pulses.(f) with
+                | [] -> ()
+                | incoming ->
+                    if sensitized sim net g idx then
+                      List.iter
+                        (fun p ->
+                          match attenuate config p with
+                          | None -> ()
+                          | Some p ->
+                              let p = { p with start = p.start +. Tr.gate_delay config gate } in
+                              pulses.(g) <- add_pulse config pulses.(g) p)
+                        incoming)
+              fanins
+        | _ -> ())
+      (N.gates net);
+    let win_lo = config.Tr.clock_period -. config.Tr.setup_time in
+    let win_hi = config.Tr.clock_period +. config.Tr.hold_time in
+    let latched = ref [] in
+    let reached = ref 0 in
+    Array.iter
+      (fun d ->
+        let dnode = N.dff_d net d in
+        match pulses.(dnode) with
+        | [] -> ()
+        | ps ->
+            reached := !reached + List.length ps;
+            let hits p = p.start < win_hi && p.start +. p.width > win_lo in
+            if List.exists hits ps then latched := d :: !latched)
+      (N.dffs net);
+    let hits p = p.start < win_hi && p.start +. p.width > win_lo in
+    let watched_hits =
+      Array.to_list watch |> List.filter (fun node -> List.exists hits pulses.(node))
+    in
+    let sort_nodes l = Array.of_list (List.sort_uniq compare l) in
+    {
+      Tr.latched = sort_nodes !latched;
+      direct = sort_nodes !direct;
+      seeded = !seeded;
+      reached_dff = !reached;
+      watched_hits = sort_nodes watched_hits;
+    }
+end
+
+(* Random strikes on a settled simulator: mostly gates, some flip-flops
+   and inputs, at random times and widths, under a randomly tightened
+   pulse-list bound. One scratch serves every case, and some cases first
+   abort a call half-way through its seeding, so stale state from earlier
+   calls would show. *)
+let event_driven_matches_sweep rng scratch sim ~watch =
+  let net = Sim.netlist sim in
+  let base = Tr.default_config net in
+  let config = { base with Tr.max_pulses_per_net = Rng.choose rng [| 1; 2; 8 |] } in
+  let gates = N.gates net and dffs = N.dffs net and inputs = N.inputs net in
+  let strike () =
+    let node =
+      match Rng.int rng 10 with
+      | 0 -> Rng.choose rng dffs
+      | 1 -> Rng.choose rng inputs
+      | _ -> Rng.choose rng gates
+    in
+    {
+      Tr.node;
+      time = Rng.float rng config.Tr.clock_period;
+      width = 20. +. Rng.float rng 400.;
+    }
+  in
+  let strikes = List.init (1 + Rng.int rng 24) (fun _ -> strike ()) in
+  if Rng.int rng 3 = 0 then begin
+    let aborted = [ { (strike ()) with Tr.node = Rng.choose rng gates }; { (strike ()) with Tr.width = 0. } ] in
+    match Tr.inject ~scratch sim config ~strikes:aborted with
+    | _ -> ()
+    | exception Invalid_argument _ -> ()
+  end;
+  let expected = Sweep.inject ~watch sim config ~strikes in
+  Tr.inject ~scratch ~watch sim config ~strikes = expected
+  && Tr.inject ~watch sim config ~strikes = expected
+
+let oracle_props =
+  let cpu =
+    lazy
+      (let circuit = Fmc_cpu.Circuit.build () in
+       let watch =
+         Array.concat
+           [
+             [| circuit.Fmc_cpu.Circuit.dmem_we |];
+             circuit.Fmc_cpu.Circuit.dmem_addr;
+             circuit.Fmc_cpu.Circuit.dmem_wdata;
+           ]
+       in
+       (circuit, watch, Tr.scratch circuit.Fmc_cpu.Circuit.net))
+  in
+  let crypto =
+    lazy
+      (let core = Fmc_crypto.Core_circuit.build () in
+       (core, Tr.scratch core.Fmc_crypto.Core_circuit.net))
+  in
+  [
+    QCheck.Test.make ~name:"event-driven = full sweep (processor netlist)" ~count:80
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let circuit, watch, scratch = Lazy.force cpu in
+        let program = Fmc_isa.Programs.illegal_write in
+        let sys = Fmc_cpu.Netsys.create circuit program in
+        for _ = 1 to Rng.int rng 160 do
+          Fmc_cpu.Netsys.step sys
+        done;
+        Fmc_cpu.Netsys.settle sys;
+        event_driven_matches_sweep rng scratch (Fmc_cpu.Netsys.sim sys) ~watch);
+    QCheck.Test.make ~name:"event-driven = full sweep (crypto core)" ~count:80
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let core, scratch = Lazy.force crypto in
+        let net = core.Fmc_crypto.Core_circuit.net in
+        let sim = Sim.create net in
+        Array.iter (fun d -> if Rng.bool rng then Sim.flip sim d) (N.dffs net);
+        Array.iter (fun i -> Sim.set_input sim i (Rng.bool rng)) (N.inputs net);
+        Sim.eval_comb sim;
+        event_driven_matches_sweep rng scratch sim ~watch:core.Fmc_crypto.Core_circuit.ct);
+  ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gatesim"
@@ -497,4 +703,5 @@ let () =
           Alcotest.test_case "canonical key" `Quick test_pattern_key;
         ] );
       ("props", q transient_props);
+      ("oracle", q oracle_props);
     ]
