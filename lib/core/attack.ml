@@ -14,11 +14,14 @@ let spatial_cells = function
   | Uniform_cells cells -> cells
   | Delta_cell c -> [| c |]
 
-let pmf_spatial spatial cell =
+let pmf_spatial spatial =
   match spatial with
   | Uniform_cells cells ->
-      if Array.exists (fun c -> c = cell) cells then 1. /. float_of_int (Array.length cells) else 0.
-  | Delta_cell c -> if c = cell then 1. else 0.
+      let members = Hashtbl.create (Array.length cells) in
+      Array.iter (fun c -> Hashtbl.replace members c ()) cells;
+      let p = 1. /. float_of_int (Array.length cells) in
+      fun cell -> if Hashtbl.mem members cell then p else 0.
+  | Delta_cell c -> fun cell -> if c = cell then 1. else 0.
 
 let block_around placement ~roots ~fraction =
   if fraction <= 0. || fraction > 1. then invalid_arg "Attack.block_around: fraction out of (0, 1]";

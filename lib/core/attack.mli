@@ -23,7 +23,9 @@ type t = {
 val spatial_cells : spatial -> Fmc_netlist.Netlist.node array
 
 val pmf_spatial : spatial -> Fmc_netlist.Netlist.node -> float
-(** [f_P]-side probability of aiming at a given cell. *)
+(** [f_P]-side probability of aiming at a given cell. Apply it to the
+    [spatial] alone to get an O(1) lookup: the block's member set is built
+    once, at that point. *)
 
 val block_around :
   Fmc_layout.Placement.t ->
@@ -37,6 +39,6 @@ val block_around :
 
 val default : Fmc_layout.Placement.t -> block:Fmc_netlist.Netlist.node array -> t
 (** Paper-like defaults: [t ~ U\[0, 49\]], uniform aim over [block],
-    radius [U\[0.8, 2.2\]] placement units, width [U\[80, 220\]] ps. *)
+    radius [U\[0.8, 2.2\]] placement units, width [U\[100, 350\]] ps. *)
 
 val validate : t -> unit

@@ -23,42 +23,43 @@ type config = {
 
 let default_config = { trials = 3; horizon = 200; lifetime_threshold = 50.; contamination_threshold = 0.5 }
 
+let group_count = List.length Arch.groups
+
+let rec popcount acc x = if x = 0 then acc else popcount (acc + (x land 1)) (x lsr 1)
+
 (* One injection trial: flip (group, bit) at [cycle], co-simulate vs golden,
-   return (lifetime, contamination). *)
+   return (lifetime, contamination). [seen.(g)] accumulates every bit of
+   group [g] (index into [Arch.groups]) that ever differed, so the
+   contamination number is the popcount of that table less the injected
+   bit itself. *)
 let trial config golden ~group ~bit ~cycle =
   let gold = Golden.restore_at golden cycle in
   let fault = Golden.restore_at golden cycle in
   let st = System.state fault in
   Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit));
-  let contaminated = Hashtbl.create 8 in
+  let seen = Array.make group_count 0 in
   let lifetime = ref config.horizon in
   (try
      for step = 1 to config.horizon do
        ignore (System.step gold);
        ignore (System.step fault);
        let gs = System.state gold and fs = System.state fault in
-       let converged = ref true in
-       List.iter
-         (fun (g, _) ->
-           let diff = Arch.get_group gs g lxor Arch.get_group fs g in
-           if diff <> 0 then begin
-             converged := false;
-             let b = ref 0 and d = ref diff in
-             while !d <> 0 do
-               if !d land 1 = 1 && not (g = group && !b = bit) then
-                 Hashtbl.replace contaminated (g, !b) ();
-               d := !d lsr 1;
-               incr b
-             done
-           end)
-         Arch.groups;
-       if !converged then begin
+       if Arch.equal gs fs then begin
          lifetime := step;
          raise Exit
-       end
+       end;
+       for g = 0 to group_count - 1 do
+         seen.(g) <- seen.(g) lor (Arch.get_group_at gs g lxor Arch.get_group_at fs g)
+       done
      done
    with Exit -> ());
-  (float_of_int !lifetime, float_of_int (Hashtbl.length contaminated))
+  let contamination = ref 0 in
+  List.iteri
+    (fun g (name, _) ->
+      let bits = if name = group then seen.(g) land lnot (1 lsl bit) else seen.(g) in
+      contamination := popcount !contamination bits)
+    Arch.groups;
+  (float_of_int !lifetime, float_of_int !contamination)
 
 let characterize ?(config = default_config) net ~golden ~dffs ~rng =
   if config.trials <= 0 || config.horizon <= 0 then invalid_arg "Lifetime.characterize: bad config";

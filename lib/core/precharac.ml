@@ -4,6 +4,7 @@ module Unroll = Fmc_netlist.Unroll
 module Circuit = Fmc_cpu.Circuit
 module Netsys = Fmc_cpu.Netsys
 module Programs = Fmc_isa.Programs
+module Bitvec = Fmc_prelude.Bitvec
 
 type t = {
   circuit : Circuit.t;
@@ -64,8 +65,28 @@ let level t i =
     try Unroll.level_at t.unroll i
     with Invalid_argument _ -> { Unroll.gates = [||]; registers = [||] }
 
-let correlation t node ~shift =
-  List.fold_left (fun acc rs -> Float.max acc (Sigrec.correlation t.sigrec ~node ~rs ~shift)) 0. t.rs_nodes
+(* [Bitvec.correlation] against every responding signal, with each
+   signal's signature shifted once for all the nodes scored at [shift]. *)
+let correlation_kernel t ~shift =
+  let shifted =
+    List.map
+      (fun rs ->
+        let ss = Sigrec.switches t.sigrec rs in
+        if shift >= 0 then Bitvec.shift_towards_zero ss shift
+        else Bitvec.shift_away_from_zero ss (-shift))
+      t.rs_nodes
+  in
+  fun node ->
+    let ss = Sigrec.switches t.sigrec node in
+    let denom = Bitvec.popcount ss in
+    if denom = 0 then 0.
+    else
+      List.fold_left
+        (fun acc rs ->
+          Float.max acc (float_of_int (Bitvec.popcount_and ss rs) /. float_of_int denom))
+        0. shifted
+
+let correlation t node ~shift = correlation_kernel t ~shift node
 
 let gate_lifetime t node = t.gate_lifetime.(node)
 

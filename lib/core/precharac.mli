@@ -36,6 +36,11 @@ val level : t -> int -> Fmc_netlist.Unroll.level
 
 val depth : t -> int
 
+val correlation_kernel : t -> shift:int -> Fmc_netlist.Netlist.node -> float
+(** [correlation_kernel t ~shift] is [fun node -> correlation t node ~shift]
+    with each responding signal's signature shifted once, up front: apply
+    it partially to score many nodes at one timing distance. *)
+
 val correlation : t -> Fmc_netlist.Netlist.node -> shift:int -> float
 (** [max_rs Corr_shift(node, rs)] over the responding signals. *)
 

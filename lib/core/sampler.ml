@@ -41,9 +41,8 @@ type sample = {
 }
 
 type cone_level = {
-  candidates : N.node array;  (* Omega_t intersected with the target block *)
+  candidates : N.node array;  (* Omega_t intersected with the target block, no repeats *)
   cell_dist : Wdist.t;  (* g_{P|T} over candidates *)
-  cell_pmf : (N.node, float) Hashtbl.t;
 }
 
 type cone_machinery = {
@@ -71,7 +70,8 @@ type prepared = {
 }
 
 (* Build the per-depth candidate/weight tables of a cone-restricted sampler
-   over [eligible] block cells, scoring cells with [cell_score]. *)
+   over [eligible] block cells, scoring the cells of slice [t] with
+   [cell_score t]. The slices are visited in [temporal_support] order. *)
 let build_cone_machinery precharac ~temporal_support ~eligible ~cell_score =
   let per_t =
     Array.map
@@ -88,12 +88,7 @@ let build_cone_machinery precharac ~temporal_support ~eligible ~cell_score =
           let weights = Array.map (cell_score t) candidates in
           let omega = Array.fold_left ( +. ) 0. weights in
           if omega <= 0. then (t, None, 0.)
-          else begin
-            let cell_dist = Wdist.create weights in
-            let cell_pmf = Hashtbl.create (Array.length candidates) in
-            Array.iteri (fun i c -> Hashtbl.replace cell_pmf c (Wdist.pmf cell_dist i)) candidates;
-            (t, Some { candidates; cell_dist; cell_pmf }, omega)
-          end
+          else (t, Some { candidates; cell_dist = Wdist.create weights }, omega)
         end)
       temporal_support
   in
@@ -112,8 +107,9 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
   let block_set = Hashtbl.create (Array.length block) in
   Array.iter (fun c -> Hashtbl.replace block_set c ()) block;
   let f_t t = Dist.pmf_int attack.Attack.temporal t in
-  let block_pmf c = Attack.pmf_spatial attack.Attack.spatial c in
+  let block_pmf = Attack.pmf_spatial attack.Attack.spatial in
   let temporal_support = Array.of_list (Dist.support_int attack.Attack.temporal) in
+  let net = (Precharac.circuit precharac).Fmc_cpu.Circuit.net in
   (* A strike at center [g] radiates a disc: its success potential is that
      of the best cell it can cover, so importance scores are smoothed over
      the neighborhood reachable with the attack's largest radius. Without
@@ -121,6 +117,7 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
      neighbor would carry a huge corrective weight when it succeeds,
      blowing up the estimator variance. *)
   let max_radius = match attack.Attack.radius with Dist.Uniform_float (_, hi) -> hi in
+  let pindex = lazy (Placement.index placement) in
   let neighborhood = Hashtbl.create 1024 in
   let neighbors_of cell =
     match Hashtbl.find_opt neighborhood cell with
@@ -128,30 +125,60 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
     | None ->
         let ns =
           if Placement.is_placed placement cell then
-            Placement.within placement ~center:cell ~radius:max_radius
+            Placement.within_indexed (Lazy.force pindex) ~center:cell ~radius:max_radius
           else [| cell |]
         in
         Hashtbl.replace neighborhood cell ns;
         ns
   in
-  let importance_score ~alpha ~beta ~dead_weight ~gamma t cell =
-    let corr = Precharac.correlation precharac cell ~shift:t in
-    let l = Precharac.gate_lifetime precharac cell in
-    let alive = l >= beta *. float_of_int t in
-    let vuln = if gamma > 0. && static_vuln cell then gamma else 0. in
-    let base = 1. +. vuln +. (alpha *. corr *. if alive then 1. else 0.) in
-    if alive then base else base *. dead_weight
+  let importance_score ~alpha ~beta ~dead_weight ~gamma t =
+    let correlation = Precharac.correlation_kernel precharac ~shift:t in
+    fun cell ->
+      let corr = correlation cell in
+      let l = Precharac.gate_lifetime precharac cell in
+      let alive = l >= beta *. float_of_int t in
+      let vuln = if gamma > 0. && static_vuln cell then gamma else 0. in
+      let base = 1. +. vuln +. (alpha *. corr *. if alive then 1. else 0.) in
+      if alive then base else base *. dead_weight
+  in
+  (* Overlapping discs share cells, so a node's score at [t] is read by
+     every candidate whose neighborhood covers it. Compute it once per t:
+     the table is refilled with NaN, "not scored yet", each time
+     [build_cone_machinery] moves to the next t. *)
+  let scores = lazy (Float.Array.make (N.num_nodes net) nan) in
+  let scored_once score_at t =
+    let scores = Lazy.force scores and score = score_at t in
+    Float.Array.fill scores 0 (Float.Array.length scores) nan;
+    fun n ->
+      let s = Float.Array.get scores n in
+      if Float.is_nan s then begin
+        let s = score n in
+        Float.Array.set scores n s;
+        s
+      end
+      else s
   in
   (* Two smoothing modes over the radiated neighborhood: [max] guarantees a
      disc covering a critical cell is never under-sampled (used when the
      score carries the static-vulnerability prior); [mean] preserves more
      discrimination for the diffuse correlation signal. *)
-  let smoothed_max score t cell =
-    Array.fold_left (fun acc n -> Float.max acc (score t n)) 0. (neighbors_of cell)
+  let smoothed_max score_at t =
+    let score = scored_once score_at t in
+    fun cell ->
+      let ns = neighbors_of cell and acc = ref 0. in
+      for i = 0 to Array.length ns - 1 do
+        acc := Float.max !acc (score ns.(i))
+      done;
+      !acc
   in
-  let smoothed_mean score t cell =
-    let ns = neighbors_of cell in
-    Array.fold_left (fun acc n -> acc +. score t n) 0. ns /. float_of_int (Array.length ns)
+  let smoothed_mean score_at t =
+    let score = scored_once score_at t in
+    fun cell ->
+      let ns = neighbors_of cell and acc = ref 0. in
+      for i = 0 to Array.length ns - 1 do
+        acc := !acc +. score ns.(i)
+      done;
+      !acc /. float_of_int (Array.length ns)
   in
   let mode =
     match strategy with
@@ -194,7 +221,6 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
            decisive stale/flipped value — the dominant rest-stratum success
            channel. Mark the last few levels of those cones. *)
         let near_vuln = Hashtbl.create 128 in
-        let net = (Precharac.circuit precharac).Fmc_cpu.Circuit.net in
         let rec mark node depth =
           if depth >= 0 && not (Hashtbl.mem near_vuln node) then begin
             match N.kind net node with
@@ -205,9 +231,9 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
           end
         in
         Array.iter (fun d -> if static_vuln d then mark (N.dff_d net d) 6) (N.dffs net);
-        let base_score = importance_score ~alpha ~beta ~dead_weight ~gamma:0. in
-        let score t cell =
-          base_score t cell +. (if Hashtbl.mem near_vuln cell then 12. else 0.)
+        let score t =
+          let base_score = importance_score ~alpha ~beta ~dead_weight ~gamma:0. t in
+          fun cell -> base_score cell +. if Hashtbl.mem near_vuln cell then 12. else 0.
         in
         let rest =
           match
@@ -229,7 +255,7 @@ let draw_cone p (m : cone_machinery) rng ~stratum ~stratum_mass ~radius ~width ~
   let ci = Wdist.sample level.cell_dist rng in
   let center = level.candidates.(ci) in
   let g_t = Wdist.pmf m.g_t idx in
-  let g_cell = Hashtbl.find level.cell_pmf center in
+  let g_cell = Wdist.pmf level.cell_dist ci in
   let f = p.f_t t *. p.block_pmf center /. stratum_mass in
   { t; center; radius; width; time_frac; weight = f /. (g_t *. g_cell); stratum }
 

@@ -33,6 +33,4 @@ let record net ~cycles =
 let cycles t = t.cycles
 let switches t node = t.switches.(node)
 
-let correlation t ~node ~rs ~shift = Bitvec.correlation t.switches.(node) t.switches.(rs) ~shift
-
 let activity t node = float_of_int (Bitvec.popcount t.switches.(node)) /. float_of_int t.cycles

@@ -4,7 +4,8 @@
     Runs the netlist system on the synthetic benchmark, recording the
     settled value of {e every} node at every cycle, and derives per-node
     switching signatures. Correlations [Corr_i(g, rs)] against a responding
-    signal are then word-parallel popcount operations. *)
+    signal ({!Precharac.correlation}) are then word-parallel popcount
+    operations. *)
 
 type t
 
@@ -16,9 +17,6 @@ val record : Fmc_cpu.Netsys.t -> cycles:int -> t
 val cycles : t -> int
 
 val switches : t -> Fmc_netlist.Netlist.node -> Fmc_prelude.Bitvec.t
-
-val correlation : t -> node:Fmc_netlist.Netlist.node -> rs:Fmc_netlist.Netlist.node -> shift:int -> float
-(** The paper's [Corr_shift(node, rs)]. *)
 
 val activity : t -> Fmc_netlist.Netlist.node -> float
 (** Fraction of cycles the node switched (its signature weight / cycles). *)

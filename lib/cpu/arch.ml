@@ -106,6 +106,26 @@ let set_group t name v =
       else t.regs.(i) <- v
   | name -> invalid_arg ("Arch: unknown register group " ^ name)
 
+(* [get_group] by position in [groups]: no name lookup, for loops over
+   every group. The by-name match above stays a separate copy because
+   a table lookup from name to position costs over twice as much, and
+   [get_group] sits on the per-sample restore and resettle paths. *)
+let get_group_at t i =
+  match i with
+  | 0 -> t.pc
+  | i when i >= 1 && i <= 8 -> t.regs.(i - 1)
+  | 9 -> t.mode
+  | 10 -> t.epc
+  | 11 -> t.cause
+  | 12 -> if t.halted then 1 else 0
+  | 13 -> t.mpu_base.(0)
+  | 14 -> t.mpu_limit.(0)
+  | 15 -> t.mpu_ctrl.(0)
+  | 16 -> t.mpu_base.(1)
+  | 17 -> t.mpu_limit.(1)
+  | 18 -> t.mpu_ctrl.(1)
+  | i -> invalid_arg (Printf.sprintf "Arch: no register group at index %d" i)
+
 let diff a b =
   List.filter_map
     (fun (name, _) -> if get_group a name <> get_group b name then Some name else None)

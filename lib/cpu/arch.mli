@@ -34,6 +34,11 @@ val get_group : t -> string -> int
 val set_group : t -> string -> int -> unit
 (** Values are masked to the group width. *)
 
+val get_group_at : t -> int -> int
+(** [get_group_at t i] is [get_group t name] for the [i]-th entry [name]
+    of {!groups}, without the name lookup. Raises [Invalid_argument] outside
+    [0 .. List.length groups - 1]. *)
+
 val total_bits : int
 (** Sum of group widths (the processor's flip-flop count). *)
 

@@ -30,7 +30,8 @@ let copy v = { len = v.len; words = Array.copy v.words }
    equality and popcount can work word-wise. *)
 let equal a b = a.len = b.len && a.words = b.words
 
-let popcount64 x =
+(* Inlined so that callers pass the word unboxed. *)
+let[@inline] popcount64 x =
   (* SWAR popcount. *)
   let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
   let x =
@@ -42,6 +43,14 @@ let popcount64 x =
   Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
 
 let popcount v = Array.fold_left (fun acc w -> acc + popcount64 w) 0 v.words
+
+let popcount_and a b =
+  if a.len <> b.len then invalid_arg "Bitvec.popcount_and: length mismatch";
+  let count = ref 0 in
+  for i = 0 to Array.length a.words - 1 do
+    count := !count + popcount64 (Int64.logand a.words.(i) b.words.(i))
+  done;
+  !count
 
 let logand a b =
   if a.len <> b.len then invalid_arg "Bitvec.logand: length mismatch";

@@ -25,6 +25,10 @@ val equal : t -> t -> bool
 val popcount : t -> int
 (** Number of set bits (the Hamming weight [|v|] of the paper). *)
 
+val popcount_and : t -> t -> int
+(** [popcount_and a b] is [popcount (logand a b)], without building the
+    intersection. Raises [Invalid_argument] on length mismatch. *)
+
 val logand : t -> t -> t
 (** Bitwise AND. Raises [Invalid_argument] on length mismatch. *)
 

@@ -195,6 +195,109 @@ let test_lifetime_statistics_sane () =
       Alcotest.(check bool) "contamination non-negative" true (s.Lifetime.contamination >= 0.))
     stats
 
+(* The per-shift kernel against its definition: the largest
+   [Bitvec.correlation] over the responding signals, on signatures recorded
+   afresh over the same synthetic-benchmark cycles as [Precharac.run]. *)
+let correlation_kernel_oracle =
+  let pre = lazy (Experiments.precharac (Lazy.force ctx)) in
+  let oracle =
+    lazy
+      (let circuit = Experiments.circuit (Lazy.force ctx) in
+       let golden = Golden.run Programs.synthetic in
+       let cycles = max 2 (min 600 (Golden.halt_cycle golden)) in
+       let sigrec = Sigrec.record (Fmc_cpu.Netsys.create circuit Programs.synthetic) ~cycles in
+       let rs = Circuit.responding_signals circuit in
+       fun node ~shift ->
+         List.fold_left
+           (fun acc r ->
+             Float.max acc
+               (Fmc_prelude.Bitvec.correlation (Sigrec.switches sigrec node)
+                  (Sigrec.switches sigrec r) ~shift))
+           0. rs)
+  in
+  QCheck.Test.make ~name:"correlation kernel = Bitvec oracle" ~count:500
+    QCheck.(pair (int_bound 1_000_000) (int_range (-3) 50))
+    (fun (node, shift) ->
+      let pre = Lazy.force pre in
+      let node = node mod N.num_nodes (Precharac.circuit pre).Circuit.net in
+      let expect = (Lazy.force oracle) node ~shift in
+      Precharac.correlation_kernel pre ~shift node = expect
+      && Precharac.correlation pre node ~shift = expect)
+
+(* [Lifetime]'s injection trial as it was before it diffed states by group
+   index: every group compared by name on every step, contaminated bits
+   keyed on (group name, bit). Kept as the reference. *)
+let reference_trial (config : Lifetime.config) golden ~group ~bit ~cycle =
+  let gold = Golden.restore_at golden cycle in
+  let fault = Golden.restore_at golden cycle in
+  let st = System.state fault in
+  Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit));
+  let contaminated = Hashtbl.create 8 in
+  let lifetime = ref config.Lifetime.horizon in
+  (try
+     for step = 1 to config.Lifetime.horizon do
+       ignore (System.step gold);
+       ignore (System.step fault);
+       let gs = System.state gold and fs = System.state fault in
+       let converged = ref true in
+       List.iter
+         (fun (g, _) ->
+           let diff = Arch.get_group gs g lxor Arch.get_group fs g in
+           if diff <> 0 then begin
+             converged := false;
+             let b = ref 0 and d = ref diff in
+             while !d <> 0 do
+               if !d land 1 = 1 && not (g = group && !b = bit) then
+                 Hashtbl.replace contaminated (g, !b) ();
+               d := !d lsr 1;
+               incr b
+             done
+           end)
+         Arch.groups;
+       if !converged then begin
+         lifetime := step;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  (float_of_int !lifetime, float_of_int (Hashtbl.length contaminated))
+
+let test_lifetime_matches_reference () =
+  let pre = Experiments.precharac (Lazy.force ctx) in
+  let net = (Experiments.circuit (Lazy.force ctx)).Circuit.net in
+  let golden = Golden.run Programs.synthetic in
+  let dffs = Precharac.cone_registers pre in
+  let config = Lifetime.default_config in
+  let lifetimes = Lifetime.characterize ~config net ~golden ~dffs ~rng:(Rng.create 5) in
+  (* [characterize]'s draws: [trials] injection cycles per register, in
+     register order. *)
+  let rng = Rng.create 5 in
+  let last_cycle = max 1 (Golden.halt_cycle golden - 1) in
+  let trials = float_of_int config.Lifetime.trials in
+  let contaminating = ref 0 in
+  Array.iter
+    (fun dff ->
+      let group, bit = N.dff_group net dff in
+      let lsum = ref 0. and csum = ref 0. in
+      for _ = 1 to config.Lifetime.trials do
+        let cycle = Rng.int_in rng 1 last_cycle in
+        let l, c = reference_trial config golden ~group ~bit ~cycle in
+        lsum := !lsum +. l;
+        csum := !csum +. c
+      done;
+      let lifetime = !lsum /. trials and contamination = !csum /. trials in
+      let s = Lifetime.stats lifetimes dff in
+      let what = Printf.sprintf "%s[%d] " group bit in
+      Alcotest.(check (float 0.)) (what ^ "lifetime") lifetime s.Lifetime.lifetime;
+      Alcotest.(check (float 0.)) (what ^ "contamination") contamination s.Lifetime.contamination;
+      Alcotest.(check bool) (what ^ "memory type")
+        (lifetime >= config.Lifetime.lifetime_threshold
+        && contamination <= config.Lifetime.contamination_threshold)
+        s.Lifetime.memory_type;
+      if contamination > 0. then incr contaminating)
+    dffs;
+  Alcotest.(check bool) "some registers contaminate others" true (!contaminating > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -903,6 +1006,9 @@ let () =
           Alcotest.test_case "memory classification" `Slow test_precharac_memory_classification;
           Alcotest.test_case "gate lifetimes" `Slow test_precharac_gate_lifetime;
           Alcotest.test_case "lifetime statistics" `Slow test_lifetime_statistics_sane;
+          QCheck_alcotest.to_alcotest correlation_kernel_oracle;
+          Alcotest.test_case "lifetime = string-keyed reference" `Slow
+            test_lifetime_matches_reference;
         ] );
       ( "sampler",
         [

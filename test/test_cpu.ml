@@ -39,7 +39,23 @@ let test_arch_groups_roundtrip () =
       let v = (0xABCD land ((1 lsl width) - 1)) lxor 1 in
       Arch.set_group st name v;
       Alcotest.(check int) name v (Arch.get_group st name))
-    Arch.groups
+    Arch.groups;
+  (* One group at a time set to all ones on a reset state, every index
+     read back: an index mapped to the wrong field shows. *)
+  let reset = Arch.create () in
+  List.iteri
+    (fun i (name, width) ->
+      let st = Arch.create () in
+      Arch.set_group st name ((1 lsl width) - 1);
+      List.iteri
+        (fun j _ ->
+          let expected = if j = i then (1 lsl width) - 1 else Arch.get_group_at reset j in
+          Alcotest.(check int) (Printf.sprintf "%s set, index %d" name j) expected (Arch.get_group_at st j))
+        Arch.groups)
+    Arch.groups;
+  Alcotest.check_raises "index past the last group"
+    (Invalid_argument "Arch: no register group at index 19") (fun () ->
+      ignore (Arch.get_group_at st (List.length Arch.groups)))
 
 let test_arch_reset_values () =
   let st = Arch.create () in

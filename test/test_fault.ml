@@ -114,7 +114,8 @@ let test_registry_errors () =
 (* ------------------------------------------------------------------ *)
 (* Byte-identity of the default model against the pre-subsystem
    reference reports committed under test/ref (generated at the commit
-   before the fault-model refactor landed). *)
+   before the fault-model refactor landed; plain-write-importance.json at
+   the commit before [Sampler.prepare] began scoring each (t, cell) once). *)
 
 (* `dune runtest` runs the executable from test/'s build dir; `dune exec`
    runs it from wherever it was invoked — accept both. *)
@@ -128,7 +129,12 @@ let test_byte_identity_plain () =
   let w = Ssf.estimate (engine ()) prep ~samples:400 ~seed:11 in
   Alcotest.(check string) "write plain" (fixture "plain-write.json") (Export.report_json w ^ "\n");
   let r = Ssf.estimate (engine_read ()) prep ~samples:400 ~seed:11 in
-  Alcotest.(check string) "read plain" (fixture "plain-read.json") (Export.report_json r ^ "\n")
+  Alcotest.(check string) "read plain" (fixture "plain-read.json") (Export.report_json r ^ "\n");
+  (* [mixed] smooths importance scores with the neighborhood mean; the
+     [importance] strategy pins the max. *)
+  let i = Ssf.estimate (engine ()) (prepare Sampler.default_importance) ~samples:400 ~seed:11 in
+  Alcotest.(check string) "write plain, importance" (fixture "plain-write-importance.json")
+    (Export.report_json i ^ "\n")
 
 let test_byte_identity_sharded () =
   let prep = prepare Sampler.default_mixed in

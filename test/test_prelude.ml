@@ -94,6 +94,13 @@ let bitvec_props =
   [
     QCheck.Test.make ~name:"popcount = number of true bits" ~count:200 gen_bits (fun bits ->
         Bitvec.popcount (to_vec bits) = List.length (List.filter Fun.id bits));
+    QCheck.Test.make ~name:"popcount_and = popcount of logand" ~count:200
+      QCheck.(pair gen_bits gen_bits)
+      (fun (a, b) ->
+        let n = min (List.length a) (List.length b) in
+        let take l = List.filteri (fun i _ -> i < n) l in
+        let va = to_vec (take a) and vb = to_vec (take b) in
+        Bitvec.popcount_and va vb = Bitvec.popcount (Bitvec.logand va vb));
     QCheck.Test.make ~name:"shift towards then away keeps low bits zero" ~count:200
       QCheck.(pair gen_bits small_nat)
       (fun (bits, k) ->
