@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (DESIGN.md experiment index EXP-F4 .. EXP-H), then
-   runs Bechamel micro-benchmarks of the framework's hot kernels (PERF).
+   evaluation section (DESIGN.md experiment index EXP-F4 .. EXP-H).
+   Per-layer timings of the hot kernels live in perfbench/ instead.
 
    Run: dune exec bench/main.exe
    Fast mode (CI-sized sample counts): dune exec bench/main.exe -- --fast *)
@@ -207,68 +207,4 @@ let () =
         (if Fmc_crypto.Dfa.master_key_of_whitening wk = ckey then "correct" else "WRONG")
   | None -> Format.fprintf ppf "targeted DFA did not converge in %d strikes@." !shots);
 
-  section "PERF: Bechamel micro-benchmarks of the hot kernels";
-  let open Bechamel in
-  let engine = Fmc.Experiments.engine_for ctx Fmc_isa.Programs.illegal_write in
-  let placement = Fmc.Engine.placement engine in
-  let attack = Fmc.Experiments.default_attack ctx in
-  let pre = Fmc.Experiments.precharac ctx in
-  let prep =
-    Fmc.Sampler.prepare
-      ~static_vuln:(Fmc.Engine.static_vulnerable engine)
-      Fmc.Sampler.default_mixed attack pre ~placement
-  in
-  let netsys = Fmc_cpu.Netsys.create circuit Fmc_isa.Programs.illegal_write in
-  let tconfig = Fmc.Engine.transient_config engine in
-  let rng = Fmc_prelude.Rng.create 99 in
-  let cells = Fmc_layout.Placement.cells placement in
-  let bv_a = Fmc_prelude.Bitvec.create 600 and bv_b = Fmc_prelude.Bitvec.create 600 in
-  for i = 0 to 599 do
-    if i mod 3 = 0 then Fmc_prelude.Bitvec.set bv_a i true;
-    if i mod 5 = 0 then Fmc_prelude.Bitvec.set bv_b i true
-  done;
-  let tests =
-    [
-      Test.make ~name:"rtl-model-cycle"
-        (Staged.stage (fun () ->
-             let sys = Fmc_cpu.System.create Fmc_isa.Programs.illegal_write in
-             ignore (Fmc_cpu.System.run sys ~max_cycles:200)));
-      Test.make ~name:"gate-level-cycle"
-        (Staged.stage (fun () -> Fmc_cpu.Netsys.step netsys));
-      Test.make ~name:"transient-inject"
-        (Staged.stage (fun () ->
-             Fmc_gatesim.Cycle_sim.eval_comb (Fmc_cpu.Netsys.sim netsys);
-             let g = Fmc_prelude.Rng.choose rng cells in
-             ignore
-               (Fmc_gatesim.Transient.inject (Fmc_cpu.Netsys.sim netsys) tconfig
-                  ~strikes:
-                    [ { Fmc_gatesim.Transient.node = g; time = 5000.; width = 150. } ])));
-      Test.make ~name:"signature-correlation"
-        (Staged.stage (fun () -> ignore (Fmc_prelude.Bitvec.correlation bv_a bv_b ~shift:7)));
-      Test.make ~name:"sampler-draw"
-        (Staged.stage (fun () -> ignore (Fmc.Sampler.draw prep rng)));
-      Test.make ~name:"engine-run-sample"
-        (Staged.stage (fun () ->
-             let s = Fmc.Sampler.draw prep rng in
-             ignore (Fmc.Engine.run_sample engine rng s)));
-    ]
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let benchmark test =
-    let quota = Time.second (if fast then 0.25 else 1.0) in
-    Benchmark.all (Benchmark.cfg ~limit:2000 ~quota ()) [ clock ] test
-  in
-  let analyze raw =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ time_per_run ] -> Format.fprintf ppf "  %-24s %12.1f ns/run@." name time_per_run
-          | _ -> Format.fprintf ppf "  %-24s (no estimate)@." name)
-        results)
-    tests;
   Format.fprintf ppf "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -196,12 +196,6 @@ let info_cmd =
 
 let default_shard_size = 1000
 
-let dist_fingerprint ?fault_model ~benchmark ~strategy ~samples ~seed ~shard_size
-    ~sample_budget () =
-  Fmc_dist.Protocol.fingerprint ?fault_model
-    ~strategy:(Fmc.Sampler.strategy_name strategy)
-    ~benchmark:benchmark.Fmc_isa.Programs.name ~samples ~seed ~shard_size ~sample_budget ()
-
 let spec_of_args ?(fault_model = Fmc_fault.Registry.default) ~benchmark ~strategy ~samples
     ~seed ~shard_size ~sample_budget () =
   {
@@ -319,8 +313,7 @@ let status_entry_json (e : Fmc_dist.Protocol.status_entry) =
    /readyz, /campaigns (JSON), /campaigns.txt + /workers.txt (the
    whitespace-separated tables `faultmc top` polls) and /trace (the
    stitched fleet trace). Route handlers are thunks over the view the
-   coordinator/scheduler hands us via ?on_view — every one
-   observation-only. *)
+   service hands us via ?on_view — every one observation-only. *)
 
 let http_port_arg what =
   Arg.(
@@ -347,24 +340,25 @@ let fleet_trace_out_arg =
 
 let bool_json b = if b then "true" else "false"
 
-let coordinator_routes (v : Fmc_dist.Coordinator.view) =
-  let open Fmc_dist.Coordinator in
+let service_routes (v : Fmc_sched.Service.view) =
+  let open Fmc_sched.Service in
   let health_body () =
     let h = v.vw_health () in
     Printf.sprintf
-      "{\"finished\":%s,\"shards_done\":%d,\"shards_total\":%d,\"in_flight\":%d,\"connected\":%d,\"healthy_workers\":%d,\"breakers_open\":%d,\"leasing_paused\":%s,\"audits_pending\":%d,\"quarantined_workers\":%d}"
-      (bool_json h.h_finished) h.h_shards_done h.h_shards_total h.h_in_flight h.h_connected
-      h.h_healthy_workers h.h_breakers_open (bool_json h.h_leasing_paused) h.h_audits_pending
-      h.h_quarantined_workers
+      "{\"draining\":%s,\"finished\":%s,\"queue_depth\":%d,\"shards_done\":%d,\"shards_total\":%d,\"in_flight\":%d,\"connected\":%d,\"healthy_workers\":%d,\"breakers_open\":%d,\"leasing_paused\":%s,\"audits_pending\":%d,\"quarantined_workers\":%d,\"wal_torn\":%d}"
+      (bool_json h.h_draining) (bool_json h.h_finished) h.h_queue_depth h.h_shards_done
+      h.h_shards_total h.h_in_flight h.h_connected h.h_healthy_workers h.h_breakers_open
+      (bool_json h.h_leasing_paused) h.h_audits_pending h.h_quarantined_workers h.h_wal_torn
   in
   let workers_txt () =
     let b = Buffer.create 256 in
-    Buffer.add_string b "# worker breaker conns samples_per_sec spans last_wall quarantined mismatches\n";
+    Buffer.add_string b "# worker breaker conns spans last_wall trace quarantined mismatches\n";
     List.iter
       (fun w ->
         Buffer.add_string b
-          (Printf.sprintf "%s %s %d %.1f %d %.3f %s %d\n" w.w_name
-             (breaker_state_name w.w_breaker) w.w_connections w.w_rate w.w_spans w.w_last_wall
+          (Printf.sprintf "%s %s %d %d %.3f %s %s %d\n" w.w_name (breaker_state_name w.w_breaker)
+             w.w_connections w.w_spans w.w_last_wall
+             (if w.w_trace_id = "" then "-" else w.w_trace_id)
              (if w.w_quarantined then "yes" else "no")
              w.w_mismatches))
       (v.vw_workers ());
@@ -376,42 +370,7 @@ let coordinator_routes (v : Fmc_dist.Coordinator.view) =
     ( "/readyz",
       fun () ->
         let h = v.vw_health () in
-        let status = if h.h_leasing_paused then 503 else 200 in
-        Fmc_obs.Httpd.json ~status (health_body ()) );
-    ("/campaigns", fun () -> Fmc_obs.Httpd.json ("[" ^ status_entry_json (v.vw_status ()) ^ "]"));
-    ( "/campaigns.txt",
-      fun () -> Fmc_obs.Httpd.text (Format.asprintf "%a@." render_status_entry (v.vw_status ())) );
-    ("/workers.txt", fun () -> Fmc_obs.Httpd.text (workers_txt ()));
-    ("/trace", fun () -> Fmc_obs.Httpd.json (v.vw_trace_json ()));
-  ]
-
-let scheduler_routes (v : Fmc_sched.Service.view) =
-  let open Fmc_sched.Service in
-  let health_body () =
-    let h = v.vw_health () in
-    Printf.sprintf
-      "{\"draining\":%s,\"queue_depth\":%d,\"in_flight\":%d,\"connected\":%d,\"wal_torn\":%d}"
-      (bool_json h.h_draining) h.h_queue_depth h.h_in_flight h.h_connected h.h_wal_torn
-  in
-  let workers_txt () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "# worker spans last_wall trace\n";
-    List.iter
-      (fun (name, (wi : Fmc_obs.Fleet.worker_info)) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s %d %.3f %s\n" name wi.Fmc_obs.Fleet.wi_span_count
-             wi.Fmc_obs.Fleet.wi_last_wall
-             (if wi.Fmc_obs.Fleet.wi_trace_id = "" then "-" else wi.Fmc_obs.Fleet.wi_trace_id)))
-      (v.vw_workers ());
-    Buffer.contents b
-  in
-  [
-    ("/metrics", fun () -> Fmc_obs.Httpd.text (v.vw_metrics ()));
-    ("/healthz", fun () -> Fmc_obs.Httpd.json (health_body ()));
-    ( "/readyz",
-      fun () ->
-        let h = v.vw_health () in
-        let status = if h.h_draining then 503 else 200 in
+        let status = if h.h_draining || h.h_leasing_paused then 503 else 200 in
         Fmc_obs.Httpd.json ~status (health_body ()) );
     ( "/campaigns",
       fun () ->
@@ -596,11 +555,12 @@ let evaluate_cmd =
         end;
         let addr = parse_addr_or_die addrstr in
         let fingerprint =
-          dist_fingerprint
-            ~fault_model:(Fmc_fault.Model.canonical model)
-            ~benchmark ~strategy ~samples ~seed
-            ~shard_size:(Option.value shard_size ~default:default_shard_size)
-            ~sample_budget ()
+          Fmc_dist.Protocol.spec_fingerprint
+            (spec_of_args
+               ~fault_model:(Fmc_fault.Model.canonical model)
+               ~benchmark ~strategy ~samples ~seed
+               ~shard_size:(Option.value shard_size ~default:default_shard_size)
+               ~sample_budget ())
         in
         let config = Fmc_dist.Worker.default_config ~addr ~worker_name:"report-client" in
         (match Fmc_dist.Worker.fetch_report ~obs config ~fingerprint with
@@ -1090,15 +1050,90 @@ let speculate_factor_arg =
     value & opt float 0.
     & info [ "speculate-factor" ] ~docv:"K"
         ~doc:
-          "Straggler speculation: duplicate a leased shard onto an idle worker once its holder's \
-           projected completion exceeds $(docv) times the fleet's per-shard EWMA. First valid \
-           result wins; the loser is fenced by the lease epoch. 0 disables.")
+          "Straggler speculation: duplicate a leased shard onto an idle worker once its lease age \
+           exceeds $(docv) times the fleet's per-shard EWMA. First valid result wins; the loser \
+           is fenced by the lease epoch. 0 disables.")
+
+(* serve and sched: the campaign service behind the chaos proxy when
+   --chaos-plan is given (the service then binds a private Unix socket
+   and the proxy takes over the public address, so every worker byte
+   crosses the chaos layer), with its scrape endpoint and stitched fleet
+   trace, both torn down when the service returns or raises. *)
+let run_service ~obs ~what ~chaos:(chaos_plan, chaos_seed, chaos_log) ~http_port
+    ~fleet_trace_out ?campaign addr configure =
+  let listen_addr, stop_chaos =
+    match chaos_plan with
+    | None -> (addr, fun () -> ())
+    | Some spec ->
+        let cplan = load_chaos_plan spec in
+        let hidden = Fmc_dist.Wire.Unix_path (chaos_socket_path what) in
+        let log, close_log = chaos_logger chaos_log in
+        (hidden, start_chaos_proxy ~obs ~plan:cplan ~seed:chaos_seed ~log ~close_log
+                   ~public:addr ~upstream:hidden)
+  in
+  let endpoint = ref None in
+  let fleet_view = ref None in
+  let on_view (v : Fmc_sched.Service.view) =
+    fleet_view := Some v;
+    endpoint :=
+      start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what ~routes:(service_routes v) http_port
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint !endpoint;
+      write_fleet_trace ~fleet_trace_out
+        (Option.map (fun v -> v.Fmc_sched.Service.vw_trace_json) !fleet_view);
+      stop_chaos ())
+    (fun () -> Fmc_sched.Service.serve ~obs ~on_view ?campaign (configure listen_addr))
+
+let chaos_args cmd =
+  Term.(const (fun p s l -> (p, s, l)) $ chaos_plan_arg cmd $ chaos_seed_arg $ chaos_log_arg)
+
+let listen_arg =
+  Arg.(
+    required
+    & opt (some addr_conv) None
+    & info [ "listen" ] ~docv:"ADDR" ~doc:"Listen address: HOST:PORT or unix:PATH.")
+
+let lease_ttl_arg =
+  Arg.(
+    value & opt float 30.
+    & info [ "lease-ttl" ] ~docv:"SECONDS"
+        ~doc:
+          "Lease lifetime without a heartbeat; an expired lease's shard is re-issued to another \
+           worker under a bumped epoch.")
+
+let io_deadline_arg =
+  Arg.(
+    value & opt float 120.
+    & info [ "io-deadline" ] ~docv:"SECONDS"
+        ~doc:
+          "Per-connection socket read/write deadline; a peer stalling a frame longer than this \
+           is disconnected.")
+
+(* A fetched campaign report: the shard blobs merged exactly as the
+   single-process reference merges them, then printed like evaluate's. *)
+let print_fetched_report ~json ~benchmark ~strategy ~clock (shards, quarantined, elapsed_s) =
+  match Fmc_dist.Merge.report_of_blobs ~strategy:(Fmc.Sampler.strategy_name strategy) shards with
+  | Error msg ->
+      Format.eprintf "faultmc: %s@." msg;
+      exit 1
+  | Ok report ->
+      let q = List.length quarantined in
+      if q > 0 then Format.eprintf "%d sample(s) quarantined@." q;
+      if json then print_endline (Fmc.Export.report_json report)
+      else begin
+        Format.fprintf ppf "benchmark: %s@.%a@." benchmark.Fmc_isa.Programs.name
+          Fmc.Report.ssf_report report;
+        let lo, hi = Fmc.Ssf.confidence_interval report ~z:1.96 in
+        Format.fprintf ppf "95%% confidence interval: [%.5f, %.5f]@." lo hi;
+        Format.fprintf ppf "campaign wall clock: %.2f s%s@." elapsed_s clock
+      end
 
 let serve_cmd =
   let run benchmark strategy samples seed addr shard_size ttl linger max_idle checkpoint
       sample_budget require_workers io_deadline breaker_failures breaker_cooldown audit_rate
-      speculate_factor chaos_plan chaos_seed chaos_log http_port fleet_trace_out json fault_model
-      metrics_out trace_out =
+      speculate_factor chaos http_port fleet_trace_out json fault_model metrics_out trace_out =
     let model = fault_model_of_arg_or_die fault_model in
     let obs = fleet_obs ~progress:`Off in
     let plan =
@@ -1107,103 +1142,62 @@ let serve_cmd =
         Format.eprintf "faultmc: %s@." msg;
         exit 2
     in
-    let fingerprint =
-      dist_fingerprint
+    let spec =
+      spec_of_args
         ~fault_model:(Fmc_fault.Model.canonical model)
         ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ()
     in
     if not json then
       Format.fprintf ppf "serving %d samples as %d shard(s) of <=%d on %s@." samples
         (Array.length plan) shard_size (Fmc_dist.Wire.addr_to_string addr);
-    (* Under --chaos-plan the coordinator binds a private Unix socket and
-       the fault-injection proxy takes over the public address, so every
-       worker byte crosses the chaos layer. *)
-    let listen_addr, stop_chaos =
-      match chaos_plan with
-      | None -> (addr, fun () -> ())
-      | Some spec ->
-          let cplan = load_chaos_plan spec in
-          let hidden = Fmc_dist.Wire.Unix_path (chaos_socket_path "serve") in
-          let log, close_log = chaos_logger chaos_log in
-          (hidden, start_chaos_proxy ~obs ~plan:cplan ~seed:chaos_seed ~log ~close_log
-                     ~public:addr ~upstream:hidden)
-    in
-    let config =
+    (* The scheduler's service holding this one campaign, with its state
+       in a throwaway directory: only --checkpoint outlives the process.
+       SIGTERM/SIGINT drain it, so that directory is removed then too. *)
+    let configure listen_addr =
       {
-        Fmc_dist.Coordinator.addr = listen_addr;
-        ttl_s = ttl;
-        checkpoint_path = checkpoint;
-        linger_s = linger;
-        io_deadline_s = io_deadline;
+        (Fmc_sched.Service.default_config listen_addr) with
+        sched =
+          {
+            Fmc_sched.Sched.default_config with
+            ttl_s = ttl;
+            audit_rate;
+            speculate_factor;
+            breaker =
+              {
+                Fmc_dist.Breaker.failure_threshold = breaker_failures;
+                cooldown_s = breaker_cooldown;
+              };
+          };
         require_workers;
         max_idle_s = max_idle;
-        breaker =
-          { Fmc_dist.Breaker.failure_threshold = breaker_failures; cooldown_s = breaker_cooldown };
-        audit_rate;
-        speculate_factor;
+        io_deadline_s = io_deadline;
+        handle_signals = true;
       }
     in
-    let endpoint = ref None in
-    let fleet_view = ref None in
-    let on_view (v : Fmc_dist.Coordinator.view) =
-      fleet_view := Some v;
-      endpoint :=
-        start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what:"coordinator"
-          ~routes:(coordinator_routes v) http_port
-    in
-    let finish_observability () =
-      stop_endpoint !endpoint;
-      write_fleet_trace ~fleet_trace_out
-        (Option.map (fun v -> v.Fmc_dist.Coordinator.vw_trace_json) !fleet_view)
-    in
-    let outcome =
-      match Fmc_dist.Coordinator.serve ~obs ~on_view config ~fingerprint ~plan with
-      | outcome ->
-          finish_observability ();
-          stop_chaos ();
-          outcome
-      | exception Failure msg ->
-          finish_observability ();
-          stop_chaos ();
+    let fail code fmt =
+      Format.kasprintf
+        (fun msg ->
           Format.eprintf "faultmc: %s@." msg;
-          exit 2
+          exit code)
+        fmt
     in
     match
-      Fmc_dist.Merge.report_of_blobs
-        ~strategy:(Fmc.Sampler.strategy_name strategy)
-        outcome.Fmc_dist.Coordinator.oc_shards
+      run_service ~obs ~what:"coordinator" ~chaos ~http_port ~fleet_trace_out
+        ~campaign:{ Fmc_sched.Service.spec; checkpoint; linger_s = linger }
+        addr configure
     with
-    | Error msg ->
-        Format.eprintf "faultmc: %s@." msg;
-        exit 1
-    | Ok report ->
-        let q = List.length outcome.Fmc_dist.Coordinator.oc_quarantined in
-        if q > 0 then Format.eprintf "%d sample(s) quarantined@." q;
-        if json then print_endline (Fmc.Export.report_json report)
-        else begin
-          Format.fprintf ppf "benchmark: %s@.%a@." benchmark.Fmc_isa.Programs.name
-            Fmc.Report.ssf_report report;
-          let lo, hi = Fmc.Ssf.confidence_interval report ~z:1.96 in
-          Format.fprintf ppf "95%% confidence interval: [%.5f, %.5f]@." lo hi;
-          Format.fprintf ppf "campaign wall clock: %.2f s@."
-            outcome.Fmc_dist.Coordinator.oc_elapsed_s
-        end;
+    | exception Fmc_sched.Sched.Bad_checkpoint (path, Fmc_sched.Sched.Unreadable reason) ->
+        fail 2 "corrupt checkpoint %s: %s" path reason
+    | exception Fmc_sched.Sched.Bad_checkpoint (path, Fmc_sched.Sched.Foreign_campaign) ->
+        fail 2 "checkpoint %s belongs to a different campaign (fingerprint mismatch)" path
+    | exception (Failure msg | Invalid_argument msg) -> fail 2 "%s" msg
+    | { Fmc_sched.Service.sv_report = Some report; _ } ->
+        print_fetched_report ~json ~benchmark ~strategy ~clock:"" report;
         flush_obs_outputs ~metrics_out ~trace_out obs;
         0
-  in
-  let addr =
-    Arg.(
-      required
-      & opt (some addr_conv) None
-      & info [ "listen" ] ~docv:"ADDR" ~doc:"Listen address: HOST:PORT or unix:PATH.")
-  in
-  let ttl =
-    Arg.(
-      value & opt float 30.
-      & info [ "lease-ttl" ] ~docv:"SECONDS"
-          ~doc:
-            "Lease lifetime without a heartbeat; an expired lease's shard is re-issued to another \
-             worker under a bumped epoch.")
+    | { Fmc_sched.Service.sv_reason = Fmc_sched.Service.Idle; _ } ->
+        fail 2 "no worker connected for %.0f s with the campaign unfinished (--max-idle)" max_idle
+    | _ -> fail 1 "stopped before the campaign finished"
   in
   let linger =
     Arg.(
@@ -1211,8 +1205,9 @@ let serve_cmd =
       & opt duration_conv 5.
       & info [ "linger" ] ~docv:"DURATION"
           ~doc:
-            "Keep answering report fetches this long after the campaign completes (a bare number \
-             is seconds; $(b,ms)/$(b,s)/$(b,m)/$(b,h) suffixes work, e.g. $(b,5m)).")
+            "Keep answering report fetches this long after the campaign completes, and until no \
+             connection is open (a bare number is seconds; $(b,ms)/$(b,s)/$(b,m)/$(b,h) suffixes \
+             work, e.g. $(b,5m)).")
   in
   let max_idle =
     Arg.(
@@ -1229,8 +1224,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Durable coordinator state, written after every accepted shard; restarting with a \
-             matching campaign resumes without re-running finished shards.")
+            "Durable campaign state, written after every accepted shard; restarting with a \
+             matching campaign resumes without re-running finished shards or re-admitting \
+             quarantined workers.")
   in
   let sample_budget =
     Arg.(
@@ -1246,14 +1242,6 @@ let serve_cmd =
           ~doc:
             "Pause shard leasing (answering $(b,No_work)) while fewer than $(docv) healthy workers \
              are connected; 0 disables the floor. Visible on the fmc_dist_leasing_paused gauge.")
-  in
-  let io_deadline =
-    Arg.(
-      value & opt float 120.
-      & info [ "io-deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-connection socket read/write deadline; a peer stalling a frame longer than this \
-             is disconnected.")
   in
   let breaker_failures =
     Arg.(
@@ -1278,18 +1266,18 @@ let serve_cmd =
          "Coordinate a distributed campaign: lease sample shards to workers, fence stale results, \
           merge bit-exactly.")
     Term.(
-      const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ addr
-      $ shard_size_arg $ ttl $ linger $ max_idle $ checkpoint $ sample_budget $ require_workers
-      $ io_deadline $ breaker_failures $ breaker_cooldown $ audit_rate_arg $ speculate_factor_arg
-      $ chaos_plan_arg "coordinator" $ chaos_seed_arg $ chaos_log_arg $ http_port_arg "campaign"
+      const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ listen_arg
+      $ shard_size_arg $ lease_ttl_arg $ linger $ max_idle $ checkpoint $ sample_budget
+      $ require_workers $ io_deadline_arg $ breaker_failures $ breaker_cooldown $ audit_rate_arg
+      $ speculate_factor_arg $ chaos_args "coordinator" $ http_port_arg "campaign"
       $ fleet_trace_out_arg $ json $ fault_model_arg $ metrics_out_arg $ trace_out_arg)
 
 (* worker *)
 
 let worker_cmd =
   let run benchmark strategy samples seed addr pool shard_size sample_budget fault_model
-      name heartbeat_every io_deadline reconnect_attempts reconnect_budget no_result_digest
-      chaos_plan chaos_seed chaos_log metrics_out trace_out progress =
+      name heartbeat_every io_deadline reconnect_attempts reconnect_budget chaos_plan chaos_seed
+      chaos_log metrics_out trace_out progress =
     let model = fault_model_of_arg_or_die fault_model in
     with_context @@ fun ctx ->
     let obs = fleet_obs ~progress in
@@ -1313,7 +1301,6 @@ let worker_cmd =
         (Fmc_dist.Worker.default_config ~addr:connect_addr ~worker_name:name) with
         heartbeat_every;
         io_deadline_s = io_deadline;
-        send_digest = not no_result_digest;
         retry =
           {
             Fmc_dist.Worker.default_retry with
@@ -1352,9 +1339,10 @@ let worker_cmd =
       else begin
         let engine, prep = prepared ctx benchmark strategy in
         let fingerprint =
-          dist_fingerprint
-            ~fault_model:(Fmc_fault.Model.canonical model)
-            ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ()
+          Fmc_dist.Protocol.spec_fingerprint
+            (spec_of_args
+               ~fault_model:(Fmc_fault.Model.canonical model)
+               ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ())
         in
         Fmc_dist.Worker.run ~obs ?sample_budget ~inject:(Fmc_fault.Model.injector model)
           ~on_reconnect config ~fingerprint engine prep ~seed
@@ -1431,15 +1419,6 @@ let worker_cmd =
       & info [ "reconnect-budget" ] ~docv:"SECONDS"
           ~doc:"Total backoff sleep allowed across the whole run before the worker gives up.")
   in
-  let no_result_digest =
-    Arg.(
-      value & flag
-      & info [ "no-result-digest" ]
-          ~doc:
-            "Do not attach the canonical result digest to shard results (testing aid). A v5 \
-             coordinator then falls back to recomputing the digest itself, exactly as for a v4 \
-             peer.")
-  in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
@@ -1448,7 +1427,7 @@ let worker_cmd =
     Term.(
       const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ addr $ pool
       $ shard_size_arg $ sample_budget $ fault_model_arg $ name_arg $ heartbeat_every
-      $ io_deadline $ reconnect_attempts $ reconnect_budget $ no_result_digest
+      $ io_deadline $ reconnect_attempts $ reconnect_budget
       $ chaos_plan_arg "worker's coordinator link" $ chaos_seed_arg $ chaos_log_arg
       $ metrics_out_arg $ trace_out_arg $ progress_arg)
 
@@ -1467,26 +1446,12 @@ let client_config addr =
 
 let sched_cmd =
   let run addr state_dir queue_depth ttl wall_budget retry_after max_idle io_deadline audit_rate
-      speculate_factor chaos_plan chaos_seed chaos_log http_port fleet_trace_out metrics_out
-      trace_out =
+      speculate_factor chaos http_port fleet_trace_out metrics_out trace_out =
     let obs = fleet_obs ~progress:`Off in
-    (* Under --chaos-plan the scheduler binds a private Unix socket and
-       the fault-injection proxy takes over the public address, exactly
-       as `faultmc serve` does. *)
-    let listen_addr, stop_chaos =
-      match chaos_plan with
-      | None -> (addr, fun () -> ())
-      | Some spec ->
-          let cplan = load_chaos_plan spec in
-          let hidden = Fmc_dist.Wire.Unix_path (chaos_socket_path "sched") in
-          let log, close_log = chaos_logger chaos_log in
-          (hidden, start_chaos_proxy ~obs ~plan:cplan ~seed:chaos_seed ~log ~close_log
-                     ~public:addr ~upstream:hidden)
-    in
-    let config =
+    let configure listen_addr =
       {
-        Fmc_sched.Service.addr = listen_addr;
-        state_dir;
+        (Fmc_sched.Service.default_config listen_addr) with
+        state_dir = Some state_dir;
         sched =
           {
             Fmc_sched.Sched.default_config with
@@ -1503,40 +1468,18 @@ let sched_cmd =
       }
     in
     Format.eprintf "scheduler on %s, state in %s@." (Fmc_dist.Wire.addr_to_string addr) state_dir;
-    let endpoint = ref None in
-    let fleet_view = ref None in
-    let on_view (v : Fmc_sched.Service.view) =
-      fleet_view := Some v;
-      endpoint :=
-        start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what:"scheduler"
-          ~routes:(scheduler_routes v) http_port
-    in
-    let finish_observability () =
-      stop_endpoint !endpoint;
-      write_fleet_trace ~fleet_trace_out
-        (Option.map (fun v -> v.Fmc_sched.Service.vw_trace_json) !fleet_view);
-      stop_chaos ()
-    in
-    match Fmc_sched.Service.serve ~obs ~on_view config with
+    match run_service ~obs ~what:"scheduler" ~chaos ~http_port ~fleet_trace_out addr configure with
     | outcome ->
         Format.fprintf ppf "scheduler exiting: %s@."
           (match outcome.Fmc_sched.Service.sv_reason with
-          | Fmc_sched.Service.Drained -> "drained"
+          | Fmc_sched.Service.Drained | Fmc_sched.Service.Finished -> "drained"
           | Fmc_sched.Service.Idle -> "idle past --max-idle");
-        finish_observability ();
         flush_obs_outputs ~metrics_out ~trace_out obs;
         0
     | exception Failure msg ->
         Format.eprintf "faultmc: %s@." msg;
-        finish_observability ();
         flush_obs_outputs ~metrics_out ~trace_out obs;
         exit 2
-  in
-  let addr =
-    Arg.(
-      required
-      & opt (some addr_conv) None
-      & info [ "listen" ] ~docv:"ADDR" ~doc:"Listen address: HOST:PORT or unix:PATH.")
   in
   let state_dir =
     Arg.(
@@ -1555,12 +1498,6 @@ let sched_cmd =
           ~doc:
             "Admission control: submissions beyond $(docv) queued-or-running campaigns are shed \
              with a typed rejection and a retry-after hint; 0 disables.")
-  in
-  let ttl =
-    Arg.(
-      value & opt float 30.
-      & info [ "lease-ttl" ] ~docv:"SECONDS"
-          ~doc:"Shard lease lifetime without a heartbeat, as for $(b,faultmc serve).")
   in
   let wall_budget =
     Arg.(
@@ -1587,12 +1524,6 @@ let sched_cmd =
             "Exit once the queue has been empty (nothing queued or running) this long; 0 serves \
              forever. Same duration syntax as $(b,--linger) on $(b,serve).")
   in
-  let io_deadline =
-    Arg.(
-      value & opt float 120.
-      & info [ "io-deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-connection socket read/write deadline.")
-  in
   Cmd.v
     (Cmd.info "sched"
        ~doc:
@@ -1600,10 +1531,10 @@ let sched_cmd =
           of every active campaign to a shared worker pool, with crash recovery, report caching \
           and overload shedding.")
     Term.(
-      const run $ addr $ state_dir $ queue_depth $ ttl $ wall_budget $ retry_after $ max_idle
-      $ io_deadline $ audit_rate_arg $ speculate_factor_arg $ chaos_plan_arg "scheduler"
-      $ chaos_seed_arg $ chaos_log_arg $ http_port_arg "fleet" $ fleet_trace_out_arg
-      $ metrics_out_arg $ trace_out_arg)
+      const run $ listen_arg $ state_dir $ queue_depth $ lease_ttl_arg $ wall_budget $ retry_after
+      $ max_idle $ io_deadline_arg $ audit_rate_arg $ speculate_factor_arg
+      $ chaos_args "scheduler" $ http_port_arg "fleet" $ fleet_trace_out_arg $ metrics_out_arg
+      $ trace_out_arg)
 
 let submit_cmd =
   let run benchmark strategy samples seed shard_size sample_budget fault_model list_models addr
@@ -1655,28 +1586,10 @@ let submit_cmd =
           | Error err ->
               Format.eprintf "faultmc: %s@." (Fmc_dist.Worker.fetch_error_message err);
               exit 1
-          | Ok (shards, quarantined, elapsed_s) -> (
-              match
-                Fmc_dist.Merge.report_of_blobs
-                  ~strategy:(Fmc.Sampler.strategy_name strategy)
-                  shards
-              with
-              | Error msg ->
-                  Format.eprintf "faultmc: %s@." msg;
-                  exit 1
-              | Ok report ->
-                  let q = List.length quarantined in
-                  if q > 0 then Format.eprintf "%d sample(s) quarantined@." q;
-                  if json then print_endline (Fmc.Export.report_json report)
-                  else begin
-                    Format.fprintf ppf "benchmark: %s@.%a@." benchmark.Fmc_isa.Programs.name
-                      Fmc.Report.ssf_report report;
-                    let lo, hi = Fmc.Ssf.confidence_interval report ~z:1.96 in
-                    Format.fprintf ppf "95%% confidence interval: [%.5f, %.5f]@." lo hi;
-                    Format.fprintf ppf "campaign wall clock: %.2f s (scheduled)@." elapsed_s
-                  end;
-                  flush_obs_outputs ~metrics_out ~trace_out obs;
-                  0)
+          | Ok report ->
+              print_fetched_report ~json ~benchmark ~strategy ~clock:" (scheduled)" report;
+              flush_obs_outputs ~metrics_out ~trace_out obs;
+              0
         end)
   in
   let wait =
@@ -2062,7 +1975,7 @@ let top_cmd =
               ("fmc_sva_prune_ratio", "prune ratio");
               ("fmc_dist_leasing_paused", "leasing paused");
               ("fmc_dist_reconnects_total", "worker reconnects");
-              ("fmc_dist_lease_expirations_total", "lease expiries");
+              ("fmc_dist_leases_expired_total", "lease expiries");
               ("fmc_sched_wal_torn_records_total", "torn WAL records");
             ]
           in

@@ -1,9 +1,9 @@
 (* Untrusted-worker defense: canonical result digests, seeded shard
-   audits with quorum arbitration, and the bookkeeping the coordinator
-   and scheduler share to quarantine lying workers.
+   audits with quorum arbitration, and the bookkeeping the campaign
+   service keeps to quarantine lying workers.
 
    Like Lease, this module is a pure state machine: no clock, no
-   threads, no I/O. The caller (coordinator or scheduler) holds its own
+   threads, no I/O. The caller (the campaign service) holds its own
    lock around every call and injects [now]. Audit selection is drawn
    from [Rng.substream ~seed ~shard] where the seed derives from the
    campaign fingerprint, so which shards get audited is a pure function
@@ -37,8 +37,6 @@ type t = {
   slots : slot array;
   primaries : (int, exec) Hashtbl.t;
 }
-
-let default_ttl_s = 60.
 
 let selected_pure ~rate ~seed ~shard =
   rate > 0.0

@@ -1,7 +1,6 @@
 (** Untrusted-worker defense for distributed campaigns.
 
-    Three mechanisms, shared by the coordinator ([Fmc_dist]) and the
-    multi-campaign scheduler ([Fmc_sched]):
+    Three mechanisms, run by the campaign service ([Fmc_sched]):
 
     - {b Result digests} ({!Check.result_digest}): every shard result
       carries an MD5 digest over its canonical tally encoding plus its
@@ -30,13 +29,10 @@ type config = {
 
 type t
 
-val default_ttl_s : float
-(** 60s — matches the coordinator's default shard-lease TTL. *)
-
 val selected_pure : rate:float -> seed:int64 -> shard:int -> bool
 (** The bare selection predicate: is [shard] audited under this (rate,
     seed)? Pure and restart-stable; [create]/[restore] use the same
-    draw, so a resumed coordinator audits exactly the same shards. *)
+    draw, so a resumed service audits exactly the same shards. *)
 
 val create : config -> nshards:int -> t
 (** Raises [Invalid_argument] if [rate] is outside [0,1]. *)
@@ -64,7 +60,7 @@ val lease : t -> shard:int -> auditor:string -> epoch:int -> now:float -> unit
 
 val audit_epoch : t -> shard:int -> epoch:int -> bool
 (** Does a completion under [epoch] belong to an in-flight audit (as
-    opposed to a primary lease)? Routes the coordinator's accept path. *)
+    opposed to a primary lease)? Routes the service's accept path. *)
 
 val heartbeat : t -> shard:int -> epoch:int -> now:float -> bool
 val release : t -> shard:int -> epoch:int -> unit
@@ -121,6 +117,6 @@ module Check : sig
   val result_digest : tally:string -> quarantined:Fmc.Campaign.quarantine_entry list -> string
   (** The canonical shard-result digest: MD5 hex over the tally's
       canonical encoding ([Ssf.Tally.to_string]) followed by each
-      quarantine entry's canonical line. Worker and coordinator compute
+      quarantine entry's canonical line. Worker and service compute
       this identically; it is what audits compare. *)
 end

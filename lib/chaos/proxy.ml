@@ -1,6 +1,6 @@
 (* Deterministic fault-injection TCP/Unix-socket proxy.
 
-   The proxy sits between workers and the coordinator and executes a
+   The proxy sits between workers and the campaign service and executes a
    declarative fault plan against the byte stream: every accepted
    connection gets two pump threads (client->upstream, upstream->client),
    each with its own RNG substream of the proxy seed, and every

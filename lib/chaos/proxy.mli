@@ -2,7 +2,7 @@
 
     An in-process TCP/Unix-socket proxy that forwards bytes between
     clients (workers, report fetchers) and an upstream (the
-    coordinator) while executing a {!Plan} against the stream. Every
+    campaign service) while executing a {!Plan} against the stream. Every
     fault decision is drawn from an [Rng.substream] of the proxy seed —
     one stream per connection direction — so a (seed, plan) pair is a
     complete, replayable description of the injected chaos. (TCP chunk

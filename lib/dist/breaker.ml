@@ -1,5 +1,5 @@
-(* Three-state circuit breaker over an injected clock. The coordinator
-   keeps one per worker name: misbehaving transports (corrupt frames,
+(* Three-state circuit breaker over an injected clock. The campaign
+   service keeps one per worker name: misbehaving transports (corrupt frames,
    protocol garbage, heartbeat gaps) trip it, and while it is open that
    worker's connections are refused with Retry_later so the campaign
    continues on healthy workers instead of burning the listener loop on

@@ -7,7 +7,7 @@
     and admits a single probe — a success closes it, a failure re-opens
     it for a fresh cooldown. Pure state over [now] parameters so the
     transition logic is unit-testable without timers; thread safety is
-    the caller's job (the coordinator holds its mutex around calls). *)
+    the caller's job (the service holds its mutex around calls). *)
 
 type config = {
   failure_threshold : int;  (** consecutive failures that trip the breaker *)
@@ -48,11 +48,11 @@ val trip : t -> now:float -> unit
     failure count — the audit quarantine path, where one proven lie
     outweighs any success history. The cooldown still applies; callers
     that quarantine permanently must also track the worker themselves
-    (the coordinator's quarantined-workers set). *)
+    (the service's quarantined-workers set). *)
 
 val cooldown_remaining : t -> now:float -> float
 (** Seconds until an [Open] breaker admits a probe; 0 otherwise. The
-    number the coordinator puts in [Retry_later]. *)
+    number the service puts in [Retry_later]. *)
 
 val trips : t -> int
 (** Times this breaker has transitioned to [Open] over its lifetime. *)

@@ -1,14 +1,13 @@
-(* Durable coordinator state: the campaign fingerprint plus every
-   accepted shard result, written with the same atomic tmp+rename
-   discipline and the same embedded serializers (Ssf.Tally.to_string,
-   Campaign.quarantine_entry_to_string) as the single-process campaign
-   checkpoint. v2 seals the file with a "crc %08x" trailer (CRC-32 of
-   every byte up to and including the "end" marker), mirroring the
-   campaign checkpoint's v4 trailer; v1 files are still read. Restoring
-   seeds the lease table's Done set, so a crashed coordinator resumes
-   without re-running finished shards — and because shard results depend
-   only on (seed, shard), the resumed campaign's merged report is still
-   bit-identical. *)
+(* Durable campaign-service state: the campaign fingerprint plus every
+   accepted shard result and its audit bookkeeping, written with the
+   same atomic tmp+rename discipline and the same embedded serializers
+   (Ssf.Tally.to_string, Campaign.quarantine_entry_to_string) as the
+   single-process campaign checkpoint, and sealed with a "crc %08x"
+   trailer (CRC-32 of every byte up to and including the "end" marker).
+   Restoring seeds the lease table's Done set, so a restarted service
+   resumes without re-running finished shards — and because shard
+   results depend only on (seed, shard), the resumed campaign's merged
+   report is still bit-identical. *)
 
 open Fmc
 
@@ -27,7 +26,7 @@ type state = {
   st_fingerprint : string;
   st_shards : (int * string) list;  (* ascending shard id, tally blobs *)
   st_quarantined : Campaign.quarantine_entry list;
-  st_audit : audit option;
+  st_audit : audit;
 }
 
 let blob_lines blob =
@@ -38,10 +37,7 @@ let blob_lines blob =
 let body_of state =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.bprintf buf fmt in
-  (* An unaudited campaign writes a byte-identical v2 file, so enabling
-     the audit subsystem never perturbs existing checkpoints. *)
-  let version = match state.st_audit with None -> 2 | Some _ -> format_version in
-  pr "faultmc-dist %d\n" version;
+  pr "faultmc-dist %d\n" format_version;
   pr "fingerprint %s\n" state.st_fingerprint;
   pr "shards %d\n" (List.length state.st_shards);
   List.iter
@@ -54,20 +50,16 @@ let body_of state =
   List.iter
     (fun e -> Buffer.add_string buf (Campaign.quarantine_entry_to_string e ^ "\n"))
     state.st_quarantined;
-  (match state.st_audit with
-  | None -> ()
-  | Some a ->
-      pr "audits %d\n" (List.length a.au_entries);
-      List.iter
-        (fun e ->
-          (* worker last: names may contain spaces, the rest parse as
-             single fields *)
-          pr "audit %d %d %s %s\n" e.au_shard
-            (if e.au_passed then 1 else 0)
-            e.au_digest e.au_worker)
-        a.au_entries;
-      pr "banned %d\n" (List.length a.au_banned);
-      List.iter (fun w -> Buffer.add_string buf (w ^ "\n")) a.au_banned);
+  let a = state.st_audit in
+  pr "audits %d\n" (List.length a.au_entries);
+  List.iter
+    (fun e ->
+      (* worker last: names may contain spaces, the rest parse as
+         single fields *)
+      pr "audit %d %d %s %s\n" e.au_shard (if e.au_passed then 1 else 0) e.au_digest e.au_worker)
+    a.au_entries;
+  pr "banned %d\n" (List.length a.au_banned);
+  List.iter (fun w -> Buffer.add_string buf (w ^ "\n")) a.au_banned;
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
@@ -87,7 +79,7 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* Strip and verify the v2 trailer; the returned body is what the line
+(* Strip and verify the trailer; the returned body is what the line
    parser below consumes. *)
 let verify_trailer raw =
   let n = String.length raw in
@@ -112,20 +104,17 @@ let verify_trailer raw =
 
 let load ~path =
   let parse_raw raw =
-    let version =
-      let header =
-        match String.index_opt raw '\n' with
-        | Some i -> String.sub raw 0 i
-        | None -> bad "missing header line"
-      in
-      match String.split_on_char ' ' header with
-      | [ "faultmc-dist"; v ] -> (
-          match int_of_string_opt v with
-          | Some n when n >= 1 && n <= format_version -> n
-          | _ -> bad "unsupported faultmc-dist version %S (this binary reads v1-v%d)" v format_version)
-      | _ -> bad "not a faultmc-dist checkpoint"
+    let header =
+      match String.index_opt raw '\n' with
+      | Some i -> String.sub raw 0 i
+      | None -> bad "missing header line"
     in
-    let body = if version >= 2 then verify_trailer raw else raw in
+    (match String.split_on_char ' ' header with
+    | [ "faultmc-dist"; v ] when v = string_of_int format_version -> ()
+    | [ "faultmc-dist"; v ] ->
+        bad "unsupported faultmc-dist version %S (this binary reads only v%d)" v format_version
+    | _ -> bad "not a faultmc-dist checkpoint");
+    let body = verify_trailer raw in
     let lines = ref (String.split_on_char '\n' body) in
     let next () =
       match !lines with
@@ -170,33 +159,25 @@ let load ~path =
           | Ok e -> e
           | Error m -> bad "quarantine entry: %s" m)
     in
-    let st_audit =
-      if version < 3 then None
-      else
-        let na = count "audits" in
-        let au_entries =
-          List.init na (fun _ ->
-              match String.split_on_char ' ' (next ()) with
-              | "audit" :: shard :: passed :: digest :: worker ->
-                  let au_shard =
-                    match int_of_string_opt shard with
-                    | Some i when i >= 0 -> i
-                    | _ -> bad "bad audit shard"
-                  in
-                  let au_passed =
-                    match passed with
-                    | "1" -> true
-                    | "0" -> false
-                    | _ -> bad "bad audit passed flag"
-                  in
-                  { au_shard; au_passed; au_digest = digest;
-                    au_worker = String.concat " " worker }
-              | _ -> bad "expected audit line")
-        in
-        let nb = count "banned" in
-        let au_banned = List.init nb (fun _ -> next ()) in
-        Some { au_entries; au_banned }
+    let na = count "audits" in
+    let au_entries =
+      List.init na (fun _ ->
+          match String.split_on_char ' ' (next ()) with
+          | "audit" :: shard :: passed :: digest :: worker ->
+              let au_shard =
+                match int_of_string_opt shard with
+                | Some i when i >= 0 -> i
+                | _ -> bad "bad audit shard"
+              in
+              let au_passed =
+                match passed with "1" -> true | "0" -> false | _ -> bad "bad audit passed flag"
+              in
+              { au_shard; au_passed; au_digest = digest; au_worker = String.concat " " worker }
+          | _ -> bad "expected audit line")
     in
+    let nb = count "banned" in
+    let au_banned = List.init nb (fun _ -> next ()) in
+    let st_audit = { au_entries; au_banned } in
     if next () <> "end" then bad "missing end marker";
     { st_fingerprint; st_shards; st_quarantined; st_audit }
   in

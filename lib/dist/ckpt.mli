@@ -1,21 +1,21 @@
-(** Durable coordinator checkpoint: fingerprint + accepted shard results.
+(** Durable campaign-service checkpoint: fingerprint, accepted shard
+    results and their audit bookkeeping.
 
     Written atomically ([path ^ ".tmp"] then rename) after every
     accepted shard, embedding the shared [Ssf.Tally.to_string] and
-    quarantine-entry serializers, and sealed (since v2) with a
-    [crc %08x] CRC-32 trailer so truncation or corruption surfaces as a
-    load error instead of a misparse; v1 files (no trailer) still load.
-    A restarted coordinator whose checkpoint fingerprint matches its
-    campaign resumes with those shards pre-completed; since shard
-    results depend only on [(seed, shard)], the final merged report is
-    unchanged. *)
+    quarantine-entry serializers, and sealed with a [crc %08x] CRC-32
+    trailer so truncation or corruption surfaces as a load error
+    instead of a misparse. A restarted service whose checkpoint
+    fingerprint matches its campaign resumes with those shards
+    pre-completed; since shard results depend only on [(seed, shard)],
+    the final merged report is unchanged. *)
 
 open Fmc
 
 val format_version : int
-(** 3. An unaudited state ([st_audit = None]) is written as a
-    byte-identical v2 file; audit bookkeeping adds v3's trailing
-    [audits]/[banned] sections. v1 and v2 files still load. *)
+(** 3, the only version written or read: the header, the shards, the
+    quarantine log, then the [audits]/[banned] sections (empty when
+    auditing is off). Any other header is refused. *)
 
 (** One accepted shard's audit bookkeeping: who produced the accepted
     result, its canonical digest, and whether an audit has vindicated
@@ -39,8 +39,11 @@ type state = {
   st_shards : (int * string) list;
       (** [(shard id, tally blob)], ascending shard id *)
   st_quarantined : Campaign.quarantine_entry list;
-  st_audit : audit option;
+  st_audit : audit;
 }
 
 val save : path:string -> state -> unit
+
 val load : path:string -> (state, string) result
+(** [Error] names the problem: unreadable file, a header other than
+    [faultmc-dist 3], a CRC mismatch, or a malformed section. *)

@@ -11,7 +11,7 @@
 
    The table is pure state over an injected clock (`now` parameters), so
    the fencing logic is unit-testable without timers. Thread safety is
-   the caller's job (the coordinator holds its mutex around calls). *)
+   the caller's job (the service holds its mutex around calls). *)
 
 type assignment = { shard : int; epoch : int; start : int; len : int }
 
@@ -82,10 +82,7 @@ let sweep_expired t ~now =
     t.slots;
   List.rev !expired
 
-let sweep t ~now = List.length (sweep_expired t ~now)
-
 let acquire t ~now ~worker =
-  ignore (sweep t ~now);
   if finished t then `Finished
   else begin
     let free = ref None in
@@ -138,10 +135,6 @@ let force_complete t ~shard =
   | Unleased | Leased _ ->
       t.slots.(shard) <- Done { epoch = t.epochs.(shard) };
       t.done_count <- t.done_count + 1)
-
-let holder t ~shard =
-  if shard < 0 || shard >= total t then None
-  else match t.slots.(shard) with Leased { worker; _ } -> Some worker | _ -> None
 
 let bump_epoch t ~shard =
   if shard < 0 || shard >= total t then invalid_arg "Lease.bump_epoch: bad shard";

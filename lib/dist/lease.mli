@@ -8,7 +8,7 @@
 
     Time is injected ([now] parameters, same clock everywhere), making
     the fencing logic deterministic under test. Not thread-safe: the
-    coordinator serializes access under its state mutex. *)
+    service serializes access under its state mutex. *)
 
 type assignment = { shard : int; epoch : int; start : int; len : int }
 
@@ -20,9 +20,9 @@ val create : plan:(int * int) array -> ttl:float -> t
     [Invalid_argument] on an empty plan or non-positive ttl. *)
 
 val acquire : t -> now:float -> worker:string -> [ `Assign of assignment | `Finished | `Wait ]
-(** Lease the first available shard (expiring overdue leases first).
-    [`Wait]: nothing available but the campaign is unfinished —
-    every remaining shard is in flight. *)
+(** Lease the first available shard. Overdue leases are not expired
+    here: call {!sweep_expired} first. [`Wait]: nothing available but
+    the campaign is unfinished — every remaining shard is in flight. *)
 
 val heartbeat : t -> now:float -> shard:int -> epoch:int -> [ `Ok | `Stale ]
 (** Extend a live lease's deadline to [now + ttl]. [`Stale] means the
@@ -35,14 +35,10 @@ val complete : t -> shard:int -> epoch:int -> [ `Accepted | `Duplicate | `Stale 
     the result is bit-identical by construction); [`Stale] for a fenced
     epoch; [`Unknown] for a shard outside the plan. *)
 
-val sweep : t -> now:float -> int
-(** Expire overdue leases; returns how many expired (for the
-    [fmc_dist_leases_expired_total] counter). *)
-
 val sweep_expired : t -> now:float -> (int * string) list
-(** Like {!sweep}, but returns the expired [(shard, holding worker)]
-    pairs so the coordinator can charge the heartbeat gap to the right
-    worker's circuit breaker. *)
+(** Expire overdue leases; returns the expired [(shard, holding worker)]
+    pairs so the service can count them and charge the heartbeat gap to
+    the right worker's circuit breaker. *)
 
 val force_complete : t -> shard:int -> unit
 (** Mark a shard done without a lease — checkpoint restore only. *)
@@ -51,9 +47,6 @@ val finished : t -> bool
 val completed : t -> int
 val in_flight : t -> int
 val total : t -> int
-
-val holder : t -> shard:int -> string option
-(** The worker currently holding the shard's lease, if any. *)
 
 val bump_epoch : t -> shard:int -> int
 (** Issue and return a fresh (strictly higher) epoch for [shard]

@@ -1,4 +1,4 @@
-(* Message layer of the coordinator/worker protocol: typed messages and
+(* Message layer of the campaign service protocol: typed messages and
    their (tag, payload) encoding over Wire frames.
 
    Payloads are line-oriented text, reusing the repo's serializers where
@@ -11,38 +11,32 @@
 open Fmc
 
 (* v2: frames carry a CRC-32 trailer (Wire), and the server can answer a
-   Hello with Retry_later (circuit breaker open / fleet floor not met)
-   instead of a terminal Reject. v1 peers are detected by their
-   checksum-less frames and refused with a readable v1-framed Reject.
+   Hello with Retry_later (the worker's circuit breaker is open)
+   instead of a terminal Reject.
    v3: the multi-campaign scheduler — campaign specs travel in Submit
    and Job messages, pool-scope connections (fingerprint "*") lease
    shards from any queued campaign via Job/Job_heartbeat/Job_done, and
    Status carries queue positions and ETAs.
-   v4: fleet observability — purely additive trailing sections carried
-   by the `extension` side-channel: Assign/Job may end with a
+   v4: fleet observability — trailing sections carried by the
+   `extension` side-channel: Assign/Job may end with a
    "trace <trace_id> <span_id>" line and Heartbeat/Shard_done/
    Job_heartbeat/Job_done with a line-counted "telemetry" blob
-   (Fmc_obs.Telemetry, opaque here). v3 peers are still accepted: their
-   decoders use the same non-exhaustive line cursor as ours, so the
-   extra lines are invisible to them, and Welcome negotiates
-   min(peer, ours) so a v4 worker talking to a v3 coordinator sends
-   plain v3 messages.
+   (Fmc_obs.Telemetry, opaque here).
    v5: result auditing — Shard_done/Job_done may end with a
    "digest <hex>" line (before any telemetry section): the canonical
    result digest (Fmc_audit.Check.result_digest) computed worker-side
-   so the coordinator can cheaply detect corrupt-in-transit or lying
-   payloads. Same additive-trailing-section scheme as v4; v3/v4 peers
-   negotiate down and run unaudited (the coordinator recomputes digests
-   itself on their results). *)
+   so the server can cheaply detect corrupt-in-transit or lying
+   payloads.
+   Every peer is built from this tree, so a server admits exactly this
+   version and answers any other Hello with a terminal Reject. *)
 let version = 5
 
-(* The campaign fingerprint predates v4 and hashes only things that
-   change per-sample outcomes; v4 added no such thing, so the embedded
-   version stays 3 and v3 peers' fingerprints still match. *)
+(* The campaign fingerprint hashes only things that change per-sample
+   outcomes; v4 and v5 added no such thing, so the embedded version
+   stays 3. *)
 let fingerprint_version = 3
 
-let accepts_version v = v = 3 || v = 4 || v = version
-let negotiate ~peer = min peer version
+let accepts_version v = v = version
 
 (* The full identity of a campaign: every parameter that must agree
    between the submitting client and the evaluating worker for the shard
@@ -108,7 +102,6 @@ type server_msg =
       quarantined : Campaign.quarantine_entry list;
       elapsed_s : float;
     }
-  | Report_pending
   | Reject of { reason : string }
   | Retry_later of { cooldown_s : float }
   | Job of { spec : spec; shard : int; epoch : int; start : int; len : int }
@@ -292,11 +285,11 @@ let read_quarantined c =
   | [ n ] -> List.init (int_of "quarantine count" n) (fun _ -> quarantine_of_line (next c))
   | _ -> bad "malformed quarantined line"
 
-(* -- v4 extension sections ----------------------------------------------- *)
+(* -- extension sections ---------------------------------------------------- *)
 
-(* The v4 additions ride as trailing sections after a message's v3
-   payload, carried out-of-band of the message variants so every v3
-   construction and match site keeps compiling unchanged. *)
+(* The v4/v5 additions ride as trailing sections after a message's base
+   payload, carried out-of-band of the message variants so the base
+   constructors stay small. *)
 type extension = {
   ext_trace : (string * string) option;
       (* (trace_id, span_id) stamped on Assign/Job *)
@@ -511,7 +504,6 @@ let encode_server = function
       List.iter (fun (i, blob) -> emit_blob buf (Printf.sprintf "shard %d" i) blob) shards;
       emit_quarantined buf quarantined;
       ('P', Buffer.contents buf)
-  | Report_pending -> ('Y', "")
   | Reject { reason } -> ('X', one_line reason ^ "\n")
   | Retry_later { cooldown_s } -> ('L', Printf.sprintf "%h\n" cooldown_s)
   | Job { spec; shard; epoch; start; len } ->
@@ -592,7 +584,6 @@ let decode_server_raising c tag =
               Ok (Report { shards; quarantined; elapsed_s })
           | _ -> bad "malformed shards line")
       | _ -> bad "malformed elapsed line")
-  | 'Y' -> Ok Report_pending
   | 'X' -> Ok (Reject { reason = String.concat " " (fields (next c)) })
   | 'L' -> Ok (Retry_later { cooldown_s = float_of "cooldown" (next c) })
   | 'J' -> (
@@ -679,17 +670,3 @@ let decode_server_ext tag payload =
   | exception Bad msg -> Error msg
 
 let decode_server tag payload = Result.map fst (decode_server_ext tag payload)
-
-(* -- legacy (v1) peer detection ----------------------------------------- *)
-
-(* A v1 peer's checksum-less frames surface from Wire.read_frame_raw as
-   `Corrupt (tag, raw_v1_payload). A v1 Hello is recognizable by its
-   plain-text payload (the Hello payload layout is unchanged since v1),
-   so the coordinator can answer with a v1-framed Reject the old peer
-   can actually decode, instead of hanging up silently. *)
-let v1_hello ~tag raw =
-  if tag <> 'H' then None
-  else
-    match decode_client 'H' raw with
-    | Ok (Hello { version; _ }) when version < 2 -> Some version
-    | Ok _ | Error _ -> None

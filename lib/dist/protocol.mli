@@ -1,12 +1,13 @@
-(** Typed messages of the coordinator/worker protocol and their
+(** Typed messages of the campaign service protocol and their
     (tag byte, payload) codec over {!Wire} frames.
 
-    The protocol is versioned: a {!Hello} carrying a different
-    {!version}, or a campaign fingerprint the coordinator does not
-    recognise, is answered with {!Reject} and the connection is closed.
-    Tally snapshots travel as verbatim [Ssf.Tally.to_string] blobs and
-    quarantine entries as [Campaign.quarantine_entry_to_string] lines —
-    the same serializers the durable checkpoint uses, so shard state is
+    The protocol is versioned: a {!Hello} carrying any other {!version},
+    or a campaign fingerprint the service does not hold, is answered
+    with {!Reject} and the connection is closed. Every peer is built
+    from this tree, so there is no negotiating down. Tally snapshots
+    travel as verbatim [Ssf.Tally.to_string] blobs and quarantine
+    entries as [Campaign.quarantine_entry_to_string] lines — the same
+    serializers the durable checkpoint uses, so shard state is
     bit-exact across process boundaries. *)
 
 open Fmc
@@ -14,23 +15,14 @@ open Fmc
 val version : int
 (** 5 since the result-audit digests (v2 introduced the CRC-framed wire
     format, v3 the multi-campaign scheduler messages, v4 the
-    fleet-observability extensions). The v4/v5 additions are purely
-    additive trailing sections (see {!extension}), so v3 and v4 peers
-    are still served: {!accepts_version} admits all three and {!Welcome}
-    carries the {!negotiate}d version. v1 peers are refused at Hello
-    with a v1-framed {!Reject} they can decode (see {!v1_hello}). *)
+    fleet-observability extensions). *)
 
 val fingerprint_version : int
 (** The version embedded in campaign fingerprints — still 3: v4/v5
-    changed no per-sample semantics, so v3..v5 peers agree on campaign
-    identity. *)
+    changed no per-sample semantics. *)
 
 val accepts_version : int -> bool
-(** Hello versions a v5 server serves (3, 4 and 5). *)
-
-val negotiate : peer:int -> int
-(** [min peer version] — what {!Welcome} answers; both sides only use
-    v4/v5 extensions when the negotiated version reaches them. *)
+(** Only {!version}: older Hellos get a terminal {!Reject}. *)
 
 type spec = {
   sp_benchmark : string;
@@ -117,13 +109,12 @@ type server_msg =
       quarantined : Campaign.quarantine_entry list;
       elapsed_s : float;
     }
-  | Report_pending  (** campaign not finished yet — poll again *)
   | Reject of { reason : string }
-      (** terminal: version/fingerprint mismatch — do not retry *)
+      (** terminal at Hello (version or fingerprint mismatch,
+          quarantined worker) — do not retry *)
   | Retry_later of { cooldown_s : float }
-      (** transient refusal (the worker's circuit breaker is open, or
-          the coordinator is holding the fleet floor): reconnect after
-          at least [cooldown_s] seconds *)
+      (** transient refusal (the worker's circuit breaker is open):
+          reconnect after at least [cooldown_s] seconds *)
   | Job of { spec : spec; shard : int; epoch : int; start : int; len : int }
       (** pool-scope {!Assign}: carries the campaign spec so the worker
           can build (or reuse) the right engine and sampler *)
@@ -149,7 +140,7 @@ val fingerprint :
   unit ->
   string
 (** The campaign identity compared on {!Hello}: every parameter that
-    must agree between coordinator and worker for the shard results to
+    must agree between service and worker for the shard results to
     be meaningful (the sample plan, the seed, and the evaluation knobs
     that change per-sample outcomes). Includes the protocol version.
     [fault_model] (canonical string, default ["disc-transient"]) is
@@ -187,18 +178,18 @@ val decode_client : char -> string -> (client_msg, string) result
 val encode_server : server_msg -> char * string
 val decode_server : char -> string -> (server_msg, string) result
 
-(** {2 v4 extensions}
+(** {2 Extensions}
 
-    Fleet-observability data rides as trailing payload sections carried
-    out-of-band of the message variants, so v3 code (and the plain
-    codec above) neither sees nor breaks on them: every decoder in this
-    module reads payloads through a line cursor that ignores trailing
-    lines it does not consume. *)
+    Fleet-observability data (v4) and result digests (v5) ride as
+    trailing payload sections carried out-of-band of the message
+    variants: the plain codec above neither sees nor breaks on them,
+    because every decoder in this module reads payloads through a line
+    cursor that ignores trailing lines it does not consume. *)
 
 type extension = {
   ext_trace : (string * string) option;
       (** [(trace_id, span_id)] ({!Fmc_obs.Traceid}) stamped by the
-          coordinator on {!Assign}/{!Job} *)
+          service on {!Assign}/{!Job} *)
   ext_telemetry : string option;
       (** encoded [Fmc_obs.Telemetry] blob attached by workers to
           {!Heartbeat}/{!Shard_done}/{!Job_heartbeat}/{!Job_done};
@@ -214,17 +205,8 @@ val no_extension : extension
 
 val encode_client_ext : ?ext:extension -> client_msg -> char * string
 (** {!encode_client} plus any applicable extension sections. Fields
-    that do not apply to the message type are silently dropped. Only
-    send extensions on connections that negotiated v4 — a v3 peer
-    ignores them on the wire, but there is no point paying for them. *)
+    that do not apply to the message type are silently dropped. *)
 
 val decode_client_ext : char -> string -> (client_msg * extension, string) result
 val encode_server_ext : ?ext:extension -> server_msg -> char * string
 val decode_server_ext : char -> string -> (server_msg * extension, string) result
-
-val v1_hello : tag:char -> string -> int option
-(** Recognize a protocol-v1 Hello in a corrupt-frame body
-    ([Wire.read_frame_raw]'s [`Corrupt] payload): returns the peer's
-    claimed version when the bytes parse as a pre-v2 Hello. The
-    coordinator answers such peers with a v1-framed Reject naming the
-    version gap, because a v1 peer cannot decode v2 frames. *)

@@ -30,11 +30,7 @@ let () =
    The leading word counts everything after the tag byte (checksum
    included), so a reader always consumes exactly the bytes the sender
    wrote — even when the checksum turns out wrong — and stream framing
-   survives payload corruption. The CRC covers tag ++ payload. A legacy
-   v1 frame ([word = |payload|][tag][payload]) therefore parses as a
-   short/CRC-failing v2 frame without ever desynchronizing the stream,
-   which is what lets the handshake reject v1 peers with a readable
-   message instead of hanging (see read_frame_raw / write_frame_v1).
+   survives payload corruption. The CRC covers tag ++ payload.
 
    The cap is far above any legitimate message (the largest frames carry
    tally snapshots, tens of kilobytes) and exists so a corrupt or
@@ -100,19 +96,6 @@ let write_frame t ~tag payload =
   write_all t.fd buf 0 (Bytes.length buf);
   t.on_sent (Bytes.length buf)
 
-(* A bare v1 frame ([len][tag][payload], no checksum) — kept only so a
-   v2 endpoint can deliver a readable Reject to a v1 peer before
-   hanging up. *)
-let write_frame_v1 t ~tag payload =
-  let len = String.length payload in
-  if len > max_frame then invalid_arg "Wire.write_frame_v1: oversized frame";
-  let buf = Bytes.create (5 + len) in
-  put_u32 buf 0 len;
-  Bytes.set buf 4 tag;
-  Bytes.blit_string payload 0 buf 5 len;
-  write_all t.fd buf 0 (Bytes.length buf);
-  t.on_sent (Bytes.length buf)
-
 let read_frame_raw t =
   let header = Bytes.create 5 in
   read_all t.fd header 0 5;
@@ -124,8 +107,7 @@ let read_frame_raw t =
   read_all t.fd body 0 word;
   t.on_recv (5 + word);
   if word < 4 then
-    (* Too short to carry a checksum: a v1 peer's tiny frame (empty
-       payloads are common: Request_shard, Goodbye) or plain garbage. *)
+    (* Too short to carry a checksum: garbage. *)
     `Corrupt (tag, Bytes.unsafe_to_string body)
   else begin
     let claimed = get_u32 body 0 in

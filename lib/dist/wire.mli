@@ -42,19 +42,13 @@ val conn :
 
 val write_frame : conn -> tag:char -> string -> unit
 
-val write_frame_v1 : conn -> tag:char -> string -> unit
-(** Emit a legacy checksum-less v1 frame. Only used to deliver a
-    readable [Reject] to a protocol-v1 peer before closing — v1 peers
-    cannot parse v2 frames. *)
-
 val read_frame : conn -> char * string
 (** Raises {!Protocol_error} on a corrupt frame. *)
 
 val read_frame_raw : conn -> [ `Ok of char * string | `Corrupt of char * string ]
 (** Like {!read_frame}, but surfaces a corrupt frame's tag and raw body
-    (checksum bytes included) instead of raising. A v1 peer's frame
-    always lands here as [`Corrupt (tag, v1_payload)] — the handshake
-    uses this to detect v1 Hellos and answer them in kind. *)
+    (checksum bytes included) instead of raising, so the service can
+    charge the sender and answer before hanging up. *)
 
 val close : conn -> unit
 
@@ -76,5 +70,5 @@ val listen : addr -> Unix.file_descr
 
 val connect : ?attempts:int -> ?delay_s:float -> addr -> Unix.file_descr
 (** Connect, retrying up to [attempts] times (default 1) [delay_s] apart
-    (default 0.5) — lets a worker start before its coordinator is
+    (default 0.5) — lets a worker start before its service is
     listening. Raises the last connection error. *)

@@ -3,7 +3,7 @@
 
    Heartbeats ride the run_shard on_sample hook (every heartbeat_every
    samples), synchronously over the protocol connection; a negative ack
-   means the coordinator expired our lease, so the shard is abandoned
+   means the service expired our lease, so the shard is abandoned
    mid-run by raising Lease_lost out of the hook — run_shard invokes the
    hook outside its crash guard precisely so this aborts the shard
    instead of quarantining a sample. The abandoned work is harmless: the
@@ -17,9 +17,10 @@
    connecting with exponential backoff and decorrelated jitter — the
    sleep is drawn from the worker's own RNG substream, so a given
    (seed, worker name) retries on a replayable schedule. Epoch fencing
-   on the coordinator makes the abandon/retry loop safe: whichever lease
+   on the service makes the abandon/retry loop safe: whichever lease
    epoch completes first wins, every other completion is fenced. Only a
-   handshake Reject (version/fingerprint mismatch) is terminal. *)
+   handshake Reject (version/fingerprint mismatch, quarantine) is
+   terminal. *)
 
 open Fmc
 open Fmc_prelude
@@ -36,7 +37,7 @@ exception Rejected of string
    down and reconnect rather than kill the worker. *)
 exception Session_error of string
 
-(* Internal: the coordinator parked us (circuit breaker open); reconnect
+(* Internal: the service parked us (circuit breaker open); reconnect
    no earlier than the given cooldown. *)
 exception Parked of float
 
@@ -57,7 +58,6 @@ type config = {
   connect_attempts : int;  (* TCP connect retries within one session attempt *)
   io_deadline_s : float;  (* socket read/write deadline *)
   retry : retry;  (* reconnect state-machine tuning *)
-  send_digest : bool;  (* attach the v5 result digest to completions *)
 }
 
 let default_config ~addr ~worker_name =
@@ -69,7 +69,6 @@ let default_config ~addr ~worker_name =
     connect_attempts = 20;
     io_deadline_s = 120.;
     retry = default_retry;
-    send_digest = true;
   }
 
 type mx = {
@@ -120,15 +119,14 @@ let recv_ext conn what =
 
 let recv conn what = fst (recv_ext conn what)
 
-(* A handshake Reject is terminal (wrong version or wrong campaign — no
-   amount of retrying fixes that); any Reject after the Welcome is a
-   session-level complaint and goes through the reconnect machinery.
-   Returns the negotiated protocol version — telemetry piggybacks and
-   trace stamps only flow when it is >= 4. *)
+(* A handshake Reject is terminal (wrong version, unknown campaign or a
+   quarantined worker — no amount of retrying fixes that); any Reject
+   after the Welcome is a session-level complaint and goes through the
+   reconnect machinery. *)
 let handshake conn ~worker ~fingerprint =
   send conn (Protocol.Hello { version = Protocol.version; worker; fingerprint });
   match recv conn "hello" with
-  | Protocol.Welcome { version } -> version
+  | Protocol.Welcome _ -> ()
   | Protocol.Reject { reason } -> raise (Rejected reason)
   | _ -> protocol_error "hello"
 
@@ -138,12 +136,12 @@ let connect ?(obs = Obs.disabled) config ~fingerprint =
   in
   let conn = wire_conn obs ~deadline_s:config.io_deadline_s fd in
   match handshake conn ~worker:config.worker_name ~fingerprint with
-  | negotiated -> (conn, negotiated)
+  | () -> conn
   | exception e ->
       Wire.close conn;
       raise e
 
-(* The v4 telemetry piggyback: the worker's full registry snapshot
+(* The telemetry piggyback: the worker's full registry snapshot
    (cumulative — the receiver replaces its previous copy rather than
    adding) plus any newly completed shard span. Built fresh per message;
    consumes no RNG and never touches sampling state, so attaching it
@@ -157,20 +155,6 @@ let telemetry_ext (obs : Obs.t) ~trace_id ~spans =
     Protocol.ext_telemetry =
       Some (Telemetry.encode (Telemetry.make ~trace_id ~metrics ~spans ()));
   }
-
-(* The v5 digest piggyback: stamp the canonical result digest onto a
-   completion's extension so the server can verify the payload survived
-   the trip (and use it as the audit comparison key). *)
-let digest_ext config ~negotiated ~tally ~quarantined ext =
-  if negotiated >= 5 && config.send_digest then
-    let base = Option.value ext ~default:Protocol.no_extension in
-    Some
-      {
-        base with
-        Protocol.ext_digest =
-          Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined);
-      }
-  else ext
 
 let shard_span (obs : Obs.t) ~span_id ~shard ~t0 =
   {
@@ -192,7 +176,7 @@ let transient_reason = function
   | Wire.Timeout -> Some "socket deadline"
   | Wire.Protocol_error msg -> Some msg
   | Session_error msg -> Some msg
-  | Parked cooldown_s -> Some (Printf.sprintf "parked for %.1fs by the coordinator" cooldown_s)
+  | Parked cooldown_s -> Some (Printf.sprintf "parked for %.1fs by the service" cooldown_s)
   | Unix.Unix_error (e, _, _) -> Some (Unix.error_message e)
   | Sys_error msg -> Some msg
   | _ -> None
@@ -253,17 +237,13 @@ let with_reconnects ~obs ~mx ~rng ~retry ~on_reconnect ~progress session =
    run it with a heartbeat every [heartbeat_every] samples, where a
    refused heartbeat abandons the shard, then send the result, counting
    it in [completed] once accepted. *)
-let work_lease (obs : Obs.t) config conn ~negotiated ~(aext : Protocol.extension) ~completed
-    ~shard ~heartbeat ~finished run_shard =
-  let v4 = negotiated >= 4 in
-  let trace_id, span_id =
-    match aext.Protocol.ext_trace with Some (t, s) when v4 -> (t, s) | _ -> ("", "")
-  in
-  let piggyback spans = if v4 then Some (telemetry_ext obs ~trace_id ~spans) else None in
+let work_lease (obs : Obs.t) config conn ~(aext : Protocol.extension) ~completed ~shard
+    ~heartbeat ~finished run_shard =
+  let trace_id, span_id = Option.value aext.Protocol.ext_trace ~default:("", "") in
   let on_sample i =
     if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
       let msg, what = heartbeat i in
-      send ?ext:(piggyback []) conn msg;
+      send ~ext:(telemetry_ext obs ~trace_id ~spans:[]) conn msg;
       match recv conn what with
       | Protocol.Ack { accepted = true; _ } -> ()
       | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
@@ -276,11 +256,15 @@ let work_lease (obs : Obs.t) config conn ~negotiated ~(aext : Protocol.extension
       let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
       let quarantined = sh.Campaign.sh_quarantined in
       let msg, what = finished ~tally ~quarantined in
-      send
-        ?ext:
-          (digest_ext config ~negotiated ~tally ~quarantined
-             (piggyback [ shard_span obs ~span_id ~shard ~t0 ]))
-        conn msg;
+      (* The digest lets the server verify the payload survived the trip
+         (and is the audit comparison key). *)
+      let ext =
+        {
+          (telemetry_ext obs ~trace_id ~spans:[ shard_span obs ~span_id ~shard ~t0 ]) with
+          Protocol.ext_digest = Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined);
+        }
+      in
+      send ~ext conn msg;
       match recv conn what with
       | Protocol.Ack { accepted; _ } -> if accepted then incr completed
       | _ -> protocol_error what)
@@ -293,7 +277,7 @@ let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
   let mx = mx_create obs in
   let completed = ref 0 in
   let session () =
-    let conn, negotiated = connect ~obs config ~fingerprint in
+    let conn = connect ~obs config ~fingerprint in
     let run_one (msg, aext) =
       match msg with
       | Protocol.No_work { finished = true } -> `Finished
@@ -302,7 +286,7 @@ let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
           `Continue
       | Protocol.Reject { reason } -> raise (Session_error ("rejected: " ^ reason))
       | msg ->
-          lease msg (work_lease obs config conn ~negotiated ~aext ~completed);
+          lease msg (work_lease obs config conn ~aext ~completed);
           `Continue
     in
     Fun.protect
@@ -407,68 +391,61 @@ type fetch_error =
 let fetch_error_message = function
   | Fetch_timeout waited ->
       Printf.sprintf "timed out after %.1fs waiting for the campaign to finish" waited
-  | Fetch_rejected reason -> "rejected by coordinator: " ^ reason
-  | Fetch_unreachable reason -> "cannot reach coordinator: " ^ reason
+  | Fetch_rejected reason -> "rejected by the service: " ^ reason
+  | Fetch_unreachable reason -> "cannot reach the service: " ^ reason
   | Fetch_protocol reason -> "protocol error: " ^ reason
 
-let fetch_report ?(obs = Obs.disabled) ?(poll_s = 0.25) ?(poll_cap_s = 2.) ?(timeout_s = 600.)
-    ?on_pending config ~fingerprint =
-  match connect ~obs config ~fingerprint with
+(* One session outside the reconnect state machine — a report fetch or
+   a control request, run by humans and scripts: [f] talks over the
+   connection, and every transport or protocol failure comes back as a
+   typed [fetch_error], never raised. *)
+let one_session ~obs config ~fingerprint f =
+  let started = Clock.now () in
+  match
+    let conn = connect ~obs config ~fingerprint in
+    Fun.protect
+      ~finally:(fun () -> Wire.close conn)
+      (fun () ->
+        let result = f conn ~started in
+        (try send conn Protocol.Goodbye with Wire.Closed | Unix.Unix_error _ -> ());
+        result)
+  with
+  | result -> result
   | exception Rejected reason -> Error (Fetch_rejected reason)
   | exception Parked cooldown_s ->
       Error (Fetch_rejected (Printf.sprintf "parked for %.1fs (circuit open)" cooldown_s))
   | exception Unix.Unix_error (e, _, _) -> Error (Fetch_unreachable (Unix.error_message e))
   | exception Failure msg -> Error (Fetch_unreachable msg)
-  | exception Wire.Closed -> Error (Fetch_unreachable "connection closed during handshake")
-  | exception Wire.Timeout -> Error (Fetch_timeout 0.)
-  | exception Wire.Protocol_error msg -> Error (Fetch_protocol msg)
-  | exception Session_error msg -> Error (Fetch_protocol msg)
-  | conn, _ ->
-      let started = Clock.now () in
-      Fun.protect
-        ~finally:(fun () -> Wire.close conn)
-        (fun () ->
-          (* The poll interval backs off geometrically to its cap: quick
-             answers stay quick, long campaigns do not get hammered. *)
-          let rec poll interval =
-            send conn Protocol.Fetch_report;
-            match recv conn "fetch_report" with
-            | Protocol.Report { shards; quarantined; elapsed_s } ->
-                (try send conn Protocol.Goodbye with Wire.Closed | Unix.Unix_error _ -> ());
-                Ok (shards, quarantined, elapsed_s)
-            | Protocol.Report_pending ->
-                let waited = Clock.now () -. started in
-                if waited > timeout_s then Error (Fetch_timeout waited)
-                else begin
-                  Unix.sleepf interval;
-                  poll (Float.min poll_cap_s (interval *. 1.5))
-                end
-            (* A scheduler answers a pending fetch with the campaign's
-               queue entry instead of a bare Report_pending, so the
-               waiting client can show position and ETA. *)
-            | Protocol.Status { entries } -> (
-                match entries with
-                | { Protocol.st_state = Protocol.Cancelled; _ } :: _ ->
-                    Error (Fetch_rejected "campaign was cancelled")
-                | entry :: _ ->
-                    (match on_pending with Some f -> f entry | None -> ());
-                    let waited = Clock.now () -. started in
-                    if waited > timeout_s then Error (Fetch_timeout waited)
-                    else begin
-                      Unix.sleepf interval;
-                      poll (Float.min poll_cap_s (interval *. 1.5))
-                    end
-                | [] -> Error (Fetch_rejected "unknown campaign"))
-            | Protocol.Reject { reason } -> Error (Fetch_rejected reason)
-            | _ -> Error (Fetch_protocol "unexpected reply to fetch_report")
-          in
-          try poll poll_s with
-          | Wire.Closed -> Error (Fetch_unreachable "coordinator closed the connection")
-          | Wire.Timeout -> Error (Fetch_timeout (Clock.now () -. started))
-          | Wire.Protocol_error msg -> Error (Fetch_protocol msg)
-          | Session_error msg -> Error (Fetch_protocol msg)
-          | Parked cooldown_s ->
-              Error (Fetch_rejected (Printf.sprintf "parked for %.1fs (circuit open)" cooldown_s)))
+  | exception Wire.Closed -> Error (Fetch_unreachable "the service closed the connection")
+  | exception Wire.Timeout -> Error (Fetch_timeout (Clock.now () -. started))
+  | exception (Wire.Protocol_error msg | Session_error msg) -> Error (Fetch_protocol msg)
+
+let fetch_report ?(obs = Obs.disabled) ?(poll_s = 0.25) ?(poll_cap_s = 2.) ?(timeout_s = 600.)
+    ?on_pending config ~fingerprint =
+  one_session ~obs config ~fingerprint (fun conn ~started ->
+      (* The poll interval backs off geometrically to its cap: quick
+         answers stay quick, long campaigns do not get hammered. *)
+      let rec poll interval =
+        send conn Protocol.Fetch_report;
+        match recv conn "fetch_report" with
+        | Protocol.Report { shards; quarantined; elapsed_s } -> Ok (shards, quarantined, elapsed_s)
+        (* A pending fetch is answered with the campaign's queue entry,
+           so the waiting client can show position and ETA. *)
+        | Protocol.Status { entries = { Protocol.st_state = Protocol.Cancelled; _ } :: _ } ->
+            Error (Fetch_rejected "campaign was cancelled")
+        | Protocol.Status { entries = entry :: _ } ->
+            Option.iter (fun f -> f entry) on_pending;
+            let waited = Clock.now () -. started in
+            if waited > timeout_s then Error (Fetch_timeout waited)
+            else begin
+              Unix.sleepf interval;
+              poll (Float.min poll_cap_s (interval *. 1.5))
+            end
+        | Protocol.Status { entries = [] } -> Error (Fetch_rejected "unknown campaign")
+        | Protocol.Reject { reason } -> Error (Fetch_rejected reason)
+        | _ -> Error (Fetch_protocol "unexpected reply to fetch_report")
+      in
+      poll poll_s)
 
 (* -- scheduler control clients ------------------------------------------- *)
 
@@ -477,34 +454,13 @@ type submit_reply =
   | Submit_cached
   | Submit_rejected of { retry_after_s : float; reason : string }
 
-(* One-shot request/reply on a pool-scoped connection; every failure is
-   a typed Error string (control commands are run by humans and scripts,
-   not the reconnect state machine). *)
+(* One-shot request/reply on a pool-scoped connection. *)
 let control ?(obs = Obs.disabled) config msg ~what ~reply =
-  match connect ~obs config ~fingerprint:Protocol.pool_fingerprint with
-  | exception Rejected reason -> Error ("rejected: " ^ reason)
-  | exception Parked cooldown_s -> Error (Printf.sprintf "parked for %.1fs (circuit open)" cooldown_s)
-  | exception Unix.Unix_error (e, _, _) ->
-      Error ("cannot reach scheduler: " ^ Unix.error_message e)
-  | exception Failure msg -> Error ("cannot reach scheduler: " ^ msg)
-  | exception Wire.Closed -> Error "scheduler closed the connection during handshake"
-  | exception Wire.Timeout -> Error "socket deadline expired during handshake"
-  | exception Wire.Protocol_error msg -> Error msg
-  | exception Session_error msg -> Error msg
-  | conn, _ ->
-      Fun.protect
-        ~finally:(fun () -> Wire.close conn)
-        (fun () ->
-          try
-            send conn msg;
-            let r = reply (recv conn what) in
-            (try send conn Protocol.Goodbye with Wire.Closed | Unix.Unix_error _ -> ());
-            r
-          with
-          | Wire.Closed -> Error "scheduler closed the connection"
-          | Wire.Timeout -> Error "socket deadline expired"
-          | Wire.Protocol_error msg | Session_error msg -> Error msg
-          | Parked cooldown_s -> Error (Printf.sprintf "parked for %.1fs (circuit open)" cooldown_s))
+  one_session ~obs config ~fingerprint:Protocol.pool_fingerprint (fun conn ~started:_ ->
+      send conn msg;
+      Ok (reply (recv conn what)))
+  |> Result.map_error fetch_error_message
+  |> Result.join
 
 let submit ?obs config spec =
   control ?obs config (Protocol.Submit { spec }) ~what:"submit" ~reply:(function

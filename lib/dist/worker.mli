@@ -18,26 +18,27 @@
     {!retry.budget_s} total-sleep budget. The backoff schedule draws
     from the worker's own RNG substream of the campaign seed, so it
     replays under the chaos harness. Only a handshake [Reject]
-    (version or fingerprint mismatch) is terminal.
+    (version or fingerprint mismatch, quarantine) is terminal.
 
-    Fleet observability (protocol v4): when the handshake negotiates
-    v4, the worker reads the trace/span ids the coordinator stamps on
-    each [Assign]/[Job] and piggybacks a {!Fmc_obs.Telemetry} batch on
-    its existing messages — metrics-snapshot-only on heartbeats, the
-    snapshot plus one span summary covering the shard's wall time on
-    [Shard_done]/[Job_done]. The piggyback consumes no RNG and touches
-    no sampling state, so reports stay byte-identical with or without
-    it; against a v3 coordinator nothing extra is sent. *)
+    Fleet observability: the worker reads the trace/span ids the
+    service stamps on each [Assign]/[Job] and piggybacks a
+    {!Fmc_obs.Telemetry} batch on its existing messages —
+    metrics-snapshot-only on heartbeats, the snapshot plus one span
+    summary covering the shard's wall time on [Shard_done]/[Job_done],
+    next to the canonical result digest. The piggyback consumes no RNG
+    and touches no sampling state, so reports stay byte-identical with
+    or without it. *)
 
 open Fmc
 
 exception Lease_lost
-(** Raised (internally) out of the heartbeat hook when the coordinator
+(** Raised (internally) out of the heartbeat hook when the service
     fenced our lease; exposed for tests that drive the hook directly. *)
 
 exception Rejected of string
-(** The coordinator refused the handshake (protocol version or campaign
-    fingerprint mismatch). Terminal: retrying cannot help. *)
+(** The service refused the handshake (protocol version or campaign
+    fingerprint mismatch, quarantined worker). Terminal: retrying cannot
+    help. *)
 
 type retry = {
   base_s : float;  (** first backoff sleep *)
@@ -63,10 +64,6 @@ type config = {
   connect_attempts : int;  (** TCP connect retries within one session *)
   io_deadline_s : float;  (** socket read/write deadline ({!Wire.conn}) *)
   retry : retry;  (** reconnect state-machine tuning *)
-  send_digest : bool;
-      (** attach the canonical result digest to Shard_done/Job_done on
-          v5 connections (default). Disabling simulates a pre-v5 worker;
-          the server then recomputes digests itself. *)
 }
 
 val default_config : addr:Wire.addr -> worker_name:string -> config
@@ -85,7 +82,7 @@ val run :
   Sampler.prepared ->
   seed:int ->
   int
-(** Work until the coordinator reports the campaign finished; returns
+(** Work until the service reports the campaign finished; returns
     the number of shard results this worker got accepted. [causal],
     [sample_budget], [inject] (the campaign's fault-model injector,
     default {!Ssf.disc_transient}) and [seed] must match the
@@ -137,19 +134,18 @@ val fetch_report :
   config ->
   fingerprint:string ->
   ((int * string) list * Campaign.quarantine_entry list * float, fetch_error) result
-(** Poll the coordinator until the campaign finishes; returns the
+(** Poll the service until the campaign finishes; returns the
     per-shard tally blobs (ascending shard id), the quarantine log
-    (sorted by global sample index) and the coordinator's elapsed
+    (sorted by global sample index) and the service's elapsed
     seconds — feed the blobs to {!Merge.report_of_blobs}. The poll
     interval starts at [poll_s] (default 0.25s) and backs off
     geometrically to [poll_cap_s] (default 2s); after [timeout_s]
     (default 600) of pending replies the result is [Fetch_timeout].
-    A scheduler answers a pending fetch with the campaign's
-    {!Protocol.status_entry} (queue position, ETA) instead of a bare
-    [Report_pending]; [on_pending] observes each such reply (progress
-    display), and a [Cancelled] entry ends the wait as
-    [Fetch_rejected]. All failures are typed ({!fetch_error}), never
-    raised. *)
+    The service answers a pending fetch with the campaign's
+    {!Protocol.status_entry} (queue position, ETA); [on_pending]
+    observes each such reply (progress display), and a [Cancelled]
+    entry ends the wait as [Fetch_rejected]. All failures are typed
+    ({!fetch_error}), never raised. *)
 
 (** {2 Scheduler control clients}
 

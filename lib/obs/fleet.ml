@@ -1,10 +1,10 @@
-(* Fleet-level telemetry store: the coordinator/scheduler side of the v4
-   piggyback. Absorbs each worker's latest metrics snapshot and its
-   per-shard span summaries (rebased onto this process's timeline at
-   absorb time via the batch's wall anchor), and renders the whole fleet
-   as one Chrome trace_event JSON with one track (pid) per worker.
-   Mutex-protected: connection handler threads absorb while the HTTP
-   scrape thread renders. *)
+(* Fleet-level telemetry store: the campaign service's side of the
+   telemetry piggyback. Absorbs each worker's latest metrics snapshot
+   and its per-shard span summaries (rebased onto this process's
+   timeline at absorb time via the batch's wall anchor), and renders the
+   whole fleet as one Chrome trace_event JSON with one track (pid) per
+   worker. Mutex-protected: connection handler threads absorb while the
+   HTTP scrape thread renders. *)
 
 type worker_entry = {
   mutable we_snapshot : Metrics.snapshot;
@@ -143,7 +143,7 @@ let buf_process_name buf ~first ~pid label =
        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
        pid (Jsonx.escape label))
 
-let to_chrome_json ?(own_label = "coordinator") ?(own_events = []) t =
+let to_chrome_json ?(own_label = "service") ?(own_events = []) t =
   locked t (fun () ->
       let ws = sorted_workers t in
       let trace =

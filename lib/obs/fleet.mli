@@ -1,7 +1,7 @@
 (** Fleet-level telemetry store — the receiving half of the v4 telemetry
     piggyback ({!Telemetry}).
 
-    The coordinator/scheduler absorbs each worker's batches as they
+    The campaign service absorbs each worker's batches as they
     arrive on heartbeat and shard-result messages: the latest metrics
     snapshot replaces the previous one (snapshots are cumulative), span
     summaries accumulate (bounded per worker, oldest dropped), and every
@@ -40,7 +40,7 @@ val trace_id : t -> string
 
 val to_chrome_json : ?own_label:string -> ?own_events:Span.event list -> t -> string
 (** The stitched fleet trace: Chrome trace_event JSON with [own_events]
-    (this process's tracer, default label ["coordinator"]) on pid 1 and
+    (this process's tracer, default label ["service"]) on pid 1 and
     each worker on its own pid with a [process_name] metadata record —
     distinct tracks in Perfetto. Worker span args carry the trace/span
     ids when stamped. *)

@@ -1,7 +1,7 @@
 (* Minimal embedded HTTP/1.0 server for the scrape endpoint. Zero
    dependencies beyond Unix + threads: one accept thread, one short-lived
    thread per connection, socket send/receive deadlines so a stalled
-   scraper can never wedge the coordinator, [Connection: close] always.
+   scraper can never wedge the service, [Connection: close] always.
    Deliberately tiny — GET/HEAD on a fixed route table is everything a
    Prometheus scrape or `faultmc top` poll needs. *)
 

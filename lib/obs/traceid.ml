@@ -1,6 +1,6 @@
 (* Deterministic ids, never drawn from the campaign RNG substreams: the
    trace id hashes the campaign fingerprint alone, span ids add the shard
-   index. A restarted coordinator (same fingerprint) stamps the same ids,
+   index. A restarted service (same fingerprint) stamps the same ids,
    so traces stitch across restarts. MD5 ([Digest]) is fine here — this
    is an identifier, not a credential. *)
 

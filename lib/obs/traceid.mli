@@ -1,10 +1,10 @@
 (** Deterministic trace/span identifiers for cross-process stitching.
 
-    The coordinator stamps every shard lease with a trace id (one per
+    The campaign service stamps every shard lease with a trace id (one per
     campaign) and a span id (one per shard). Both are pure functions of
     the campaign fingerprint — {e never} drawn from the RNG substreams,
     so stamping cannot perturb the Monte Carlo estimate — and therefore
-    stable across coordinator restarts: the same campaign resumed from a
+    stable across service restarts: the same campaign resumed from a
     checkpoint re-issues the same ids and the stitched trace stays
     coherent. *)
 

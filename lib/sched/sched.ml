@@ -1,19 +1,23 @@
-(* The multi-campaign scheduler core (DESIGN.md §12): a durable
-   submission queue keyed by campaign fingerprint, one lease table per
-   campaign, round-robin shard dispatch across every active campaign,
-   and report caching.
+(* The campaign service core (DESIGN.md §10): a durable submission
+   queue keyed by campaign fingerprint, one lease table per campaign,
+   round-robin shard dispatch across every active campaign, report
+   caching, result auditing and per-worker health.
 
    Durability is split between two artifacts, each reusing an existing
    codec:
 
      <dir>/wal/seg-*.wal      the queue itself (Wal): which campaigns
                               were submitted, finished, parked or
-                              cancelled — idempotent records, replayed
+                              cancelled, and which workers were
+                              quarantined — idempotent records, replayed
                               and compacted at startup;
      <dir>/campaigns/<md5>.ckpt
-                              per-campaign progress (Fmc_dist.Ckpt v2):
-                              every accepted shard blob, written after
-                              each completion.
+                              per-campaign progress (Fmc_dist.Ckpt):
+                              every accepted shard blob and its audit
+                              bookkeeping, written after each
+                              completion. A campaign submitted with an
+                              explicit checkpoint path keeps it there
+                              instead (`faultmc serve --checkpoint`).
 
    kill -9 recovery is therefore: replay the WAL to rebuild the queue in
    submission order, then reattach each campaign's checkpoint to seed
@@ -23,13 +27,19 @@
    shards is quietly re-queued — shard results depend only on
    (seed, shard), so re-running them reproduces the identical report.
 
+   Worker health lives here too, next to the lease expiries, digest
+   strikes and audit verdicts that feed it: a per-worker circuit breaker
+   (Fmc_dist.Breaker) counts consecutive failures, and a quarantine
+   trips it for good.
+
    Nothing here reads the wall clock or takes locks: every operation is
    given [now] and the service serializes calls under its own mutex,
-   the same split Lease and Coordinator use. *)
+   the same split Lease uses. *)
 
 open Fmc
 module Protocol = Fmc_dist.Protocol
 module Lease = Fmc_dist.Lease
+module Breaker = Fmc_dist.Breaker
 module Ckpt = Fmc_dist.Ckpt
 module Crc32 = Fmc_dist.Crc32
 module Audit = Fmc_audit.Audit
@@ -43,9 +53,9 @@ type config = {
   ttl_s : float;  (* shard lease lifetime without a heartbeat *)
   wall_budget_s : float;  (* running wall clock before a campaign is parked; 0 = off *)
   retry_after_s : float;  (* resubmission hint in admission rejections *)
-  rate_halflife_s : float;  (* pool throughput EWMA window *)
   audit_rate : float;  (* fraction of accepted shards re-executed (DESIGN.md §16); 0 = off *)
   speculate_factor : float;  (* straggler duplication threshold over the shard EWMA; 0 = off *)
+  breaker : Breaker.config;  (* per-worker circuit breaker *)
 }
 
 let default_config =
@@ -54,17 +64,21 @@ let default_config =
     ttl_s = 30.;
     wall_budget_s = 0.;
     retry_after_s = 5.;
-    rate_halflife_s = 30.;
     audit_rate = 0.;
     speculate_factor = 0.;
+    breaker = Breaker.default_config;
   }
+
+type checkpoint_error = Unreadable of string | Foreign_campaign
+
+exception Bad_checkpoint of string * checkpoint_error
 
 type phase = Active | Finished | Parked of string | Cancelled
 
 type entry = {
   spec : Protocol.spec;
   fp : string;
-  key : string;  (* md5 hex of fp: checkpoint filename *)
+  ckpt_path : string;
   plan : (int * int) array;
   lease : Lease.t;
   blobs : (int, string) Hashtbl.t;
@@ -91,6 +105,14 @@ type mx = {
   running : Metrics.gauge option;
   in_flight : Metrics.gauge option;
   wal_fsync : Metrics.histogram option;
+  leases_issued : Metrics.counter option;
+  leases_expired : Metrics.counter option;
+  stale_results : Metrics.counter option;
+  shards_completed : Metrics.counter option;
+  heartbeats : Metrics.counter option;
+  breaker_opened : Metrics.counter option;
+  circuit_open : Metrics.gauge option;
+  roundtrip : Metrics.histogram option;
   audits : Metrics.counter option;
   audit_mismatches : Metrics.counter option;
   audit_disputes : Metrics.counter option;
@@ -100,57 +122,46 @@ type mx = {
 }
 
 let mx_create (obs : Obs.t) =
-  match obs.Obs.metrics with
-  | None ->
-      {
-        submissions = None;
-        rejected = None;
-        cache_hits = None;
-        recoveries = None;
-        finished = None;
-        parked = None;
-        cancelled = None;
-        wal_records = None;
-        wal_torn = None;
-        q_depth = None;
-        running = None;
-        in_flight = None;
-        wal_fsync = None;
-        audits = None;
-        audit_mismatches = None;
-        audit_disputes = None;
-        audit_invalidated = None;
-        audit_speculations = None;
-        audit_quarantined = None;
-      }
-  | Some r ->
-      let c help name = Some (Metrics.counter r ~help name) in
-      let g help name = Some (Metrics.gauge r ~help name) in
-      {
-        submissions = c "campaign submissions accepted" "fmc_sched_submissions_total";
-        rejected = c "submissions refused by admission control" "fmc_sched_rejected_total";
-        cache_hits = c "submissions answered from the report cache" "fmc_sched_cache_hits_total";
-        recoveries = c "campaigns recovered from WAL + checkpoints" "fmc_sched_recoveries_total";
-        finished = c "campaigns run to completion" "fmc_sched_campaigns_finished_total";
-        parked = c "campaigns parked by quarantine policy" "fmc_sched_parked_total";
-        cancelled = c "campaigns cancelled by request" "fmc_sched_cancelled_total";
-        wal_records = c "intact WAL records replayed at startup" "fmc_sched_wal_records_total";
-        wal_torn = c "torn WAL tails detected at startup" "fmc_sched_wal_torn_records_total";
-        q_depth = g "campaigns queued or running" "fmc_sched_queue_depth";
-        running = g "campaigns with completed or in-flight shards" "fmc_sched_campaigns_running";
-        in_flight = g "shard leases currently live across campaigns" "fmc_sched_shards_in_flight";
-        wal_fsync =
-          Some
-            (Metrics.histogram r ~help:"durable WAL append latency (write + fsync)"
-               ~buckets:[| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1. |]
-               "fmc_sched_wal_fsync_seconds");
-        audits = c "audit re-executions leased" "fmc_audit_audits_total";
-        audit_mismatches = c "shard results whose digest failed verification" "fmc_audit_mismatches_total";
-        audit_disputes = c "audits escalated to a third arbitrating execution" "fmc_audit_disputes_total";
-        audit_invalidated = c "accepted shards invalidated by a quarantine" "fmc_audit_invalidated_total";
-        audit_speculations = c "speculative duplicate leases issued" "fmc_audit_speculations_total";
-        audit_quarantined = g "workers quarantined by audit verdicts" "fmc_audit_quarantined_workers";
-      }
+  let r = obs.Obs.metrics in
+  let c help name = Option.map (fun r -> Metrics.counter r ~help name) r in
+  let g help name = Option.map (fun r -> Metrics.gauge r ~help name) r in
+  let h help name buckets = Option.map (fun r -> Metrics.histogram r ~help ~buckets name) r in
+  {
+    submissions = c "campaign submissions accepted" "fmc_sched_submissions_total";
+    rejected = c "submissions refused by admission control" "fmc_sched_rejected_total";
+    cache_hits = c "submissions answered from the report cache" "fmc_sched_cache_hits_total";
+    recoveries = c "campaigns recovered from WAL + checkpoints" "fmc_sched_recoveries_total";
+    finished = c "campaigns run to completion" "fmc_sched_campaigns_finished_total";
+    parked = c "campaigns parked by quarantine policy" "fmc_sched_parked_total";
+    cancelled = c "campaigns cancelled by request" "fmc_sched_cancelled_total";
+    wal_records = c "intact WAL records replayed at startup" "fmc_sched_wal_records_total";
+    wal_torn = c "torn WAL tails detected at startup" "fmc_sched_wal_torn_records_total";
+    q_depth = g "campaigns queued or running" "fmc_sched_queue_depth";
+    running = g "campaigns with completed or in-flight shards" "fmc_sched_campaigns_running";
+    in_flight = g "shard leases currently live across campaigns" "fmc_sched_shards_in_flight";
+    wal_fsync =
+      h "durable WAL append latency (write + fsync)" "fmc_sched_wal_fsync_seconds"
+        [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1. |];
+    leases_issued = c "shard leases handed out" "fmc_dist_leases_issued_total";
+    leases_expired = c "leases lost to missed heartbeats" "fmc_dist_leases_expired_total";
+    stale_results = c "shard results rejected by epoch fencing" "fmc_dist_stale_results_total";
+    shards_completed = c "shard results accepted into the merge" "fmc_dist_shards_completed_total";
+    heartbeats = c "heartbeats received" "fmc_dist_heartbeats_total";
+    breaker_opened = c "circuit-breaker open transitions" "fmc_dist_breaker_opened_total";
+    circuit_open = g "workers behind an open circuit breaker" "fmc_dist_circuit_open";
+    roundtrip =
+      h "assign-to-accepted latency per shard" "fmc_dist_shard_roundtrip_seconds"
+        [| 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10.; 30.; 60.; 120. |];
+    audits = c "audit re-executions leased" "fmc_audit_audits_total";
+    audit_mismatches =
+      c "shard results whose digest failed verification" "fmc_audit_mismatches_total";
+    audit_disputes =
+      c "audits escalated to a third arbitrating execution" "fmc_audit_disputes_total";
+    audit_invalidated =
+      c "accepted shards invalidated by a quarantine" "fmc_audit_invalidated_total";
+    audit_speculations = c "speculative duplicate leases issued" "fmc_audit_speculations_total";
+    audit_quarantined = g "workers quarantined by audit verdicts" "fmc_audit_quarantined_workers";
+  }
 
 let cinc = Option.iter Metrics.inc
 let cadd c v = Option.iter (fun c -> Metrics.add c v) c
@@ -160,6 +171,7 @@ type t = {
   config : config;
   dir : string;
   wal : Wal.t;
+  wal_torn_at_start : int;
   entries : (string, entry) Hashtbl.t;
   mutable order : string list;  (* submission order, oldest first *)
   mutable rotation : int;  (* round-robin cursor over active entries *)
@@ -168,7 +180,7 @@ type t = {
   mutable last_activity : float;
   mutable banned : string list;  (* workers quarantined by audit verdicts, fleet-wide *)
   mismatches : (string, int) Hashtbl.t;  (* digest-mismatch strikes per worker *)
-  workers_seen : (string, float) Hashtbl.t;  (* last next_job per worker: fleet-size estimate *)
+  health : (string, Breaker.t) Hashtbl.t;  (* per-worker breaker, for the whole run *)
   mutable shard_ewma : float option;  (* fleet per-shard wall-clock EWMA (speculation) *)
   mx : mx;
 }
@@ -212,27 +224,64 @@ let parse_record payload =
   | [ "quarantined"; worker ] -> Some (Op_quarantine worker)
   | _ -> None
 
+(* -- worker health (breakers) ---------------------------------------------- *)
+
+let breaker_for t worker =
+  match Hashtbl.find_opt t.health worker with
+  | Some b -> b
+  | None ->
+      let b = Breaker.create t.config.breaker in
+      Hashtbl.add t.health worker b;
+      b
+
+let open_breakers t ~now =
+  Hashtbl.fold (fun _ b n -> if Breaker.state b ~now = Breaker.Open then n + 1 else n) t.health 0
+
+let note_failure t ~now ~worker =
+  let b = breaker_for t worker in
+  let trips = Breaker.trips b in
+  Breaker.record_failure b ~now;
+  if Breaker.trips b > trips then cinc t.mx.breaker_opened;
+  gset t.mx.circuit_open (open_breakers t ~now);
+  Breaker.cooldown_remaining b ~now
+
+let note_success t ~now ~worker =
+  Breaker.record_success (breaker_for t worker) ~now;
+  gset t.mx.circuit_open (open_breakers t ~now)
+
+let is_banned t ~worker = List.mem worker t.banned
+
+let admit t ~now ~worker =
+  if is_banned t ~worker then `Banned
+  else
+    let b = breaker_for t worker in
+    if Breaker.allow b ~now then `Ok else `Parked (Breaker.cooldown_remaining b ~now)
+
+let healthy t ~now ~worker = Breaker.state (breaker_for t worker) ~now <> Breaker.Open
+
 (* -- entries ------------------------------------------------------------- *)
 
 let ckpt_dir_of dir = Filename.concat dir "campaigns"
-let ckpt_dir t = ckpt_dir_of t.dir
-let ckpt_path_of dir e = Filename.concat (ckpt_dir_of dir) (e.key ^ ".ckpt")
-let ckpt_path t e = ckpt_path_of t.dir e
 
 let audit_seed ~fp = Int64.of_int (Crc32.string fp)
 
 let audit_config config ~fp =
   { Audit.rate = config.audit_rate; seed = audit_seed ~fp; ttl_s = config.ttl_s }
 
-let make_entry config spec =
+let make_entry config ~dir ?checkpoint spec =
   let fp = Protocol.spec_fingerprint spec in
   let plan =
     Ssf.shard_plan ~samples:spec.Protocol.sp_samples ~shard_size:spec.Protocol.sp_shard_size
   in
+  let ckpt_path =
+    match checkpoint with
+    | Some path -> path
+    | None -> Filename.concat (ckpt_dir_of dir) (Digest.to_hex (Digest.string fp) ^ ".ckpt")
+  in
   {
     spec;
     fp;
-    key = Digest.to_hex (Digest.string fp);
+    ckpt_path;
     plan;
     lease = Lease.create ~plan ~ttl:config.ttl_s;
     blobs = Hashtbl.create 16;
@@ -278,20 +327,23 @@ let sorted_quarantined e =
   Hashtbl.fold (fun _ qs acc -> List.rev_append qs acc) e.quarantines []
   |> List.sort (fun a b -> compare a.Campaign.q_index b.Campaign.q_index)
 
+let sorted_blobs e =
+  Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+
+(* The checkpoint carries the fleet-wide quarantine list as well, so a
+   campaign resumed from its checkpoint alone (`serve --checkpoint`,
+   whose WAL dies with the process) still refuses the workers it banned. *)
 let save_ckpt t e =
-  let shards =
-    Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  (if not (Sys.file_exists (ckpt_dir t)) then
-     try Unix.mkdir (ckpt_dir t) 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let st_audit =
-    (* Quarantined workers live in the WAL, not the per-campaign
-       checkpoint, so [au_banned] stays empty here; with auditing off the
-       checkpoint is written as a byte-identical v2 file. *)
-    if Audit.rate e.audit = 0. then None
-    else
-      Some
+  let dir = Filename.dirname e.ckpt_path in
+  (if not (Sys.file_exists dir) then
+     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Ckpt.save ~path:e.ckpt_path
+    {
+      Ckpt.st_fingerprint = e.fp;
+      st_shards = sorted_blobs e;
+      st_quarantined = sorted_quarantined e;
+      st_audit =
         {
           Ckpt.au_entries =
             List.map
@@ -303,15 +355,8 @@ let save_ckpt t e =
                   au_passed = a.Audit.au_passed;
                 })
               (Audit.export e.audit);
-          au_banned = [];
-        }
-  in
-  Ckpt.save ~path:(ckpt_path t e)
-    {
-      Ckpt.st_fingerprint = e.fp;
-      st_shards = shards;
-      st_quarantined = sorted_quarantined e;
-      st_audit;
+          au_banned = List.rev t.banned;
+        };
     }
 
 (* -- recovery ------------------------------------------------------------ *)
@@ -319,7 +364,7 @@ let save_ckpt t e =
 let shard_len e shard = if shard >= 0 && shard < Array.length e.plan then snd e.plan.(shard) else 0
 
 (* Re-attribute a flat quarantine log to producing shards by global
-   sample index over the plan's ranges — v2 checkpoints (and the wire
+   sample index over the plan's ranges — checkpoints (and the wire
    protocol) carry the log flat, while invalidation needs to drop
    exactly one shard's entries. *)
 let shard_of_qindex e qi =
@@ -340,13 +385,15 @@ let attach_quarantines e entries =
           Hashtbl.replace e.quarantines shard (q :: prev))
     entries
 
-let attach_ckpt ~config ~dir e =
-  let path = ckpt_path_of dir e in
-  if Sys.file_exists path then
-    match Ckpt.load ~path with
-    | Error _ -> ()  (* unreadable progress: re-run the campaign from scratch *)
-    | Ok st when st.Ckpt.st_fingerprint <> e.fp -> ()
-    | Ok st -> (
+(* Load [e]'s checkpoint, if it has one, into its tables; returns the
+   quarantined workers it names. *)
+let attach_ckpt ~config e =
+  if not (Sys.file_exists e.ckpt_path) then Ok []
+  else
+    match Ckpt.load ~path:e.ckpt_path with
+    | Error msg -> Error (Unreadable msg)
+    | Ok st when st.Ckpt.st_fingerprint <> e.fp -> Error Foreign_campaign
+    | Ok st ->
         List.iter
           (fun (shard, blob) ->
             if shard >= 0 && shard < Array.length e.plan && not (Hashtbl.mem e.blobs shard)
@@ -357,36 +404,18 @@ let attach_ckpt ~config ~dir e =
             end)
           st.Ckpt.st_shards;
         attach_quarantines e st.Ckpt.st_quarantined;
-        let acfg = audit_config config ~fp:e.fp in
-        match st.Ckpt.st_audit with
-        | Some au ->
-            e.audit <-
-              Audit.restore acfg ~nshards:(Array.length e.plan)
-                (List.map
-                   (fun (a : Ckpt.audit_entry) ->
-                     {
-                       Audit.au_shard = a.Ckpt.au_shard;
-                       au_worker = a.Ckpt.au_worker;
-                       au_digest = a.Ckpt.au_digest;
-                       au_passed = a.Ckpt.au_passed;
-                     })
-                   au.Ckpt.au_entries)
-        | None ->
-            (* Pre-audit (v2) checkpoint under a now-auditing scheduler:
-               recompute each accepted shard's digest from its blob. The
-               primaries carry no producer name, so a later quarantine
-               cannot blame them — they are simply due for audit. *)
-            if config.audit_rate > 0. then
-              Hashtbl.iter
-                (fun shard blob ->
-                  let quarantined =
-                    Option.value (Hashtbl.find_opt e.quarantines shard) ~default:[]
-                  in
-                  ignore
-                    (Audit.note_accept e.audit ~shard ~worker:""
-                       ~digest:(Audit.Check.result_digest ~tally:blob ~quarantined)
-                      : bool))
-                e.blobs)
+        e.audit <-
+          Audit.restore (audit_config config ~fp:e.fp) ~nshards:(Array.length e.plan)
+            (List.map
+               (fun (a : Ckpt.audit_entry) ->
+                 {
+                   Audit.au_shard = a.Ckpt.au_shard;
+                   au_worker = a.Ckpt.au_worker;
+                   au_digest = a.Ckpt.au_digest;
+                   au_passed = a.Ckpt.au_passed;
+                 })
+               st.Ckpt.st_audit.Ckpt.au_entries);
+        Ok st.Ckpt.st_audit.Ckpt.au_banned
 
 let entry_complete e = Lease.finished e.lease && Audit.finished e.audit
 
@@ -411,7 +440,8 @@ let invalidate_victims_entry e ~worker =
 (* Rebuild the queue from replayed WAL records, then reattach each
    campaign's checkpoint. Runs before the WAL handle exists (the old
    segments must survive until the compacted one is durable), so it
-   only touches the entry tables. *)
+   only touches the entry tables. An unreadable checkpoint re-runs its
+   campaign from scratch. *)
 let recover ~config ~dir ~entries records =
   let order = ref [] in
   let banned = ref [] in
@@ -432,7 +462,7 @@ let recover ~config ~dir ~entries records =
                      land here too and change nothing. *)
                   if e.phase = Cancelled then e.phase <- Active
               | None ->
-                  let e = make_entry config spec in
+                  let e = make_entry config ~dir spec in
                   Hashtbl.replace entries fp e;
                   order := fp :: !order))
       | Some (Op_finished (fp, elapsed)) -> (
@@ -460,7 +490,7 @@ let recover ~config ~dir ~entries records =
       match Hashtbl.find_opt entries fp with
       | None -> ()
       | Some e -> (
-          attach_ckpt ~config ~dir e;
+          ignore (attach_ckpt ~config e : (string list, checkpoint_error) result);
           (* The quarantine WAL record is durable before the victims'
              checkpoints are rewritten, so replay the invalidation — a
              no-op when the crash came after it finished. *)
@@ -514,15 +544,16 @@ let create ?(obs = Obs.disabled) config ~dir ~now =
       config;
       dir;
       wal = Wal.start ~dir:wal_dir ~initial:(records_of_state ~entries ~banned order);
+      wal_torn_at_start = replayed.Wal.torn;
       entries;
       order;
       rotation = 0;
-      rate = Rate.create ~halflife_s:config.rate_halflife_s ~now ();
+      rate = Rate.create ~now ();
       draining = false;
       last_activity = now;
       banned;
       mismatches = Hashtbl.create 8;
-      workers_seen = Hashtbl.create 8;
+      health = Hashtbl.create 8;
       shard_ewma = None;
       mx;
     }
@@ -544,19 +575,21 @@ let finalize t e ~now =
     refresh_gauges t
   end
 
-let is_banned t ~worker = List.mem worker t.banned
-
-(* Fleet-wide quarantine: record durably, then invalidate every
-   unvindicated shard the liar produced in any still-active campaign so
-   honest workers re-run them. Finished campaigns keep their reports —
-   every shard in them was either audited or produced before auditing
-   drained, and reopening a served report would be worse than the
-   residual risk. *)
-let quarantine_worker t worker =
+(* Fleet-wide quarantine: record durably, trip the worker's breaker,
+   then invalidate every unvindicated shard the liar produced in any
+   still-active campaign so honest workers re-run them. Finished
+   campaigns keep their reports — every shard in them was either
+   audited or produced before auditing drained, and reopening a served
+   report would be worse than the residual risk. *)
+let quarantine_worker t ~now worker =
   if worker <> "" && not (is_banned t ~worker) then begin
     t.banned <- worker :: t.banned;
     wal_append t (rec_quarantine worker);
     gset t.mx.audit_quarantined (List.length t.banned);
+    let b = breaker_for t worker in
+    if Breaker.state b ~now <> Breaker.Open then cinc t.mx.breaker_opened;
+    Breaker.trip b ~now;
+    gset t.mx.circuit_open (open_breakers t ~now);
     iter_ordered t (fun e ->
         if active e then begin
           let dropped = invalidate_victims_entry e ~worker in
@@ -571,11 +604,12 @@ let quarantine_worker t worker =
 
 let mismatch_strikes = 3
 
-let note_mismatch t worker =
+let note_mismatch t ~now worker =
   cinc t.mx.audit_mismatches;
+  ignore (note_failure t ~now ~worker : float);
   let strikes = 1 + Option.value (Hashtbl.find_opt t.mismatches worker) ~default:0 in
   Hashtbl.replace t.mismatches worker strikes;
-  if strikes >= mismatch_strikes then quarantine_worker t worker
+  if strikes >= mismatch_strikes then quarantine_worker t ~now worker
 
 let park t e reason =
   if active e then begin
@@ -601,7 +635,20 @@ let position_of t e =
   in
   go 0 t.order
 
-let submit t ~now spec =
+(* A new campaign whose progress file lives at [checkpoint]: resume from
+   it, adopting its quarantine list, or refuse it before anything is
+   committed. *)
+let admit_checkpointed t ~now ~checkpoint e =
+  match attach_ckpt ~config:t.config e with
+  | Error err -> raise (Bad_checkpoint (checkpoint, err))
+  | Ok banned ->
+      Hashtbl.replace t.entries e.fp e;
+      t.order <- t.order @ [ e.fp ];
+      wal_append t (rec_submit e.spec);
+      List.iter (quarantine_worker t ~now) banned;
+      finalize t e ~now
+
+let submit t ~now ?checkpoint spec =
   t.last_activity <- now;
   match spec_valid spec with
   | Error reason -> `Invalid reason
@@ -627,13 +674,16 @@ let submit t ~now spec =
             `Rejected t.config.retry_after_s
           end
           else begin
-            let e = make_entry t.config spec in
-            Hashtbl.replace t.entries fp e;
-            t.order <- t.order @ [ fp ];
-            wal_append t (rec_submit spec);
+            let e = make_entry t.config ~dir:t.dir ?checkpoint spec in
+            (match checkpoint with
+            | Some checkpoint -> admit_checkpointed t ~now ~checkpoint e
+            | None ->
+                Hashtbl.replace t.entries fp e;
+                t.order <- t.order @ [ fp ];
+                wal_append t (rec_submit spec));
             cinc t.mx.submissions;
             refresh_gauges t;
-            `Queued (position_of t e)
+            if e.phase = Finished then `Cached else `Queued (position_of t e)
           end)
 
 let cancel t ~fingerprint =
@@ -650,12 +700,23 @@ let cancel t ~fingerprint =
           refresh_gauges t;
           `Cancelled)
 
+let holds t ~fingerprint = Hashtbl.mem t.entries fingerprint
+
 (* -- dispatch ------------------------------------------------------------ *)
+
+(* A heartbeat gap big enough to lose the lease is a health event for
+   the worker that was holding it. *)
+let expire t e ~now =
+  List.iter
+    (fun (_, worker) ->
+      cinc t.mx.leases_expired;
+      ignore (note_failure t ~now ~worker : float))
+    (Lease.sweep_expired e.lease ~now)
 
 let sweep t ~now =
   iter_ordered t (fun e ->
       if active e then begin
-        ignore (Lease.sweep e.lease ~now : int);
+        expire t e ~now;
         ignore (Audit.sweep e.audit ~now : int);
         (match (e.started_at, t.config.wall_budget_s) with
         | Some s, budget when budget > 0. && now -. s > budget ->
@@ -664,18 +725,14 @@ let sweep t ~now =
         | _ -> ());
         if entry_complete e then finalize t e ~now
       end);
+  gset t.mx.circuit_open (open_breakers t ~now);
   refresh_gauges t
 
-(* Live-fleet estimate from recent lease requests: with a single live
-   worker the different-auditor rule would deadlock the audit queue, so
-   self-audit is allowed (it still catches nondeterminism). *)
-let fleet_size t ~now =
-  Hashtbl.fold
-    (fun _ last n -> if now -. last <= 2. *. t.config.ttl_s then n + 1 else n)
-    t.workers_seen 0
-
-let audit_offer t e ~now ~worker =
-  match Audit.next_due e.audit ~worker ~allow_self:(fleet_size t ~now <= 1) with
+(* With a single live worker the different-auditor rule would deadlock
+   the audit queue, so self-audit is allowed (it still catches
+   nondeterminism). *)
+let audit_offer t e ~now ~worker ~alone =
+  match Audit.next_due e.audit ~worker ~allow_self:alone with
   | None -> None
   | Some shard ->
       let epoch = Lease.bump_epoch e.lease ~shard in
@@ -684,6 +741,9 @@ let audit_offer t e ~now ~worker =
       let start, len = Lease.range e.lease ~shard in
       Some { Lease.shard; epoch; start; len }
 
+(* Straggler speculation: duplicate the oldest lease once its age
+   exceeds [speculate_factor] times the fleet's per-shard EWMA. First
+   valid completion wins; the loser fences on its epoch. *)
 let speculate_offer t e ~now ~worker =
   match t.shard_ewma with
   | Some ewma when t.config.speculate_factor > 0. && not (Lease.finished e.lease) ->
@@ -707,22 +767,22 @@ let speculate_offer t e ~now ~worker =
           | None -> None))
   | _ -> None
 
-let next_job t ~now ~worker ~scope =
+let next_job ?(alone = false) t ~now ~worker ~scope =
   t.last_activity <- now;
-  Hashtbl.replace t.workers_seen worker now;
   if is_banned t ~worker then `Banned
-  else if t.draining then `Drained
   else
     let try_entry e =
       if not (active e) then None
-      else
+      else begin
+        expire t e ~now;
         match Lease.acquire e.lease ~now ~worker with
         | `Assign a ->
             if e.started_at = None then e.started_at <- Some now;
+            cinc t.mx.leases_issued;
             Hashtbl.replace e.assigned_at a.Lease.shard (now, worker);
             Some (`Job (e.spec, a))
         | `Finished | `Wait -> (
-            match audit_offer t e ~now ~worker with
+            match audit_offer t e ~now ~worker ~alone with
             | Some a -> Some (`Job (e.spec, a))
             | None -> (
                 match speculate_offer t e ~now ~worker with
@@ -730,11 +790,13 @@ let next_job t ~now ~worker ~scope =
                 | None ->
                     if entry_complete e then finalize t e ~now;
                     None))
+      end
     in
     if scope = Protocol.pool_fingerprint then begin
       let act = active_entries t in
       let n = List.length act in
-      if n = 0 then `Wait
+      if t.draining then `Drained
+      else if n = 0 then `Wait
       else begin
         (* Round-robin across campaigns: start one past the campaign
            that got the previous lease, so one long campaign cannot
@@ -756,30 +818,38 @@ let next_job t ~now ~worker ~scope =
       end
     end
     else
-      match Hashtbl.find_opt t.entries scope with
-      | None -> `Unknown_scope
-      | Some e -> (
-          match e.phase with
-          | Finished -> `Drained
-          | Cancelled -> `Drained
-          | Parked _ -> `Wait
-          | Active -> (
-              match try_entry e with
-              | Some job ->
-                  refresh_gauges t;
-                  job
-              | None -> if entry_complete e then `Drained else `Wait))
-
-let heartbeat t ~now ~fingerprint ~shard ~epoch =
-  t.last_activity <- now;
-  match Hashtbl.find_opt t.entries fingerprint with
-  | None -> `Stale
-  | Some e -> (
+      let e = Hashtbl.find t.entries scope in
       match e.phase with
-      | Active | Parked _ ->
-          if Audit.heartbeat e.audit ~shard ~epoch ~now then `Ok
-          else Lease.heartbeat e.lease ~now ~shard ~epoch
-      | Finished | Cancelled -> `Stale)
+      | Finished | Cancelled -> `Drained
+      | Parked _ -> `Wait
+      (* A drain stops leasing, but the campaign is not over: its
+         workers wait, and reconnect to the service that resumes it. *)
+      | Active when t.draining -> `Wait
+      | Active -> (
+          match try_entry e with
+          | Some job ->
+              refresh_gauges t;
+              job
+          | None -> if entry_complete e then `Drained else `Wait)
+
+let heartbeat t ~now ~worker ~fingerprint ~shard ~epoch =
+  t.last_activity <- now;
+  cinc t.mx.heartbeats;
+  let live =
+    match Hashtbl.find_opt t.entries fingerprint with
+    | None -> false
+    | Some e -> (
+        match e.phase with
+        | Active | Parked _ ->
+            Audit.heartbeat e.audit ~shard ~epoch ~now
+            || Lease.heartbeat e.lease ~now ~shard ~epoch = `Ok
+        | Finished | Cancelled -> false)
+  in
+  if live then begin
+    note_success t ~now ~worker;
+    `Ok
+  end
+  else `Stale
 
 let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantined =
   t.last_activity <- now;
@@ -790,7 +860,11 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
       | Cancelled -> `Unknown
       | Finished | Active | Parked _ -> (
           match Ssf.Tally.of_string tally with
-          | Error msg -> `Invalid msg
+          | Error msg ->
+              (* Validate before committing: a blob that does not decode
+                 must not consume the shard's one accepted completion. *)
+              ignore (note_failure t ~now ~worker : float);
+              `Invalid msg
           | Ok _ -> (
               let computed = Audit.Check.result_digest ~tally ~quarantined in
               match digest with
@@ -798,7 +872,7 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                   (* The worker's own digest disagrees with its payload:
                      corruption or a clumsy lie. Refuse without consuming
                      the shard's completion and put the lease back. *)
-                  note_mismatch t worker;
+                  note_mismatch t ~now worker;
                   Audit.release e.audit ~shard ~epoch;
                   Lease.release e.lease ~shard ~epoch;
                   `Mismatch
@@ -806,6 +880,7 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                   if Audit.audit_epoch e.audit ~shard ~epoch then (
                     match Audit.complete e.audit ~shard ~epoch ~worker ~digest:computed with
                     | `Pass ->
+                        note_success t ~now ~worker;
                         save_ckpt t e;
                         if e.phase = Active then finalize t e ~now;
                         `Audited "audit pass"
@@ -820,11 +895,14 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                           if quarantined = [] then Hashtbl.remove e.quarantines shard
                           else Hashtbl.replace e.quarantines shard quarantined
                         end;
-                        List.iter (quarantine_worker t) vd_liars;
+                        List.iter (quarantine_worker t ~now) vd_liars;
+                        if not (List.mem worker vd_liars) then note_success t ~now ~worker;
                         save_ckpt t e;
                         if e.phase = Active then finalize t e ~now;
                         `Audited "audit verdict"
-                    | `Stale -> `Stale)
+                    | `Stale ->
+                        cinc t.mx.stale_results;
+                        `Stale)
                   else
                     match Lease.complete e.lease ~shard ~epoch with
                     | `Accepted ->
@@ -833,9 +911,11 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                         else Hashtbl.replace e.quarantines shard quarantined;
                         e.done_samples <- e.done_samples + shard_len e shard;
                         Rate.observe t.rate ~now (float_of_int (shard_len e shard));
+                        cinc t.mx.shards_completed;
                         (match Hashtbl.find_opt e.assigned_at shard with
                         | Some (t0, _) ->
                             let dt = Float.max 0. (now -. t0) in
+                            Option.iter (fun h -> Metrics.observe h dt) t.mx.roundtrip;
                             t.shard_ewma <-
                               Some
                                 (match t.shard_ewma with
@@ -843,23 +923,22 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                                 | Some old -> (0.7 *. old) +. (0.3 *. dt));
                             Hashtbl.remove e.assigned_at shard
                         | None -> ());
+                        note_success t ~now ~worker;
                         ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
                         save_ckpt t e;
                         if e.phase = Active then finalize t e ~now;
                         refresh_gauges t;
                         `Accepted
-                    | (`Duplicate | `Stale | `Unknown) as r -> r)))
+                    | `Stale ->
+                        cinc t.mx.stale_results;
+                        `Stale
+                    | (`Duplicate | `Unknown) as r -> r)))
 
 (* -- reports and status -------------------------------------------------- *)
 
 let report t ~fingerprint =
   match Hashtbl.find_opt t.entries fingerprint with
-  | Some e when e.phase = Finished ->
-      let shards =
-        Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-      in
-      Some (shards, sorted_quarantined e, e.elapsed_s)
+  | Some e when e.phase = Finished -> Some (sorted_blobs e, sorted_quarantined e, e.elapsed_s)
   | Some _ | None -> None
 
 let status_entry t ~now e =
@@ -924,6 +1003,44 @@ let status t ~now ~fingerprint =
     match Hashtbl.find_opt t.entries fingerprint with
     | Some e -> [ status_entry t ~now e ]
     | None -> []
+
+type summary = {
+  sm_queue_depth : int;
+  sm_shards_done : int;
+  sm_shards_total : int;
+  sm_in_flight : int;
+  sm_audits_pending : int;
+  sm_breakers_open : int;
+  sm_banned : int;
+  sm_wal_torn : int;
+}
+
+let summary t ~now =
+  let sum f = Hashtbl.fold (fun _ e n -> n + f e) t.entries 0 in
+  {
+    sm_queue_depth = List.length (active_entries t);
+    sm_shards_done = sum (fun e -> Lease.completed e.lease);
+    sm_shards_total = sum (fun e -> Lease.total e.lease);
+    sm_in_flight = List.fold_left (fun n e -> n + Lease.in_flight e.lease) 0 (active_entries t);
+    sm_audits_pending = sum (fun e -> Audit.pending e.audit);
+    sm_breakers_open = open_breakers t ~now;
+    sm_banned = List.length t.banned;
+    sm_wal_torn = t.wal_torn_at_start;
+  }
+
+type worker_health = { wh_breaker : Breaker.state; wh_banned : bool; wh_mismatches : int }
+
+let worker_health t ~now =
+  Hashtbl.fold
+    (fun w b acc ->
+      ( w,
+        {
+          wh_breaker = Breaker.state b ~now;
+          wh_banned = is_banned t ~worker:w;
+          wh_mismatches = Option.value (Hashtbl.find_opt t.mismatches w) ~default:0;
+        } )
+      :: acc)
+    t.health []
 
 (* -- lifecycle ----------------------------------------------------------- *)
 

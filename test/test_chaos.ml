@@ -1,6 +1,6 @@
-(* Chaos-hardening tests: CRC-32 vectors and frame rejection, v1-peer
-   detection, reconnect backoff jitter bounds, the circuit breaker state
-   machine under a fake clock, fault-plan parsing, and the headline
+(* Chaos-hardening tests: CRC-32 vectors and frame rejection, reconnect
+   backoff jitter bounds, the circuit breaker state machine under a fake
+   clock, fault-plan parsing, and the headline
    property — a full loopback campaign pushed through the deterministic
    fault-injection proxy (bit flips, duplicated and severed chunks,
    periodic partitions, plus a worker dying mid-shard and a malicious
@@ -10,6 +10,8 @@
 module Programs = Fmc_isa.Programs
 module Rng = Fmc_prelude.Rng
 module Metrics = Fmc_obs.Metrics
+module Service = Fmc_sched.Service
+module Sched = Fmc_sched.Sched
 open Fmc
 open Fmc_dist
 
@@ -43,7 +45,7 @@ let test_crc32_extend_composition () =
     (Crc32.extend_sub 0 buf ~pos:(String.length a) ~len:(String.length b))
 
 (* ------------------------------------------------------------------ *)
-(* Wire frames: round-trip, corruption rejection, v1 detection *)
+(* Wire frames: round-trip, corruption rejection *)
 
 let with_socketpair f =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -100,25 +102,6 @@ let test_oversized_frame_rejected () =
       match Wire.read_frame_raw (Wire.conn b) with
       | _ -> Alcotest.fail "expected Protocol_error"
       | exception Wire.Protocol_error _ -> ())
-
-let test_v1_hello_detected () =
-  (* A v1 peer's Hello ([len][tag][payload], no CRC) must parse as a
-     corrupt v2 frame carrying the intact v1 payload, and the sniffer
-     must identify it so the coordinator can answer in v1 framing. *)
-  let _, payload =
-    Protocol.encode_client
-      (Protocol.Hello { version = 1; worker = "old"; fingerprint = "v1 whatever" })
-  in
-  with_socketpair (fun a b ->
-      Wire.write_frame_v1 (Wire.conn a) ~tag:'H' payload;
-      match Wire.read_frame_raw (Wire.conn b) with
-      | `Corrupt (tag, raw) ->
-          Alcotest.(check char) "tag" 'H' tag;
-          (match Protocol.v1_hello ~tag raw with
-          | Some 1 -> ()
-          | Some v -> Alcotest.failf "wrong sniffed version %d" v
-          | None -> Alcotest.fail "v1 hello not recognized")
-      | `Ok _ -> Alcotest.fail "a v1 frame cannot be a valid v2 frame")
 
 (* ------------------------------------------------------------------ *)
 (* Reconnect backoff *)
@@ -239,6 +222,36 @@ let check_byte_identical (reference : Ssf.report) (dist : Ssf.report) =
   Alcotest.(check string) "merged JSON byte-identical"
     (Export.report_json reference) (Export.report_json dist)
 
+(* The campaign service holding the one campaign whose fingerprint is
+   the [Protocol.fingerprint] these tests compute (benchmark "write"). *)
+let serve_campaign ?obs ?(audit_rate = 0.) ?(breaker = Breaker.default_config)
+    ?(io_deadline_s = 120.) ~ttl_s ~linger_s addr prep ~samples ~seed ~shard_size =
+  let spec =
+    {
+      Protocol.sp_benchmark = "write";
+      sp_strategy = Sampler.name prep;
+      sp_samples = samples;
+      sp_seed = seed;
+      sp_shard_size = shard_size;
+      sp_sample_budget = None;
+      sp_fault_model = "disc-transient";
+    }
+  in
+  let config =
+    {
+      (Service.default_config addr) with
+      Service.sched = { Sched.default_config with Sched.ttl_s; audit_rate; breaker };
+      io_deadline_s;
+    }
+  in
+  Service.serve ?obs ~campaign:{ Service.spec; checkpoint = None; linger_s } config
+
+let finished_shards outcome =
+  match outcome with
+  | Some { Service.sv_report = Some (shards, _, _); _ } -> shards
+  | Some _ -> Alcotest.fail "the service stopped before the campaign finished"
+  | None -> Alcotest.fail "no outcome"
+
 (* Deterministic breaker/reconnect scenario: a malicious client sends
    corrupt frames under a real worker's name until the breaker trips;
    the real worker then gets parked with Retry_later, backs off, probes
@@ -257,22 +270,21 @@ let test_breaker_parks_and_recovers () =
     ~finally:(fun () -> if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
       let addr = Wire.Unix_path sock in
-      let config =
-        {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 5.;
-          linger_s = 0.5;
-          breaker = { Breaker.failure_threshold = 2; cooldown_s = 0.4 };
-        }
-      in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
       let outcome = ref None in
       let server =
-        Thread.create (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan)) ()
+        Thread.create
+          (fun () ->
+            outcome :=
+              Some
+                (serve_campaign ~obs:cobs
+                   ~breaker:{ Breaker.failure_threshold = 2; cooldown_s = 0.4 }
+                   ~ttl_s:5. ~linger_s:0.5 addr prep ~samples ~seed ~shard_size))
+          ()
       in
       (* Two corrupt frames under the name "w1" trip its breaker. The
-         coordinator hangs up after each, so reconnect between them. *)
+         service hangs up after each, so reconnect between them. *)
       let corrupt_once () =
         let fd = Wire.connect ~attempts:40 ~delay_s:0.05 addr in
         let conn = Wire.conn fd in
@@ -305,9 +317,8 @@ let test_breaker_parks_and_recovers () =
       let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "parked worker still ran every shard" (Array.length plan) accepted;
       Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) (finished_shards !outcome) with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
@@ -331,7 +342,7 @@ let test_breaker_parks_and_recovers () =
 
 (* The headline property, over several seeded fault plans: an aggressive
    chaos plan (bit flips, duplicated chunks, severed connections, small
-   delays, periodic partitions) between the coordinator and everything
+   delays, periodic partitions) between the service and everything
    else — plus a worker dying mid-shard — never changes a byte of the
    merged report. *)
 let chaos_round ~round =
@@ -351,24 +362,22 @@ let chaos_round ~round =
     (fun () ->
       let upstream = Wire.Unix_path hidden in
       let proxy_addr = Wire.Unix_path public in
-      let config =
-        {
-          (Coordinator.default_config upstream) with
-          Coordinator.ttl_s = 1.0;
-          linger_s = 1.0;
-          (* A bit flip in a frame's length word leaves the reader
-             waiting for bytes that never come; short deadlines turn
-             that stall into a quick typed Timeout. *)
-          io_deadline_s = 2.;
-          breaker = { Breaker.failure_threshold = 4; cooldown_s = 0.3 };
-        }
-      in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
       let outcome = ref None in
       let server =
         Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan))
+          (fun () ->
+            outcome :=
+              Some
+                (serve_campaign ~obs:cobs
+                   ~breaker:{ Breaker.failure_threshold = 4; cooldown_s = 0.3 }
+                   (* A bit flip in a frame's length word leaves the
+                      reader waiting for bytes that never come; short
+                      deadlines turn that stall into a quick typed
+                      Timeout. *)
+                   ~io_deadline_s:2. ~ttl_s:1.0 ~linger_s:1.0 upstream prep ~samples ~seed
+                   ~shard_size))
           ()
       in
       let cplan =
@@ -437,11 +446,10 @@ let chaos_round ~round =
           Thread.join w1;
           Thread.join w2;
           Thread.join server;
-          let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-          Alcotest.(check int) "all shard results" (Array.length plan)
-            (List.length oc.Coordinator.oc_shards);
+          let shards = finished_shards !outcome in
+          Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
           let dist =
-            match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+            match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
             | Ok r -> r
             | Error msg -> Alcotest.failf "merge failed: %s" msg
           in
@@ -478,20 +486,16 @@ let test_lying_proxy_caught_by_audit () =
     (fun () ->
       let upstream = Wire.Unix_path hidden in
       let proxy_addr = Wire.Unix_path public in
-      let config =
-        {
-          (Coordinator.default_config upstream) with
-          Coordinator.ttl_s = 5.0;
-          linger_s = 1.0;
-          audit_rate = 1.0;
-        }
-      in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
       let outcome = ref None in
       let server =
         Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan))
+          (fun () ->
+            outcome :=
+              Some
+                (serve_campaign ~obs:cobs ~audit_rate:1.0 ~ttl_s:5.0 ~linger_s:1.0 upstream prep
+                   ~samples ~seed ~shard_size))
           ()
       in
       let cplan =
@@ -506,7 +510,7 @@ let test_lying_proxy_caught_by_audit () =
           (* The liar: runs every shard honestly but attaches no digest,
              and every Shard_done crosses the lying proxy. The mutated
              results arrive wire-valid and are accepted. *)
-          (* The coordinator binds in its own thread and the proxy dials
+          (* The service binds in its own thread and the proxy dials
              upstream once per client, so a liar that arrives first is
              cut off before its Welcome; it dials again, as a worker
              would. *)
@@ -562,11 +566,10 @@ let test_lying_proxy_caught_by_audit () =
           let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
           Alcotest.(check bool) "honest worker executed audits and re-runs" true (accepted >= 1);
           Thread.join server;
-          let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-          Alcotest.(check int) "all shard results" (Array.length plan)
-            (List.length oc.Coordinator.oc_shards);
+          let shards = finished_shards !outcome in
+          Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
           let dist =
-            match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+            match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
             | Ok r -> r
             | Error msg -> Alcotest.failf "merge failed: %s" msg
           in
@@ -614,7 +617,6 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick test_frame_corruption_rejected;
           Alcotest.test_case "oversized rejected" `Quick test_oversized_frame_rejected;
-          Alcotest.test_case "v1 hello detected" `Quick test_v1_hello_detected;
         ] );
       ( "backoff",
         [ Alcotest.test_case "jitter bounds" `Quick test_backoff_jitter_bounds ] );

@@ -1,12 +1,14 @@
 (* Tests for the distributed campaign service: RNG substream isolation,
    the shared tally/quarantine wire codecs, lease epoch fencing
-   (exactly-once), coordinator checkpointing, permutation-invariant
+   (exactly-once), service checkpointing, permutation-invariant
    merging, and a full loopback campaign over a Unix socket with a
    worker dying mid-run — whose merged report must be bit-identical to
    the single-process sharded reference. *)
 
 module Programs = Fmc_isa.Programs
 module Rng = Fmc_prelude.Rng
+module Service = Fmc_sched.Service
+module Sched = Fmc_sched.Sched
 open Fmc
 open Fmc_dist
 
@@ -172,7 +174,6 @@ let test_protocol_roundtrip () =
       Protocol.Ack { accepted = false; reason = "stale epoch" };
       Protocol.Report
         { shards = [ (0, "a\nb\n"); (1, "c\n") ]; quarantined = []; elapsed_s = 1.5 };
-      Protocol.Report_pending;
       Protocol.Reject { reason = "fingerprint mismatch" };
     ]
   in
@@ -196,11 +197,11 @@ let test_lease_lifecycle () =
   | `Assign { Lease.shard = 0; epoch = 1; start = 0; len = 10 } -> ()
   | _ -> Alcotest.fail "expected shard 0 epoch 1");
   Alcotest.(check int) "in flight" 1 (Lease.in_flight t);
-  Alcotest.(check (option string)) "holder" (Some "a") (Lease.holder t ~shard:0);
   (* heartbeat extends the deadline *)
   Alcotest.(check bool) "heartbeat ok" true (Lease.heartbeat t ~now:5. ~shard:0 ~epoch:1 = `Ok);
-  Alcotest.(check int) "no expiry before deadline" 0 (Lease.sweep t ~now:12.);
-  Alcotest.(check int) "expiry after deadline" 1 (Lease.sweep t ~now:16.);
+  Alcotest.(check int) "no expiry before deadline" 0 (List.length (Lease.sweep_expired t ~now:12.));
+  Alcotest.(check (list (pair int string))) "expiry after deadline names the holder" [ (0, "a") ]
+    (Lease.sweep_expired t ~now:16.);
   Alcotest.(check bool) "late heartbeat stale" true
     (Lease.heartbeat t ~now:16. ~shard:0 ~epoch:1 = `Stale);
   (* the shard comes back under a bumped epoch *)
@@ -250,7 +251,7 @@ let test_fencing_exactly_once () =
   (match Lease.acquire lease ~now:0. ~worker:"a" with
   | `Assign { Lease.shard = 0; epoch = 1; _ } -> ()
   | _ -> Alcotest.fail "expected shard 0");
-  Alcotest.(check int) "lease expires" 1 (Lease.sweep lease ~now:2.);
+  Alcotest.(check int) "lease expires" 1 (List.length (Lease.sweep_expired lease ~now:2.));
   (* worker b drains everything under live epochs *)
   let rec drain now =
     match Lease.acquire lease ~now ~worker:"b" with
@@ -275,7 +276,7 @@ let test_fencing_exactly_once () =
       check_reports_equal reference.Campaign.report report
 
 (* ------------------------------------------------------------------ *)
-(* Coordinator checkpoint *)
+(* Service checkpoint *)
 
 let test_ckpt_roundtrip () =
   let path = Filename.temp_file "fmc-dist" ".ckpt" in
@@ -287,7 +288,7 @@ let test_ckpt_roundtrip () =
           Ckpt.st_fingerprint = "v1 strategy=mixed benchmark=write samples=100 seed=7";
           st_shards = [ (0, "alpha\nbeta\n"); (2, "gamma\n") ];
           st_quarantined = [ quarantine_fixture ];
-          st_audit = None;
+          st_audit = { Ckpt.au_entries = []; au_banned = [] };
         }
       in
       Ckpt.save ~path state;
@@ -297,28 +298,38 @@ let test_ckpt_roundtrip () =
           Alcotest.(check string) "fingerprint" state.Ckpt.st_fingerprint s.Ckpt.st_fingerprint;
           Alcotest.(check (list (pair int string))) "shards" state.Ckpt.st_shards s.Ckpt.st_shards;
           Alcotest.(check int) "quarantine count" 1 (List.length s.Ckpt.st_quarantined);
-          Alcotest.(check bool) "no audit block" true (s.Ckpt.st_audit = None));
-      (* v3: the audit block (accepted-shard digests + banned workers)
-         rides the same file and round-trips exactly. *)
+          Alcotest.(check bool) "empty audit block" true (s.Ckpt.st_audit = state.Ckpt.st_audit));
+      (* The audit block (accepted-shard digests + banned workers) rides
+         the same file and round-trips exactly. *)
       let audited =
         {
           state with
           Ckpt.st_audit =
-            Some
-              {
-                Ckpt.au_entries =
-                  [
-                    { Ckpt.au_shard = 0; au_worker = "alice"; au_digest = "d0"; au_passed = true };
-                    { Ckpt.au_shard = 2; au_worker = "bob"; au_digest = "d2"; au_passed = false };
-                  ];
-                au_banned = [ "mallory" ];
-              };
+            {
+              Ckpt.au_entries =
+                [
+                  { Ckpt.au_shard = 0; au_worker = "alice"; au_digest = "d0"; au_passed = true };
+                  { Ckpt.au_shard = 2; au_worker = "bob"; au_digest = "d2"; au_passed = false };
+                ];
+              au_banned = [ "mallory" ];
+            };
         }
       in
       Ckpt.save ~path audited;
-      match Ckpt.load ~path with
+      (match Ckpt.load ~path with
       | Error msg -> Alcotest.failf "audited load failed: %s" msg
-      | Ok s -> Alcotest.(check bool) "audit block round-trips" true (s.Ckpt.st_audit = audited.Ckpt.st_audit))
+      | Ok s ->
+          Alcotest.(check bool) "audit block round-trips" true
+            (s.Ckpt.st_audit = audited.Ckpt.st_audit));
+      (* One format: any other header is refused with an error. *)
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      let older = "faultmc-dist 2" ^ String.sub raw 14 (String.length raw - 14) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc older);
+      match Ckpt.load ~path with
+      | Error msg ->
+          Alcotest.(check bool) "version named in the refusal" true
+            (String.length msg > 0 && String.sub msg 0 11 = "unsupported")
+      | Ok _ -> Alcotest.fail "a faultmc-dist 2 header must be refused")
 
 (* ------------------------------------------------------------------ *)
 (* Permutation-invariant merging *)
@@ -363,6 +374,35 @@ let recv conn =
   | Ok m -> m
   | Error msg -> Alcotest.failf "server sent garbage: %s" msg
 
+(* The campaign service holding the one campaign whose fingerprint is
+   the [Protocol.fingerprint] these tests compute (benchmark "write"). *)
+let serve_campaign ?obs ?on_view ?checkpoint ?(audit_rate = 0.) ~ttl_s ~linger_s addr prep
+    ~samples ~seed ~shard_size =
+  let spec =
+    {
+      Protocol.sp_benchmark = "write";
+      sp_strategy = Sampler.name prep;
+      sp_samples = samples;
+      sp_seed = seed;
+      sp_shard_size = shard_size;
+      sp_sample_budget = None;
+      sp_fault_model = "disc-transient";
+    }
+  in
+  let config =
+    {
+      (Service.default_config addr) with
+      Service.sched = { Sched.default_config with Sched.ttl_s; audit_rate };
+    }
+  in
+  Service.serve ?obs ?on_view ~campaign:{ Service.spec; checkpoint; linger_s } config
+
+let finished_report outcome =
+  match outcome with
+  | Some { Service.sv_report = Some (shards, quarantined, _); _ } -> (shards, quarantined)
+  | Some _ -> Alcotest.fail "the service stopped before the campaign finished"
+  | None -> Alcotest.fail "no outcome"
+
 let test_loopback_campaign_with_dead_worker () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
@@ -381,22 +421,14 @@ let test_loopback_campaign_with_dead_worker () =
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ sock_path; ckpt_path ])
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 1.0;
-          linger_s = 1.5;
-          checkpoint_path = Some ckpt_path;
-        }
+      let serve ?obs () =
+        serve_campaign ?obs ~checkpoint:ckpt_path ~ttl_s:1.0 ~linger_s:1.5 addr prep ~samples
+          ~seed ~shard_size
       in
       let reg = Fmc_obs.Metrics.create () in
       let obs = Fmc_obs.Obs.create ~metrics:reg () in
       let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs config ~fingerprint ~plan))
-          ()
-      in
+      let server = Thread.create (fun () -> outcome := Some (serve ~obs ())) () in
       (* A worker takes the first lease and dies without completing it:
          connect, hello, lease, go silent past the TTL, then report the
          (well-formed!) result under the now-fenced epoch. *)
@@ -415,7 +447,7 @@ let test_loopback_campaign_with_dead_worker () =
       Alcotest.(check int) "first lease epoch" 1 epoch;
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let blob = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
-      Thread.delay 1.6 (* past the TTL: the coordinator expires the lease *);
+      Thread.delay 1.6 (* past the TTL: the service expires the lease *);
       send conn (Protocol.Shard_done { shard; epoch; tally = blob; quarantined = [] });
       (match recv conn with
       | Protocol.Ack { accepted = false; _ } -> ()
@@ -433,18 +465,17 @@ let test_loopback_campaign_with_dead_worker () =
       let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
       Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-      Alcotest.(check int) "all shard results" (Array.length plan)
-        (List.length oc.Coordinator.oc_shards);
-      Alcotest.(check int) "nothing quarantined" 0 (List.length oc.Coordinator.oc_quarantined);
+      let shards, quarantined = finished_report !outcome in
+      Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
+      Alcotest.(check int) "nothing quarantined" 0 (List.length quarantined);
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
       let reference = Campaign.estimate_sharded e prep ~samples ~seed ~shard_size in
       check_reports_equal reference.Campaign.report dist;
-      (* Coordinator metrics recorded the failure story: one expired
+      (* Service metrics recorded the failure story: one expired
          lease, one fenced stale result, every shard completed. *)
       let metric name =
         match Fmc_obs.Metrics.find (Fmc_obs.Metrics.snapshot reg) name with
@@ -458,11 +489,9 @@ let test_loopback_campaign_with_dead_worker () =
         (float_of_int (Array.length plan))
         (metric "fmc_dist_shards_completed_total");
       (* The checkpoint now holds the whole campaign: a restarted
-         coordinator resumes finished and serves the same report. *)
+         service resumes finished and serves the same report. *)
       let outcome2 = ref None in
-      let server2 =
-        Thread.create (fun () -> outcome2 := Some (Coordinator.serve config ~fingerprint ~plan)) ()
-      in
+      let server2 = Thread.create (fun () -> outcome2 := Some (serve ())) () in
       let fcfg = Worker.default_config ~addr ~worker_name:"report-client" in
       (match Worker.fetch_report ~poll_s:0.05 ~timeout_s:10. fcfg ~fingerprint:"different" with
       | Error _ -> ()
@@ -479,29 +508,22 @@ let test_loopback_campaign_with_dead_worker () =
           in
           check_reports_equal reference.Campaign.report fetched);
       Thread.join server2;
-      match !outcome2 with
-      | Some o ->
-          Alcotest.(check int) "restart served from checkpoint" (Array.length plan)
-            (List.length o.Coordinator.oc_shards)
-      | None -> Alcotest.fail "no outcome from restarted coordinator")
+      Alcotest.(check int) "restart served from checkpoint" (Array.length plan)
+        (List.length (fst (finished_report !outcome2))))
 
 (* ------------------------------------------------------------------ *)
-(* Fleet observability (protocol v4): version negotiation, trace-id
+(* Fleet observability: old protocol versions refused, trace-id
    stamping on leases, worker telemetry piggybacked on existing
    messages — and the invariant that none of it moves a single byte of
    the merged report. *)
 
-let test_v4_negotiation () =
-  Alcotest.(check bool) "v3 accepted" true (Protocol.accepts_version 3);
-  Alcotest.(check bool) "v4 accepted" true (Protocol.accepts_version 4);
+let test_old_versions_refused () =
+  Alcotest.(check bool) "v3 refused" false (Protocol.accepts_version 3);
+  Alcotest.(check bool) "v4 refused" false (Protocol.accepts_version 4);
   Alcotest.(check bool) "v5 accepted" true (Protocol.accepts_version Protocol.version);
   Alcotest.(check bool) "future version refused" false
     (Protocol.accepts_version (Protocol.version + 1));
-  Alcotest.(check int) "negotiate down with a v3 peer" 3 (Protocol.negotiate ~peer:3);
-  Alcotest.(check int) "negotiate down with a v4 peer" 4 (Protocol.negotiate ~peer:4);
-  Alcotest.(check int) "negotiate v5 with a v5 peer" Protocol.version
-    (Protocol.negotiate ~peer:Protocol.version);
-  (* The campaign fingerprint is part of the v3 handshake contract and
+  (* The campaign fingerprint is part of the handshake contract and
      must not move with the wire version. *)
   Alcotest.(check int) "fingerprint version stays 3" 3 Protocol.fingerprint_version
 
@@ -552,9 +574,6 @@ let test_loopback_fleet_telemetry () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        { (Coordinator.default_config addr) with Coordinator.ttl_s = 1.0; linger_s = 1.0 }
-      in
       let obs =
         Fmc_obs.Obs.create ~metrics:(Fmc_obs.Metrics.create ())
           ~tracer:(Fmc_obs.Span.create ()) ()
@@ -566,9 +585,9 @@ let test_loopback_fleet_telemetry () =
           (fun () ->
             outcome :=
               Some
-                (Coordinator.serve ~obs
+                (serve_campaign ~obs
                    ~on_view:(fun v -> view := Some v)
-                   config ~fingerprint ~plan))
+                   ~ttl_s:1.0 ~linger_s:1.0 addr prep ~samples ~seed ~shard_size))
           ()
       in
       let v =
@@ -576,33 +595,31 @@ let test_loopback_fleet_telemetry () =
           match !view with
           | Some v -> v
           | None ->
-              if n = 0 then Alcotest.fail "coordinator never published its view"
+              if n = 0 then Alcotest.fail "service never published its view"
               else (
                 Thread.delay 0.05;
                 wait (n - 1))
         in
         wait 100
       in
-      Alcotest.(check string) "view carries the deterministic trace id"
-        (Fmc_obs.Traceid.trace_id ~fingerprint)
-        v.Coordinator.vw_trace_id;
-      (* A v3 peer still negotiates and is served, with nothing extra. *)
-      let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
-      let conn = Wire.conn fd in
-      send conn (Protocol.Hello { version = 3; worker = "legacy"; fingerprint });
-      (match recv conn with
-      | Protocol.Welcome { version } -> Alcotest.(check int) "negotiated down to v3" 3 version
-      | _ -> Alcotest.fail "expected welcome");
-      send conn Protocol.Request_shard;
-      (match recv_ext conn with
-      | Protocol.Assign _, ext ->
-          Alcotest.(check bool) "no trace ids for a v3 peer" true
-            (ext.Protocol.ext_trace = None)
-      | _ -> Alcotest.fail "expected an assignment");
-      Wire.close conn;
-      (* The lease the v3 peer abandoned by disconnecting expires on its
-         (short) TTL and is re-issued under a bumped epoch later. A v4
-         peer sees trace ids stamped on its lease and gets its
+      Alcotest.(check (list string)) "view holds the pinned campaign, whose trace id is stamped"
+        [ fingerprint ]
+        (List.map (fun e -> e.Protocol.st_fingerprint) (v.Service.vw_status ()));
+      (* Peers of an older protocol version get a terminal Reject at
+         hello: there is no negotiating down. *)
+      List.iter
+        (fun version ->
+          let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
+          let conn = Wire.conn fd in
+          send conn (Protocol.Hello { version; worker = "legacy"; fingerprint });
+          (match recv conn with
+          | Protocol.Reject { reason } ->
+              Alcotest.(check bool) "version named in the rejection" true
+                (contains reason "version")
+          | _ -> Alcotest.failf "a v%d hello must be rejected" version);
+          Wire.close conn)
+        [ 3; 4 ];
+      (* A current peer sees trace ids stamped on its lease and gets its
          piggybacked telemetry absorbed into the fleet view. *)
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
       let conn = Wire.conn fd in
@@ -610,7 +627,7 @@ let test_loopback_fleet_telemetry () =
         (Protocol.Hello { version = Protocol.version; worker = "manual"; fingerprint });
       (match recv conn with
       | Protocol.Welcome { version } ->
-          Alcotest.(check int) "v4 negotiated" Protocol.version version
+          Alcotest.(check int) "welcome carries the current version" Protocol.version version
       | _ -> Alcotest.fail "expected welcome");
       send conn Protocol.Request_shard;
       let (shard, epoch, start, len), ext =
@@ -626,7 +643,7 @@ let test_loopback_fleet_telemetry () =
           Alcotest.(check string) "shard span id stamped"
             (Fmc_obs.Traceid.span_id ~fingerprint ~shard)
             sid
-      | None -> Alcotest.fail "a v4 assign must carry trace ids");
+      | None -> Alcotest.fail "an assign must carry trace ids");
       (* Heartbeat with a telemetry batch piggybacked on the side. *)
       let wreg = Fmc_obs.Metrics.create () in
       Fmc_obs.Metrics.add (Fmc_obs.Metrics.counter wreg "fmc_dist_worker_marker_total") 2.;
@@ -664,16 +681,16 @@ let test_loopback_fleet_telemetry () =
       | Protocol.Ack { accepted = true; _ } -> ()
       | _ -> Alcotest.fail "live heartbeat must be acked");
       (* The scrape surface reflects the absorbed batch. *)
-      (match List.find_opt (fun w -> w.Coordinator.w_name = "manual") (v.Coordinator.vw_workers ()) with
+      (match List.find_opt (fun w -> w.Service.w_name = "manual") (v.Service.vw_workers ()) with
       | Some w ->
-          Alcotest.(check int) "span summary absorbed" 1 w.Coordinator.w_spans;
-          Alcotest.(check bool) "wall clock stamped" true (w.Coordinator.w_last_wall > 0.)
+          Alcotest.(check int) "span summary absorbed" 1 w.Service.w_spans;
+          Alcotest.(check bool) "wall clock stamped" true (w.Service.w_last_wall > 0.)
       | None -> Alcotest.fail "manual worker missing from the fleet view");
       Alcotest.(check bool) "/metrics merges the worker snapshot" true
-        (contains (v.Coordinator.vw_metrics ()) "fmc_dist_worker_marker_total 2");
-      let health = v.Coordinator.vw_health () in
-      Alcotest.(check int) "shards total" (Array.length plan) health.Coordinator.h_shards_total;
-      Alcotest.(check bool) "not finished yet" false health.Coordinator.h_finished;
+        (contains (v.Service.vw_metrics ()) "fmc_dist_worker_marker_total 2");
+      let health = v.Service.vw_health () in
+      Alcotest.(check int) "shards total" (Array.length plan) health.Service.h_shards_total;
+      Alcotest.(check bool) "not finished yet" false health.Service.h_finished;
       (* Complete the leased shard for real, telemetry on the side again. *)
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let tag, payload =
@@ -691,7 +708,7 @@ let test_loopback_fleet_telemetry () =
       | Protocol.Ack { accepted = true; _ } -> ()
       | _ -> Alcotest.fail "shard result must be accepted");
       Wire.close conn;
-      (* A real v4 worker (with its own obs) finishes the campaign. *)
+      (* A real worker (with its own obs) finishes the campaign. *)
       let wobs =
         Fmc_obs.Obs.create ~metrics:(Fmc_obs.Metrics.create ())
           ~tracer:(Fmc_obs.Span.create ()) ()
@@ -706,9 +723,9 @@ let test_loopback_fleet_telemetry () =
       let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "worker ran the remaining shards" (Array.length plan - 1) accepted;
       Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
+      let shards, _ = finished_report !outcome in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
@@ -719,15 +736,15 @@ let test_loopback_fleet_telemetry () =
         (Export.report_json reference.Campaign.report)
         (Export.report_json dist);
       (* The stitched fleet trace carries both workers on their own
-         tracks next to the coordinator's. *)
-      let trace = v.Coordinator.vw_trace_json () in
+         tracks next to the service's. *)
+      let trace = v.Service.vw_trace_json () in
       List.iter
         (fun needle ->
           Alcotest.(check bool) (needle ^ " on the stitched trace") true (contains trace needle))
         [ "process_name"; "manual"; "v4-worker"; "\"pid\":1"; "\"pid\":2"; "\"pid\":3" ])
 
 (* ------------------------------------------------------------------ *)
-(* Untrusted workers (protocol v5): the canonical result digest gates
+(* Untrusted workers: the canonical result digest gates
    acceptance, the seeded audit re-executes accepted shards, and a
    quorum verdict quarantines a proven liar — with the merged report
    still byte-identical to the single-process reference. *)
@@ -762,20 +779,16 @@ let test_loopback_lying_worker_quarantined () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 2.0;
-          linger_s = 2.0;
-          audit_rate = 1.0;
-        }
-      in
       let reg = Fmc_obs.Metrics.create () in
       let obs = Fmc_obs.Obs.create ~metrics:reg () in
       let outcome = ref None in
       let server =
         Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs config ~fingerprint ~plan))
+          (fun () ->
+            outcome :=
+              Some
+                (serve_campaign ~obs ~audit_rate:1.0 ~ttl_s:2.0 ~linger_s:2.0 addr prep ~samples
+                   ~seed ~shard_size))
           ()
       in
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
@@ -843,11 +856,10 @@ let test_loopback_lying_worker_quarantined () =
       | _ -> Alcotest.fail "a quarantined worker must be rejected at hello");
       Wire.close conn;
       Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-      Alcotest.(check int) "all shard results" (Array.length plan)
-        (List.length oc.Coordinator.oc_shards);
+      let shards, _ = finished_report !outcome in
+      Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
@@ -902,7 +914,7 @@ let () =
         ] );
       ( "fleet",
         [
-          Alcotest.test_case "version negotiation" `Quick test_v4_negotiation;
+          Alcotest.test_case "old versions refused at hello" `Quick test_old_versions_refused;
           Alcotest.test_case "telemetry piggyback, bit-exact merge" `Quick
             test_loopback_fleet_telemetry;
         ] );

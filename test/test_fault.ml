@@ -325,12 +325,33 @@ let test_loopback_model_campaign () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
+      let spec =
+        {
+          Protocol.sp_benchmark = "write";
+          sp_strategy = Sampler.name prep;
+          sp_samples = samples;
+          sp_seed = seed;
+          sp_shard_size = shard_size;
+          sp_sample_budget = None;
+          sp_fault_model = Model.canonical m;
+        }
+      in
       let config =
-        { (Coordinator.default_config addr) with Coordinator.ttl_s = 1.0; linger_s = 0.5 }
+        {
+          (Fmc_sched.Service.default_config addr) with
+          Fmc_sched.Service.sched = { Fmc_sched.Sched.default_config with ttl_s = 1.0 };
+        }
       in
       let outcome = ref None in
       let server =
-        Thread.create (fun () -> outcome := Some (Coordinator.serve config ~fingerprint ~plan)) ()
+        Thread.create
+          (fun () ->
+            outcome :=
+              Some
+                (Fmc_sched.Service.serve
+                   ~campaign:{ Fmc_sched.Service.spec; checkpoint = None; linger_s = 0.5 }
+                   config))
+          ()
       in
       (* A worker configured for the default model: its fingerprint
          lacks the model component, so the handshake refuses it. *)
@@ -357,7 +378,7 @@ let test_loopback_model_campaign () =
       in
       let sh = Campaign.run_shard ~inject e prep ~seed ~shard ~start ~len in
       let blob = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
-      Thread.delay 1.6 (* past the TTL: the coordinator expires the lease *);
+      Thread.delay 1.6 (* past the TTL: the service expires the lease *);
       send conn (Protocol.Shard_done { shard; epoch; tally = blob; quarantined = [] });
       (match recv conn with
       | Protocol.Ack { accepted = false; _ } -> ()
@@ -374,9 +395,13 @@ let test_loopback_model_campaign () =
       let accepted = Worker.run ~inject wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
       Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
+      let shards =
+        match !outcome with
+        | Some { Fmc_sched.Service.sv_report = Some (shards, _, _); _ } -> shards
+        | _ -> Alcotest.fail "the service stopped before the campaign finished"
+      in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in

@@ -1,8 +1,12 @@
-(* Tests for the multi-campaign scheduler: WAL framing and torn-tail
-   replay, admission control and cancellation, report caching, kill -9
-   recovery (WAL + per-campaign checkpoints) with bit-identical merged
-   reports, and a loopback service driving a shared pool worker over a
-   Unix socket through submit / fetch / cached resubmit / drain. *)
+(* Tests for the campaign service: WAL framing and torn-tail replay,
+   admission control and cancellation, report caching, straggler
+   speculation, kill -9 recovery (WAL + per-campaign checkpoints) with
+   bit-identical merged reports, a loopback service driving a shared
+   pool worker over a Unix socket through submit / fetch / cached
+   resubmit / drain, self-audit by a lone worker, and the
+   pinned-campaign ([faultmc serve]) rules: the linger exit, a drain
+   and restart in mid-campaign, refused foreign submissions, unknown
+   fingerprints and bad checkpoints. *)
 
 module Programs = Fmc_isa.Programs
 module Wal = Fmc_sched.Wal
@@ -85,7 +89,6 @@ let pump sched ~now e prep ~scope =
         go ()
     | `Wait | `Drained -> ()
     | `Banned -> Alcotest.fail "pump: banned"
-    | `Unknown_scope -> Alcotest.fail "pump: unknown scope"
   in
   go ();
   !served
@@ -232,6 +235,62 @@ let test_admission_cancel_cache () =
   Alcotest.(check int) "s1 samples done" 40 st1.Protocol.st_samples_done;
   Sched.shutdown sched
 
+(* A shard leased for longer than [speculate_factor] x the shard EWMA is
+   duplicated onto an idle worker; the first completion wins and the
+   straggler's is fenced. *)
+let test_straggler_speculation () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let reg = Fmc_obs.Metrics.create () in
+  let obs = Fmc_obs.Obs.create ~metrics:reg () in
+  let config = { Sched.default_config with Sched.speculate_factor = 2.; ttl_s = 100. } in
+  let sched = Sched.create ~obs config ~dir ~now:0. in
+  let s = spec ~samples:60 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  let lease ~now worker =
+    match Sched.next_job sched ~now ~worker ~scope:fp with
+    | `Job (_, a) -> a
+    | _ -> Alcotest.failf "%s expected a lease at %g" worker now
+  in
+  let finish ~now worker (a : Lease.assignment) =
+    let sh =
+      Campaign.run_shard e prep ~seed:s.Protocol.sp_seed ~shard:a.Lease.shard
+        ~start:a.Lease.start ~len:a.Lease.len
+    in
+    Sched.complete sched ~now ~fingerprint:fp ~shard:a.Lease.shard ~epoch:a.Lease.epoch ~worker
+      ~digest:None
+      ~tally:(Ssf.Tally.to_string sh.Campaign.sh_snapshot)
+      ~quarantined:sh.Campaign.sh_quarantined
+  in
+  let accepted what = function `Accepted -> () | _ -> Alcotest.failf "%s not accepted" what in
+  (* Two shards take 1 s each, so the EWMA reads 1 s; the third is the
+     straggler, leased at 1 s. *)
+  accepted "shard 0" (finish ~now:1. "slow" (lease ~now:0. "slow"));
+  let straggler = lease ~now:1. "slow" in
+  accepted "shard 2" (finish ~now:2. "fast" (lease ~now:1. "fast"));
+  (match Sched.next_job sched ~now:2.5 ~worker:"fast" ~scope:fp with
+  | `Wait -> ()
+  | _ -> Alcotest.fail "a lease 1.5 s old is under 2 x the EWMA: nothing to duplicate");
+  let dup = lease ~now:3.5 "fast" in
+  Alcotest.(check int) "the straggler's shard is duplicated" straggler.Lease.shard dup.Lease.shard;
+  Alcotest.(check bool) "under a fresh epoch" true (dup.Lease.epoch > straggler.Lease.epoch);
+  Alcotest.(check (float 0.)) "speculation counted" 1.
+    (metric reg "fmc_audit_speculations_total");
+  accepted "the duplicate" (finish ~now:4. "fast" dup);
+  (match finish ~now:5. "slow" straggler with
+  | `Stale -> ()
+  | _ -> Alcotest.fail "the straggler's late result must be fenced");
+  Alcotest.(check (float 0.)) "stale result counted" 1.
+    (metric reg "fmc_dist_stale_results_total");
+  (match Sched.report sched ~fingerprint:fp with
+  | Some (blobs, _, _) ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | None -> Alcotest.fail "campaign must be finished");
+  Sched.shutdown sched
+
 let test_drain_stops_leasing () =
   with_dir @@ fun dir ->
   let now = 50. in
@@ -242,6 +301,9 @@ let test_drain_stops_leasing () =
   (match Sched.next_job sched ~now ~worker:"w" ~scope:Protocol.pool_fingerprint with
   | `Drained -> ()
   | _ -> Alcotest.fail "a draining scheduler must not lease");
+  (match Sched.next_job sched ~now ~worker:"w" ~scope:(Protocol.spec_fingerprint (spec ())) with
+  | `Wait -> ()
+  | _ -> Alcotest.fail "an unfinished campaign's own workers wait through a drain");
   Alcotest.(check int) "nothing in flight" 0 (Sched.in_flight sched);
   Sched.shutdown sched
 
@@ -339,7 +401,7 @@ let test_kill9_mid_audit_preserves_obligations () =
           ~worker
           ~digest:(digest_of ~tally ~quarantined)
           ~tally ~quarantined
-    | `Wait | `Drained | `Banned | `Unknown_scope -> Alcotest.fail "expected a job"
+    | `Wait | `Drained | `Banned -> Alcotest.fail "expected a job"
   in
   let sched1 = Sched.create config ~dir ~now in
   (match Sched.submit sched1 ~now s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
@@ -383,7 +445,7 @@ let test_kill9_mid_audit_preserves_obligations () =
             drain ()
         | _ -> Alcotest.fail "re-execution must land as an audit")
     | `Drained -> ()
-    | `Wait | `Banned | `Unknown_scope -> Alcotest.fail "audits must be offered until drained"
+    | `Wait | `Banned -> Alcotest.fail "audits must be offered until drained"
   in
   drain ();
   Alcotest.(check int) "both audits re-ran" 2 !audited;
@@ -440,8 +502,8 @@ let test_service_loopback_pool () =
       let addr = Wire.Unix_path sock_path in
       let config =
         {
-          (Service.default_config ~addr ~state_dir:dir) with
-          Service.handle_signals = false;
+          (Service.default_config addr) with
+          Service.state_dir = Some dir;
           sched = { Sched.default_config with Sched.ttl_s = 5. };
         }
       in
@@ -507,10 +569,382 @@ let test_service_loopback_pool () =
       Alcotest.(check bool) "pool worker completed shards" true (!accepted >= 1);
       Thread.join server;
       (match !outcome with
-      | Some { Service.sv_reason = Service.Drained } -> ()
+      | Some { Service.sv_reason = Service.Drained; _ } -> ()
       | Some _ -> Alcotest.fail "expected a drained exit"
       | None -> Alcotest.fail "no outcome");
       ignore !saw_pending)
+
+let with_sock f =
+  let path = Filename.temp_file "fmc-serve" ".sock" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path (Wire.Unix_path path))
+
+let wait_until ?(timeout_s = 20.) what cond =
+  let t0 = Unix.gettimeofday () in
+  while not (cond ()) do
+    if Unix.gettimeofday () -. t0 > timeout_s then Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.01
+  done
+
+(* Auditing with one pool worker while a client waits for the report:
+   the client's connection is not a worker, so the lone worker may
+   audit its own shards and the campaign finishes. *)
+let test_lone_worker_self_audits () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  with_dir @@ fun dir ->
+  with_sock @@ fun _ addr ->
+  let config =
+    {
+      (Service.default_config addr) with
+      Service.state_dir = Some dir;
+      sched = { Sched.default_config with Sched.ttl_s = 5.; audit_rate = 1. };
+    }
+  in
+  let control = ref None in
+  let server =
+    Thread.create (fun () -> Service.serve ~on_ready:(fun c -> control := Some c) config) ()
+  in
+  let s = spec ~samples:40 ~seed:5 () in
+  let client = Worker.default_config ~addr ~worker_name:"ctl" in
+  (match Worker.submit client s with
+  | Ok (Worker.Submit_queued 0) -> ()
+  | _ -> Alcotest.fail "submit");
+  let waiting = ref false and fetched = ref None in
+  let fetcher =
+    Thread.create
+      (fun () ->
+        fetched :=
+          Some
+            (Worker.fetch_report ~poll_s:0.05 ~poll_cap_s:0.1 ~timeout_s:20.
+               ~on_pending:(fun _ -> waiting := true)
+               client ~fingerprint:(Protocol.spec_fingerprint s)))
+      ()
+  in
+  (* The client is connected and waiting before the worker arrives. *)
+  wait_until "the fetch to be pending" (fun () -> !waiting);
+  let pool =
+    Thread.create
+      (fun () ->
+        let wcfg =
+          { (Worker.default_config ~addr ~worker_name:"pool-1") with Worker.retry_delay_s = 0.05 }
+        in
+        ignore (Worker.run_pool wcfg ~resolve:(fun _ -> Ok (e, prep, Ssf.disc_transient)) () : int))
+      ()
+  in
+  Thread.join fetcher;
+  (match !fetched with
+  | Some (Ok (blobs, _, _)) ->
+      Alcotest.(check string) "audited report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | Some (Error err) -> Alcotest.failf "fetch failed: %s" (Worker.fetch_error_message err)
+  | None -> Alcotest.fail "no fetch result");
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  Thread.join pool;
+  Thread.join server
+
+(* ------------------------------------------------------------------ *)
+(* The pinned campaign: [faultmc serve] *)
+
+let send conn msg =
+  let tag, payload = Protocol.encode_client msg in
+  Wire.write_frame conn ~tag payload
+
+let recv conn =
+  let tag, payload = Wire.read_frame conn in
+  match Protocol.decode_server tag payload with
+  | Ok m -> m
+  | Error msg -> Alcotest.failf "server sent garbage: %s" msg
+
+let pinned ?checkpoint ?(linger_s = 0.) spec = { Service.spec; checkpoint; linger_s }
+
+(* With --linger 0 the service still waits for a connected client: it
+   returns only once that client has fetched the report and left. *)
+let test_linger_zero_waits_for_clients () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let s = spec ~samples:40 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  with_sock @@ fun _ addr ->
+  let outcome = ref None in
+  let server =
+    Thread.create
+      (fun () -> outcome := Some (Service.serve ~campaign:(pinned s) (Service.default_config addr)))
+      ()
+  in
+  let fd = Wire.connect ~attempts:40 ~delay_s:0.05 addr in
+  let conn = Wire.conn fd in
+  send conn (Protocol.Hello { version = Protocol.version; worker = "watcher"; fingerprint = fp });
+  (match recv conn with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
+  let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
+  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  (* Several ticks after the campaign finished, with the linger long
+     gone, the watcher's open connection still holds the service. *)
+  Thread.delay 0.8;
+  Alcotest.(check bool) "service still up while a client is connected" true (!outcome = None);
+  send conn Protocol.Fetch_report;
+  (match recv conn with
+  | Protocol.Report { shards; _ } ->
+      Alcotest.(check string) "fetched report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" shards)
+  | _ -> Alcotest.fail "expected the report");
+  send conn Protocol.Goodbye;
+  Wire.close conn;
+  Thread.join server;
+  match !outcome with
+  | Some { Service.sv_reason = Service.Finished; sv_report = Some _ } -> ()
+  | _ -> Alcotest.fail "expected a finished exit with the report"
+
+(* A drain (what SIGTERM requests) stops a pinned service inside the
+   linger of its finished campaign, and the ephemeral state directory is
+   removed with it. *)
+let test_drain_ends_linger_and_state () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let s = spec ~samples:40 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  with_dir @@ fun tmp ->
+  with_sock @@ fun _ addr ->
+  let saved_tmp = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect ~finally:(fun () -> Filename.set_temp_dir_name saved_tmp) @@ fun () ->
+  let control = ref None and outcome = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        outcome :=
+          Some
+            (Service.serve
+               ~on_ready:(fun c -> control := Some c)
+               ~campaign:(pinned ~linger_s:60. s) (Service.default_config addr)))
+      ()
+  in
+  let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
+  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  Alcotest.(check int) "one ephemeral state directory" 1 (Array.length (Sys.readdir tmp));
+  let t0 = Unix.gettimeofday () in
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  Thread.join server;
+  Alcotest.(check bool) "the 60 s linger was cut short" true (Unix.gettimeofday () -. t0 < 5.);
+  (match !outcome with
+  | Some { Service.sv_reason = Service.Drained; sv_report = Some (shards, _, _) } ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" shards)
+  | _ -> Alcotest.fail "expected a drained exit with the report");
+  Alcotest.(check int) "ephemeral state removed" 0 (Array.length (Sys.readdir tmp))
+
+(* A drain (SIGTERM) in mid-campaign does not send the campaign's
+   workers away: they wait while the in-flight shard finishes, then
+   reconnect to a [serve] restarted from the checkpoint, which finishes
+   the campaign with the same fleet. *)
+let test_drain_keeps_workers_for_restart () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let s = spec ~samples:200 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  with_dir @@ fun dir ->
+  with_sock @@ fun _ addr ->
+  let campaign = pinned ~checkpoint:(Filename.concat dir "campaign.ckpt") s in
+  let control = ref None and view = ref None and first = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        first :=
+          Some
+            (Service.serve
+               ~on_ready:(fun c -> control := Some c)
+               ~on_view:(fun v -> view := Some v)
+               ~campaign (Service.default_config addr)))
+      ()
+  in
+  (* A raw client holds one lease across the drain. *)
+  let conn = Wire.conn (Wire.connect ~attempts:40 ~delay_s:0.05 addr) in
+  send conn (Protocol.Hello { version = Protocol.version; worker = "holder"; fingerprint = fp });
+  (match recv conn with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
+  send conn Protocol.Request_shard;
+  let shard, epoch, start, len =
+    match recv conn with
+    | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
+    | _ -> Alcotest.fail "expected a lease"
+  in
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  let health () = (Option.get !view).Service.vw_health () in
+  wait_until "the drain" (fun () -> (health ()).Service.h_draining);
+  let returned = ref false and completed = ref 0 in
+  let worker =
+    Thread.create
+      (fun () ->
+        let wcfg =
+          {
+            (Worker.default_config ~addr ~worker_name:"w") with
+            Worker.retry_delay_s = 0.05;
+            retry = { Worker.base_s = 0.05; cap_s = 0.2; max_attempts = 50; budget_s = 20. };
+          }
+        in
+        completed := Worker.run wcfg ~fingerprint:fp e prep ~seed:5;
+        returned := true)
+      ()
+  in
+  Thread.delay 0.5;
+  Alcotest.(check bool) "the worker waits through the drain" false !returned;
+  Alcotest.(check bool) "the in-flight lease holds the service" true (!first = None);
+  let sh = Campaign.run_shard e prep ~seed:5 ~shard ~start ~len in
+  send conn
+    (Protocol.Shard_done
+       {
+         shard;
+         epoch;
+         tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
+         quarantined = sh.Campaign.sh_quarantined;
+       });
+  (match recv conn with
+  | Protocol.Ack { accepted = true; _ } -> ()
+  | _ -> Alcotest.fail "the in-flight shard must still be accepted");
+  send conn Protocol.Goodbye;
+  Wire.close conn;
+  Thread.join server;
+  (match !first with
+  | Some { Service.sv_reason = Service.Drained; sv_report = None } -> ()
+  | _ -> Alcotest.fail "expected a drained exit without a report");
+  Alcotest.(check bool) "the worker is still waiting" false !returned;
+  let outcome = Service.serve ~campaign (Service.default_config addr) in
+  Thread.join worker;
+  Alcotest.(check int) "the same worker ran the remaining shards" 9 !completed;
+  match outcome with
+  | { Service.sv_reason = Service.Finished; sv_report = Some (shards, _, _) } ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" shards)
+  | _ -> Alcotest.fail "expected the restarted service to finish the campaign"
+
+(* A pinned service holds its one campaign: another campaign's submit
+   and a cancel are refused, while resubmitting its own is harmless. *)
+let test_pinned_refuses_other_campaigns () =
+  with_sock @@ fun _ addr ->
+  let s = spec () in
+  let control = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        Service.serve
+          ~on_ready:(fun c -> control := Some c)
+          ~campaign:(pinned s) (Service.default_config addr))
+      ()
+  in
+  let client = Worker.default_config ~addr ~worker_name:"ctl" in
+  (match Worker.submit client (spec ~seed:6 ()) with
+  | Error reason -> Alcotest.(check string) "submit refused" "serve holds one campaign" reason
+  | Ok _ -> Alcotest.fail "another campaign must be refused");
+  (match Worker.cancel client ~fingerprint:(Protocol.spec_fingerprint s) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the pinned campaign cannot be cancelled");
+  (match Worker.submit client s with
+  | Ok (Worker.Submit_queued 0) -> ()
+  | _ -> Alcotest.fail "resubmitting the pinned campaign is a no-op");
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  Thread.join server
+
+(* A worker whose campaign the service does not hold is refused at
+   hello, terminally, instead of entering its reconnect loop. *)
+let test_unknown_fingerprint_rejected () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  with_dir @@ fun dir ->
+  with_sock @@ fun _ addr ->
+  let control = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        Service.serve
+          ~on_ready:(fun c -> control := Some c)
+          { (Service.default_config addr) with Service.state_dir = Some dir })
+      ()
+  in
+  let client = Worker.default_config ~addr ~worker_name:"ctl" in
+  (match Worker.submit client (spec ~seed:5 ()) with
+  | Ok (Worker.Submit_queued 0) -> ()
+  | _ -> Alcotest.fail "submit");
+  let wcfg =
+    {
+      (Worker.default_config ~addr ~worker_name:"stray") with
+      Worker.retry_delay_s = 0.05;
+      retry = { Worker.base_s = 0.05; cap_s = 0.1; max_attempts = 3; budget_s = 5. };
+    }
+  in
+  let stray = Protocol.spec_fingerprint (spec ~seed:6 ()) in
+  (match Worker.run wcfg ~fingerprint:stray e prep ~seed:6 with
+  | _ -> Alcotest.fail "a campaign the service does not hold must be rejected"
+  | exception Worker.Rejected reason ->
+      Alcotest.(check bool) "unknown campaign named" true
+        (String.length reason >= 16 && String.sub reason 0 16 = "unknown campaign"));
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  Thread.join server
+
+(* A corrupt checkpoint and another campaign's checkpoint each fail the
+   pinned service with a typed error before it ever binds its socket. *)
+let test_bad_checkpoint_refused () =
+  with_dir @@ fun dir ->
+  with_sock @@ fun path addr ->
+  let ckpt = Filename.concat dir "campaign.ckpt" in
+  let s = spec () in
+  let serve () =
+    Service.serve ~campaign:(pinned ~checkpoint:ckpt s) (Service.default_config addr)
+  in
+  Out_channel.with_open_bin ckpt (fun oc -> output_string oc "faultmc-dist 3\ngarbage\n");
+  (match serve () with
+  | _ -> Alcotest.fail "a corrupt checkpoint must be refused"
+  | exception Sched.Bad_checkpoint (p, Sched.Unreadable _) ->
+      Alcotest.(check string) "path named" ckpt p);
+  Alcotest.(check bool) "never bound (corrupt)" false (Sys.file_exists path);
+  Ckpt.save ~path:ckpt
+    {
+      Ckpt.st_fingerprint = Protocol.spec_fingerprint (spec ~seed:99 ());
+      st_shards = [];
+      st_quarantined = [];
+      st_audit = { Ckpt.au_entries = []; au_banned = [] };
+    };
+  (match serve () with
+  | _ -> Alcotest.fail "another campaign's checkpoint must be refused"
+  | exception Sched.Bad_checkpoint (_, Sched.Foreign_campaign) -> ());
+  Alcotest.(check bool) "never bound (foreign)" false (Sys.file_exists path)
+
+(* The WAL that recorded a quarantine dies with a [serve] process, so a
+   service resumed from the checkpoint alone takes the banned names from
+   it and still refuses those workers at hello. *)
+let test_resumed_checkpoint_keeps_quarantine () =
+  with_dir @@ fun dir ->
+  with_sock @@ fun _ addr ->
+  let ckpt = Filename.concat dir "campaign.ckpt" in
+  let s = spec () in
+  let fingerprint = Protocol.spec_fingerprint s in
+  Ckpt.save ~path:ckpt
+    {
+      Ckpt.st_fingerprint = fingerprint;
+      st_shards = [];
+      st_quarantined = [];
+      st_audit = { Ckpt.au_entries = []; au_banned = [ "mallory" ] };
+    };
+  let control = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        Service.serve
+          ~on_ready:(fun c -> control := Some c)
+          ~campaign:(pinned ~checkpoint:ckpt s) (Service.default_config addr))
+      ()
+  in
+  let fd = Wire.connect ~attempts:40 ~delay_s:0.05 addr in
+  let conn = Wire.conn fd in
+  send conn (Protocol.Hello { version = Protocol.version; worker = "mallory"; fingerprint });
+  (match recv conn with
+  | Protocol.Reject { reason } ->
+      Alcotest.(check bool) "quarantine named" true
+        (String.length reason >= 18 && String.sub reason 0 18 = "worker quarantined")
+  | _ -> Alcotest.fail "a worker banned in the checkpoint must be refused at hello");
+  Wire.close conn;
+  (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+  Thread.join server
 
 (* ------------------------------------------------------------------ *)
 
@@ -528,6 +962,8 @@ let () =
         [
           Alcotest.test_case "admission, cancel, cache" `Slow test_admission_cancel_cache;
           Alcotest.test_case "drain stops leasing" `Quick test_drain_stops_leasing;
+          Alcotest.test_case "straggler duplicated, loser fenced" `Quick
+            test_straggler_speculation;
         ] );
       ( "recovery",
         [
@@ -538,5 +974,22 @@ let () =
           Alcotest.test_case "torn submit record dropped" `Quick test_torn_submit_record_dropped;
         ] );
       ( "service",
-        [ Alcotest.test_case "loopback pool campaign" `Slow test_service_loopback_pool ] );
+        [
+          Alcotest.test_case "loopback pool campaign" `Slow test_service_loopback_pool;
+          Alcotest.test_case "lone worker self-audits beside a waiting client" `Quick
+            test_lone_worker_self_audits;
+          Alcotest.test_case "linger 0 waits for clients" `Quick
+            test_linger_zero_waits_for_clients;
+          Alcotest.test_case "drain ends linger and state" `Quick
+            test_drain_ends_linger_and_state;
+          Alcotest.test_case "drain keeps workers for a restart" `Quick
+            test_drain_keeps_workers_for_restart;
+          Alcotest.test_case "pinned service refuses other campaigns" `Quick
+            test_pinned_refuses_other_campaigns;
+          Alcotest.test_case "unknown fingerprint rejected" `Quick
+            test_unknown_fingerprint_rejected;
+          Alcotest.test_case "bad checkpoint refused" `Quick test_bad_checkpoint_refused;
+          Alcotest.test_case "resumed checkpoint keeps quarantine" `Quick
+            test_resumed_checkpoint_keeps_quarantine;
+        ] );
     ]
