@@ -589,7 +589,7 @@ let evaluate_cmd =
            masked with its original weight — the report stays
            byte-identical to the unpruned run, only faster. *)
         let pruner = if prune_flag then Some (Fmc_sva.Pruner.create ~obs engine) else None in
-        let prune = Option.map (fun p sample -> Fmc_sva.Pruner.check p sample) pruner in
+        let prune = Option.map Fmc_sva.Pruner.prune pruner in
         let clock_suffix () =
           match pruner with
           | None -> ""
@@ -2048,6 +2048,11 @@ let experiments_cmd =
     Term.(const run $ fast)
 
 let () =
+  (* The sample loop runs on every core, and each domain's minor
+     collection stops all of them, promoting the others' in-flight
+     samples: a tighter major-heap overhead keeps the peak where one
+     domain had it (DESIGN.md §7, "On every core"). *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 60 };
   let doc = "cross-level Monte Carlo fault-attack vulnerability evaluation" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit (Cmd.eval' (Cmd.group ~default (Cmd.info "faultmc" ~version:"1.0.0" ~doc)

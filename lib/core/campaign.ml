@@ -306,9 +306,10 @@ let quarantine_sink ?journal entries i (sample : Sampler.sample) reason e =
       flush oc)
     journal
 
+(* The handler may run on any domain of the sample loop. *)
 let install_handlers flag =
   let install s =
-    try Some (s, Sys.signal s (Sys.Signal_handle (fun _ -> flag := true)))
+    try Some (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set flag true)))
     with Invalid_argument _ | Sys_error _ -> None
   in
   List.filter_map install [ Sys.sigint; Sys.sigterm ]
@@ -342,7 +343,7 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ~inject ?stop engine prepare
               ~rng_state:(Rng.state rng) (Ssf.Tally.snapshot tally))
   in
   let quarantines = ref [] in
-  let interrupted = ref false in
+  let interrupted = Atomic.make false in
   let saved = if config.handle_signals then install_handlers interrupted else [] in
   Fun.protect
     ~finally:(fun () ->
@@ -350,7 +351,7 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ~inject ?stop engine prepare
       Option.iter close_out_noerr journal)
   @@ fun () ->
   let stop t =
-    !interrupted || (match stop with Some f -> f (Ssf.Tally.processed t) | None -> false)
+    Atomic.get interrupted || (match stop with Some f -> f (Ssf.Tally.processed t) | None -> false)
   in
   (* The checkpoint is taken after the sample's draws and statistics
      landed, so the stored RNG state resumes with the next sample and the

@@ -104,7 +104,7 @@ val run :
   ?trace_every:int ->
   ?causal:bool ->
   ?fault_hook:(int -> Sampler.sample -> unit) ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:Ssf.prune ->
   ?inject:Ssf.inject ->
   ?stop:(int -> bool) ->
   Engine.t ->
@@ -174,7 +174,7 @@ val run_shard :
   ?causal:bool ->
   ?sample_budget:int ->
   ?fault_hook:(int -> Sampler.sample -> unit) ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:Ssf.prune ->
   ?inject:Ssf.inject ->
   ?on_sample:(int -> unit) ->
   Engine.t ->
@@ -207,7 +207,7 @@ val estimate_sharded :
   ?causal:bool ->
   ?sample_budget:int ->
   ?fault_hook:(int -> Sampler.sample -> unit) ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:Ssf.prune ->
   ?inject:Ssf.inject ->
   ?shard_size:int ->
   Engine.t ->
@@ -229,7 +229,7 @@ val resume :
   ?obs:Fmc_obs.Obs.t ->
   ?causal:bool ->
   ?fault_hook:(int -> Sampler.sample -> unit) ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:Ssf.prune ->
   ?inject:Ssf.inject ->
   ?stop:(int -> bool) ->
   Engine.t ->

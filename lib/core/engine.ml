@@ -47,7 +47,13 @@ type entry = {
   arch : Arch.t;  (* golden architectural state at the start of [c] *)
   writes : (int * int) list;  (* (address, value) of the data words cycle [c] changes *)
   settled : Bytes.t;  (* fault-free settled node values, a Cycle_sim.save_values image *)
+  fill_cycles : int;  (* RTL cycles the fill stepped: its restore's warm-up plus cycle [c] *)
+  charged : bool Atomic.t;  (* the fill is counted (see [charge]) *)
 }
+
+(* The golden-cycle cache: one per engine family, shared by an engine and
+   its replicas, so fills are locked. *)
+type cache = { lock : Mutex.t; entries : (int, entry) Hashtbl.t }
 
 type t = {
   precharac : Precharac.t;
@@ -58,12 +64,18 @@ type t = {
   timing : Glitch.timing;
   program : Programs.t;
   golden : Golden.t;
-  (* Per-engine scratch and memo: reused across samples, never shared
-     across domains ([Ssf.estimate_parallel] runs one engine per domain). *)
+  watch : N.node array;  (* the memory write port: dmem_we, dmem_addr, dmem_wdata *)
+  cache : cache;  (* golden cycle -> entry, shared with the replicas *)
+  (* Per-engine scratch, reused across samples and owned by one domain at
+     a time: a replica has its own. *)
   netsys : Netsys.t;  (* simulator state rewritten per gate-level cycle *)
   transient : Transient.scratch;
-  watch : N.node array;  (* the memory write port: dmem_we, dmem_addr, dmem_wdata *)
-  cache : (int, entry) Hashtbl.t;  (* golden cycle -> entry *)
+  sys : System.t;  (* the restore target of run_sample and causal_flips *)
+  trial : System.t;  (* causal_flips' leave-one-out trial *)
+  (* [Some l] while the engine runs a block of samples whose records may
+     be dropped: the uncharged cache entries it touched, newest first. *)
+  mutable deferred : entry list option;
+  mutable replicas : t array;
   (* Mutable so cached/shared engines (e.g. Experiments' per-benchmark
      cache) can be instrumented per run; [Ssf.estimate] installs its
      handle for the duration of a run and restores the previous one. *)
@@ -93,15 +105,38 @@ let create ?(checkpoint_every = 16) ?(placement_seed = 1) ~precharac program =
     timing;
     program;
     golden;
-    netsys;
-    transient = Transient.scratch circuit.Circuit.net;
     watch =
       Array.concat
         [ [| circuit.Circuit.dmem_we |]; circuit.Circuit.dmem_addr; circuit.Circuit.dmem_wdata ];
-    cache = Hashtbl.create 64;
+    cache = { lock = Mutex.create (); entries = Hashtbl.create 64 };
+    netsys;
+    transient = Transient.scratch circuit.Circuit.net;
+    sys = System.create program;
+    trial = System.create program;
+    deferred = None;
+    replicas = [||];
     obs = Obs.disabled;
     einst = None;
   }
+
+let replicas t n =
+  let have = Array.length t.replicas in
+  if have < n then
+    t.replicas <-
+      Array.append t.replicas
+        (Array.init (n - have) (fun _ ->
+             {
+               t with
+               netsys = Netsys.create t.circuit t.program;
+               transient = Transient.scratch t.circuit.Circuit.net;
+               sys = System.create t.program;
+               trial = System.create t.program;
+               deferred = Some [];
+               replicas = [||];
+               obs = Obs.disabled;
+               einst = None;
+             }));
+  Array.sub t.replicas 0 n
 
 let golden t = t.golden
 let placement t = t.placement
@@ -117,25 +152,67 @@ let restore t cycle =
       Metrics.inc ei.e_restores;
       Golden.restore_at ~on_step:(fun () -> Metrics.inc ei.e_rtl_cycles) t.golden cycle
 
+(* [restore] into the engine's own system: the same counts, no fresh
+   data memory (an array too large for the minor heap). *)
+let restore_owned t cycle =
+  (match t.einst with
+  | None -> Golden.restore_into t.golden t.sys cycle
+  | Some ei ->
+      Metrics.inc ei.e_restores;
+      Golden.restore_into ~on_step:(fun () -> Metrics.inc ei.e_rtl_cycles) t.golden t.sys cycle);
+  t.sys
+
+let fill t c =
+  let stepped = ref 0 in
+  let sys = Golden.restore_at ~on_step:(fun () -> incr stepped) t.golden c in
+  let arch = Arch.copy (System.state sys) in
+  let net_dmem = Netsys.dmem t.netsys in
+  Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
+  Netsys.load_arch t.netsys arch;
+  Netsys.settle t.netsys;
+  let settled = Cycle_sim.save_values (Netsys.sim t.netsys) in
+  ignore (System.step sys);
+  let writes = ref [] in
+  Array.iteri (fun a v -> if v <> net_dmem.(a) then writes := (a, v) :: !writes) (System.dmem sys);
+  { arch; writes = List.rev !writes; settled; fill_cycles = !stepped; charged = Atomic.make false }
+
+(* A fill is counted (one restore, its RTL cycles) once, on the handle of
+   the first sample that touches the entry; on a single domain that is
+   the sample that filled it. *)
+let charge t e =
+  if Atomic.compare_and_set e.charged false true then
+    match t.einst with
+    | None -> ()
+    | Some ei ->
+        Metrics.inc ei.e_restores;
+        Metrics.add ei.e_rtl_cycles (float_of_int e.fill_cycles)
+
 let entry t c =
-  match Hashtbl.find_opt t.cache c with
-  | Some e -> e
-  | None ->
-      let sys = restore t c in
-      let arch = Arch.copy (System.state sys) in
-      let net_dmem = Netsys.dmem t.netsys in
-      Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
-      Netsys.load_arch t.netsys arch;
-      Netsys.settle t.netsys;
-      let settled = Cycle_sim.save_values (Netsys.sim t.netsys) in
-      ignore (System.step sys);
-      let writes = ref [] in
-      Array.iteri
-        (fun a v -> if v <> net_dmem.(a) then writes := (a, v) :: !writes)
-        (System.dmem sys);
-      let e = { arch; writes = List.rev !writes; settled } in
-      Hashtbl.add t.cache c e;
-      e
+  let e =
+    Mutex.protect t.cache.lock (fun () ->
+        match Hashtbl.find_opt t.cache.entries c with
+        | Some e -> e
+        | None ->
+            let e = fill t c in
+            Hashtbl.add t.cache.entries c e;
+            e)
+  in
+  if not (Atomic.get e.charged) then (
+    match t.deferred with Some l -> t.deferred <- Some (e :: l) | None -> charge t e);
+  e
+
+type fills = entry list
+
+let defer_fills t on = t.deferred <- (if on then Some [] else None)
+
+let take_fills t =
+  match t.deferred with
+  | Some l ->
+      t.deferred <- Some [];
+      l
+  | None -> []
+
+let charge_fills t fills = List.iter (charge t) fills
 
 let golden_settled t c = (entry t c).settled
 
@@ -280,7 +357,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
   else begin
     let t_begin = match t.einst with None -> 0. | Some _ -> Fmc_obs.Clock.now_us () in
     let net = t.circuit.Circuit.net in
-    let sys = Obs.span t.obs ~cat:"engine" "restore" (fun () -> restore t te) in
+    let sys = Obs.span t.obs ~cat:"engine" "restore" (fun () -> restore_owned t te) in
     let dff_hits, gate_hits, struck_cells = partition_disc ?cell_filter t sample.Sampler.center sample.Sampler.radius in
     let survives dff = (not (hardened dff)) || Rng.float rng 1.0 < 1. /. resilience in
     let direct = List.filter survives dff_hits in
@@ -391,14 +468,15 @@ let causal_flips t (r : run_result) =
     Obs.span t.obs ~cat:"engine" "causal" @@ fun () ->
     begin
     let flip st (group, bit) = Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit)) in
-    let sys = restore t (r.te + 1) in
+    let sys = restore_owned t (r.te + 1) in
     List.iter (flip (System.state sys)) r.flips;
     List.iter (fun (a, v) -> (System.dmem sys).(a) <- v) r.dmem_diffs;
-    let cp = System.checkpoint sys in
     let budget = t.program.Programs.max_cycles + 100 in
+    (* The trial system never carries hooks, so its cycles go uncounted
+       as a fresh system's would. *)
+    let trial = t.trial in
     let fails_without f =
-      let trial = System.create t.program in
-      System.restore trial cp;
+      System.copy_into ~src:sys trial;
       flip (System.state trial) f;
       ignore (System.run trial ~max_cycles:(max 1 (budget - System.cycle trial)));
       not (observables_differ t trial)

@@ -32,6 +32,35 @@ val create :
 (** Builds the golden run, placement and transient-timing configuration for
     a benchmark, sharing the (benchmark-independent) pre-characterization. *)
 
+val replicas : t -> int -> t array
+(** [replicas t n]: [n] engines for other domains, created on first use
+    and kept by [t]. A replica shares [t]'s immutable parts (circuit,
+    placement, golden run, timing) and its golden-cycle cache, whose fills
+    are locked; it owns its simulator state, transient scratch and restore
+    targets, so each of [t] and its replicas may run samples on its own
+    domain at the same time. A replica starts with {!defer_fills} on and a
+    disabled handle. Call from the domain that owns [t]. *)
+
+type fills
+(** Golden-cycle cache entries a run touched before their fill was
+    counted. *)
+
+val defer_fills : t -> bool -> unit
+(** While on, a cache entry whose fill is not yet counted is collected
+    (for {!take_fills}) instead of being counted on the engine's handle
+    at its first touch. The sample loop turns it on for samples whose
+    record may be dropped, so a fill's restore is counted once, with the
+    first recorded sample that touches it: the counts a single domain
+    makes. *)
+
+val take_fills : t -> fills
+(** The entries collected since the last call (none when deferral is
+    off). *)
+
+val charge_fills : t -> fills -> unit
+(** Count the fills among [fills] that nobody has counted yet on this
+    engine's handle. *)
+
 val obs : t -> Fmc_obs.Obs.t
 (** The engine's observability handle ({!Fmc_obs.Obs.disabled} until
     {!set_obs}). *)
@@ -52,10 +81,11 @@ val golden : t -> Golden.t
 
 val restore : t -> int -> Fmc_cpu.System.t
 (** [Golden.restore_at] of the engine's golden run: a fresh system at the
-    given cycle. The one way the engine and the fault models restore a
-    golden checkpoint; with observability installed it bumps
+    given cycle. With observability installed it bumps
     [fmc_restores_total] and arms the [fmc_rtl_cycles_total] hook on the
-    returned system (warm-up cycles and any later resume count). *)
+    returned system (warm-up cycles and any later resume count).
+    {!run_sample} and {!causal_flips} restore the same way, with the
+    same counts, into systems the engine owns instead of fresh ones. *)
 
 val golden_settled : t -> int -> Bytes.t
 (** The fault-free settled node values at the start of golden cycle [c]

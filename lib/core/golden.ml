@@ -53,13 +53,20 @@ let nearest_checkpoint t cycle =
      multiples, so index idx is at cycle idx * interval <= cycle. *)
   t.checkpoints.(idx)
 
+(* The step hook is set before the replay window so the warm-up cycles
+   count. *)
+let restore_into ?on_step t sys cycle =
+  if cycle < 0 then invalid_arg "Golden.restore_into: negative cycle";
+  System.set_watchdog sys None;
+  System.set_fetch_override sys None;
+  System.set_on_step sys on_step;
+  System.restore sys (nearest_checkpoint t cycle);
+  System.run_to_cycle sys cycle
+
 let restore_at ?on_step t cycle =
   if cycle < 0 then invalid_arg "Golden.restore_at: negative cycle";
   let sys = System.create t.program in
-  (* Hook installed before the replay window so the warm-up cycles count. *)
-  (match on_step with None -> () | Some _ -> System.set_on_step sys on_step);
-  System.restore sys (nearest_checkpoint t cycle);
-  System.run_to_cycle sys cycle;
+  restore_into ?on_step t sys cycle;
   sys
 
 let state_at t cycle =

@@ -37,5 +37,12 @@ val restore_at : ?on_step:(unit -> unit) -> t -> int -> Fmc_cpu.System.t
     system for any later resume. Raises [Invalid_argument] on a negative
     cycle. *)
 
+val restore_into : ?on_step:(unit -> unit) -> t -> Fmc_cpu.System.t -> int -> unit
+(** {!restore_at} into an existing system of the same program instead of
+    a fresh one: its watchdog and fetch override are cleared, [on_step]
+    replaces its step hook, and it ends in exactly the state
+    [restore_at] returns. Raises [Invalid_argument] on a negative
+    cycle. *)
+
 val state_at : t -> int -> Fmc_cpu.Arch.t
 (** Architectural state at the start of a cycle (copy). *)

@@ -566,6 +566,14 @@ module Tally = struct
   let digest_hex blob = Stdlib.Digest.to_hex (Stdlib.Digest.string blob)
 end
 
+(* An analytical masking oracle. Its verdict is asked as a sample is
+   drawn, which on several domains may be past a stop, and only a
+   recorded sample is counted. *)
+type prune = {
+  covered : Sampler.sample -> bool;
+  note : Sampler.sample -> covered:bool -> unit;
+}
+
 (* The analytical result a pruned sample is tallied with: exactly what
    [Engine.run_sample] returns for a provably masked sample. The pruner's
    certificate guarantees outcome/success/flips; [direct]/[latched]/
@@ -594,6 +602,7 @@ type inject = {
   inj_run : Engine.t -> ?cycle_budget:int -> Fmc_prelude.Rng.t -> Sampler.sample -> Engine.run_result;
   inj_causal : Engine.t -> Engine.run_result -> (string * int) list;
   inj_prunable : bool;
+  inj_reads_rng : bool;
 }
 
 let disc_transient =
@@ -603,6 +612,7 @@ let disc_transient =
       (fun engine ?cycle_budget rng sample -> Engine.run_sample engine ?cycle_budget rng sample);
     inj_causal = Engine.causal_flips;
     inj_prunable = true;
+    inj_reads_rng = false;
   }
 
 let disc_ablation ?cell_filter ?impact_cycles ?hardened ?resilience () =
@@ -628,7 +638,39 @@ let disc_ablation ?cell_filter ?impact_cycles ?hardened ?resilience () =
          these variants either. *)
       inj_causal = (fun _ result -> result.Engine.flips);
       inj_prunable = false;
+      (* A hardened flip survives a draw from the engine's stream. *)
+      inj_reads_rng = hardened <> None;
     }
+
+(* The sample loop's domain count and block length. *)
+let pinned_domains = Atomic.make 0
+
+let with_domains n f =
+  if n < 1 then invalid_arg "Ssf.with_domains: fewer than one domain";
+  let saved = Atomic.exchange pinned_domains n in
+  Fun.protect ~finally:(fun () -> Atomic.set pinned_domains saved) f
+
+let domains () =
+  match Atomic.get pinned_domains with 0 -> Domain.recommended_domain_count () | n -> n
+
+(* Samples per domain in a block: enough that one round's wake-up and
+   its slowest sample are small against the block's work. *)
+let block_per_domain = 16
+
+(* One sample of a block, from its draw to its record. *)
+type work =
+  | Pending
+  | Pruned
+  | Ran of Engine.run_result * (string * int) list
+  | Failed of exn * Printexc.raw_backtrace
+
+type slot = {
+  sample : Sampler.sample;
+  drawn : int64;  (* the stream's state right after the draw *)
+  mutable work : work;
+  mutable fills : Engine.fills list;  (* cache fills to count if it is recorded *)
+  mutable metrics : Metrics.registry option;  (* its engine observations, ditto *)
+}
 
 let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_transient)
     ?cycle_budget ?fault_hook ?quarantine ?(after = ignore) ?(offset = 0) ?(stop = fun _ -> false)
@@ -639,49 +681,135 @@ let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_tr
          "Ssf: ?prune cannot be combined with fault model %s (analytical masking certificates are \
           only sound for the unmodified disc-transient model)"
          inject.inj_model);
-  let evaluate i sample =
-    match prune with
-    | Some covered when covered sample ->
-        (* Certified masked: skip the simulation (and the fault hook) and
-           tally analytically with the original weight. The native model
-           consumes no randomness, so the RNG stream — and hence every
-           later draw and the final report — is untouched by the skip. *)
-        (pruned_result engine sample, [])
-    | _ ->
-        Option.iter (fun h -> h i sample) fault_hook;
-        let result = inject.inj_run engine ?cycle_budget rng sample in
-        let attributed =
-          if result.Engine.success && causal then inject.inj_causal engine result
-          else result.Engine.flips
-        in
-        (result, attributed)
+  let simulate engine rng slot =
+    slot.work <-
+      (match inject.inj_run engine ?cycle_budget rng slot.sample with
+      | result ->
+          let attributed =
+            if result.Engine.success && causal then inject.inj_causal engine result
+            else result.Engine.flips
+          in
+          Ran (result, attributed)
+      | exception e -> Failed (e, Printexc.get_raw_backtrace ()))
   in
   (* Route the handle into the engine's phase instrumentation for the
      duration of the run (restoring whatever the engine carried before),
      so callers only ever thread one [?obs]. *)
   let saved = if Obs.enabled obs then Some (Engine.obs engine) else None in
   Option.iter (fun _ -> Engine.set_obs engine obs) saved;
-  Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs engine) saved) @@ fun () ->
-  while Tally.processed tally < Tally.total tally && not (stop tally) do
-    let sample = Sampler.draw ~obs prepared rng in
-    let i = offset + Tally.processed tally + 1 in
-    (match quarantine with
-    | None ->
-        let result, attributed = evaluate i sample in
-        Tally.record tally sample result ~attributed
-    | Some sink -> (
-        match evaluate i sample with
-        | result, attributed -> Tally.record tally sample result ~attributed
-        | exception Sys.Break -> raise Sys.Break
-        | exception e ->
-            let reason =
-              match e with Fmc_cpu.System.Cycle_budget_exhausted _ -> Q_timed_out | _ -> Q_crashed
-            in
-            Tally.quarantine tally sample ~reason;
-            sink i sample reason e));
-    (* Outside the guard: an exception here aborts the run instead of
-       quarantining the sample. *)
-    after (Tally.processed tally)
+  let eobs = Engine.obs engine in
+  (* An injector that reads the stream must run right after its own draw,
+     on this domain: blocks of one. *)
+  let pooled = (not inject.inj_reads_rng) && domains () > 1 && Pool.acquire () in
+  let helpers = if pooled then Pool.helpers (domains () - 1) else 0 in
+  let replicas = Engine.replicas engine helpers in
+  (* Spans go to a fork per helper, merged back when the run returns. *)
+  let forks =
+    Array.mapi (fun i _ -> { (Obs.fork eobs ~tid:(i + 1)) with Obs.metrics = None }) replicas
+  in
+  Array.iteri (fun i r -> Engine.set_obs r forks.(i)) replicas;
+  Engine.defer_fills engine pooled;
+  Fun.protect ~finally:(fun () ->
+      Engine.defer_fills engine false;
+      Array.iter (fun r -> Engine.set_obs r Obs.disabled) replicas;
+      Array.iter (Obs.absorb eobs) forks;
+      if pooled then Pool.release ();
+      Option.iter (Engine.set_obs engine) saved)
+  @@ fun () ->
+  let block = if pooled then block_per_domain * (helpers + 1) else 1 in
+  (* Helpers read no stream; a stray read lands in a private one. *)
+  let streams = Array.init (helpers + 1) (fun _ -> Rng.create 0) in
+  let next = Atomic.make 0 in
+  let share slots d =
+    let engine = if d = 0 then engine else replicas.(d - 1) in
+    let rec go () =
+      let k = Atomic.fetch_and_add next 1 in
+      if k < Array.length slots then begin
+        let slot = slots.(k) in
+        (match slot.work with
+        | Pending ->
+            (* Observed into a registry of the sample's own, merged only
+               if the sample is recorded. *)
+            (match eobs.Obs.metrics with
+            | None -> ()
+            | Some _ ->
+                let reg = Metrics.create () in
+                slot.metrics <- Some reg;
+                let tracer = if d = 0 then eobs.Obs.tracer else forks.(d - 1).Obs.tracer in
+                Engine.set_obs engine { Obs.disabled with metrics = Some reg; tracer });
+            simulate engine streams.(d) slot;
+            slot.fills <- Engine.take_fills engine :: slot.fills
+        | Pruned | Ran _ | Failed _ -> ());
+        go ()
+      end
+    in
+    go ()
+  in
+  let continue () = Tally.processed tally < Tally.total tally && not (stop tally) in
+  let running = ref (continue ()) in
+  while !running do
+    let n = min block (Tally.total tally - Tally.processed tally) in
+    let first = offset + Tally.processed tally + 1 in
+    (* Draw and prune in stream order, on this domain. *)
+    let slots =
+      Array.init n (fun k ->
+          let sample = Sampler.draw ~obs prepared rng in
+          let drawn = Rng.state rng in
+          let work =
+            match prune with
+            | Some p when p.covered sample ->
+                (* Certified masked: skip the simulation (and the fault
+                   hook) and tally analytically with the original weight.
+                   The native model consumes no randomness, so the stream
+                   — and every later draw — is untouched by the skip. *)
+                Pruned
+            | _ -> (
+                match Option.iter (fun h -> h (first + k) sample) fault_hook with
+                | () -> Pending
+                | exception e -> Failed (e, Printexc.get_raw_backtrace ()))
+          in
+          { sample; drawn; work; fills = [ Engine.take_fills engine ]; metrics = None })
+    in
+    (* Simulate: a one-sample block right here, with the stream itself;
+       a larger one on every domain, each on its own engine. *)
+    if not pooled then (match slots.(0).work with Pending -> simulate engine rng slots.(0) | _ -> ())
+    else begin
+      Atomic.set next 0;
+      Pool.run ~helpers (share slots);
+      if eobs.Obs.metrics <> None then Engine.set_obs engine eobs
+    end;
+    (* Record in stream order, each with the stream where its draw left it. *)
+    let k = ref 0 in
+    while !running && !k < n do
+      let slot = slots.(!k) in
+      let i = first + !k in
+      if pooled then Rng.set_state rng slot.drawn;
+      (match (slot.metrics, eobs.Obs.metrics) with
+      | Some reg, Some into -> Metrics.absorb into (Metrics.snapshot reg)
+      | _ -> ());
+      List.iter (Engine.charge_fills engine) slot.fills;
+      Option.iter
+        (fun p -> p.note slot.sample ~covered:(match slot.work with Pruned -> true | _ -> false))
+        prune;
+      (match slot.work with
+      | Pending -> assert false
+      | Pruned -> Tally.record tally slot.sample (pruned_result engine slot.sample) ~attributed:[]
+      | Ran (result, attributed) -> Tally.record tally slot.sample result ~attributed
+      | Failed (e, bt) -> (
+          match (quarantine, e) with
+          | None, _ | _, Sys.Break -> Printexc.raise_with_backtrace e bt
+          | Some sink, _ ->
+              let reason =
+                match e with Fmc_cpu.System.Cycle_budget_exhausted _ -> Q_timed_out | _ -> Q_crashed
+              in
+              Tally.quarantine tally slot.sample ~reason;
+              sink i slot.sample reason e));
+      (* Outside the guard: an exception here aborts the run instead of
+         quarantining the sample. *)
+      after (Tally.processed tally);
+      running := continue ();
+      incr k
+    done
   done
 
 let estimate ?obs ?(trace_every = 50) ?causal ?prune ?inject engine prepared ~samples ~seed =
@@ -694,8 +822,7 @@ let estimate ?obs ?(trace_every = 50) ?causal ?prune ?inject engine prepared ~sa
    IEEE addition is commutative, so any two argument lists that are
    permutations of each other produce the bit-identical sum — which makes
    a merged report independent of the order its parts arrived in (worker
-   completion order in a distributed campaign, batch completion order in
-   {!estimate_parallel}). *)
+   completion order in a distributed campaign). *)
 let canonical_sum xs = List.fold_left ( +. ) 0. (List.sort compare xs)
 
 (* Merge the running-estimate traces by {e local sample index}: sweep the
@@ -809,93 +936,6 @@ let shard_plan ~samples ~shard_size =
   Array.init shards (fun i ->
       let start = i * shard_size in
       (start, min shard_size (samples - start)))
-
-let estimate_parallel ?domains ?causal ?(batch = 500) ?(max_batch_retries = 2) ?batch_hook
-    ?(obs = Obs.disabled) ~engine_factory prepared ~samples ~seed =
-  let domains =
-    match domains with Some d -> max 1 d | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  if samples <= 0 then invalid_arg "Ssf.estimate_parallel: non-positive sample count";
-  if batch <= 0 then invalid_arg "Ssf.estimate_parallel: non-positive batch";
-  let n_batches = (samples + batch - 1) / batch in
-  let size b = if b = n_batches - 1 then samples - (batch * (n_batches - 1)) else batch in
-  (* Supervised work queue: per-batch seeds depend only on the batch index,
-     so the merged result is deterministic no matter which domain ends up
-     running which batch, and a crashed domain's completed batches survive
-     (each lives in its own slot of [results]). A failed batch is re-queued
-     with bounded retries; the worker that crashed continues on a fresh
-     engine, since an exception may have left the shared simulator state of
-     its old one poisoned. *)
-  let mutex = Mutex.create () in
-  let pending = Queue.create () in
-  for b = 0 to n_batches - 1 do
-    Queue.add b pending
-  done;
-  let attempts = Array.make n_batches 0 in
-  let results = Array.make n_batches None in
-  let failures = ref [] in
-  let pop () =
-    Mutex.protect mutex (fun () -> if Queue.is_empty pending then None else Some (Queue.pop pending))
-  in
-  let backoff k =
-    (* Exponential backoff before handing the batch back to the queue. *)
-    for _ = 1 to (1 lsl min k 10) * 4096 do
-      Domain.cpu_relax ()
-    done
-  in
-  (* Workers observe into private forks (registries and tracers are
-     single-domain); the supervisor absorbs them after the join, so the
-     merged metrics cover all batches and the trace carries one tid per
-     worker. The progress sink intentionally does not fork. *)
-  let forked = ref [] in
-  let worker widx () =
-    let wobs =
-      if not (Obs.enabled obs) then Obs.disabled
-      else begin
-        let o = Obs.fork obs ~tid:(widx + 1) in
-        Mutex.protect mutex (fun () -> forked := o :: !forked);
-        o
-      end
-    in
-    let engine = ref (engine_factory ()) in
-    let rec loop () =
-      match pop () with
-      | None -> ()
-      | Some b ->
-          (match
-             (match batch_hook with Some h -> h b | None -> ());
-             estimate ~obs:wobs ?causal !engine prepared ~samples:(size b)
-               ~seed:(seed + (7919 * (b + 1)))
-           with
-          | r ->
-              Mutex.protect mutex (fun () -> results.(b) <- Some r);
-              loop ()
-          | exception e ->
-              let msg = Printexc.to_string e in
-              let retry =
-                Mutex.protect mutex (fun () ->
-                    attempts.(b) <- attempts.(b) + 1;
-                    failures := (b, msg) :: !failures;
-                    attempts.(b) <= max_batch_retries)
-              in
-              engine := engine_factory ();
-              if retry then begin
-                backoff attempts.(b);
-                Mutex.protect mutex (fun () -> Queue.add b pending)
-              end;
-              loop ())
-    in
-    loop ()
-  in
-  let spawned = List.init (min domains n_batches) (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join spawned;
-  List.iter (Obs.absorb obs) (List.rev !forked);
-  let reports = List.filter_map Fun.id (Array.to_list results) in
-  if reports = [] then
-    failwith
-      (Printf.sprintf "Ssf.estimate_parallel: every batch failed permanently (last error: %s)"
-         (match !failures with (_, m) :: _ -> m | [] -> "unknown"));
-  merge_reports reports
 
 let confidence_interval report ~z =
   let half = z *. sqrt (report.variance /. float_of_int (max 1 report.n)) in

@@ -156,10 +156,13 @@ type inject = {
           campaign checkpoints and error messages *)
   inj_run :
     Engine.t -> ?cycle_budget:int -> Fmc_prelude.Rng.t -> Sampler.sample -> Engine.run_result;
-      (** evaluate one drawn sample under this model. Must be
-          deterministic for a fixed (engine, sample) pair up to its
-          declared RNG draws; [cycle_budget] arms the RTL-resume
-          watchdog exactly as in {!Engine.run_sample} *)
+      (** evaluate one drawn sample under this model. Unless
+          [inj_reads_rng], the result must depend only on the engine's
+          golden run and the sample: the generator passed in is not the
+          campaign's stream, and the engine may be any replica of the
+          one the loop was given ({!Engine.replicas}). [cycle_budget]
+          arms the RTL-resume watchdog exactly as in
+          {!Engine.run_sample} *)
   inj_causal : Engine.t -> Engine.run_result -> (string * int) list;
       (** contribution attribution for a successful run (the model's
           analogue of {!Engine.causal_flips}; returning
@@ -167,6 +170,10 @@ type inject = {
   inj_prunable : bool;
       (** whether analytical masking certificates ([?prune]) are sound
           for this model; the one place prunability is declared *)
+  inj_reads_rng : bool;
+      (** whether [inj_run] draws from the campaign's stream (the
+          generator it is passed); such a model runs each sample right
+          after its draw, on the calling domain *)
 }
 
 val disc_transient : inject
@@ -187,7 +194,9 @@ val disc_ablation :
     {!disc_transient} itself. Otherwise it is named apart
     (["disc-transient+hardened+resilience=10"], ...), is not prunable,
     and credits raw flips instead of replaying causally: the
-    leave-one-out replay re-strikes with the unmodified model. *)
+    leave-one-out replay re-strikes with the unmodified model. It reads
+    the stream ([inj_reads_rng]) exactly when [hardened] is given: a
+    hardened flip survives a draw. *)
 
 val shard_plan : samples:int -> shard_size:int -> (int * int) array
 (** Cut a campaign into contiguous sample-index shards: [(start, len)]
@@ -199,6 +208,17 @@ val shard_plan : samples:int -> shard_size:int -> (int * int) array
     determines every draw. Raises [Invalid_argument] on non-positive
     arguments. *)
 
+(** An analytical masking oracle (e.g. [Fmc_sva.Pruner.prune]), split
+    so that only recorded samples are counted. *)
+type prune = {
+  covered : Sampler.sample -> bool;
+      (** true only for a sample the engine would classify as exactly
+          [Masked]; called as the sample is drawn, which may be past a
+          stop, so it counts nothing *)
+  note : Sampler.sample -> covered:bool -> unit;
+      (** counts a sample and its verdict as the sample is recorded *)
+}
+
 val pruned_result : Engine.t -> Sampler.sample -> Engine.run_result
 (** The analytical result a certified-masked sample is tallied with:
     field-for-field what {!Engine.run_sample} returns on its masked path
@@ -208,7 +228,7 @@ val pruned_result : Engine.t -> Sampler.sample -> Engine.run_result
 val run_samples :
   ?obs:Fmc_obs.Obs.t ->
   ?causal:bool ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:prune ->
   ?inject:inject ->
   ?cycle_budget:int ->
   ?fault_hook:(int -> Sampler.sample -> unit) ->
@@ -224,14 +244,32 @@ val run_samples :
 (** The one sample loop behind every estimator ({!estimate},
     {!estimate_until}, and [Campaign]'s runs, shards and resumes).
     Until the tally holds {!Tally.total} samples or [stop tally] (polled
-    before every draw) holds: draw a sample from [rng]; if [prune]
-    certifies it masked, tally {!pruned_result}; otherwise run
+    before every draw) holds: draw a sample from [rng]; if
+    [prune.covered] certifies it masked, tally {!pruned_result}; otherwise run
     [fault_hook i sample], evaluate with [inject.inj_run] (default
     {!disc_transient}, watchdog [cycle_budget]), attribute a success
     with [inject.inj_causal] when [causal] (default true), and
-    {!Tally.record} it; finally call [after (Tally.processed tally)].
+    {!Tally.record} it, calling [prune.note] first; finally call
+    [after (Tally.processed tally)].
     [i] is the sample's 1-based index, [offset] (default 0) plus the
     tally's count.
+
+    The loop runs on [Domain.recommended_domain_count ()] domains (see
+    {!with_domains}) and its results do not depend on that number. The
+    calling domain draws a block of samples, prunes them and runs their
+    fault hooks; it and the {!Pool}'s helpers evaluate the block, each
+    on its own {!Engine.replicas} engine; then the calling domain
+    records the block in stream order, setting [rng] to each sample's
+    post-draw state first, and polls [stop] after each record. So
+    [after], [stop], the sink and a checkpoint of [rng] see exactly
+    what a single domain gives them, and samples drawn past a stop are
+    discarded unrecorded. The engine observations ([fmc_restores_total]
+    and the rest) and the [prune.note] of a discarded sample are
+    discarded with it, so the metrics are a single domain's too; only
+    the trace keeps its spans. An [inject] that reads the
+    stream, a single domain, or a pool held by another caller gives
+    blocks of one sample, evaluated right after the draw on [engine]
+    with [rng] itself.
 
     Without [quarantine] an evaluation exception propagates. With it,
     an exception from the fault hook or the evaluation (other than
@@ -246,11 +284,17 @@ val run_samples :
     [inject]: the certificates prove masking of the unmodified
     disc transient only. *)
 
+val with_domains : int -> (unit -> 'a) -> 'a
+(** [with_domains n f] runs [f] with {!run_samples} pinned to [n]
+    domains instead of [Domain.recommended_domain_count ()], so tests can
+    compare one domain with several. Raises [Invalid_argument] when
+    [n < 1]. *)
+
 val estimate :
   ?obs:Fmc_obs.Obs.t ->
   ?trace_every:int ->
   ?causal:bool ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:prune ->
   ?inject:inject ->
   Engine.t ->
   Sampler.prepared ->
@@ -263,7 +307,7 @@ val estimate :
     under [obs]: observability reads the sample stream but never the RNG.
 
     [prune] is an analytical masking oracle (e.g.
-    [Fmc_sva.Pruner.check]): when it returns true the sample {e must} be
+    [Fmc_sva.Pruner.prune]): when [covered] is true the sample {e must} be
     one the engine would classify as exactly [Masked] — the simulation is
     skipped and the sample is tallied analytically as a masked failure
     with its original weight, leaving the report byte-identical to the
@@ -288,41 +332,6 @@ val merge_reports : report list -> report
     convergence plots agree. Raises [Invalid_argument] on an empty
     list. *)
 
-val estimate_parallel :
-  ?domains:int ->
-  ?causal:bool ->
-  ?batch:int ->
-  ?max_batch_retries:int ->
-  ?batch_hook:(int -> unit) ->
-  ?obs:Fmc_obs.Obs.t ->
-  engine_factory:(unit -> Engine.t) ->
-  Sampler.prepared ->
-  samples:int ->
-  seed:int ->
-  report
-(** Supervised multicore estimation. The samples are cut into batches of
-    [batch] (default 500) whose seeds depend only on the batch index;
-    [domains] worker domains (default: the machine's recommended domain
-    count) pull batches from a shared queue and stream finished reports
-    back to the supervisor. A batch that raises is re-queued with
-    exponential backoff up to [max_batch_retries] (default 2) extra
-    attempts, and the worker that crashed continues on a freshly built
-    engine — completed batches are never lost to a crashed domain, and a
-    permanently failing batch is dropped from the pooled report rather
-    than aborting the run (the run only fails if {e every} batch fails).
-    [engine_factory] MUST build a fresh engine on every call (engines carry
-    mutable simulator state; sharing one across domains races) — e.g.
-    [fun () -> Engine.create ~precharac program]. [batch_hook] runs at the
-    start of every batch attempt and is a fault-injection point for tests.
-    The result is deterministic for a fixed [(batch, samples, seed)] triple
-    independent of [domains] and scheduling — but differs from the
-    sequential {!estimate} stream, and the trace is coarser (per-batch
-    checkpoints). Under [obs], every worker observes into a private fork of
-    the handle (tid = worker index + 1) that the supervisor merges back
-    after the join: counters and histograms sum across workers, trace
-    events interleave with per-worker tids, and the progress sink stays
-    supervisor-only (no interleaved emission). *)
-
 val confidence_interval : report -> z:float -> float * float
 (** Normal-approximation confidence interval for the SSF estimate:
     [estimate -/+ z * sqrt(variance / n)] clamped to [\[0, 1\]]. [z = 1.96]
@@ -332,7 +341,7 @@ val estimate_until :
   ?obs:Fmc_obs.Obs.t ->
   ?trace_every:int ->
   ?causal:bool ->
-  ?prune:(Sampler.sample -> bool) ->
+  ?prune:prune ->
   ?inject:inject ->
   ?batch:int ->
   ?max_samples:int ->

@@ -94,11 +94,13 @@ type checkpoint = { cp_cycle : int; cp_state : Arch.t; cp_dmem : int array }
 
 let checkpoint t = { cp_cycle = t.cycle; cp_state = Arch.copy t.st; cp_dmem = Array.copy t.dmem }
 
-let restore t cp =
-  t.cycle <- cp.cp_cycle;
-  Array.blit cp.cp_dmem 0 t.dmem 0 (Array.length t.dmem);
-  let src = cp.cp_state in
-  List.iter (fun (name, _) -> Arch.set_group t.st name (Arch.get_group src name)) Arch.groups
+let load_image t ~cycle ~st ~dmem =
+  t.cycle <- cycle;
+  Array.blit dmem 0 t.dmem 0 (Array.length t.dmem);
+  List.iter (fun (name, _) -> Arch.set_group t.st name (Arch.get_group st name)) Arch.groups
+
+let restore t cp = load_image t ~cycle:cp.cp_cycle ~st:cp.cp_state ~dmem:cp.cp_dmem
+let copy_into ~src t = load_image t ~cycle:src.cycle ~st:src.st ~dmem:src.dmem
 
 let checkpoint_cycle cp = cp.cp_cycle
 let checkpoint_state cp = Arch.copy cp.cp_state

@@ -87,5 +87,11 @@ val checkpoint_cycle : checkpoint -> int
 val checkpoint_state : checkpoint -> Arch.t
 (** A copy — safe to inspect. *)
 
+val copy_into : src:t -> t -> unit
+(** Make the system's cycle, architectural state and data memory equal
+    [src]'s, as [restore t (checkpoint src)] would, without allocating.
+    The transient hooks (watchdog, step hook, fetch override) are left
+    as they are. *)
+
 val observable_values : t -> int list
 (** Values at the benchmark's observable dmem addresses, in order. *)

@@ -2,7 +2,6 @@ type t = {
   name : string;
   params : (string * string) list;
   doc : string;
-  rng_draws : int;
   inject : Fmc.Ssf.inject option;
 }
 

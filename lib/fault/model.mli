@@ -10,12 +10,14 @@
     {!Fmc.Engine.run_sample} path, so a campaign under the default model
     is byte-identical to the pre-subsystem code.
 
-    Every model declares its RNG budget ([rng_draws], an upper bound on
-    randomness consumed per sample); all built-in models consume zero,
-    which is what makes per-model campaigns deterministic and shard
-    merging bit-exact. Whether {!Fmc_sva} masking certificates are sound
-    for a model is its injector's [inj_prunable] — true only for the
-    disc transient they were proved against. *)
+    Whether a model reads the campaign's random stream is its
+    injector's [inj_reads_rng]; no built-in model does, so each sample's
+    outcome depends on the sample alone, which is what makes per-model
+    campaigns deterministic, lets the sample loop evaluate a block on
+    several domains, and keeps shard merging bit-exact. Whether
+    {!Fmc_sva} masking certificates are sound for a model is its
+    injector's [inj_prunable] — true only for the disc transient they
+    were proved against. *)
 
 type t = {
   name : string;  (** registry name, e.g. ["seu-burst"] *)
@@ -23,7 +25,6 @@ type t = {
       (** non-default parameters, sorted by key — what {!canonical}
           appends after the name *)
   doc : string;  (** one-line description for [--list-fault-models] *)
-  rng_draws : int;  (** upper bound on RNG draws per sample (0 for all builtins) *)
   inject : Fmc.Ssf.inject option;
       (** the per-sample injector, [Some] for every registered model.
           It stays an option only because the vendored benchmark tracer

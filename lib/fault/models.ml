@@ -113,7 +113,7 @@ let count_run ~metric engine =
            ("fmc_fault_" ^ metric ^ "_runs_total"))
 
 let injected ~name ~params ~doc make_run =
-  let stub = { Model.name; params; doc; rng_draws = 0; inject = None } in
+  let stub = { Model.name; params; doc; inject = None } in
   let metric = Model.metric_name stub in
   {
     stub with
@@ -127,6 +127,7 @@ let injected ~name ~params ~doc make_run =
               make_run engine ?cycle_budget sample);
           inj_causal = (fun _engine (r : Engine.run_result) -> r.Engine.flips);
           inj_prunable = false;
+          inj_reads_rng = false;
         };
   }
 
@@ -140,7 +141,6 @@ let disc_transient params =
       Model.name = "disc-transient";
       params = [];
       doc = "radiation disc: direct SEUs + gate-level voltage transients (the paper's native model)";
-      rng_draws = 0;
       inject = Some Ssf.disc_transient;
     }
 

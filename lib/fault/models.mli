@@ -5,10 +5,11 @@
     offending parameter. All builders reject unknown and duplicate keys,
     so a typo never silently configures the default.
 
-    Every built-in injector is deterministic (zero RNG draws): the same
-    (engine, sample) pair always produces the same result, which is what
-    keeps per-model campaigns bit-exact across shards, resumes and
-    distributed workers. *)
+    Every built-in injector is deterministic and reads no random stream
+    ([inj_reads_rng = false]): the same (engine, sample) pair always
+    produces the same result, which is what keeps per-model campaigns
+    bit-exact across domains, shards, resumes and distributed
+    workers. *)
 
 val disc_transient : (string * string) list -> (Model.t, string) result
 (** The paper's native model — radiation disc, direct SEUs plus

@@ -41,6 +41,8 @@ let state t = t.state
 
 let of_state s = { state = s }
 
+let set_state t s = t.state <- s
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)

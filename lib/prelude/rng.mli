@@ -36,6 +36,10 @@ val of_state : int64 -> t
 (** Rebuild a generator from a {!state} snapshot. Unlike {!create}, the
     value is used verbatim (no seed mixing). *)
 
+val set_state : t -> int64 -> unit
+(** Rewind (or advance) this generator in place to a {!state} snapshot:
+    afterwards it draws exactly what [of_state] of the snapshot would. *)
+
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -28,9 +28,11 @@
    A pinned campaign ([faultmc serve]) is the only one the service
    holds: submitting another, or cancelling it, is refused. It adds the
    serve exit rule: once the campaign is finished, the service stops
-   leasing and exits when [linger_s] has passed and no connection is
-   open — every connection is bounded by [io_deadline_s], so a silent
-   client cannot hold it forever. *)
+   leasing and exits when [linger_s] has passed, no connection is open
+   — every connection is bounded by [io_deadline_s], so a silent client
+   cannot hold it forever — and no lessee is still owed its
+   [No_work { finished = true }] (see [owed]). A drain likewise waits
+   for the idle pool workers it owes that answer. *)
 
 module Protocol = Fmc_dist.Protocol
 module Wire = Fmc_dist.Wire
@@ -138,6 +140,15 @@ let mx_create (obs : Obs.t) =
       g "1 while leasing is paused below the require-workers floor" "fmc_dist_leasing_paused";
   }
 
+(* A name that has asked for a shard. *)
+type lessee = {
+  pool : bool;  (* it asks with the pool fingerprint *)
+  mutable seen : float;  (* its last message or hang-up *)
+  mutable settled : bool;
+      (* owed no answer since its last request: told [finished = true],
+         or it lost a lease and is presumed dead *)
+}
+
 type state = {
   mutex : Mutex.t;
   sched : Sched.t;
@@ -147,7 +158,7 @@ type state = {
   mutable stopped : bool;  (* [serve] has returned *)
   mutable connected : int;
   conn_workers : (string, int) Hashtbl.t;  (* live post-Hello connections per worker *)
-  lessees : (string, unit) Hashtbl.t;  (* names that have asked for a shard *)
+  lessees : (string, lessee) Hashtbl.t;
   mutable last_busy : float;  (* last tick with a connection open *)
   mx : mx;
   fleet : Fleet.t;  (* absorbed worker telemetry; has its own lock *)
@@ -178,6 +189,34 @@ let leasing_paused st ~now =
   in
   gset st.mx.leasing_paused (if paused then 1 else 0);
   paused
+
+(* A lessee the service still owes its [finished = true]: not settled,
+   not quarantined (refused from now on), and heard from recently
+   enough to be alive. The service presumes a silent lease holder lost
+   after the lease TTL; an idle worker may add one reconnect back-off
+   sleep at the worker's default cap. [pool_only] counts pool workers
+   alone, whom a drain tells to go. *)
+let owed st ~now ~pool_only =
+  let silence =
+    st.config.sched.Sched.ttl_s +. Fmc_dist.Worker.default_retry.Fmc_dist.Worker.cap_s
+  in
+  Hashtbl.fold
+    (fun worker l n ->
+      if
+        (not l.settled)
+        && (l.pool || not pool_only)
+        && now -. l.seen <= silence
+        && not (Sched.is_banned st.sched ~worker)
+      then n + 1
+      else n)
+    st.lessees 0
+
+let heard st ~worker ~now =
+  Option.iter (fun l -> l.seen <- now) (Hashtbl.find_opt st.lessees worker)
+
+let fence st ~worker = function
+  | `Stale -> Option.iter (fun l -> l.settled <- true) (Hashtbl.find_opt st.lessees worker)
+  | _ -> ()
 
 exception Done_serving
 
@@ -232,32 +271,46 @@ let handle_msg st ~scope ~worker ~digest msg =
       | `Already_finished ->
           Protocol.Ack { accepted = false; reason = "already finished (report is cached)" }
       | `Unknown -> Protocol.Ack { accepted = false; reason = "unknown campaign" })
-  | Protocol.Request_shard -> (
-      Hashtbl.replace st.lessees worker ();
+  | Protocol.Request_shard ->
+      let l = { pool; seen = now; settled = false } in
+      Hashtbl.replace st.lessees worker l;
       if leasing_paused st ~now then Protocol.No_work { finished = false }
-      else
+      else (
         match Sched.next_job sched ~now ~worker ~scope ~alone:(healthy_workers st ~now <= 1) with
         | `Job (spec, { Sched.Lease.shard; epoch; start; len }) ->
             if pool then Protocol.Job { spec; shard; epoch; start; len }
             else Protocol.Assign { shard; epoch; start; len }
         | `Wait when st.stopped -> raise Done_serving
         | `Wait -> Protocol.No_work { finished = false }
-        | `Drained -> Protocol.No_work { finished = true }
+        | `Drained ->
+            l.settled <- true;
+            Protocol.No_work { finished = true }
         | `Banned -> Protocol.Reject { reason = "worker quarantined: failed result audit" })
   | Protocol.Heartbeat { shard; epoch; samples_done = _ } ->
       if pool then Protocol.Reject { reason = "pool connections heartbeat with job_heartbeat" }
-      else heartbeat_reply (Sched.heartbeat sched ~now ~worker ~fingerprint:scope ~shard ~epoch)
+      else
+        let r = Sched.heartbeat sched ~now ~worker ~fingerprint:scope ~shard ~epoch in
+        fence st ~worker r;
+        heartbeat_reply r
   | Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = _ } ->
-      heartbeat_reply (Sched.heartbeat sched ~now ~worker ~fingerprint ~shard ~epoch)
+      let r = Sched.heartbeat sched ~now ~worker ~fingerprint ~shard ~epoch in
+      fence st ~worker r;
+      heartbeat_reply r
   | Protocol.Shard_done { shard; epoch; tally; quarantined } ->
       if pool then Protocol.Reject { reason = "pool connections complete with job_done" }
       else
-        complete_reply st
-          (Sched.complete sched ~now ~fingerprint:scope ~shard ~epoch ~worker ~digest ~tally
-             ~quarantined)
+        let r =
+          Sched.complete sched ~now ~fingerprint:scope ~shard ~epoch ~worker ~digest ~tally
+            ~quarantined
+        in
+        fence st ~worker r;
+        complete_reply st r
   | Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined } ->
-      complete_reply st
-        (Sched.complete sched ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantined)
+      let r =
+        Sched.complete sched ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantined
+      in
+      fence st ~worker r;
+      complete_reply st r
   | Protocol.Fetch_report ->
       if pool then Protocol.Reject { reason = "fetch_report needs a campaign-scoped connection" }
       else (
@@ -348,7 +401,11 @@ let handle_conn st fd =
     locked st (fun () ->
         st.connected <- st.connected - 1;
         gset st.mx.connections st.connected;
-        Option.iter (fun w -> refs w (-1)) !worker_name)
+        Option.iter
+          (fun w ->
+            refs w (-1);
+            heard st ~worker:w ~now:(Clock.now ()))
+          !worker_name)
   in
   locked st (fun () ->
       st.connected <- st.connected + 1;
@@ -357,7 +414,9 @@ let handle_conn st fd =
       try
         let worker, scope = expect_hello st conn in
         worker_name := Some worker;
-        locked st (fun () -> refs worker 1);
+        locked st (fun () ->
+            refs worker 1;
+            heard st ~worker ~now:(Clock.now ()));
         let rec loop () =
           (match Wire.read_frame_raw conn with
           | `Corrupt _ ->
@@ -378,6 +437,7 @@ let handle_conn st fd =
                      reject instead of service. *)
                   match
                     locked st (fun () ->
+                        heard st ~worker ~now:(Clock.now ());
                         if Sched.is_banned st.sched ~worker then None
                         else
                           Some (handle_msg st ~scope ~worker ~digest:ext.Protocol.ext_digest msg))
@@ -494,9 +554,9 @@ let rec rm_rf path =
 
 (* One tick's stop decision (under the lock). A requested drain wins
    over everything, the linger of a finished pinned campaign included,
-   once nothing is in flight. Idle means: for a pinned campaign,
-   unfinished with no connection open; otherwise, an empty queue with no
-   scheduling activity. *)
+   once nothing is in flight and no pool worker is owed its answer.
+   Idle means: for a pinned campaign, unfinished with no connection
+   open; otherwise, an empty queue with no scheduling activity. *)
 let stop_reason st ~now ~pinned ~finished_at =
   let drain_requested = Atomic.get st.drain_flag in
   if drain_requested then begin
@@ -506,11 +566,14 @@ let stop_reason st ~now ~pinned ~finished_at =
   let idle_since =
     if pinned = None then Sched.last_activity st.sched else st.last_busy
   in
-  if drain_requested && Sched.in_flight st.sched = 0 then Some Drained
+  if drain_requested && Sched.in_flight st.sched = 0 && owed st ~now ~pool_only:true = 0 then
+    Some Drained
   else
     match (pinned, finished_at) with
     | Some c, Some t ->
-        if now -. t >= c.linger_s && st.connected = 0 then Some Finished else None
+        if now -. t >= c.linger_s && st.connected = 0 && owed st ~now ~pool_only:false = 0 then
+          Some Finished
+        else None
     | _ ->
         if
           st.config.max_idle_s > 0.

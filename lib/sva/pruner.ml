@@ -205,28 +205,31 @@ let compute t ~te ~(cells : N.node array) =
 
 let covered t (sample : Sampler.sample) =
   let te = t.target_cycle - sample.Sampler.t in
-  if te < 1 then true (* the engine short-circuits to Masked *)
-  else begin
-    let cells =
-      Placement.within_indexed t.pindex ~center:sample.Sampler.center
-        ~radius:sample.Sampler.radius
-    in
-    let v = compute t ~te ~cells in
-    t.stats.certificates <- t.stats.certificates + 1;
-    (match t.inst with Some i -> Metrics.inc i.m_certs | None -> ());
-    v
-  end
+  te < 1 (* the engine short-circuits to Masked *)
+  || compute t ~te
+       ~cells:
+         (Placement.within_indexed t.pindex ~center:sample.Sampler.center
+            ~radius:sample.Sampler.radius)
+
+let note t (sample : Sampler.sample) ~covered =
+  let certified = t.target_cycle - sample.Sampler.t >= 1 in
+  t.stats.checked <- t.stats.checked + 1;
+  if certified then t.stats.certificates <- t.stats.certificates + 1;
+  if covered then t.stats.pruned <- t.stats.pruned + 1;
+  match t.inst with
+  | None -> ()
+  | Some i ->
+      Metrics.inc i.m_checked;
+      if certified then Metrics.inc i.m_certs;
+      if covered then Metrics.inc i.m_pruned;
+      Metrics.set i.m_ratio (prune_ratio t)
 
 let check t sample =
-  t.stats.checked <- t.stats.checked + 1;
-  (match t.inst with Some i -> Metrics.inc i.m_checked | None -> ());
   let v = covered t sample in
-  if v then begin
-    t.stats.pruned <- t.stats.pruned + 1;
-    match t.inst with Some i -> Metrics.inc i.m_pruned | None -> ()
-  end;
-  (match t.inst with Some i -> Metrics.set i.m_ratio (prune_ratio t) | None -> ());
+  note t sample ~covered:v;
   v
+
+let prune t = { Fmc.Ssf.covered = covered t; note = note t }
 
 let self_check ?(points = 50) ?(seed = 7) t =
   let dffs = N.dffs t.net in

@@ -33,13 +33,20 @@ val create : ?obs:Fmc_obs.Obs.t -> Fmc.Engine.t -> t
     [fmc_sva_samples_checked_total], [fmc_sva_samples_pruned_total],
     [fmc_sva_certificates_total] and the [fmc_sva_prune_ratio] gauge. *)
 
-val check : t -> Fmc.Sampler.sample -> bool
-(** True iff the sample is provably [Masked]; updates stats and metrics.
-    Suitable as [Ssf.estimate]'s / [Campaign.run]'s [?prune] argument. *)
-
 val covered : t -> Fmc.Sampler.sample -> bool
-(** Same verdict as {!check} but without touching the checked/pruned
-    stats (certificate-cache metrics still fire). *)
+(** True iff the sample is provably [Masked]; counts nothing. *)
+
+val note : t -> Fmc.Sampler.sample -> covered:bool -> unit
+(** Count one sample and its {!covered} verdict: the checked, pruned and
+    certificate stats and metrics, and the prune-ratio gauge. *)
+
+val check : t -> Fmc.Sampler.sample -> bool
+(** {!covered}, then {!note} of the verdict. *)
+
+val prune : t -> Fmc.Ssf.prune
+(** The pruner as [Ssf.estimate]'s / [Campaign.run]'s [?prune]: it
+    asks {!covered} as a sample is drawn and {!note}s only the samples
+    the loop records, so the stats do not depend on the domain count. *)
 
 val stats : t -> stats
 val prune_ratio : t -> float

@@ -4,6 +4,7 @@
 
 module Programs = Fmc_isa.Programs
 module System = Fmc_cpu.System
+module Rng = Fmc_prelude.Rng
 open Fmc
 
 let ctx = lazy (Experiments.context ())
@@ -66,23 +67,36 @@ let test_campaign_matches_estimate () =
         (Export.report_json r.Campaign.report))
     Fmc_fault.Registry.names
 
+(* The samples a stream draws at the given 1-based positions. An
+   injector failing on these fails the same samples whichever domain
+   evaluates them: the loop evaluates in no fixed order, so an
+   injector's result may depend on its sample only. *)
+let drawn_at prep rng positions =
+  let failing = Hashtbl.create 64 in
+  for k = 1 to List.fold_left max 0 positions do
+    let sample = Sampler.draw prep rng in
+    if List.mem k positions then Hashtbl.replace failing sample ()
+  done;
+  failing
+
 (* One loop, three failure policies: an evaluation exception escapes
-   Ssf.estimate (estimate_parallel's batch retry relies on it), is
-   quarantined by the campaign entry points, and an exception from a
-   shard's per-sample hook (a worker's lost lease) aborts the shard
-   instead of quarantining the sample in flight. *)
+   Ssf.estimate, is quarantined by the campaign entry points, and an
+   exception from a shard's per-sample hook (a worker's lost lease)
+   aborts the shard instead of quarantining the sample in flight. *)
 let test_failure_policies () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
-  let calls = ref 0 in
+  (* Every 7th sample of the campaign stream and of shard 0's stream. *)
+  let failing = drawn_at prep (Rng.create 11) [ 7; 14 ] in
+  Hashtbl.iter (Hashtbl.replace failing)
+    (drawn_at prep (Rng.substream ~seed:11L ~shard:0) [ 7; 14 ]);
   let flaky =
     {
       Ssf.disc_transient with
       Ssf.inj_model = "flaky";
       inj_run =
         (fun engine ?cycle_budget rng sample ->
-          incr calls;
-          if !calls mod 7 = 0 then failwith "flaky evaluation";
+          if Hashtbl.mem failing sample then failwith "flaky evaluation";
           Ssf.disc_transient.Ssf.inj_run engine ?cycle_budget rng sample);
     }
   in
@@ -91,10 +105,8 @@ let test_failure_policies () =
        ignore (Ssf.estimate ~inject:flaky e prep ~samples:20 ~seed:11);
        false
      with Failure _ -> true);
-  calls := 0;
   let r = Campaign.run ~config:no_signals ~inject:flaky e prep ~samples:20 ~seed:11 in
   Alcotest.(check int) "run quarantines" 2 r.Campaign.report.Ssf.outcomes.Ssf.q_crashed;
-  calls := 0;
   let sh = Campaign.run_shard ~inject:flaky e prep ~seed:11 ~shard:0 ~start:40 ~len:20 in
   Alcotest.(check (list int)) "run_shard quarantines at global indices" [ 47; 54 ]
     (List.map (fun q -> q.Campaign.q_index) sh.Campaign.sh_quarantined);
@@ -113,15 +125,14 @@ let test_failure_policies () =
 let test_quarantine_keeps_engine_clean () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
+  let failing = drawn_at prep (Rng.create 11) (List.init 40 (fun k -> 5 * (k + 1))) in
   let flaky ~poison =
-    let calls = ref 0 in
     {
       Ssf.disc_transient with
       Ssf.inj_model = "flaky";
       inj_run =
         (fun engine ?cycle_budget rng sample ->
-          incr calls;
-          if !calls mod 5 = 0 then begin
+          if Hashtbl.mem failing sample then begin
             if poison then ignore (Engine.run_sample engine rng { sample with Sampler.width = -1. });
             failwith "flaky evaluation"
           end;
@@ -287,32 +298,46 @@ let test_observability_invariance () =
     (Float.is_finite instrumented.Campaign.samples_per_sec)
 
 let test_parallel_obs_merge () =
-  (* Every worker domain observes into a private fork of the handle; the
-     supervisor absorbs them after the join, so the merged metrics cover
-     the whole run and the merged trace interleaves per-worker tids. *)
+  (* Helper domains observe into their own handles: metrics per sample,
+     merged as the sample is recorded, and spans per domain, merged when
+     the loop returns. The merged counters equal a one-domain run's and
+     the trace carries one tid per domain. *)
   let prep = prepare Sampler.default_mixed in
-  let factory () =
-    Engine.create ~precharac:(Experiments.precharac (Lazy.force ctx)) Programs.illegal_write
+  let run domains =
+    let e = Engine.create ~precharac:(Experiments.precharac (Lazy.force ctx)) Programs.illegal_write in
+    let reg = Fmc_obs.Metrics.create () in
+    let tracer = Fmc_obs.Span.create ~capacity:65536 () in
+    let obs = Fmc_obs.Obs.create ~metrics:reg ~tracer () in
+    let r =
+      Ssf.with_domains domains (fun () -> Ssf.estimate ~causal:false ~obs e prep ~samples:600 ~seed:5)
+    in
+    let counter name =
+      match List.assoc_opt name (Fmc_obs.Metrics.snapshot reg) with
+      | Some (_, Fmc_obs.Metrics.Counter v) -> v
+      | _ -> Alcotest.failf "%s missing" name
+    in
+    let events = Fmc_obs.Span.events tracer in
+    let tids = List.sort_uniq compare (List.map (fun e -> e.Fmc_obs.Span.ev_tid) events) in
+    (* Events per span name, over the ring and over the running totals. *)
+    let names = List.sort compare (List.map (fun e -> e.Fmc_obs.Span.ev_name) events) in
+    let totals = List.map (fun (name, (n, _)) -> (name, n)) (Fmc_obs.Span.totals tracer) in
+    ( Export.report_json r,
+      List.map counter
+        [ "fmc_samples_total"; "fmc_restores_total"; "fmc_rtl_cycles_total"; "fmc_gate_cycles_total" ],
+      (names, totals),
+      tids )
   in
-  let reg = Fmc_obs.Metrics.create () in
-  let tracer = Fmc_obs.Span.create ~capacity:4096 () in
-  let obs = Fmc_obs.Obs.create ~metrics:reg ~tracer () in
-  let baseline =
-    Ssf.estimate_parallel ~domains:2 ~causal:false ~engine_factory:factory prep ~samples:600
-      ~seed:5
-  in
-  let r =
-    Ssf.estimate_parallel ~domains:2 ~causal:false ~obs ~engine_factory:factory prep
-      ~samples:600 ~seed:5
-  in
-  exact "deterministic under obs" baseline.Ssf.ssf r.Ssf.ssf;
-  (match List.assoc_opt "fmc_samples_total" (Fmc_obs.Metrics.snapshot reg) with
-  | Some (_, Fmc_obs.Metrics.Counter v) -> exact "workers' counters merged" 600. v
-  | _ -> Alcotest.fail "fmc_samples_total missing");
-  let tids =
-    List.sort_uniq compare (List.map (fun e -> e.Fmc_obs.Span.ev_tid) (Fmc_obs.Span.events tracer))
-  in
-  Alcotest.(check bool) "per-worker tids present" true (List.length tids >= 1 && List.for_all (fun t -> t >= 1) tids)
+  let json1, counters1, spans1, tids1 = run 1 in
+  let json3, counters3, spans3, tids3 = run 3 in
+  Alcotest.(check string) "deterministic under obs" json1 json3;
+  Alcotest.(check (list (float 0.))) "helpers' counters merged" counters1 counters3;
+  exact "each sample counted once" 600. (List.hd counters3);
+  (* Nothing stops this run, so every span a helper recorded must have
+     been absorbed for the counts to match, whoever ran which sample. *)
+  Alcotest.(check (list string)) "helpers' span events merged" (fst spans1) (fst spans3);
+  Alcotest.(check (list (pair string int))) "helpers' span totals merged" (snd spans1) (snd spans3);
+  Alcotest.(check (list int)) "one domain traces as tid 0" [ 0 ] tids1;
+  Alcotest.(check bool) "one tid per domain" true (List.for_all (fun t -> t >= 0 && t < 3) tids3)
 
 let test_corrupt_checkpoint_rejected () =
   with_tmp "corrupt" @@ fun path ->

@@ -855,7 +855,13 @@ let test_loopback_lying_worker_quarantined () =
             (contains reason "quarantine")
       | _ -> Alcotest.fail "a quarantined worker must be rejected at hello");
       Wire.close conn;
+      let refused_at = Unix.gettimeofday () in
       Thread.join server;
+      (* Refused from now on, mallory is owed no [finished = true]: the
+         service exits after its 2 s linger, not after the 12 s (TTL +
+         back-off cap) it waits for a silent lessee. *)
+      Alcotest.(check bool) "a quarantined lessee does not hold the exit" true
+        (Unix.gettimeofday () -. refused_at < 6.);
       let shards, _ = finished_report !outcome in
       Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
       let dist =

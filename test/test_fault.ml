@@ -4,8 +4,9 @@
    per-model determinism (locally, sharded and through Fmc_dist with a
    dead worker), the prune/inject soundness guard at every entry
    point, the campaign
-   checkpoint's model line (v5), and the fault-model component of
-   distributed fingerprints and spec lines. *)
+   checkpoint's model line (v5), the fault-model component of
+   distributed fingerprints and spec lines, and the sample loop's
+   invariance under the number of domains. *)
 
 module Programs = Fmc_isa.Programs
 module Model = Fmc_fault.Model
@@ -82,8 +83,15 @@ let test_registry_canonical () =
       Alcotest.(check bool) (name ^ " carries an injector") true (Option.is_some m.Model.inject);
       Alcotest.(check string) (name ^ " injector named canonically") (Model.canonical m)
         (Model.injector m).Ssf.inj_model;
-      Alcotest.(check int) (name ^ " draws no rng") 0 m.Model.rng_draws)
+      Alcotest.(check bool) (name ^ " reads no rng") false (Model.injector m).Ssf.inj_reads_rng)
     Registry.names;
+  (* Of the native model's ablations, only hardening draws from the
+     stream (a hardened flip survives a draw). *)
+  let reads inj = inj.Ssf.inj_reads_rng in
+  Alcotest.(check bool) "hardened ablation reads rng" true
+    (reads (Ssf.disc_ablation ~hardened:(fun _ -> true) ()));
+  Alcotest.(check bool) "filtered ablation reads no rng" false
+    (reads (Ssf.disc_ablation ~cell_filter:(fun _ -> true) ~impact_cycles:2 ()));
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " is not prunable") false
@@ -176,7 +184,7 @@ let test_per_model_determinism () =
 let test_prune_inject_refused () =
   let prep = prepare Sampler.default_mixed in
   let e = engine () in
-  let prune _ = false in
+  let prune = { Ssf.covered = (fun _ -> false); note = (fun _ ~covered:_ -> ()) } in
   let refused what f =
     Alcotest.(check bool) what true
       (try
@@ -410,6 +418,158 @@ let test_loopback_model_campaign () =
         reference.Campaign.report dist)
 
 (* ------------------------------------------------------------------ *)
+(* Domain-count invariance of the sample loop: every case runs at one and
+   at three domains and must give the same report bytes, quarantine
+   lists and engine counters. Each run builds its own engine, so the
+   golden-cycle cache starts empty both times. *)
+
+let fresh_engine program =
+  Engine.create ~precharac:(Experiments.precharac (Lazy.force ctx)) program
+
+let observed () =
+  let reg = Fmc_obs.Metrics.create () in
+  (reg, Fmc_obs.Obs.create ~metrics:reg ())
+
+(* Every metric, with only the count of a histogram: the latency
+   histogram's buckets and sum time the samples. *)
+let counters reg =
+  String.concat ""
+    (List.map
+       (fun (name, (_, v)) ->
+         match v with
+         | Fmc_obs.Metrics.Counter x | Fmc_obs.Metrics.Gauge x -> Printf.sprintf "%s %h\n" name x
+         | Fmc_obs.Metrics.Histo h -> Printf.sprintf "%s count %d\n" name h.Fmc_obs.Metrics.count)
+       (Fmc_obs.Metrics.snapshot reg))
+
+let quarantine_lines entries =
+  String.concat "" (List.map (fun q -> Campaign.journal_line q ^ "\n") entries)
+
+let json r = Export.report_json r ^ "\n"
+
+let model_case name () =
+  let e = fresh_engine Programs.illegal_write in
+  let reg, obs = observed () in
+  let r =
+    Ssf.estimate ~obs ~inject:(Model.injector (model name)) e (prepare Sampler.default_mixed)
+      ~samples:400 ~seed:21
+  in
+  json r ^ counters reg
+
+let prune_case () =
+  let e = fresh_engine Programs.illegal_read in
+  let reg, obs = observed () in
+  let pruner = Fmc_sva.Pruner.create ~obs e in
+  let r =
+    Ssf.estimate ~obs ~prune:(Fmc_sva.Pruner.prune pruner) e (prepare Sampler.Random)
+      ~samples:800 ~seed:21
+  in
+  json r ^ counters reg
+
+(* A stop in mid-block: the pruner is asked about the samples drawn
+   past it but counts only the recorded ones. *)
+let prune_until_case () =
+  let e = fresh_engine Programs.illegal_read in
+  let reg, obs = observed () in
+  let pruner = Fmc_sva.Pruner.create ~obs e in
+  let r =
+    Ssf.estimate_until ~obs ~prune:(Fmc_sva.Pruner.prune pruner) ~batch:100 ~max_samples:4000 e
+      (prepare Sampler.Random) ~half_width:0.012 ~z:1.96 ~seed:3
+  in
+  Alcotest.(check bool) "stopped before the cap" true (r.Ssf.n < 4000);
+  let st = Fmc_sva.Pruner.stats pruner in
+  Alcotest.(check int) "recorded samples checked" r.Ssf.n st.Fmc_sva.Pruner.checked;
+  Printf.sprintf "%d %d %d\n" st.checked st.pruned st.certificates ^ json r ^ counters reg
+
+let quarantine_case () =
+  let e = fresh_engine Programs.illegal_write in
+  let prep = prepare Sampler.default_mixed in
+  let reg, obs = observed () in
+  let fault_hook i _ = if i mod 50 = 0 then failwith "injected evaluation crash" in
+  let crashed = Campaign.run ~config:no_signals ~obs ~fault_hook e prep ~samples:300 ~seed:11 in
+  let budget = { no_signals with Campaign.sample_budget = Some 0 } in
+  let timed_out = Campaign.run ~config:budget ~obs e prep ~samples:300 ~seed:12 in
+  Alcotest.(check int) "every 50th sample crashed" 6
+    crashed.Campaign.report.Ssf.outcomes.Ssf.q_crashed;
+  Alcotest.(check bool) "a zero budget times resumes out" true
+    (timed_out.Campaign.report.Ssf.outcomes.Ssf.q_timed_out > 0);
+  json crashed.Campaign.report
+  ^ quarantine_lines crashed.Campaign.quarantined
+  ^ json timed_out.Campaign.report
+  ^ quarantine_lines timed_out.Campaign.quarantined
+  ^ counters reg
+
+let until_case () =
+  let e = fresh_engine Programs.illegal_write in
+  let reg, obs = observed () in
+  let r =
+    Ssf.estimate_until ~obs ~batch:100 ~max_samples:4000 e (prepare Sampler.default_mixed)
+      ~half_width:0.006 ~z:1.96 ~seed:3
+  in
+  Alcotest.(check bool) "stopped before the cap" true (r.Ssf.n < 4000);
+  json r ^ counters reg
+
+let resume_case () =
+  with_tmp "ckpt" @@ fun path ->
+  let e = fresh_engine Programs.illegal_write in
+  let prep = prepare Sampler.default_mixed in
+  let reg, obs = observed () in
+  let config =
+    { no_signals with Campaign.checkpoint_path = Some path; checkpoint_every = 70 }
+  in
+  let first = Campaign.run ~config ~obs ~stop:(fun n -> n >= 205) e prep ~samples:500 ~seed:17 in
+  Alcotest.(check int) "stopped at 205" 205 first.Campaign.report.Ssf.n;
+  let checkpoint = read_file path in
+  let rest = Campaign.resume ~config ~obs e prep ~path in
+  Alcotest.(check int) "resumed to the end" 500 rest.Campaign.report.Ssf.n;
+  json first.Campaign.report ^ checkpoint ^ json rest.Campaign.report ^ counters reg
+
+let shard_case () =
+  let e = fresh_engine Programs.illegal_write in
+  let reg, obs = observed () in
+  let seen = ref [] in
+  let fault_hook i _ = if i mod 37 = 0 then failwith "injected evaluation crash" in
+  let sh =
+    Campaign.run_shard ~obs ~fault_hook ~on_sample:(fun n -> seen := n :: !seen) e
+      (prepare Sampler.default_mixed) ~seed:9 ~shard:2 ~start:600 ~len:300
+  in
+  Alcotest.(check (list int)) "on_sample counts up" (List.init 300 (fun k -> 300 - k)) !seen;
+  Ssf.Tally.to_string sh.Campaign.sh_snapshot
+  ^ quarantine_lines sh.Campaign.sh_quarantined
+  ^ counters reg
+
+(* The hardened run reads the stream, so it keeps blocks of one; its
+   bytes are the ones committed before the loop went multicore. *)
+let harden_case () =
+  let e = fresh_engine Programs.illegal_write in
+  let reg, obs = observed () in
+  Engine.set_obs e obs;
+  let prep = prepare Sampler.default_mixed in
+  let net = (Engine.circuit e).Fmc_cpu.Circuit.net in
+  let pilot = Ssf.estimate e prep ~samples:400 ~seed:5 in
+  let plan = Harden.default_plan net pilot ~coverage:0.9 in
+  let ev = Harden.evaluate e prep ~plan ~samples:600 ~seed:6 in
+  let bytes = json ev.Harden.baseline ^ json ev.Harden.hardened in
+  Alcotest.(check string) "matches the committed reference" (fixture "harden-write.json") bytes;
+  bytes ^ counters reg
+
+let domain_invariance case () =
+  let one = Ssf.with_domains 1 case in
+  let three = Ssf.with_domains 3 case in
+  Alcotest.(check string) "3 domains give the 1-domain bytes" one three
+
+let domain_cases =
+  List.map (fun name -> ("model " ^ name, model_case name)) Registry.names
+  @ [
+      ("prune on read", prune_case);
+      ("prune with an estimate_until stop", prune_until_case);
+      ("crash hook and zero budget", quarantine_case);
+      ("estimate_until stop", until_case);
+      ("campaign stopped at 205 and resumed", resume_case);
+      ("shard on_sample and indices", shard_case);
+      ("harden reads rng, matches reference", harden_case);
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fmc_fault"
@@ -436,6 +596,10 @@ let () =
           Alcotest.test_case "v5 records the model; mismatch refused" `Slow
             test_checkpoint_records_model;
         ] );
+      ( "domains",
+        List.map
+          (fun (name, case) -> Alcotest.test_case name `Slow (domain_invariance case))
+          domain_cases );
       ( "dist",
         [
           Alcotest.test_case "fingerprint model component" `Quick test_fingerprint_model_component;

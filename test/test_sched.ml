@@ -697,6 +697,64 @@ let test_linger_zero_waits_for_clients () =
   | Some { Service.sv_reason = Service.Finished; sv_report = Some _ } -> ()
   | _ -> Alcotest.fail "expected a finished exit with the report"
 
+(* A lessee that sleeps through the linger (a worker in reconnect
+   back-off) still finds the service up: it is owed its
+   [No_work { finished = true }], and only once that is answered does
+   the finished campaign's service exit. *)
+let test_linger_waits_for_sleeping_lessee () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let s = spec ~samples:40 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  with_sock @@ fun _ addr ->
+  let outcome = ref None in
+  let server =
+    Thread.create
+      (fun () ->
+        outcome :=
+          Some (Service.serve ~campaign:(pinned ~linger_s:0.2 s) (Service.default_config addr)))
+      ()
+  in
+  let hello () =
+    let conn = Wire.conn (Wire.connect ~attempts:40 ~delay_s:0.05 addr) in
+    send conn (Protocol.Hello { version = Protocol.version; worker = "sleeper"; fingerprint = fp });
+    (match recv conn with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
+    conn
+  in
+  (* The sleeper runs one shard, then drops its connection. *)
+  let conn = hello () in
+  send conn Protocol.Request_shard;
+  (match recv conn with
+  | Protocol.Assign { shard; epoch; start; len } ->
+      let sh = Campaign.run_shard e prep ~seed:5 ~shard ~start ~len in
+      send conn
+        (Protocol.Shard_done
+           { shard; epoch; tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot; quarantined = [] });
+      (match recv conn with
+      | Protocol.Ack { accepted = true; _ } -> ()
+      | _ -> Alcotest.fail "expected the shard accepted")
+  | _ -> Alcotest.fail "expected an assignment");
+  Wire.close conn;
+  (* Another worker finishes the campaign and is told so. *)
+  let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
+  Alcotest.(check int) "worker ran the other shard" 1 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  (* Five lingers later, with no connection open, the sleeper is still owed. *)
+  Thread.delay 1.0;
+  Alcotest.(check bool) "service up while the sleeper is owed" true (!outcome = None);
+  let conn = hello () in
+  send conn Protocol.Request_shard;
+  (match recv conn with
+  | Protocol.No_work { finished = true } -> ()
+  | _ -> Alcotest.fail "expected the campaign finished");
+  send conn Protocol.Goodbye;
+  Wire.close conn;
+  Thread.join server;
+  match !outcome with
+  | Some { Service.sv_reason = Service.Finished; sv_report = Some (shards, _, _) } ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" shards)
+  | _ -> Alcotest.fail "expected a finished exit with the report"
+
 (* A drain (what SIGTERM requests) stops a pinned service inside the
    linger of its finished campaign, and the ephemeral state directory is
    removed with it. *)
@@ -982,6 +1040,8 @@ let () =
             test_linger_zero_waits_for_clients;
           Alcotest.test_case "drain ends linger and state" `Quick
             test_drain_ends_linger_and_state;
+          Alcotest.test_case "linger waits for a sleeping lessee" `Quick
+            test_linger_waits_for_sleeping_lessee;
           Alcotest.test_case "drain keeps workers for a restart" `Quick
             test_drain_keeps_workers_for_restart;
           Alcotest.test_case "pinned service refuses other campaigns" `Quick

@@ -199,7 +199,7 @@ let check_pruned_report_identical prog ~expect_pruning =
   let plain = Ssf.estimate e prep ~samples:500 ~seed:11 in
   let e2 = Experiments.engine_for (Lazy.force ctx) prog in
   let pruner = Pruner.create e2 in
-  let pruned = Ssf.estimate ~prune:(Pruner.check pruner) e2 prep ~samples:500 ~seed:11 in
+  let pruned = Ssf.estimate ~prune:(Pruner.prune pruner) e2 prep ~samples:500 ~seed:11 in
   Alcotest.(check string) "pruned report byte-identical"
     (Export.report_json plain) (Export.report_json pruned);
   let s = Pruner.stats pruner in
