@@ -1,3 +1,5 @@
+module Jsonx = Fmc_obs.Jsonx
+
 type severity = Info | Warning | Error
 
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
@@ -41,27 +43,11 @@ let pp ppf d =
       (String.concat ", " (List.map string_of_int d.nodes));
   if d.groups <> [] then Format.fprintf ppf " [groups: %s]" (String.concat ", " d.groups)
 
-(* Minimal JSON rendering, mirroring [Fmc.Export]: every emitted string is a
-   pass name, group name or a message we format ourselves, so escaping is a
-   formality. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"pass\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"" (json_escape d.pass)
-       (severity_to_string d.severity) (json_escape d.message));
+    (Printf.sprintf "{\"pass\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"" (Jsonx.escape d.pass)
+       (severity_to_string d.severity) (Jsonx.escape d.message));
   Buffer.add_string buf ",\"nodes\":[";
   List.iteri
     (fun i n ->
@@ -72,7 +58,7 @@ let to_json d =
   List.iteri
     (fun i g ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape g)))
+      Buffer.add_string buf (Printf.sprintf "\"%s\"" (Jsonx.escape g)))
     d.groups;
   Buffer.add_char buf ']';
   if d.data <> [] then begin
@@ -80,7 +66,7 @@ let to_json d =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%.8g" (json_escape k) v))
+        Buffer.add_string buf (Printf.sprintf "\"%s\":%.8g" (Jsonx.escape k) v))
       d.data;
     Buffer.add_char buf '}'
   end;

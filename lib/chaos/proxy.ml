@@ -131,7 +131,7 @@ let lie_rewrite frame =
         let mutated = Bytes.of_string payload in
         Bytes.set mutated idx (Char.chr (Char.code (Bytes.get mutated idx) lxor 1));
         let mutated = Bytes.unsafe_to_string mutated in
-        let crc = Fmc_dist.Crc32.extend (Fmc_dist.Crc32.string (String.make 1 tag)) mutated in
+        let crc = Crc32.extend (Crc32.string (String.make 1 tag)) mutated in
         Bytes.blit_string mutated 0 frame 9 (String.length mutated);
         put_u32 frame 5 crc;
         Some idx

@@ -1,4 +1,5 @@
 module Rng = Fmc_prelude.Rng
+module Record = Fmc_prelude.Record
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
@@ -46,18 +47,13 @@ type result = {
 let checkpoint_version = 5
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint serialization: a line-oriented, versioned text format (v5;
-   any other version is refused). A campaign header (strategy, canonical
-   fault model, seed, RNG state) wraps the shared {!Ssf.Tally.to_string}
-   codec (the same serializer the distributed wire protocol ships shard
-   results with), and a "crc %08x" trailer line — the CRC-32 of every
-   byte up to and including the "end" marker — detects a truncated or
-   bit-flipped checkpoint before any of it is parsed. Floats are hex
-   float literals ("%h"), which round-trip bit-exactly through
-   [float_of_string]; the RNG state is the SplitMix64 int64 word. The
-   file is written to a sibling ".tmp" and atomically renamed into
-   place, so a kill mid-write can never destroy the previous good
-   checkpoint. *)
+(* Checkpoint serialization: a versioned record (v5; any other version
+   is refused). A campaign header (strategy, canonical fault model,
+   seed, RNG state) wraps the shared {!Ssf.Tally.to_string} codec (the
+   same serializer the distributed wire protocol ships shard results
+   with), sealed and replaced atomically by {!Fmc_prelude.Record}, whose
+   CRC trailer detects a truncated or bit-flipped checkpoint before any
+   of it is parsed. The RNG state is the SplitMix64 int64 word. *)
 
 exception Checkpoint_corrupt of { path : string; reason : string }
 
@@ -70,9 +66,7 @@ let () =
 let corrupt_at path fmt =
   Printf.ksprintf (fun reason -> raise (Checkpoint_corrupt { path; reason })) fmt
 
-let hexf = Printf.sprintf "%h"
-
-let checkpoint_body ~seed ~strategy ~model ~rng_state (s : Ssf.Tally.snapshot) =
+let write_checkpoint path ~seed ~strategy ~model ~rng_state (s : Ssf.Tally.snapshot) =
   let body = Buffer.create 1024 in
   Printf.bprintf body "faultmc-campaign %d\n" checkpoint_version;
   Printf.bprintf body "strategy %s\n" strategy;
@@ -81,20 +75,7 @@ let checkpoint_body ~seed ~strategy ~model ~rng_state (s : Ssf.Tally.snapshot) =
   Printf.bprintf body "rng %Ld\n" rng_state;
   Buffer.add_string body (Ssf.Tally.to_string s);
   Buffer.add_string body "end\n";
-  Buffer.contents body
-
-let write_checkpoint path ~seed ~strategy ~model ~rng_state (s : Ssf.Tally.snapshot) =
-  let body = checkpoint_body ~seed ~strategy ~model ~rng_state s in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc body;
-     Printf.fprintf oc "crc %08x\n" (Fmc_prelude.Crc32.string body)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  Record.write_sealed ~path (Buffer.contents body)
 
 type checkpoint = {
   ck_strategy : string;
@@ -104,111 +85,51 @@ type checkpoint = {
   ck_snapshot : Ssf.Tally.snapshot;
 }
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
-
-(* Strip and verify the "crc %08x" trailer, returning the covered
-   body. Any framing defect — no trailing newline, no trailer line, a
-   malformed word, a digest mismatch — means the file was truncated or
-   corrupted after it was sealed, and is reported as such rather than as
-   whatever parse error the damaged body would have produced. *)
-let verify_crc_trailer path raw =
-  let corrupt fmt = corrupt_at path fmt in
-  let n = String.length raw in
-  if n = 0 || raw.[n - 1] <> '\n' then corrupt "truncated: missing CRC trailer";
-  let tl_start =
-    match String.rindex_from_opt raw (n - 2) '\n' with Some i -> i + 1 | None -> 0
-  in
-  let trailer = String.sub raw tl_start (n - tl_start - 1) in
-  let stored =
-    match String.split_on_char ' ' trailer with
-    | [ "crc"; v ] when String.length v = 8 -> (
-        match int_of_string_opt ("0x" ^ v) with
-        | Some c -> c
-        | None -> corrupt "malformed CRC trailer %S" trailer)
-    | _ -> corrupt "truncated: missing CRC trailer (last line %S)" trailer
-  in
-  let body = String.sub raw 0 tl_start in
-  let computed = Fmc_prelude.Crc32.string body in
-  if computed <> stored then
-    corrupt "CRC mismatch: stored %08x, computed %08x (truncated or corrupted)" stored computed;
-  body
+let check_header header =
+  match String.split_on_char ' ' header with
+  | [ "faultmc-campaign"; v ] -> (
+      match int_of_string_opt v with
+      | Some n when n = checkpoint_version -> ()
+      | Some n ->
+          Record.fail "unsupported checkpoint version %d (this binary reads v%d)" n
+            checkpoint_version
+      | None -> Record.fail "malformed version %S" v)
+  | _ -> Record.fail "malformed header %S" header
 
 let read_checkpoint path =
-  let corrupt fmt = corrupt_at path fmt in
-  let raw =
-    try read_whole_file path with Sys_error msg -> corrupt "unreadable: %s" msg
+  let body c =
+    let ck_strategy = Record.field c "strategy" in
+    let ck_model = Record.field c "model" in
+    let ck_seed = Record.int_of "seed" (Record.field c "seed") in
+    let ck_rng =
+      let v = Record.field c "rng" in
+      match Int64.of_string_opt v with Some r -> r | None -> Record.fail "bad rng state %S" v
+    in
+    (* The rest of the body up to the "end" marker is the shared tally codec. *)
+    let tally = Buffer.create 1024 in
+    let rec collect () =
+      match Record.next c with
+      | "end" -> ()
+      | l ->
+          Record.add_line tally l;
+          collect ()
+    in
+    collect ();
+    Record.finish c;
+    match Ssf.Tally.of_string (Buffer.contents tally) with
+    | Ok ck_snapshot -> { ck_strategy; ck_model; ck_seed; ck_rng; ck_snapshot }
+    | Error msg -> Record.fail "tally state: %s" msg
   in
-  let header =
-    match String.index_opt raw '\n' with
-    | Some i -> String.sub raw 0 i
-    | None -> corrupt "missing header line"
-  in
-  let version =
-    match String.split_on_char ' ' header with
-    | [ "faultmc-campaign"; v ] -> (
-        match int_of_string_opt v with
-        | Some n -> n
-        | None -> corrupt "malformed version %S" v)
-    | _ -> corrupt "malformed header %S" header
-  in
-  if version <> checkpoint_version then
-    corrupt "unsupported checkpoint version %d (this binary reads v%d)" version checkpoint_version;
-  let body = verify_crc_trailer path raw in
-  let lines = ref (String.split_on_char '\n' body) in
-  let lineno = ref 0 in
-  let line () =
-    incr lineno;
-    match !lines with
-    | [] | [ "" ] -> corrupt "truncated checkpoint at line %d" !lineno
-    | l :: rest ->
-        lines := rest;
-        l
-  in
-  let fields key =
-    let l = line () in
-    match String.split_on_char ' ' l with
-    | k :: rest when k = key -> rest
-    | k :: _ -> corrupt "line %d: expected %S, found %S" !lineno key k
-    | [] -> corrupt "line %d: empty line, expected %S" !lineno key
-  in
-  let one key =
-    match fields key with [ v ] -> v | l -> corrupt "line %d: %s wants 1 field, got %d" !lineno key (List.length l)
-  in
-  let int_of key v = try int_of_string v with _ -> corrupt "line %d: bad int %S in %s" !lineno v key in
-  ignore (fields "faultmc-campaign" : string list);
-  let strategy = one "strategy" in
-  let model = one "model" in
-  let seed = int_of "seed" (one "seed") in
-  let rng =
-    let v = one "rng" in
-    try Int64.of_string v with _ -> corrupt "line %d: bad rng state %S" !lineno v
-  in
-  (* The rest of the body up to the "end" marker is the shared tally codec. *)
-  let buf = Buffer.create 1024 in
-  let rec collect () =
-    match line () with
-    | "end" -> ()
-    | l ->
-        Buffer.add_string buf l;
-        Buffer.add_char buf '\n';
-        collect ()
-  in
-  collect ();
-  let snapshot =
-    match Ssf.Tally.of_string (Buffer.contents buf) with
-    | Ok s -> s
-    | Error msg -> corrupt "tally state: %s" msg
-  in
-  { ck_strategy = strategy; ck_model = model; ck_seed = seed; ck_rng = rng; ck_snapshot = snapshot }
+  match Record.load_sealed ~path ~header:check_header body with
+  | Ok ck -> ck
+  | Error reason -> raise (Checkpoint_corrupt { path; reason })
+  | exception Sys_error msg -> corrupt_at path "unreadable: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Failure journal: one JSON object per quarantined sample, appended and
    flushed immediately so the journal survives the very crash it logs. *)
 
-let json_string s = "\"" ^ Export.json_escape s ^ "\""
+let json_string s = "\"" ^ Fmc_obs.Jsonx.escape s ^ "\""
 
 let journal_line (q : quarantine_entry) =
   let disposition, error =
@@ -232,11 +153,12 @@ let quarantine_entry_to_string (q : quarantine_entry) =
     Printf.sprintf "%d %s %s %d %d %s %s %s %s" q.q_index
       (match q.q_disposition with Timed_out -> "timed_out" | Crashed _ -> "crashed")
       (Sampler.stratum_name q.q_stratum)
-      q.q_t q.q_center (hexf q.q_radius) (hexf q.q_width) (hexf q.q_time_frac) (hexf q.q_weight)
+      q.q_t q.q_center (Record.hexf q.q_radius) (Record.hexf q.q_width) (Record.hexf q.q_time_frac)
+      (Record.hexf q.q_weight)
   in
   match q.q_disposition with
   | Timed_out -> base
-  | Crashed msg -> base ^ " " ^ String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) msg
+  | Crashed msg -> base ^ " " ^ Record.one_line msg
 
 let quarantine_entry_of_string line =
   let bad msg = Error (Printf.sprintf "quarantine entry %S: %s" line msg) in

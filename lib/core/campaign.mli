@@ -29,8 +29,9 @@
     {!Ssf.Tally.to_string} codec (the same serializer the distributed
     campaign service ([Fmc_dist]) ships shard results and coordinator
     state with), sealed by a [crc %08x] trailer line (CRC-32 of every
-    byte up to and including the [end] marker), so truncation or bit rot
-    is detected before any of the body is parsed. Every float is a hex
+    byte up to and including the [end] marker; {!Fmc_prelude.Record}),
+    so truncation or bit rot is detected before any of the body is
+    parsed. Every float is a hex
     float literal ([%h]) so the round-trip through [float_of_string] is
     bit-exact; the RNG state is the raw SplitMix64 int64 word.
     Checkpoints are written to [path ^ ".tmp"] and renamed into place,

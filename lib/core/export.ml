@@ -1,3 +1,5 @@
+module Jsonx = Fmc_obs.Jsonx
+
 let buf_csv header rows render =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (header ^ "\n");
@@ -11,25 +13,10 @@ let contributions_csv (r : Ssf.report) =
   buf_csv "register,bit,weight" r.Ssf.contributions (fun ((group, bit), w) ->
       Printf.sprintf "%s,%d,%.8f" group bit w)
 
-(* Minimal JSON rendering: we control every string (register group names:
-   [a-z0-9_]), so escaping is a formality. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_json (r : Ssf.report) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{";
-  Buffer.add_string buf (Printf.sprintf "\"strategy\":\"%s\"," (json_escape r.Ssf.strategy));
+  Buffer.add_string buf (Printf.sprintf "\"strategy\":\"%s\"," (Jsonx.escape r.Ssf.strategy));
   Buffer.add_string buf (Printf.sprintf "\"samples\":%d," r.Ssf.n);
   Buffer.add_string buf (Printf.sprintf "\"ssf\":%.8f," r.Ssf.ssf);
   Buffer.add_string buf (Printf.sprintf "\"ssf_upper_bound\":%.8f," r.Ssf.ssf_upper);
@@ -56,7 +43,7 @@ let report_json (r : Ssf.report) =
     (fun i ((group, bit), w) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"register\":\"%s\",\"bit\":%d,\"weight\":%.8f}" (json_escape group) bit w))
+        (Printf.sprintf "{\"register\":\"%s\",\"bit\":%d,\"weight\":%.8f}" (Jsonx.escape group) bit w))
     r.Ssf.contributions;
   Buffer.add_string buf "]}";
   Buffer.contents buf

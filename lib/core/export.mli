@@ -14,10 +14,5 @@ val report_json : Ssf.report -> string
     breakdown including the campaign runner's [quarantined] bucket, and the
     conservative [ssf_upper_bound]). *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (quotes,
-    backslashes, control characters). Shared with {!Campaign}'s failure
-    journal. *)
-
 val fig11_csv : Experiments.fig11 -> string
 (** Both sweeps as one CSV with a [sweep] discriminator column. *)

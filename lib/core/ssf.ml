@@ -1,5 +1,6 @@
 module Welford = Fmc_prelude.Stats.Welford
 module Rng = Fmc_prelude.Rng
+module Record = Fmc_prelude.Record
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
@@ -424,141 +425,99 @@ module Tally = struct
 
   (* ---------------------------------------------------------------- *)
   (* Snapshot codec: the line-oriented text encoding shared verbatim by
-     the durable campaign checkpoint (Campaign, v3) and the distributed
-     wire protocol (Fmc_dist). Floats are hex float literals ("%h"),
-     which round-trip bit-exactly through [float_of_string], so a
-     decoded snapshot restores the identical accumulator. *)
-
-  let hexf = Printf.sprintf "%h"
+     the durable campaign checkpoint (Campaign) and the distributed
+     wire protocol (Fmc_dist), framed like every other record
+     (Fmc_prelude.Record). Floats are hex float literals, which
+     round-trip bit-exactly through [float_of_string], so a decoded
+     snapshot restores the identical accumulator. *)
 
   let to_string (s : snapshot) =
     let buf = Buffer.create 1024 in
-    let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    pr "samples %d\n" s.snap_total;
-    pr "trace_every %d\n" s.snap_trace_every;
-    pr "processed %d\n" s.snap_processed;
-    pr "counts %d %d %d %d %d %d %d %d %d\n" s.snap_masked s.snap_mem_only s.snap_resumed
+    let pr fmt = Printf.ksprintf (Record.add_line buf) fmt in
+    let hexf = Record.hexf in
+    pr "samples %d" s.snap_total;
+    pr "trace_every %d" s.snap_trace_every;
+    pr "processed %d" s.snap_processed;
+    pr "counts %d %d %d %d %d %d %d %d %d" s.snap_masked s.snap_mem_only s.snap_resumed
       s.snap_quarantined s.snap_q_crashed s.snap_q_timed_out s.snap_successes s.snap_by_direct
       s.snap_by_comb;
-    pr "weights %s %s\n" (hexf s.snap_sum_w) (hexf s.snap_sum_w2);
-    pr "strata %d\n" (List.length s.snap_strata);
-    List.iter2
-      (fun (stratum, mass) ((n, mean, m2), (pn, pmean, pm2)) ->
-        pr "stratum %s %s %d %s %s %d %s %s\n" (Sampler.stratum_name stratum) (hexf mass) n
-          (hexf mean) (hexf m2) pn (hexf pmean) (hexf pm2))
-      s.snap_strata
-      (List.combine s.snap_accs s.snap_pess);
-    pr "contributions %d\n" (List.length s.snap_contributions);
-    List.iter
-      (fun ((group, bit), w) -> pr "contribution %s %d %s\n" group bit (hexf w))
-      s.snap_contributions;
-    pr "trace %d\n" (List.length s.snap_trace);
-    List.iter (fun (i, e) -> pr "tracepoint %d %s\n" i (hexf e)) s.snap_trace;
+    pr "weights %s %s" (hexf s.snap_sum_w) (hexf s.snap_sum_w2);
+    Record.add_section buf "strata"
+      (List.map2
+         (fun (stratum, mass) ((n, mean, m2), (pn, pmean, pm2)) ->
+           Printf.sprintf "stratum %s %s %d %s %s %d %s %s" (Sampler.stratum_name stratum)
+             (hexf mass) n (hexf mean) (hexf m2) pn (hexf pmean) (hexf pm2))
+         s.snap_strata
+         (List.combine s.snap_accs s.snap_pess));
+    Record.add_section buf "contributions"
+      (List.map
+         (fun ((group, bit), w) -> Printf.sprintf "contribution %s %d %s" group bit (hexf w))
+         s.snap_contributions);
+    Record.add_section buf "trace"
+      (List.map (fun (i, e) -> Printf.sprintf "tracepoint %d %s" i (hexf e)) s.snap_trace);
     Buffer.contents buf
 
-  exception Bad of string
-
-  let of_string text =
-    let lines = String.split_on_char '\n' text in
-    (* Tolerate a trailing newline but nothing else after the trace block. *)
-    let lines = ref (List.filter (fun l -> l <> "") lines) in
-    let lineno = ref 0 in
-    let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-    let fields key =
-      match !lines with
-      | [] -> bad "truncated snapshot: expected %S" key
-      | l :: rest -> (
-          incr lineno;
-          lines := rest;
-          match String.split_on_char ' ' l with
-          | k :: v when k = key -> v
-          | k :: _ -> bad "line %d: expected %S, found %S" !lineno key k
-          | [] -> bad "line %d: empty line, expected %S" !lineno key)
-    in
-    let one key =
-      match fields key with
-      | [ v ] -> v
-      | l -> bad "line %d: %s wants 1 field, got %d" !lineno key (List.length l)
-    in
-    let int_of key v =
-      try int_of_string v with _ -> bad "line %d: bad int %S in %s" !lineno v key
-    in
-    let float_of key v =
-      try float_of_string v with _ -> bad "line %d: bad float %S in %s" !lineno v key
-    in
-    match
-      let total = int_of "samples" (one "samples") in
-      let trace_every = int_of "trace_every" (one "trace_every") in
-      let processed = int_of "processed" (one "processed") in
-      let masked, mem_only, resumed, quarantined, q_crashed, q_timed_out, successes, by_direct, by_comb
-          =
-        match fields "counts" with
-        | [ a; b; c; d; e; f; g; h; i ] ->
-            ( int_of "counts" a, int_of "counts" b, int_of "counts" c, int_of "counts" d,
-              int_of "counts" e, int_of "counts" f, int_of "counts" g, int_of "counts" h,
-              int_of "counts" i )
-        | _ -> bad "line %d: counts wants 9 fields" !lineno
-      in
-      let sum_w, sum_w2 =
-        match fields "weights" with
-        | [ a; b ] -> (float_of "weights" a, float_of "weights" b)
-        | _ -> bad "line %d: weights wants 2 fields" !lineno
-      in
-      let n_strata = int_of "strata" (one "strata") in
-      let strata = ref [] and accs = ref [] and pess = ref [] in
-      for _ = 1 to n_strata do
-        match fields "stratum" with
-        | [ name; mass; n; mean; m2; pn; pmean; pm2 ] ->
-            let stratum =
-              match Sampler.stratum_of_name name with
-              | Some s -> s
-              | None -> bad "line %d: unknown stratum %S" !lineno name
+  let of_string =
+    Record.parse (fun c ->
+        let number kw = Record.int_of kw (Record.field c kw) in
+        let snap_total = number "samples" in
+        let snap_trace_every = number "trace_every" in
+        let snap_processed = number "processed" in
+        let int = Record.int_of and float = Record.float_of in
+        match
+          ( List.map (int "count") (Record.fields c "counts"),
+            List.map (float "weight") (Record.fields c "weights") )
+        with
+        | [ masked; mem_only; resumed; quarantined; crashed; timed_out; successes; direct; comb ],
+          [ sum_w; sum_w2 ] ->
+            let strata =
+              Record.section c "strata" (fun line ->
+                  match Record.words "stratum" line with
+                  | [ name; mass; n; mean; m2; pn; pmean; pm2 ] ->
+                      let stratum =
+                        match Sampler.stratum_of_name name with
+                        | Some s -> s
+                        | None -> Record.fail "unknown stratum %S" name
+                      in
+                      let f = float "stratum" and i = int "stratum" in
+                      ((stratum, f mass), (i n, f mean, f m2), (i pn, f pmean, f pm2))
+                  | _ -> Record.fail "stratum wants 8 fields")
             in
-            strata := (stratum, float_of "stratum" mass) :: !strata;
-            accs := (int_of "stratum" n, float_of "stratum" mean, float_of "stratum" m2) :: !accs;
-            pess := (int_of "stratum" pn, float_of "stratum" pmean, float_of "stratum" pm2) :: !pess
-        | _ -> bad "line %d: stratum wants 8 fields" !lineno
-      done;
-      let n_contrib = int_of "contributions" (one "contributions") in
-      let contribs = ref [] in
-      for _ = 1 to n_contrib do
-        match fields "contribution" with
-        | [ group; bit; w ] ->
-            contribs := ((group, int_of "contribution" bit), float_of "contribution" w) :: !contribs
-        | _ -> bad "line %d: contribution wants 3 fields" !lineno
-      done;
-      let n_trace = int_of "trace" (one "trace") in
-      let trace = ref [] in
-      for _ = 1 to n_trace do
-        match fields "tracepoint" with
-        | [ i; e ] -> trace := (int_of "tracepoint" i, float_of "tracepoint" e) :: !trace
-        | _ -> bad "line %d: tracepoint wants 2 fields" !lineno
-      done;
-      if !lines <> [] then bad "line %d: trailing data after the trace block" !lineno;
-      {
-        snap_total = total;
-        snap_trace_every = trace_every;
-        snap_processed = processed;
-        snap_strata = List.rev !strata;
-        snap_accs = List.rev !accs;
-        snap_pess = List.rev !pess;
-        snap_masked = masked;
-        snap_mem_only = mem_only;
-        snap_resumed = resumed;
-        snap_quarantined = quarantined;
-        snap_q_crashed = q_crashed;
-        snap_q_timed_out = q_timed_out;
-        snap_successes = successes;
-        snap_by_direct = by_direct;
-        snap_by_comb = by_comb;
-        snap_sum_w = sum_w;
-        snap_sum_w2 = sum_w2;
-        snap_contributions = List.rev !contribs;
-        snap_trace = List.rev !trace;
-      }
-    with
-    | s -> Ok s
-    | exception Bad msg -> Error msg
+            let snap_contributions =
+              Record.section c "contributions" (fun line ->
+                  match Record.words "contribution" line with
+                  | [ group; bit; w ] -> ((group, int "contribution" bit), float "contribution" w)
+                  | _ -> Record.fail "contribution wants 3 fields")
+            in
+            let snap_trace =
+              Record.section c "trace" (fun line ->
+                  match Record.words "tracepoint" line with
+                  | [ i; e ] -> (int "tracepoint" i, float "tracepoint" e)
+                  | _ -> Record.fail "tracepoint wants 2 fields")
+            in
+            Record.finish c;
+            {
+              snap_total;
+              snap_trace_every;
+              snap_processed;
+              snap_strata = List.map (fun (s, _, _) -> s) strata;
+              snap_accs = List.map (fun (_, a, _) -> a) strata;
+              snap_pess = List.map (fun (_, _, p) -> p) strata;
+              snap_masked = masked;
+              snap_mem_only = mem_only;
+              snap_resumed = resumed;
+              snap_quarantined = quarantined;
+              snap_q_crashed = crashed;
+              snap_q_timed_out = timed_out;
+              snap_successes = successes;
+              snap_by_direct = direct;
+              snap_by_comb = comb;
+              snap_sum_w = sum_w;
+              snap_sum_w2 = sum_w2;
+              snap_contributions;
+              snap_trace;
+            }
+        | _ -> Record.fail "counts wants 9 fields and weights 2")
 
   (* Because [to_string] is canonical (one serializer, hex floats, fixed
      line order), hashing the encoding hashes the statistics: equal

@@ -125,16 +125,17 @@ module Tally : sig
       Raises [Invalid_argument] on an internally inconsistent snapshot. *)
 
   val to_string : snapshot -> string
-  (** The canonical line-oriented text encoding of a snapshot, shared
-      verbatim by the durable campaign checkpoint ({!Campaign}, format v3)
-      and the distributed wire protocol ([Fmc_dist]) — one serializer, not
-      two. Floats are hex float literals ([%h]), so
+  (** The canonical line-oriented text encoding of a snapshot
+      ({!Fmc_prelude.Record} framing), shared verbatim by the durable
+      campaign checkpoint ({!Campaign}) and the distributed wire protocol
+      ([Fmc_dist]) — one serializer, not two. Floats are hex float literals ([%h]), so
       [of_string (to_string s) = Ok s] round-trips every accumulator
       bit-exactly. *)
 
   val of_string : string -> (snapshot, string) result
   (** Decode {!to_string}'s encoding. [Error msg] names the first offending
-      line of a truncated, reordered or malformed snapshot. *)
+      line of a truncated, reordered or malformed snapshot, including a
+      negative section count or data after the trace section. *)
 
   val digest_hex : string -> string
   (** MD5 hex of a {!to_string} blob. Because the encoding is canonical

@@ -1,14 +1,13 @@
 (** Durable campaign-service checkpoint: fingerprint, accepted shard
     results and their audit bookkeeping.
 
-    Written atomically ([path ^ ".tmp"] then rename) after every
+    A {!Fmc_prelude.Record} sealed file, written atomically after every
     accepted shard, embedding the shared [Ssf.Tally.to_string] and
-    quarantine-entry serializers, and sealed with a [crc %08x] CRC-32
-    trailer so truncation or corruption surfaces as a load error
-    instead of a misparse. A restarted service whose checkpoint
-    fingerprint matches its campaign resumes with those shards
-    pre-completed; since shard results depend only on [(seed, shard)],
-    the final merged report is unchanged. *)
+    quarantine-entry serializers; its CRC-32 trailer makes truncation
+    or corruption surface as a load error instead of a misparse. A
+    restarted service whose checkpoint fingerprint matches its campaign
+    resumes with those shards pre-completed; since shard results depend
+    only on [(seed, shard)], the final merged report is unchanged. *)
 
 open Fmc
 
@@ -17,20 +16,12 @@ val format_version : int
     quarantine log, then the [audits]/[banned] sections (empty when
     auditing is off). Any other header is refused. *)
 
-(** One accepted shard's audit bookkeeping: who produced the accepted
-    result, its canonical digest, and whether an audit has vindicated
-    it. In-flight audit leases are deliberately not persisted — on
-    restart a selected, unvindicated shard is due again (the selection
-    is a pure function of the fingerprint-derived seed). *)
-type audit_entry = {
-  au_shard : int;
-  au_worker : string;
-  au_digest : string;
-  au_passed : bool;
-}
-
+(** The audit bookkeeping of the accepted shards. In-flight audit
+    leases are deliberately not persisted: on restart a selected,
+    unvindicated shard is due again (the selection is a pure function of
+    the fingerprint-derived seed). *)
 type audit = {
-  au_entries : audit_entry list;  (** ascending shard id *)
+  au_entries : Fmc_audit.Audit.entry list;  (** ascending shard id *)
   au_banned : string list;  (** quarantined worker names *)
 }
 

@@ -9,6 +9,7 @@
    matter how many process boundaries it crossed. *)
 
 open Fmc
+module Record = Fmc_prelude.Record
 
 (* v2: frames carry a CRC-32 trailer (Wire), and the server can answer a
    Hello with Retry_later (the worker's circuit breaker is open)
@@ -49,9 +50,7 @@ type spec = {
   sp_seed : int;
   sp_shard_size : int;
   sp_sample_budget : int option;
-  sp_fault_model : string;
-      (* canonical fault-model string; "disc-transient" for every spec
-         written before the field existed *)
+  sp_fault_model : string;  (* canonical fault-model string *)
 }
 
 type campaign_state = Queued | Running | Finished | Parked | Cancelled
@@ -146,47 +145,42 @@ let spec_of_line line =
       Ok (String.sub word plen (String.length word - plen))
     else Error (Printf.sprintf "expected %s=..., found %S" key word)
   in
-  let parse6 b st sa se sh bu ~model =
-    let ( let* ) = Result.bind in
-    match
-      let* sp_benchmark = kv "benchmark" b in
-      let* sp_strategy = kv "strategy" st in
-      let* sa = kv "samples" sa in
-      let* se = kv "seed" se in
-      let* sh = kv "shard_size" sh in
-      let* bu = kv "budget" bu in
-      let* sp_fault_model = match model with None -> Ok "disc-transient" | Some m -> kv "model" m in
-      let num what v =
-        match int_of_string_opt v with
-        | Some i -> Ok i
-        | None -> Error (Printf.sprintf "bad %s %S" what v)
-      in
-      let* sp_samples = num "samples" sa in
-      let* sp_seed = num "seed" se in
-      let* sp_shard_size = num "shard_size" sh in
-      let* sp_sample_budget =
-        if bu = "-" then Ok None else Result.map Option.some (num "budget" bu)
-      in
-      Ok
-        {
-          sp_benchmark;
-          sp_strategy;
-          sp_samples;
-          sp_seed;
-          sp_shard_size;
-          sp_sample_budget;
-          sp_fault_model;
-        }
-    with
-    | Ok sp -> Ok sp
-    | Error msg -> err msg
-  in
   match String.split_on_char ' ' line with
-  (* 6-field lines predate the fault-model field (WALs written before
-     the bump replay as the default model). *)
-  | [ b; st; sa; se; sh; bu ] -> parse6 b st sa se sh bu ~model:None
-  | [ b; st; sa; se; sh; bu; m ] -> parse6 b st sa se sh bu ~model:(Some m)
-  | _ -> err "wants 6 or 7 space-separated key=value fields"
+  | [ b; st; sa; se; sh; bu; m ] -> (
+      let ( let* ) = Result.bind in
+      match
+        let* sp_benchmark = kv "benchmark" b in
+        let* sp_strategy = kv "strategy" st in
+        let* sa = kv "samples" sa in
+        let* se = kv "seed" se in
+        let* sh = kv "shard_size" sh in
+        let* bu = kv "budget" bu in
+        let* sp_fault_model = kv "model" m in
+        let num what v =
+          match int_of_string_opt v with
+          | Some i -> Ok i
+          | None -> Error (Printf.sprintf "bad %s %S" what v)
+        in
+        let* sp_samples = num "samples" sa in
+        let* sp_seed = num "seed" se in
+        let* sp_shard_size = num "shard_size" sh in
+        let* sp_sample_budget =
+          if bu = "-" then Ok None else Result.map Option.some (num "budget" bu)
+        in
+        Ok
+          {
+            sp_benchmark;
+            sp_strategy;
+            sp_samples;
+            sp_seed;
+            sp_shard_size;
+            sp_sample_budget;
+            sp_fault_model;
+          }
+      with
+      | Ok sp -> Ok sp
+      | Error msg -> err msg)
+  | _ -> err "wants 7 space-separated key=value fields"
 
 let state_token = function
   | Queued -> "queued"
@@ -205,85 +199,22 @@ let state_of_token = function
 
 (* -- payload helpers ---------------------------------------------------- *)
 
-exception Bad of string
+(* Payload framing (cursor, counted sections, blobs) is Fmc_prelude.Record;
+   a decode failure of any kind is an [Error], which the service charges
+   to the sender. *)
 
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let one_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-(* Split into lines, dropping a trailing empty line (the artifact of a
-   final '\n'), but keeping interior empties so line counts stay honest. *)
-let lines_of s =
-  match String.split_on_char '\n' s with
-  | [] -> []
-  | parts -> (
-      match List.rev parts with
-      | "" :: rest -> List.rev rest
-      | _ -> parts)
-
-let blob_lines blob = lines_of blob
-
-let restore_blob lines = String.concat "\n" lines ^ "\n"
-
-(* Cursor over a line list. *)
-type cursor = { mutable rest : string list }
-
-let next c =
-  match c.rest with
-  | [] -> bad "truncated payload"
-  | l :: tl ->
-      c.rest <- tl;
-      l
-
-let take c n = List.init n (fun _ -> next c)
-
-let int_of what s =
-  match int_of_string_opt s with Some i -> i | None -> bad "bad %s %S" what s
-
-let float_of what s =
-  match float_of_string_opt s with Some f -> f | None -> bad "bad %s %S" what s
-
-let fields line = String.split_on_char ' ' line
-
-let expect_kw kw line =
-  match fields line with
-  | k :: rest when k = kw -> rest
-  | _ -> bad "expected %S line, got %S" kw line
-
-let rest_of_line kw line =
-  let plen = String.length kw + 1 in
-  if String.length line >= plen && String.sub line 0 plen = kw ^ " " then
-    String.sub line plen (String.length line - plen)
-  else if line = kw then ""
-  else bad "expected %S line, got %S" kw line
+let one_line = Record.one_line
+let words c = String.split_on_char ' ' (Record.next c)
 
 let quarantine_of_line line =
   match Campaign.quarantine_entry_of_string line with
   | Ok e -> e
-  | Error msg -> bad "quarantine entry: %s" msg
+  | Error msg -> Record.fail "quarantine entry: %s" msg
 
-let emit_blob buf label blob =
-  let ls = blob_lines blob in
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" label (List.length ls));
-  List.iter
-    (fun l ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    ls
+let add_quarantined buf entries =
+  Record.add_section buf "quarantined" (List.map Campaign.quarantine_entry_to_string entries)
 
-let emit_quarantined buf entries =
-  Buffer.add_string buf (Printf.sprintf "quarantined %d\n" (List.length entries));
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Campaign.quarantine_entry_to_string e);
-      Buffer.add_char buf '\n')
-    entries
-
-let read_quarantined c =
-  match expect_kw "quarantined" (next c) with
-  | [ n ] -> List.init (int_of "quarantine count" n) (fun _ -> quarantine_of_line (next c))
-  | _ -> bad "malformed quarantined line"
+let read_quarantined c = Record.section c "quarantined" quarantine_of_line
 
 (* -- extension sections ---------------------------------------------------- *)
 
@@ -303,33 +234,20 @@ type extension = {
 
 let no_extension = { ext_trace = None; ext_telemetry = None; ext_digest = None }
 
-let starts_with ~prefix line =
-  let n = String.length prefix in
-  String.length line >= n && String.sub line 0 n = prefix
-
 let read_ext_trace c =
-  match c.rest with
-  | line :: _ when starts_with ~prefix:"trace " line -> (
-      match fields (next c) with
-      | [ "trace"; t; s ] -> Some (t, s)
-      | _ -> bad "malformed trace line")
-  | _ -> None
+  if not (Record.peek_is c "trace") then None
+  else
+    match Record.fields c "trace" with
+    | [ t; s ] -> Some (t, s)
+    | _ -> Record.fail "malformed trace line"
 
 let read_ext_telemetry c =
-  match c.rest with
-  | line :: _ when starts_with ~prefix:"telemetry " line -> (
-      match expect_kw "telemetry" (next c) with
-      | [ n ] -> Some (restore_blob (take c (int_of "telemetry line count" n)))
-      | _ -> bad "malformed telemetry line")
-  | _ -> None
+  if not (Record.peek_is c "telemetry") then None
+  else Some (Record.blob c (Record.count c "telemetry"))
 
 let read_ext_digest c =
-  match c.rest with
-  | line :: _ when starts_with ~prefix:"digest " line -> (
-      match fields (next c) with
-      | [ "digest"; d ] -> Some d
-      | _ -> bad "malformed digest line")
-  | _ -> None
+  if not (Record.peek_is c "digest") then None
+  else Some (Record.field c "digest")
 
 let emit_ext_trace buf = function
   | None -> ()
@@ -338,7 +256,7 @@ let emit_ext_trace buf = function
 
 let emit_ext_telemetry buf = function
   | None -> ()
-  | Some blob -> emit_blob buf "telemetry" blob
+  | Some blob -> Record.add_blob buf "telemetry" blob
 
 let emit_ext_digest buf = function
   | None -> ()
@@ -357,8 +275,8 @@ let encode_client = function
   | Shard_done { shard; epoch; tally; quarantined } ->
       let buf = Buffer.create (String.length tally + 256) in
       Buffer.add_string buf (Printf.sprintf "shard %d epoch %d\n" shard epoch);
-      emit_blob buf "tally" tally;
-      emit_quarantined buf quarantined;
+      Record.add_blob buf "tally" tally;
+      add_quarantined buf quarantined;
       ('D', Buffer.contents buf)
   | Fetch_report -> ('F', "")
   | Goodbye -> ('G', "")
@@ -373,8 +291,8 @@ let encode_client = function
       let buf = Buffer.create (String.length tally + 256) in
       Buffer.add_string buf (Printf.sprintf "fingerprint %s\n" (one_line fingerprint));
       Buffer.add_string buf (Printf.sprintf "shard %d epoch %d\n" shard epoch);
-      emit_blob buf "tally" tally;
-      emit_quarantined buf quarantined;
+      Record.add_blob buf "tally" tally;
+      add_quarantined buf quarantined;
       ('j', Buffer.contents buf)
 
 let encode_client_ext ?(ext = no_extension) msg =
@@ -393,85 +311,56 @@ let encode_client_ext ?(ext = no_extension) msg =
       (tag, Buffer.contents buf)
   | _ -> (tag, payload)
 
-let decode_client_raising c tag =
-  match tag with
-  | 'H' -> (
-      match expect_kw "version" (next c) with
-      | [ v ] ->
-          let worker = rest_of_line "worker" (next c) in
-          let fingerprint = rest_of_line "fingerprint" (next c) in
-          Ok (Hello { version = int_of "version" v; worker; fingerprint })
-      | _ -> bad "malformed version line")
-  | 'R' -> Ok Request_shard
-  | 'B' -> (
-      match fields (next c) with
-      | [ s; e; d ] ->
-          Ok
-            (Heartbeat
-               {
-                 shard = int_of "shard" s;
-                 epoch = int_of "epoch" e;
-                 samples_done = int_of "samples_done" d;
-               })
-      | _ -> bad "malformed heartbeat")
-  | 'D' -> (
-      match fields (next c) with
-      | [ "shard"; s; "epoch"; e ] -> (
-          match expect_kw "tally" (next c) with
-          | [ n ] ->
-              let tally = restore_blob (take c (int_of "tally line count" n)) in
-              let quarantined = read_quarantined c in
-              Ok
-                (Shard_done
-                   { shard = int_of "shard" s; epoch = int_of "epoch" e; tally; quarantined })
-          | _ -> bad "malformed tally line")
-      | _ -> bad "malformed shard_done header")
-  | 'F' -> Ok Fetch_report
-  | 'G' -> Ok Goodbye
-  | 'S' -> (
-      match spec_of_line (rest_of_line "spec" (next c)) with
-      | Ok spec -> Ok (Submit { spec })
-      | Error msg -> bad "%s" msg)
-  | 'Q' -> Ok (Status_req { fingerprint = rest_of_line "fingerprint" (next c) })
-  | 'C' -> Ok (Cancel { fingerprint = rest_of_line "fingerprint" (next c) })
-  | 'h' -> (
-      let fingerprint = rest_of_line "fingerprint" (next c) in
-      match fields (next c) with
-      | [ s; e; d ] ->
-          Ok
-            (Job_heartbeat
-               {
-                 fingerprint;
-                 shard = int_of "shard" s;
-                 epoch = int_of "epoch" e;
-                 samples_done = int_of "samples_done" d;
-               })
-      | _ -> bad "malformed job heartbeat")
-  | 'j' -> (
-      let fingerprint = rest_of_line "fingerprint" (next c) in
-      match fields (next c) with
-      | [ "shard"; s; "epoch"; e ] -> (
-          match expect_kw "tally" (next c) with
-          | [ n ] ->
-              let tally = restore_blob (take c (int_of "tally line count" n)) in
-              let quarantined = read_quarantined c in
-              Ok
-                (Job_done
-                   {
-                     fingerprint;
-                     shard = int_of "shard" s;
-                     epoch = int_of "epoch" e;
-                     tally;
-                     quarantined;
-                   })
-          | _ -> bad "malformed tally line")
-      | _ -> bad "malformed job_done header")
-  | t -> bad "unknown client tag %C" t
+let spec_of c =
+  match spec_of_line (Record.rest c "spec") with
+  | Ok spec -> spec
+  | Error msg -> Record.fail "%s" msg
 
-let decode_client_ext tag payload =
-  let c = { rest = lines_of payload } in
-  match decode_client_raising c tag with
-  | Ok msg ->
+(* "shard <i> epoch <e>", the tally blob, the quarantine log. *)
+let read_result c =
+  match words c with
+  | [ "shard"; s; "epoch"; e ] ->
+      let shard = Record.int_of "shard" s and epoch = Record.int_of "epoch" e in
+      let tally = Record.blob c (Record.count c "tally") in
+      (shard, epoch, tally, read_quarantined c)
+  | _ -> Record.fail "malformed shard_done header"
+
+let read_progress c =
+  match words c with
+  | [ s; e; d ] -> Record.(int_of "shard" s, int_of "epoch" e, int_of "samples_done" d)
+  | _ -> Record.fail "malformed heartbeat"
+
+let decode_client_msg c = function
+  | 'H' ->
+      let version = Record.int_of "version" (Record.field c "version") in
+      let worker = Record.rest c "worker" in
+      let fingerprint = Record.rest c "fingerprint" in
+      Hello { version; worker; fingerprint }
+  | 'R' -> Request_shard
+  | 'B' ->
+      let shard, epoch, samples_done = read_progress c in
+      Heartbeat { shard; epoch; samples_done }
+  | 'D' ->
+      let shard, epoch, tally, quarantined = read_result c in
+      Shard_done { shard; epoch; tally; quarantined }
+  | 'F' -> Fetch_report
+  | 'G' -> Goodbye
+  | 'S' -> Submit { spec = spec_of c }
+  | 'Q' -> Status_req { fingerprint = Record.rest c "fingerprint" }
+  | 'C' -> Cancel { fingerprint = Record.rest c "fingerprint" }
+  | 'h' ->
+      let fingerprint = Record.rest c "fingerprint" in
+      let shard, epoch, samples_done = read_progress c in
+      Job_heartbeat { fingerprint; shard; epoch; samples_done }
+  | 'j' ->
+      let fingerprint = Record.rest c "fingerprint" in
+      let shard, epoch, tally, quarantined = read_result c in
+      Job_done { fingerprint; shard; epoch; tally; quarantined }
+  | t -> Record.fail "unknown client tag %C" t
+
+let decode_client_ext tag =
+  Record.parse (fun c ->
+      let msg = decode_client_msg c tag in
       let ext =
         match msg with
         | Shard_done _ | Job_done _ ->
@@ -482,9 +371,7 @@ let decode_client_ext tag payload =
             { no_extension with ext_telemetry = read_ext_telemetry c }
         | _ -> no_extension
       in
-      Ok (msg, ext)
-  | Error msg -> Error msg
-  | exception Bad msg -> Error msg
+      (msg, ext))
 
 let decode_client tag payload = Result.map fst (decode_client_ext tag payload)
 
@@ -501,8 +388,8 @@ let encode_server = function
       let buf = Buffer.create 4096 in
       Buffer.add_string buf (Printf.sprintf "elapsed %h\n" elapsed_s);
       Buffer.add_string buf (Printf.sprintf "shards %d\n" (List.length shards));
-      List.iter (fun (i, blob) -> emit_blob buf (Printf.sprintf "shard %d" i) blob) shards;
-      emit_quarantined buf quarantined;
+      List.iter (fun (i, blob) -> Record.add_blob buf (Printf.sprintf "shard %d" i) blob) shards;
+      add_quarantined buf quarantined;
       ('P', Buffer.contents buf)
   | Reject { reason } -> ('X', one_line reason ^ "\n")
   | Retry_later { cooldown_s } -> ('L', Printf.sprintf "%h\n" cooldown_s)
@@ -538,135 +425,94 @@ let encode_server_ext ?(ext = no_extension) msg =
       (tag, Buffer.contents buf)
   | _ -> (tag, payload)
 
-let decode_server_raising c tag =
-  match tag with
-  | 'W' -> (
-      match expect_kw "version" (next c) with
-      | [ v ] -> Ok (Welcome { version = int_of "version" v })
-      | _ -> bad "malformed version line")
-  | 'A' -> (
-      match fields (next c) with
-      | [ s; e; st; l ] ->
-          Ok
-            (Assign
-               {
-                 shard = int_of "shard" s;
-                 epoch = int_of "epoch" e;
-                 start = int_of "start" st;
-                 len = int_of "len" l;
-               })
-      | _ -> bad "malformed assign")
-  | 'N' -> (
-      match next c with
-      | "finished" -> Ok (No_work { finished = true })
-      | "wait" -> Ok (No_work { finished = false })
-      | l -> bad "malformed no_work %S" l)
-  | 'K' -> (
-      match fields (next c) with
-      | verdict :: reason ->
-          Ok (Ack { accepted = verdict = "ok"; reason = String.concat " " reason })
-      | [] -> bad "malformed ack")
-  | 'P' -> (
-      match expect_kw "elapsed" (next c) with
-      | [ e ] -> (
-          let elapsed_s = float_of "elapsed" e in
-          match expect_kw "shards" (next c) with
-          | [ n ] ->
-              let shards =
-                List.init (int_of "shard count" n) (fun _ ->
-                    match fields (next c) with
-                    | [ "shard"; i; lines ] ->
-                        ( int_of "shard id" i,
-                          restore_blob (take c (int_of "shard line count" lines)) )
-                    | _ -> bad "malformed shard header")
-              in
-              let quarantined = read_quarantined c in
-              Ok (Report { shards; quarantined; elapsed_s })
-          | _ -> bad "malformed shards line")
-      | _ -> bad "malformed elapsed line")
-  | 'X' -> Ok (Reject { reason = String.concat " " (fields (next c)) })
-  | 'L' -> Ok (Retry_later { cooldown_s = float_of "cooldown" (next c) })
-  | 'J' -> (
-      match spec_of_line (rest_of_line "spec" (next c)) with
-      | Error msg -> bad "%s" msg
-      | Ok spec -> (
-          match fields (next c) with
-          | [ s; e; st; l ] ->
-              Ok
-                (Job
-                   {
-                     spec;
-                     shard = int_of "shard" s;
-                     epoch = int_of "epoch" e;
-                     start = int_of "start" st;
-                     len = int_of "len" l;
-                   })
-          | _ -> bad "malformed job assignment"))
-  | 'U' -> (
-      let fingerprint = rest_of_line "fingerprint" (next c) in
-      match fields (next c) with
-      | [ "position"; p; "cached"; cd ] ->
-          Ok
-            (Submitted
-               {
-                 fingerprint;
-                 position = int_of "position" p;
-                 cached =
-                   (match cd with
-                   | "yes" -> true
-                   | "no" -> false
-                   | w -> bad "bad cached flag %S" w);
-               })
-      | _ -> bad "malformed submitted line")
-  | 'E' -> (
-      match fields (next c) with
-      | retry :: reason ->
-          Ok
-            (Sched_rejected
-               { retry_after_s = float_of "retry_after" retry; reason = String.concat " " reason })
-      | [] -> bad "malformed sched_rejected")
-  | 'T' -> (
-      match expect_kw "entries" (next c) with
-      | [ n ] ->
-          let entries =
-            List.init (int_of "entry count" n) (fun _ ->
-                let st_fingerprint = rest_of_line "fingerprint" (next c) in
-                match fields (next c) with
-                | [ "state"; tok; "position"; p; "queue"; q; "done"; d; "total"; t; "rate"; r;
-                    "eta"; eta ] ->
-                    let st_state =
-                      match state_of_token tok with
-                      | Some s -> s
-                      | None -> bad "unknown campaign state %S" tok
-                    in
-                    {
-                      st_fingerprint;
-                      st_state;
-                      st_position = int_of "position" p;
-                      st_queue_len = int_of "queue" q;
-                      st_samples_done = int_of "done" d;
-                      st_samples_total = int_of "total" t;
-                      st_rate = float_of "rate" r;
-                      st_eta_s = float_of "eta" eta;
-                      st_detail = rest_of_line "detail" (next c);
-                    }
-                | _ -> bad "malformed status entry")
-          in
-          Ok (Status { entries })
-      | _ -> bad "malformed entries line")
-  | t -> bad "unknown server tag %C" t
+let read_lease c =
+  match words c with
+  | [ s; e; st; l ] ->
+      Record.(int_of "shard" s, int_of "epoch" e, int_of "start" st, int_of "len" l)
+  | _ -> Record.fail "malformed assignment"
 
-let decode_server_ext tag payload =
-  let c = { rest = lines_of payload } in
-  match decode_server_raising c tag with
-  | Ok msg ->
+let read_status_entry c =
+  let st_fingerprint = Record.rest c "fingerprint" in
+  match words c with
+  | [ "state"; tok; "position"; p; "queue"; q; "done"; d; "total"; t; "rate"; r; "eta"; eta ] ->
+      let st_state =
+        match state_of_token tok with
+        | Some s -> s
+        | None -> Record.fail "unknown campaign state %S" tok
+      in
+      {
+        st_fingerprint;
+        st_state;
+        st_position = Record.int_of "position" p;
+        st_queue_len = Record.int_of "queue" q;
+        st_samples_done = Record.int_of "done" d;
+        st_samples_total = Record.int_of "total" t;
+        st_rate = Record.float_of "rate" r;
+        st_eta_s = Record.float_of "eta" eta;
+        st_detail = Record.rest c "detail";
+      }
+  | _ -> Record.fail "malformed status entry"
+
+let decode_server_msg c = function
+  | 'W' -> Welcome { version = Record.int_of "version" (Record.field c "version") }
+  | 'A' ->
+      let shard, epoch, start, len = read_lease c in
+      Assign { shard; epoch; start; len }
+  | 'N' -> (
+      match Record.next c with
+      | "finished" -> No_work { finished = true }
+      | "wait" -> No_work { finished = false }
+      | l -> Record.fail "malformed no_work %S" l)
+  | 'K' -> (
+      match words c with
+      | verdict :: reason -> Ack { accepted = verdict = "ok"; reason = String.concat " " reason }
+      | [] -> Record.fail "malformed ack")
+  | 'P' ->
+      let elapsed_s = Record.float_of "elapsed" (Record.field c "elapsed") in
+      let shards =
+        Record.take (Record.count c "shards") (fun () ->
+            match words c with
+            | [ "shard"; i; n ] ->
+                (Record.int_of "shard id" i, Record.blob c (Record.int_of "shard line count" n))
+            | _ -> Record.fail "malformed shard header")
+      in
+      Report { shards; quarantined = read_quarantined c; elapsed_s }
+  | 'X' -> Reject { reason = Record.next c }
+  | 'L' -> Retry_later { cooldown_s = Record.float_of "cooldown" (Record.next c) }
+  | 'J' ->
+      let spec = spec_of c in
+      let shard, epoch, start, len = read_lease c in
+      Job { spec; shard; epoch; start; len }
+  | 'U' -> (
+      let fingerprint = Record.rest c "fingerprint" in
+      match words c with
+      | [ "position"; p; "cached"; cd ] ->
+          let cached =
+            match cd with "yes" -> true | "no" -> false | w -> Record.fail "bad cached flag %S" w
+          in
+          Submitted { fingerprint; position = Record.int_of "position" p; cached }
+      | _ -> Record.fail "malformed submitted line")
+  | 'E' -> (
+      match words c with
+      | retry :: reason ->
+          Sched_rejected
+            {
+              retry_after_s = Record.float_of "retry_after" retry;
+              reason = String.concat " " reason;
+            }
+      | [] -> Record.fail "malformed sched_rejected")
+  | 'T' ->
+      Status { entries = Record.take (Record.count c "entries") (fun () -> read_status_entry c) }
+  | t -> Record.fail "unknown server tag %C" t
+
+let decode_server_ext tag =
+  Record.parse (fun c ->
+      let msg = decode_server_msg c tag in
       let ext =
         match msg with
         | Assign _ | Job _ -> { no_extension with ext_trace = read_ext_trace c }
         | _ -> no_extension
       in
-      Ok (msg, ext)
-  | Error msg -> Error msg
-  | exception Bad msg -> Error msg
+      (msg, ext))
 
 let decode_server tag payload = Result.map fst (decode_server_ext tag payload)

@@ -33,8 +33,7 @@ type spec = {
   sp_sample_budget : int option;
   sp_fault_model : string;
       (** canonical fault-model string ({!Fmc_fault.Model.canonical}
-          upstream); specs decoded from pre-field 6-word lines get
-          ["disc-transient"] *)
+          upstream) *)
 }
 (** The full identity of a campaign — what a {!Submit} enqueues and a
     {!Job} hands to a pool worker. Benchmark, strategy and model strings
@@ -163,9 +162,7 @@ val spec_line : spec -> string
     ([model=] last). *)
 
 val spec_of_line : string -> (spec, string) result
-(** Accepts both the current 7-word form and the pre-fault-model 6-word
-    form (→ [sp_fault_model = "disc-transient"]), so WALs written
-    before the field replay unchanged. *)
+(** Inverse of {!spec_line}: exactly the 7-word form. *)
 
 val state_token : campaign_state -> string
 (** Wire word for a campaign state ([queued], [running], ...), also
@@ -174,7 +171,13 @@ val state_token : campaign_state -> string
 val state_of_token : string -> campaign_state option
 
 val encode_client : client_msg -> char * string
+
 val decode_client : char -> string -> (client_msg, string) result
+(** Payloads are {!Fmc_prelude.Record} text. Any malformed payload (an
+    unknown tag, a missing or garbled line, a negative or short section
+    count) is an [Error], never an exception; the service answers it
+    with {!Reject} and charges the sender's circuit breaker. *)
+
 val encode_server : server_msg -> char * string
 val decode_server : char -> string -> (server_msg, string) result
 
@@ -183,8 +186,8 @@ val decode_server : char -> string -> (server_msg, string) result
     Fleet-observability data (v4) and result digests (v5) ride as
     trailing payload sections carried out-of-band of the message
     variants: the plain codec above neither sees nor breaks on them,
-    because every decoder in this module reads payloads through a line
-    cursor that ignores trailing lines it does not consume. *)
+    because every decoder in this module ignores the trailing lines it
+    does not consume. *)
 
 type extension = {
   ext_trace : (string * string) option;

@@ -11,6 +11,8 @@
      Timeout         — a read/write deadline expired (SO_RCVTIMEO /
                        SO_SNDTIMEO on the socket) *)
 
+module Crc32 = Fmc_prelude.Crc32
+
 exception Closed
 exception Protocol_error of string
 exception Timeout

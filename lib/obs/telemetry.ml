@@ -6,6 +6,8 @@
    The codec is self-contained text — the dist protocol embeds it as an
    opaque line-counted blob and never looks inside. *)
 
+module Record = Fmc_prelude.Record
+
 type span_summary = { ss_span_id : string; ss_event : Span.event }
 
 type t = {
@@ -43,10 +45,6 @@ let pct_encode s =
     Buffer.contents b
   end
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
 let pct_decode s =
   let n = String.length s in
   if not (String.contains s '%') then s
@@ -55,27 +53,21 @@ let pct_decode s =
     let i = ref 0 in
     while !i < n do
       (if s.[!i] <> '%' then Buffer.add_char b s.[!i]
-       else if !i + 2 >= n then bad "truncated %% escape in %S" s
+       else if !i + 2 >= n then Record.fail "truncated %% escape in %S" s
        else
          match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
          | Some code ->
              Buffer.add_char b (Char.chr code);
              i := !i + 2
-         | None -> bad "bad %% escape in %S" s);
+         | None -> Record.fail "bad %% escape in %S" s);
       incr i
     done;
     Buffer.contents b
   end
 
-let float_tok v = Printf.sprintf "%h" v
-
-let float_of tok =
-  match float_of_string_opt tok with
-  | Some v -> v
-  | None -> bad "bad float %S" tok
-
-let int_of tok =
-  match int_of_string_opt tok with Some v -> v | None -> bad "bad int %S" tok
+let float_tok = Record.hexf
+let float_of = Record.float_of "float"
+let int_of = Record.int_of "int"
 
 (* "-" stands for the empty string in fixed-position fields (a bare
    empty token would be ambiguous at the end of a line); a literal "-"
@@ -118,18 +110,9 @@ let encode t =
   let b = Buffer.create 512 in
   Buffer.add_string b (Printf.sprintf "trace %s\n" (opt_tok t.tm_trace_id));
   Buffer.add_string b (Printf.sprintf "base %s\n" (float_tok t.tm_base_wall));
-  Buffer.add_string b (Printf.sprintf "metrics %d\n" (List.length t.tm_metrics));
-  List.iter
-    (fun (name, (help, value)) ->
-      Buffer.add_string b (metric_line name help value);
-      Buffer.add_char b '\n')
-    t.tm_metrics;
-  Buffer.add_string b (Printf.sprintf "spans %d\n" (List.length t.tm_spans));
-  List.iter
-    (fun s ->
-      Buffer.add_string b (span_line s);
-      Buffer.add_char b '\n')
-    t.tm_spans;
+  Record.add_section b "metrics"
+    (List.map (fun (name, (help, value)) -> metric_line name help value) t.tm_metrics);
+  Record.add_section b "spans" (List.map span_line t.tm_spans);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -144,13 +127,13 @@ let metric_of_line line =
   | [ "h"; name; sum; count; bounds; counts; help ] ->
       let buckets = floats_of bounds and counts = ints_of counts in
       if Array.length counts <> Array.length buckets + 1 then
-        bad "histogram %s: %d counts for %d buckets" name (Array.length counts)
+        Record.fail "histogram %s: %d counts for %d buckets" name (Array.length counts)
           (Array.length buckets);
       ( name,
         ( pct_decode help,
           Metrics.Histo
             { Metrics.buckets; counts; sum = float_of sum; count = int_of count } ) )
-  | _ -> bad "bad metric line %S" line
+  | _ -> Record.fail "bad metric line %S" line
 
 let span_of_line line =
   match fields line with
@@ -166,37 +149,13 @@ let span_of_line line =
             ev_dur_us = float_of dur;
           };
       }
-  | _ -> bad "bad span line %S" line
+  | _ -> Record.fail "bad span line %S" line
 
-let decode blob =
-  try
-    let lines = String.split_on_char '\n' blob in
-    let lines = match List.rev lines with "" :: r -> List.rev r | _ -> lines in
-    let cursor = ref lines in
-    let next () =
-      match !cursor with
-      | [] -> bad "truncated telemetry blob"
-      | l :: rest ->
-          cursor := rest;
-          l
-    in
-    let keyword kw =
-      let l = next () in
-      match fields l with
-      | k :: rest when k = kw -> String.concat " " rest
-      | _ -> bad "expected %S line, got %S" kw l
-    in
-    (* [List.init]'s application order is unspecified; the cursor is
-       stateful, so collect lines with an explicit in-order loop. *)
-    let take n of_line =
-      if n < 0 then bad "negative section count";
-      let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (of_line (next ()) :: acc) in
-      go n []
-    in
-    let trace_id = opt_of (keyword "trace") in
-    let base = float_of (keyword "base") in
-    let metrics = take (int_of (keyword "metrics")) metric_of_line in
-    let spans = take (int_of (keyword "spans")) span_of_line in
-    if !cursor <> [] then bad "trailing garbage in telemetry blob";
-    Ok { tm_trace_id = trace_id; tm_base_wall = base; tm_metrics = metrics; tm_spans = spans }
-  with Bad msg -> Error msg
+let decode =
+  Record.parse (fun c ->
+      let tm_trace_id = opt_of (Record.rest c "trace") in
+      let tm_base_wall = float_of (Record.rest c "base") in
+      let tm_metrics = Record.section c "metrics" metric_of_line in
+      let tm_spans = Record.section c "spans" span_of_line in
+      Record.finish c;
+      { tm_trace_id; tm_base_wall; tm_metrics; tm_spans })

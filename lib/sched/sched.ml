@@ -41,7 +41,7 @@ module Protocol = Fmc_dist.Protocol
 module Lease = Fmc_dist.Lease
 module Breaker = Fmc_dist.Breaker
 module Ckpt = Fmc_dist.Ckpt
-module Crc32 = Fmc_dist.Crc32
+module Crc32 = Fmc_prelude.Crc32
 module Audit = Fmc_audit.Audit
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
@@ -199,7 +199,7 @@ let wal_append t payload =
 
 (* -- WAL records --------------------------------------------------------- *)
 
-let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
+let one_line = Fmc_prelude.Record.one_line
 let rec_submit spec = "submit\n" ^ Protocol.spec_line spec
 let rec_finished fp elapsed = Printf.sprintf "finished\n%s\n%h" fp elapsed
 let rec_parked fp reason = Printf.sprintf "parked\n%s\n%s" fp (one_line reason)
@@ -344,19 +344,7 @@ let save_ckpt t e =
       st_shards = sorted_blobs e;
       st_quarantined = sorted_quarantined e;
       st_audit =
-        {
-          Ckpt.au_entries =
-            List.map
-              (fun (a : Audit.entry) ->
-                {
-                  Ckpt.au_shard = a.Audit.au_shard;
-                  au_worker = a.Audit.au_worker;
-                  au_digest = a.Audit.au_digest;
-                  au_passed = a.Audit.au_passed;
-                })
-              (Audit.export e.audit);
-          au_banned = List.rev t.banned;
-        };
+        { Ckpt.au_entries = Audit.export e.audit; au_banned = List.rev t.banned };
     }
 
 (* -- recovery ------------------------------------------------------------ *)
@@ -406,15 +394,7 @@ let attach_ckpt ~config e =
         attach_quarantines e st.Ckpt.st_quarantined;
         e.audit <-
           Audit.restore (audit_config config ~fp:e.fp) ~nshards:(Array.length e.plan)
-            (List.map
-               (fun (a : Ckpt.audit_entry) ->
-                 {
-                   Audit.au_shard = a.Ckpt.au_shard;
-                   au_worker = a.Ckpt.au_worker;
-                   au_digest = a.Ckpt.au_digest;
-                   au_passed = a.Ckpt.au_passed;
-                 })
-               st.Ckpt.st_audit.Ckpt.au_entries);
+            st.Ckpt.st_audit.Ckpt.au_entries;
         Ok st.Ckpt.st_audit.Ckpt.au_banned
 
 let entry_complete e = Lease.finished e.lease && Audit.finished e.audit

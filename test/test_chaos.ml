@@ -9,6 +9,7 @@
 
 module Programs = Fmc_isa.Programs
 module Rng = Fmc_prelude.Rng
+module Crc32 = Fmc_prelude.Crc32
 module Metrics = Fmc_obs.Metrics
 module Service = Fmc_sched.Service
 module Sched = Fmc_sched.Sched

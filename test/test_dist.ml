@@ -308,8 +308,8 @@ let test_ckpt_roundtrip () =
             {
               Ckpt.au_entries =
                 [
-                  { Ckpt.au_shard = 0; au_worker = "alice"; au_digest = "d0"; au_passed = true };
-                  { Ckpt.au_shard = 2; au_worker = "bob"; au_digest = "d2"; au_passed = false };
+                  { Fmc_audit.Audit.au_shard = 0; au_worker = "alice"; au_digest = "d0"; au_passed = true };
+                  { Fmc_audit.Audit.au_shard = 2; au_worker = "bob"; au_digest = "d2"; au_passed = false };
                 ];
               au_banned = [ "mallory" ];
             };
@@ -376,8 +376,8 @@ let recv conn =
 
 (* The campaign service holding the one campaign whose fingerprint is
    the [Protocol.fingerprint] these tests compute (benchmark "write"). *)
-let serve_campaign ?obs ?on_view ?checkpoint ?(audit_rate = 0.) ~ttl_s ~linger_s addr prep
-    ~samples ~seed ~shard_size =
+let serve_campaign ?obs ?on_ready ?on_view ?checkpoint ?(audit_rate = 0.)
+    ?(breaker = Breaker.default_config) ~ttl_s ~linger_s addr prep ~samples ~seed ~shard_size =
   let spec =
     {
       Protocol.sp_benchmark = "write";
@@ -392,10 +392,10 @@ let serve_campaign ?obs ?on_view ?checkpoint ?(audit_rate = 0.) ~ttl_s ~linger_s
   let config =
     {
       (Service.default_config addr) with
-      Service.sched = { Sched.default_config with Sched.ttl_s; audit_rate };
+      Service.sched = { Sched.default_config with Sched.ttl_s; audit_rate; breaker };
     }
   in
-  Service.serve ?obs ?on_view ~campaign:{ Service.spec; checkpoint; linger_s } config
+  Service.serve ?obs ?on_ready ?on_view ~campaign:{ Service.spec; checkpoint; linger_s } config
 
 let finished_report outcome =
   match outcome with
@@ -890,6 +890,597 @@ let test_loopback_lying_worker_quarantined () =
       | _ -> Alcotest.fail "missing gauge fmc_audit_quarantined_workers")
 
 (* ------------------------------------------------------------------ *)
+(* Record framing: every codec written through Fmc_prelude.Record keeps
+   its bytes (compared with files written before the codecs shared it,
+   under test/ref/) and turns every malformed input into an error. *)
+
+let tally_fixture =
+  {
+    Ssf.Tally.snap_total = 1000;
+    snap_trace_every = 250;
+    snap_processed = 500;
+    snap_strata = [ (Sampler.Vulnerable, 0.0261); (Sampler.Rest, 0.9739) ];
+    snap_accs = [ (250, 0.125, 3.5); (250, 1.5e-3, 0.0625) ];
+    snap_pess = [ (250, 0.25, 4.75); (250, 2e-3, 0.125) ];
+    snap_masked = 430;
+    snap_mem_only = 20;
+    snap_resumed = 47;
+    snap_quarantined = 3;
+    snap_q_crashed = 2;
+    snap_q_timed_out = 1;
+    snap_successes = 12;
+    snap_by_direct = 7;
+    snap_by_comb = 5;
+    snap_sum_w = 498.75;
+    snap_sum_w2 = 1234.5625;
+    snap_contributions = [ (("pc", 3), 0.0125); (("mpu_cfg", 0), 1. /. 3.) ];
+    snap_trace = [ (250, 0.01); (500, 0.0123456789) ];
+  }
+
+let crashed_fixture =
+  {
+    Campaign.q_index = 123;
+    q_disposition = Campaign.Crashed "Failure(\"boom with spaces\")";
+    q_stratum = Sampler.Vulnerable;
+    q_t = 7;
+    q_center = 991;
+    q_radius = 3.25;
+    q_width = 110.5;
+    q_time_frac = 0.625;
+    q_weight = 1.75e-3;
+  }
+
+let timed_out_fixture =
+  {
+    crashed_fixture with
+    Campaign.q_index = 124;
+    q_disposition = Campaign.Timed_out;
+    q_stratum = Sampler.Rest;
+  }
+
+let ckpt_fixture =
+  {
+    Ckpt.st_fingerprint =
+      "v3 strategy=mixed benchmark=write samples=1000 seed=7 shard_size=250 budget=-";
+    st_shards =
+      [
+        (0, Ssf.Tally.to_string tally_fixture);
+        (2, Ssf.Tally.to_string { tally_fixture with Ssf.Tally.snap_processed = 250 });
+      ];
+    st_quarantined = [ crashed_fixture; timed_out_fixture ];
+    st_audit =
+      {
+        Ckpt.au_entries =
+          [
+            {
+              Fmc_audit.Audit.au_shard = 0;
+              au_worker = "alice";
+              au_digest = "00ff00ff";
+              au_passed = true;
+            };
+            {
+              Fmc_audit.Audit.au_shard = 2;
+              au_worker = "bob the builder";
+              au_digest = "d2d2";
+              au_passed = false;
+            };
+          ];
+        au_banned = [ "mallory"; "eve two" ];
+      };
+  }
+
+let telemetry_fixture =
+  {
+    Fmc_obs.Telemetry.tm_trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+    tm_base_wall = 1760000000.125;
+    tm_metrics =
+      [
+        ("fmc_samples_total", ("samples evaluated", Fmc_obs.Metrics.Counter 1234.));
+        ("fmc_odd_gauge", ("help with spaces, 100% and\ta tab", Fmc_obs.Metrics.Gauge 0.5));
+        ( "fmc_latency_seconds",
+          ( "latency",
+            Fmc_obs.Metrics.Histo
+              {
+                Fmc_obs.Metrics.buckets = [| 0.001; 0.01 |];
+                counts = [| 1; 2; 3 |];
+                sum = 0.0625;
+                count = 6;
+              } ) );
+      ];
+    tm_spans =
+      [
+        {
+          Fmc_obs.Telemetry.ss_span_id = "00f067aa0ba902b7";
+          ss_event =
+            {
+              Fmc_obs.Span.ev_name = "shard 3";
+              ev_cat = "dist";
+              ev_tid = 1;
+              ev_ts_us = 5.;
+              ev_dur_us = 3.25;
+            };
+        };
+        {
+          Fmc_obs.Telemetry.ss_span_id = "";
+          ss_event =
+            { Fmc_obs.Span.ev_name = "-"; ev_cat = ""; ev_tid = 0; ev_ts_us = 0.; ev_dur_us = 0. };
+        };
+      ];
+  }
+
+let spec_fixture =
+  {
+    Protocol.sp_benchmark = "write";
+    sp_strategy = "mixed";
+    sp_samples = 1000;
+    sp_seed = 7;
+    sp_shard_size = 250;
+    sp_sample_budget = Some 4000;
+    sp_fault_model = "seu-burst:bits=4";
+  }
+
+let status_fixture =
+  {
+    Protocol.st_fingerprint = "v3 strategy=mixed benchmark=write";
+    st_state = Protocol.Running;
+    st_position = 0;
+    st_queue_len = 2;
+    st_samples_done = 500;
+    st_samples_total = 1000;
+    st_rate = 1234.5;
+    st_eta_s = 0.40625;
+    st_detail = "2 workers";
+  }
+
+let tally_blob = Ssf.Tally.to_string tally_fixture
+let fixture_fp = ckpt_fixture.Ckpt.st_fingerprint
+
+let client_fixtures =
+  [
+    Protocol.Hello { version = Protocol.version; worker = "w1"; fingerprint = fixture_fp };
+    Protocol.Request_shard;
+    Protocol.Heartbeat { shard = 3; epoch = 2; samples_done = 40 };
+    Protocol.Shard_done
+      {
+        shard = 3;
+        epoch = 2;
+        tally = tally_blob;
+        quarantined = [ crashed_fixture; timed_out_fixture ];
+      };
+    Protocol.Fetch_report;
+    Protocol.Goodbye;
+    Protocol.Submit { spec = spec_fixture };
+    Protocol.Status_req { fingerprint = fixture_fp };
+    Protocol.Cancel { fingerprint = fixture_fp };
+    Protocol.Job_heartbeat { fingerprint = fixture_fp; shard = 1; epoch = 1; samples_done = 7 };
+    Protocol.Job_done
+      {
+        fingerprint = fixture_fp;
+        shard = 1;
+        epoch = 1;
+        tally = tally_blob;
+        quarantined = [ timed_out_fixture ];
+      };
+  ]
+
+let server_fixtures =
+  [
+    Protocol.Welcome { version = Protocol.version };
+    Protocol.Assign { shard = 0; epoch = 1; start = 0; len = 250 };
+    Protocol.No_work { finished = true };
+    Protocol.No_work { finished = false };
+    Protocol.Ack { accepted = true; reason = "" };
+    Protocol.Ack { accepted = false; reason = "stale epoch" };
+    Protocol.Report
+      {
+        shards = [ (0, tally_blob); (2, tally_blob) ];
+        quarantined = [ crashed_fixture ];
+        elapsed_s = 1.5;
+      };
+    Protocol.Reject { reason = "fingerprint mismatch" };
+    Protocol.Retry_later { cooldown_s = 2.5 };
+    Protocol.Job { spec = spec_fixture; shard = 2; epoch = 3; start = 500; len = 250 };
+    Protocol.Submitted { fingerprint = fixture_fp; position = 1; cached = false };
+    Protocol.Submitted { fingerprint = fixture_fp; position = 0; cached = true };
+    Protocol.Sched_rejected { retry_after_s = 30.; reason = "queue full" };
+    Protocol.Status
+      {
+        entries =
+          [ status_fixture; { status_fixture with Protocol.st_state = Protocol.Queued; st_detail = "" } ];
+      };
+  ]
+
+let telemetry_ext = Some (Fmc_obs.Telemetry.encode telemetry_fixture)
+
+let client_exts =
+  [
+    Protocol.no_extension;
+    { Protocol.no_extension with Protocol.ext_telemetry = telemetry_ext };
+    { Protocol.no_extension with Protocol.ext_digest = Some "0123456789abcdef" };
+    {
+      Protocol.no_extension with
+      Protocol.ext_telemetry = telemetry_ext;
+      ext_digest = Some "0123456789abcdef";
+    };
+  ]
+
+let server_exts =
+  [
+    Protocol.no_extension;
+    {
+      Protocol.no_extension with
+      Protocol.ext_trace = Some ("4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7");
+    };
+  ]
+
+(* The extension sections a decoder returns for a message: only those
+   that ride on its type. *)
+let client_ext_of msg (ext : Protocol.extension) =
+  match msg with
+  | Protocol.Shard_done _ | Protocol.Job_done _ ->
+      { Protocol.no_extension with ext_digest = ext.ext_digest; ext_telemetry = ext.ext_telemetry }
+  | Protocol.Heartbeat _ | Protocol.Job_heartbeat _ ->
+      { Protocol.no_extension with ext_telemetry = ext.ext_telemetry }
+  | _ -> Protocol.no_extension
+
+let server_ext_of msg (ext : Protocol.extension) =
+  match msg with
+  | Protocol.Assign _ | Protocol.Job _ -> { Protocol.no_extension with ext_trace = ext.ext_trace }
+  | _ -> Protocol.no_extension
+
+(* Every message under every extension: (tag, payload, what it decodes to). *)
+let protocol_cases () =
+  let cases encode decoded msgs exts =
+    List.concat_map
+      (fun m ->
+        List.map
+          (fun ext ->
+            let tag, payload = encode ext m in
+            (tag, payload, decoded m ext))
+          exts)
+      msgs
+  in
+  cases
+    (fun ext -> Protocol.encode_client_ext ~ext)
+    (fun m ext -> `Client (m, client_ext_of m ext))
+    client_fixtures client_exts
+  @ cases
+      (fun ext -> Protocol.encode_server_ext ~ext)
+      (fun m ext -> `Server (m, server_ext_of m ext))
+      server_fixtures server_exts
+
+(* The cases as "<client|server> <tag> <length>\n<payload>" entries. *)
+let protocol_golden () =
+  String.concat ""
+    (List.map
+       (fun (tag, payload, decoded) ->
+         Printf.sprintf "%s %c %d\n%s"
+           (match decoded with `Client _ -> "client" | `Server _ -> "server")
+           tag (String.length payload) payload)
+       (protocol_cases ()))
+
+let ref_bytes name = In_channel.with_open_bin (Filename.concat "ref" name) In_channel.input_all
+let write_bytes path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let with_temp suffix f =
+  let path = Filename.temp_file "fmc-record" suffix in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; path ^ ".tmp" ])
+    (fun () -> f path)
+
+let no_signals = { Campaign.default_config with Campaign.handle_signals = false }
+
+(* The checkpoint the golden file holds: an 80-sample campaign stopped
+   after 40. *)
+let golden_campaign ~path =
+  let config = { no_signals with Campaign.checkpoint_path = Some path } in
+  Campaign.run ~config ~trace_every:10 ~stop:(fun i -> i >= 40) (engine ())
+    (prepare Sampler.default_mixed) ~samples:80 ~seed:11
+
+let test_golden_bytes () =
+  let check_bytes what expected actual =
+    Alcotest.(check bool) (what ^ " bytes unchanged") true (String.equal expected actual)
+  in
+  let tally = ref_bytes "codec-tally.txt" in
+  check_bytes "tally" tally (Ssf.Tally.to_string tally_fixture);
+  Alcotest.(check bool) "tally decodes to its input" true
+    (Ssf.Tally.of_string tally = Ok tally_fixture);
+  let telemetry = ref_bytes "codec-telemetry.txt" in
+  check_bytes "telemetry" telemetry (Fmc_obs.Telemetry.encode telemetry_fixture);
+  Alcotest.(check bool) "telemetry decodes to its input" true
+    (Fmc_obs.Telemetry.decode telemetry = Ok telemetry_fixture);
+  let protocol = ref_bytes "codec-protocol.txt" in
+  check_bytes "protocol" protocol (protocol_golden ());
+  (* Decode the recorded payloads, not the fresh ones. *)
+  let pos = ref 0 in
+  List.iter
+    (fun (tag, _, decoded) ->
+      let eol = String.index_from protocol !pos '\n' in
+      let len = Scanf.sscanf (String.sub protocol !pos (eol - !pos)) "%_s %_c %d" Fun.id in
+      let payload = String.sub protocol (eol + 1) len in
+      pos := eol + 1 + len;
+      Alcotest.(check bool) "recorded message decodes to its input" true
+        (match decoded with
+        | `Client m -> Protocol.decode_client_ext tag payload = Ok m
+        | `Server m -> Protocol.decode_server_ext tag payload = Ok m))
+    (protocol_cases ());
+  Alcotest.(check int) "every recorded message read" (String.length protocol) !pos;
+  let dist = ref_bytes "codec-dist.ckpt" in
+  with_temp ".ckpt" (fun path ->
+      Ckpt.save ~path ckpt_fixture;
+      check_bytes "service checkpoint" dist (In_channel.with_open_bin path In_channel.input_all);
+      write_bytes path dist;
+      Alcotest.(check bool) "service checkpoint decodes to its input" true
+        (Ckpt.load ~path = Ok ckpt_fixture));
+  let campaign = ref_bytes "codec-campaign.ckpt" in
+  with_temp ".ckpt" (fun path ->
+      let half = golden_campaign ~path in
+      Alcotest.(check bool) "stopped" true (half.Campaign.status = Campaign.Interrupted);
+      check_bytes "campaign checkpoint" campaign
+        (In_channel.with_open_bin path In_channel.input_all);
+      (* Resuming the recorded bytes continues the same campaign. *)
+      write_bytes path campaign;
+      let resumed =
+        Campaign.resume ~config:no_signals (engine ()) (prepare Sampler.default_mixed) ~path
+      in
+      let whole =
+        Campaign.run ~config:no_signals ~trace_every:10 (engine ()) (prepare Sampler.default_mixed)
+          ~samples:80 ~seed:11
+      in
+      Alcotest.(check string) "resumed report"
+        (Export.report_json whole.Campaign.report)
+        (Export.report_json resumed.Campaign.report))
+
+(* -- malformed input ------------------------------------------------------ *)
+
+(* What a decoder under test made of a text. *)
+type verdict = Accepted | Refused | Raised of string
+
+let verdict decode text =
+  match decode text with
+  | true -> Accepted
+  | false -> Refused
+  | exception e -> Raised (Printexc.to_string e)
+
+(* [expect_refused what decode texts]: every text is refused, and none
+   raises. *)
+let expect_refused what decode =
+  List.iter (fun t ->
+      match verdict decode t with
+      | Refused -> ()
+      | Accepted -> Alcotest.failf "%s: accepted %S" what t
+      | Raised e -> Alcotest.failf "%s: raised %s on %S" what e t)
+
+let expect_no_raise what decode =
+  List.iter (fun t ->
+      match verdict decode t with
+      | Refused | Accepted -> ()
+      | Raised e -> Alcotest.failf "%s: raised %s on %S" what e t)
+
+let truncations s = List.init (String.length s) (fun k -> String.sub s 0 k)
+
+(* Each position replaced by a different byte. *)
+let mutations s =
+  let rng = Random.State.make [| 19 |] in
+  List.init (String.length s) (fun i ->
+      let b = Bytes.of_string s in
+      Bytes.set b i (Char.chr ((Char.code s.[i] + 1 + Random.State.int rng 255) land 0xff));
+      Bytes.to_string b)
+
+(* [s] with the count of each count line set to -1, one line at a time.
+   A count line is "kw n" or "kw id n" with [kw] in [kws]. *)
+let negated_counts kws s =
+  let lines = String.split_on_char '\n' s in
+  List.concat
+    (List.mapi
+       (fun i line ->
+         match String.split_on_char ' ' line with
+         | ([ kw; n ] | [ kw; _; n ]) when List.mem kw kws && int_of_string_opt n <> None ->
+             let line' = String.sub line 0 (String.length line - String.length n) ^ "-1" in
+             [ String.concat "\n" (List.mapi (fun j l -> if j = i then line' else l) lines) ]
+         | _ -> [])
+       lines)
+
+let reseal body = body ^ Printf.sprintf "crc %08x\n" (Fmc_prelude.Crc32.string body)
+
+let unseal sealed =
+  let n = String.length sealed in
+  String.sub sealed 0 (String.rindex_from sealed (n - 2) '\n' + 1)
+
+let test_unsealed_codecs_refuse () =
+  List.iter
+    (fun (what, enc, decode, kws) ->
+      expect_refused (what ^ " truncation") decode (truncations enc);
+      let negs = negated_counts kws enc in
+      Alcotest.(check int) (what ^ " count lines") (List.length kws) (List.length negs);
+      expect_refused (what ^ " count -1") decode negs;
+      (* Unsealed, so a changed digit is another valid encoding: a
+         mutation only must not raise. *)
+      expect_no_raise (what ^ " mutation") decode (mutations enc))
+    [
+      ( "tally",
+        Ssf.Tally.to_string tally_fixture,
+        (fun s -> Result.is_ok (Ssf.Tally.of_string s)),
+        [ "strata"; "contributions"; "trace" ] );
+      ( "telemetry",
+        Fmc_obs.Telemetry.encode telemetry_fixture,
+        (fun s -> Result.is_ok (Fmc_obs.Telemetry.decode s)),
+        [ "metrics"; "spans" ] );
+    ]
+
+let test_protocol_refuses () =
+  let sections (e : Protocol.extension) =
+    List.length
+      (List.filter Fun.id [ e.ext_trace <> None; e.ext_telemetry <> None; e.ext_digest <> None ])
+  in
+  let keeps a b = a = None || a = b in
+  (* [e] holds some of [of_]'s sections, fewer than all. *)
+  let fewer_sections ~of_ (e : Protocol.extension) =
+    sections e < sections of_
+    && keeps e.ext_trace of_.Protocol.ext_trace
+    && keeps e.ext_telemetry of_.ext_telemetry
+    && keeps e.ext_digest of_.ext_digest
+  in
+  let count_kws = [ "tally"; "quarantined"; "telemetry"; "shards"; "shard"; "entries" ] in
+  let negs = ref 0 in
+  List.iter
+    (fun (tag, payload, decoded) ->
+      let decode t =
+        match decoded with
+        | `Client (m, ext) -> (
+            match Protocol.decode_client_ext tag t with
+            | Ok (m', e') -> Some (m' = m, fewer_sections ~of_:ext e')
+            | Error _ -> None)
+        | `Server (m, ext) -> (
+            match Protocol.decode_server_ext tag t with
+            | Ok (m', e') -> Some (m' = m, fewer_sections ~of_:ext e')
+            | Error _ -> None)
+      in
+      let what = Printf.sprintf "protocol %C" tag in
+      (* A cut payload is refused or, cut between trailing extension
+         sections, is the same message with fewer of them. *)
+      expect_refused (what ^ " truncation")
+        (fun t -> match decode t with None | Some (true, true) -> false | Some _ -> true)
+        (truncations payload);
+      let ok t = decode t <> None in
+      let neg = negated_counts count_kws payload in
+      negs := !negs + List.length neg;
+      expect_refused (what ^ " count -1") ok neg;
+      expect_no_raise (what ^ " mutation") ok (mutations payload))
+    (protocol_cases ());
+  Alcotest.(check int) "count lines exercised" 34 !negs
+
+let test_sealed_codecs_refuse () =
+  let e = engine () and prep = prepare Sampler.default_mixed in
+  with_temp ".ckpt" (fun path ->
+      let load_ckpt bytes =
+        write_bytes path bytes;
+        Result.is_ok (Ckpt.load ~path)
+      in
+      (* Campaign.resume reports a bad checkpoint as Checkpoint_corrupt
+         and nothing else. *)
+      let resume bytes =
+        write_bytes path bytes;
+        match Campaign.resume ~config:no_signals e prep ~path with
+        | _ -> true
+        | exception Campaign.Checkpoint_corrupt { path = p; _ } when p = path -> false
+      in
+      List.iter
+        (fun (what, bytes, decode, kws) ->
+          Alcotest.(check bool) (what ^ " loads") true (decode bytes);
+          expect_refused (what ^ " truncation") decode (truncations bytes);
+          expect_refused (what ^ " mutation") decode (mutations bytes);
+          (* Re-sealed, so the parser rather than the CRC must refuse. *)
+          let negs = List.map reseal (negated_counts kws (unseal bytes)) in
+          Alcotest.(check bool) (what ^ " count lines") true (List.length negs >= List.length kws);
+          expect_refused (what ^ " count -1") decode negs)
+        [
+          ( "service checkpoint",
+            ref_bytes "codec-dist.ckpt",
+            load_ckpt,
+            [ "shards"; "shard"; "quarantined"; "audits"; "banned" ] );
+          ( "campaign checkpoint",
+            ref_bytes "codec-campaign.ckpt",
+            resume,
+            [ "strata"; "contributions"; "trace" ] );
+        ])
+
+(* A CRC-valid result frame whose tally count is not a count is a decode
+   error charged to the sender, whatever the malformed number: the
+   service answers Reject and trips a one-failure breaker, so the next
+   Hello under that name is parked. *)
+let test_malformed_count_charged () =
+  let prep = prepare Sampler.default_mixed in
+  let samples = 60 and shard_size = 30 and seed = 5 in
+  let fingerprint =
+    Protocol.fingerprint ~strategy:(Sampler.name prep) ~benchmark:"write" ~samples ~seed
+      ~shard_size ~sample_budget:None ()
+  in
+  let sock_path = Filename.temp_file "fmc-dist" ".sock" in
+  Sys.remove sock_path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
+    (fun () ->
+      let addr = Wire.Unix_path sock_path in
+      let control = ref None in
+      let server =
+        Thread.create
+          (fun () ->
+            serve_campaign
+              ~on_ready:(fun c -> control := Some c)
+              ~breaker:{ Breaker.failure_threshold = 1; cooldown_s = 60. }
+              ~ttl_s:5. ~linger_s:0. addr prep ~samples ~seed ~shard_size)
+          ()
+      in
+      let hello worker =
+        let conn = Wire.conn (Wire.connect ~attempts:40 ~delay_s:0.1 addr) in
+        send conn (Protocol.Hello { version = Protocol.version; worker; fingerprint });
+        (conn, recv conn)
+      in
+      List.iter
+        (fun (worker, count) ->
+          let conn, reply = hello worker in
+          (match reply with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
+          Wire.write_frame conn ~tag:'D'
+            (Printf.sprintf "shard 0 epoch 1\ntally %s\nquarantined 0\n" count);
+          (match recv conn with
+          | Protocol.Reject _ -> ()
+          | _ -> Alcotest.failf "tally %s must be rejected" count);
+          Wire.close conn;
+          let conn, reply = hello worker in
+          (match reply with
+          | Protocol.Retry_later _ -> ()
+          | _ -> Alcotest.failf "tally %s must charge %s's breaker" count worker);
+          Wire.close conn)
+        [ ("garbled", "x"); ("negative", "-1") ];
+      (match !control with
+      | Some c -> c.Service.request_drain ()
+      | None -> Alcotest.fail "the service never became ready");
+      Thread.join server)
+
+(* A Report whose shard count is negative is a protocol error the fetch
+   returns, not an exception. *)
+let test_fetch_report_negative_count () =
+  let sock_path = Filename.temp_file "fmc-dist" ".sock" in
+  Sys.remove sock_path;
+  let addr = Wire.Unix_path sock_path in
+  let listener = Wire.listen addr in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      if Sys.file_exists sock_path then Sys.remove sock_path)
+    (fun () ->
+      let fake_service () =
+        let fd, _ = Unix.accept listener in
+        let conn = Wire.conn fd in
+        Fun.protect
+          ~finally:(fun () -> Wire.close conn)
+          (fun () ->
+            ignore (Wire.read_frame conn : char * string);
+            let tag, payload =
+              Protocol.encode_server (Protocol.Welcome { version = Protocol.version })
+            in
+            Wire.write_frame conn ~tag payload;
+            ignore (Wire.read_frame conn : char * string);
+            Wire.write_frame conn ~tag:'P' "elapsed 0x0p+0\nshards -1\nquarantined 0\n";
+            try ignore (Wire.read_frame conn : char * string) with Wire.Closed -> ())
+      in
+      let server = Thread.create fake_service () in
+      let fcfg = Worker.default_config ~addr ~worker_name:"fetcher" in
+      let result =
+        match Worker.fetch_report ~poll_s:0.05 ~timeout_s:5. fcfg ~fingerprint:"any" with
+        | r -> Ok r
+        | exception e -> Error e
+      in
+      Thread.join server;
+      match result with
+      | Ok (Error (Worker.Fetch_protocol _)) -> ()
+      | Ok (Error e) -> Alcotest.failf "unexpected error: %s" (Worker.fetch_error_message e)
+      | Ok (Ok _) -> Alcotest.fail "a negative shard count must not fetch a report"
+      | Error e -> Alcotest.failf "fetch_report raised %s" (Printexc.to_string e))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "dist"
@@ -930,5 +1521,18 @@ let () =
             test_digest_extension_roundtrip;
           Alcotest.test_case "lying worker quarantined, bit-exact merge" `Quick
             test_loopback_lying_worker_quarantined;
+        ] );
+      ( "record",
+        [
+          Alcotest.test_case "golden bytes round-trip" `Quick test_golden_bytes;
+          Alcotest.test_case "unsealed codecs refuse malformed input" `Quick
+            test_unsealed_codecs_refuse;
+          Alcotest.test_case "protocol refuses malformed payloads" `Quick test_protocol_refuses;
+          Alcotest.test_case "sealed files refuse malformed input" `Quick
+            test_sealed_codecs_refuse;
+          Alcotest.test_case "malformed count charged to the sender" `Quick
+            test_malformed_count_charged;
+          Alcotest.test_case "fetch_report returns a negative count's error" `Quick
+            test_fetch_report_negative_count;
         ] );
     ]

@@ -254,8 +254,8 @@ let test_checkpoint_records_model () =
 
 (* ------------------------------------------------------------------ *)
 (* Distributed identity: the fingerprint only grows a model component
-   when it deviates from the default, and spec lines stay readable in
-   both the 6-word (pre-model) and 7-word forms. *)
+   when it deviates from the default, and spec lines carry the model as
+   their 7th word. *)
 
 let test_fingerprint_model_component () =
   let fp ?fault_model () =
@@ -286,14 +286,13 @@ let test_spec_line_codec () =
   (match Protocol.spec_of_line (Protocol.spec_line spec) with
   | Ok rt -> Alcotest.(check bool) "7-word round trip" true (rt = spec)
   | Error msg -> Alcotest.failf "round trip failed: %s" msg);
-  (* A WAL line written before the model field existed. *)
+  (* Every spec line this tree writes has the model word; a 6-word line
+     is malformed. *)
   (match
      Protocol.spec_of_line "benchmark=illegal-write strategy=mixed samples=100 seed=7 shard_size=25 budget=-"
    with
-  | Ok old ->
-      Alcotest.(check string) "pre-model line defaults the model" "disc-transient"
-        old.Protocol.sp_fault_model
-  | Error msg -> Alcotest.failf "6-word line must parse: %s" msg);
+  | Ok _ -> Alcotest.fail "a 6-word line must be refused"
+  | Error _ -> ());
   match Protocol.spec_of_line "benchmark=x strategy=y samples=1 seed=1 shard_size=1 budget=- nonsense=1" with
   | Ok _ -> Alcotest.fail "a 7th word must be a model field"
   | Error _ -> ()
