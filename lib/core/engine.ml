@@ -14,12 +14,17 @@ module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
 (* Pre-resolved metric cells for the engine's phase counters (rebuilt by
-   [set_obs]; hot paths touch plain record fields only). *)
+   [set_obs]; hot paths touch plain record fields only). The fault-model
+   run counters are resolved at a model's first counted run, so a
+   campaign that runs no model registers none. *)
 type einst = {
+  reg : Metrics.registry;
   e_restores : Metrics.counter;
   e_rtl_cycles : Metrics.counter;
   e_gate_cycles : Metrics.counter;
   e_sample_us : Metrics.histogram;
+  mutable e_runs : (string * (Metrics.counter * Metrics.counter)) list;
+      (* by model metric name: the all-models and the model's run counter *)
 }
 
 let make_einst (obs : Obs.t) =
@@ -28,6 +33,7 @@ let make_einst (obs : Obs.t) =
   | Some reg ->
       Some
         {
+          reg;
           e_restores =
             Metrics.counter reg ~help:"golden checkpoint restores" "fmc_restores_total";
           e_rtl_cycles =
@@ -40,7 +46,24 @@ let make_einst (obs : Obs.t) =
             Metrics.histogram reg ~help:"end-to-end run_sample latency (us)"
               ~buckets:[| 10.; 30.; 100.; 300.; 1000.; 3000.; 10000.; 100000. |]
               "fmc_sample_duration_us";
+          e_runs = [];
         }
+
+let count_fault_run_now ei metric =
+  let all, model =
+    match List.assoc_opt metric ei.e_runs with
+    | Some cells -> cells
+    | None ->
+        let cells =
+          ( Metrics.counter ei.reg ~help:"fault-model sample evaluations" "fmc_fault_runs_total",
+            Metrics.counter ei.reg ~help:"per-model sample evaluations"
+              ("fmc_fault_" ^ metric ^ "_runs_total") )
+        in
+        ei.e_runs <- (metric, cells) :: ei.e_runs;
+        cells
+  in
+  Metrics.inc all;
+  Metrics.inc model
 
 (* What the golden run does in cycle [c], filled on first use. *)
 type entry = {
@@ -54,6 +77,25 @@ type entry = {
 (* The golden-cycle cache: one per engine family, shared by an engine and
    its replicas, so fills are locked. *)
 type cache = { lock : Mutex.t; entries : (int, entry) Hashtbl.t }
+
+(* What an engine counts while deferred (see [defer_fills]), for
+   [charge_fills] to add to the handle's cells once the sample is
+   recorded. *)
+type fills = {
+  mutable entries : entry list;  (* uncharged cache entries touched, newest first *)
+  mutable restores : int;
+  mutable rtl_cycles : int;
+  mutable gate_cycles : int;
+  mutable latencies : float list;  (* run_sample durations (us) *)
+  mutable runs : string list;  (* fault-model evaluations, by model metric name *)
+}
+
+let no_fills () =
+  { entries = []; restores = 0; rtl_cycles = 0; gate_cycles = 0; latencies = []; runs = [] }
+
+(* What an engine that is not deferred holds, and what [take_fills]
+   returns for a run that counted nothing: never written. *)
+let nothing = no_fills ()
 
 type t = {
   precharac : Precharac.t;
@@ -72,9 +114,11 @@ type t = {
   transient : Transient.scratch;
   sys : System.t;  (* the restore target of run_sample and causal_flips *)
   trial : System.t;  (* causal_flips' leave-one-out trial *)
-  (* [Some l] while the engine runs a block of samples whose records may
-     be dropped: the uncharged cache entries it touched, newest first. *)
-  mutable deferred : entry list option;
+  (* While the engine runs samples whose records may be dropped, its
+     counts go to [pending], and no metric cell is touched. *)
+  mutable deferred : bool;
+  mutable pending : fills;
+  mutable hook : (unit -> unit) option;  (* see [step_hook] *)
   mutable replicas : t array;
   (* Mutable so cached/shared engines (e.g. Experiments' per-benchmark
      cache) can be instrumented per run; [Ssf.estimate] installs its
@@ -113,7 +157,9 @@ let create ?(checkpoint_every = 16) ?(placement_seed = 1) ~precharac program =
     transient = Transient.scratch circuit.Circuit.net;
     sys = System.create program;
     trial = System.create program;
-    deferred = None;
+    deferred = false;
+    pending = nothing;
+    hook = None;
     replicas = [||];
     obs = Obs.disabled;
     einst = None;
@@ -131,7 +177,9 @@ let replicas t n =
                transient = Transient.scratch t.circuit.Circuit.net;
                sys = System.create t.program;
                trial = System.create t.program;
-               deferred = Some [];
+               deferred = true;
+               pending = no_fills ();
+               hook = None;
                replicas = [||];
                obs = Obs.disabled;
                einst = None;
@@ -145,22 +193,76 @@ let circuit t = t.circuit
 let transient_config t = t.tconfig
 let program t = t.program
 
-let restore t cycle =
+(* Every engine count goes to the handle's cells, or while deferred to
+   the pending record; with no registry it is not made. *)
+let count_restore t =
   match t.einst with
-  | None -> Golden.restore_at t.golden cycle
+  | None -> ()
   | Some ei ->
-      Metrics.inc ei.e_restores;
-      Golden.restore_at ~on_step:(fun () -> Metrics.inc ei.e_rtl_cycles) t.golden cycle
+      if t.deferred then t.pending.restores <- t.pending.restores + 1
+      else Metrics.inc ei.e_restores
 
-(* [restore] into the engine's own system: the same counts, no fresh
-   data memory (an array too large for the minor heap). *)
-let restore_owned t cycle =
-  (match t.einst with
-  | None -> Golden.restore_into t.golden t.sys cycle
+let count_rtl_cycle t =
+  match t.einst with
+  | None -> ()
   | Some ei ->
-      Metrics.inc ei.e_restores;
-      Golden.restore_into ~on_step:(fun () -> Metrics.inc ei.e_rtl_cycles) t.golden t.sys cycle);
+      if t.deferred then t.pending.rtl_cycles <- t.pending.rtl_cycles + 1
+      else Metrics.inc ei.e_rtl_cycles
+
+let count_gate_cycle t =
+  match t.einst with
+  | None -> ()
+  | Some ei ->
+      if t.deferred then t.pending.gate_cycles <- t.pending.gate_cycles + 1
+      else Metrics.inc ei.e_gate_cycles
+
+let count_latency t us =
+  match t.einst with
+  | None -> ()
+  | Some ei ->
+      if t.deferred then t.pending.latencies <- us :: t.pending.latencies
+      else Metrics.observe ei.e_sample_us us
+
+(* The step hook a restore arms while the engine counts: one closure per
+   engine, made on first use, counting on the engine as it is at each
+   step (warm-up and any later resume). *)
+let step_hook t =
+  match t.einst with
+  | None -> None
+  | Some _ -> (
+      match t.hook with
+      | Some _ as hook -> hook
+      | None ->
+          let hook = Some (fun () -> count_rtl_cycle t) in
+          t.hook <- hook;
+          hook)
+
+let restore t cycle =
+  count_restore t;
+  Golden.restore_at ?on_step:(step_hook t) t.golden cycle
+
+(* [restore] into a system the engine owns: the same counts, no fresh
+   data memory (an array too large for the minor heap). *)
+let restore_into t sys cycle =
+  count_restore t;
+  Golden.restore_into ?on_step:(step_hook t) t.golden sys cycle
+
+let restore_run t cycle =
+  restore_into t t.sys cycle;
   t.sys
+
+let restore_reference t cycle =
+  restore_into t t.trial cycle;
+  (* Only the warm-up counts: [causal_flips] steps [trial] unhooked. *)
+  System.set_on_step t.trial None;
+  t.trial
+
+let count_fault_run t metric =
+  match t.einst with
+  | None -> ()
+  | Some ei ->
+      if t.deferred then t.pending.runs <- metric :: t.pending.runs
+      else count_fault_run_now ei metric
 
 let fill t c =
   let stepped = ref 0 in
@@ -197,22 +299,53 @@ let entry t c =
             Hashtbl.add t.cache.entries c e;
             e)
   in
-  if not (Atomic.get e.charged) then (
-    match t.deferred with Some l -> t.deferred <- Some (e :: l) | None -> charge t e);
+  if not (Atomic.get e.charged) then
+    if t.deferred then t.pending.entries <- e :: t.pending.entries else charge t e;
   e
 
-type fills = entry list
-
-let defer_fills t on = t.deferred <- (if on then Some [] else None)
+let defer_fills t on =
+  t.deferred <- on;
+  t.pending <- (if on then no_fills () else nothing)
 
 let take_fills t =
-  match t.deferred with
-  | Some l ->
-      t.deferred <- Some [];
-      l
-  | None -> []
+  match t.pending with
+  | { entries = []; restores = 0; rtl_cycles = 0; gate_cycles = 0; latencies = []; runs = [] } ->
+      nothing
+  | p ->
+      t.pending <- no_fills ();
+      p
 
-let charge_fills t fills = List.iter (charge t) fills
+(* [charge_fills] runs once per recorded sample: plain recursion, no
+   closures. *)
+let rec charge_entries t = function
+  | [] -> ()
+  | e :: rest ->
+      charge t e;
+      charge_entries t rest
+
+let rec observe_all h = function
+  | [] -> ()
+  | us :: rest ->
+      Metrics.observe h us;
+      observe_all h rest
+
+let rec count_runs ei = function
+  | [] -> ()
+  | metric :: rest ->
+      count_fault_run_now ei metric;
+      count_runs ei rest
+
+let charge_fills t f =
+  charge_entries t f.entries;
+  match t.einst with
+  | None -> ()
+  | Some ei ->
+      let add c n = if n > 0 then Metrics.add c (float_of_int n) in
+      add ei.e_restores f.restores;
+      add ei.e_rtl_cycles f.rtl_cycles;
+      add ei.e_gate_cycles f.gate_cycles;
+      observe_all ei.e_sample_us f.latencies;
+      count_runs ei f.runs
 
 let golden_settled t c = (entry t c).settled
 
@@ -357,7 +490,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
   else begin
     let t_begin = match t.einst with None -> 0. | Some _ -> Fmc_obs.Clock.now_us () in
     let net = t.circuit.Circuit.net in
-    let sys = Obs.span t.obs ~cat:"engine" "restore" (fun () -> restore_owned t te) in
+    let sys = Obs.span t.obs ~cat:"engine" "restore" (fun () -> restore_run t te) in
     let dff_hits, gate_hits, struck_cells = partition_disc ?cell_filter t sample.Sampler.center sample.Sampler.radius in
     let survives dff = (not (hardened dff)) || Rng.float rng 1.0 < 1. /. resilience in
     let direct = List.filter survives dff_hits in
@@ -369,7 +502,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
     let latched = ref [] and writes = ref [] in
     for _ = 1 to impact_cycles do
       let latched_raw, write =
-        (match t.einst with None -> () | Some ei -> Metrics.inc ei.e_gate_cycles);
+        count_gate_cycle t;
         Obs.span t.obs ~cat:"engine" "gate_cycle" (fun () -> gate_cycle t sys sample gate_hits)
       in
       Option.iter (fun w -> writes := w :: !writes) write;
@@ -415,9 +548,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
         (Resumed e, e)
       end
     in
-    (match t.einst with
-    | None -> ()
-    | Some ei -> Metrics.observe ei.e_sample_us (Fmc_obs.Clock.now_us () -. t_begin));
+    if Option.is_some t.einst then count_latency t (Fmc_obs.Clock.now_us () -. t_begin);
     {
       sample;
       te;
@@ -468,7 +599,7 @@ let causal_flips t (r : run_result) =
     Obs.span t.obs ~cat:"engine" "causal" @@ fun () ->
     begin
     let flip st (group, bit) = Arch.set_group st group (Arch.get_group st group lxor (1 lsl bit)) in
-    let sys = restore_owned t (r.te + 1) in
+    let sys = restore_run t (r.te + 1) in
     List.iter (flip (System.state sys)) r.flips;
     List.iter (fun (a, v) -> (System.dmem sys).(a) <- v) r.dmem_diffs;
     let budget = t.program.Programs.max_cycles + 100 in

@@ -38,28 +38,35 @@ val replicas : t -> int -> t array
     placement, golden run, timing) and its golden-cycle cache, whose fills
     are locked; it owns its simulator state, transient scratch and restore
     targets, so each of [t] and its replicas may run samples on its own
-    domain at the same time. A replica starts with {!defer_fills} on and a
-    disabled handle. Call from the domain that owns [t]. *)
+    domain at the same time. A replica starts with a disabled handle and
+    is always deferred ({!defer_fills}), so it touches no metric cell
+    and may carry [t]'s registry: what it counts reaches the registry
+    through {!take_fills} and [t]'s {!charge_fills}. Call from the domain
+    that owns [t]. *)
 
 type fills
-(** Golden-cycle cache entries a run touched before their fill was
-    counted. *)
+(** What a run counted while deferred: golden-cycle cache entries it
+    touched before their fill was counted, restores, RTL and gate-level
+    cycles, {!run_sample} latencies and fault-model runs. *)
 
 val defer_fills : t -> bool -> unit
-(** While on, a cache entry whose fill is not yet counted is collected
-    (for {!take_fills}) instead of being counted on the engine's handle
-    at its first touch. The sample loop turns it on for samples whose
-    record may be dropped, so a fill's restore is counted once, with the
-    first recorded sample that touches it: the counts a single domain
-    makes. *)
+(** While on, the engine makes every count of its handle (the series
+    {!set_obs} lists and {!count_fault_run}'s) into a pending record
+    for {!take_fills}, and a cache entry whose fill is not yet counted
+    is collected there instead of being counted at its first touch; no
+    metric cell is touched. The sample loop turns it on for samples
+    whose record may be dropped, so each sample's counts, and a fill's
+    restore, are counted once, with the recorded sample (a fill with
+    the first recorded sample that touches it): the counts a single
+    domain makes. Turning it on or off drops what is pending. *)
 
 val take_fills : t -> fills
-(** The entries collected since the last call (none when deferral is
-    off). *)
+(** Hand over what was counted since the last call (nothing when
+    deferral is off). *)
 
 val charge_fills : t -> fills -> unit
-(** Count the fills among [fills] that nobody has counted yet on this
-    engine's handle. *)
+(** Add [fills]' counts to this engine's handle, and count the fills
+    among them that nobody has counted yet. *)
 
 val obs : t -> Fmc_obs.Obs.t
 (** The engine's observability handle ({!Fmc_obs.Obs.disabled} until
@@ -71,11 +78,14 @@ val set_obs : t -> Fmc_obs.Obs.t -> unit
     and bump the engine counters ([fmc_restores_total],
     [fmc_rtl_cycles_total], [fmc_gate_cycles_total],
     [fmc_sample_duration_us]). The restore and RTL-cycle counters cover
-    every golden restore made through {!restore}: samples, causal
-    attribution, golden-cycle cache fills and the fault models. Callers rarely need this directly:
-    {!Ssf.estimate} installs its [?obs] on the engine for the run's
-    duration and restores the previous handle afterwards. Observability
-    never consumes randomness — results are bit-identical either way. *)
+    every golden restore made through {!restore} and the owned-target
+    restores: samples, causal attribution, golden-cycle cache fills and
+    the fault models. Unless the engine is deferred ({!defer_fills}), a
+    count lands on the handle's registry at once. Callers rarely need
+    this directly: {!Ssf.estimate} installs its [?obs] on the engine for
+    the run's duration and restores the previous handle afterwards.
+    Observability never consumes randomness — results are bit-identical
+    either way. *)
 
 val golden : t -> Golden.t
 
@@ -83,9 +93,29 @@ val restore : t -> int -> Fmc_cpu.System.t
 (** [Golden.restore_at] of the engine's golden run: a fresh system at the
     given cycle. With observability installed it bumps
     [fmc_restores_total] and arms the [fmc_rtl_cycles_total] hook on the
-    returned system (warm-up cycles and any later resume count).
-    {!run_sample} and {!causal_flips} restore the same way, with the
-    same counts, into systems the engine owns instead of fresh ones. *)
+    returned system (warm-up cycles and any later resume count, on the
+    engine as it is at each step). {!run_sample}, {!causal_flips} and the fault models restore the same
+    way, with the same counts, into systems the engine owns instead
+    ({!restore_run}, {!restore_reference}). *)
+
+val restore_run : t -> int -> Fmc_cpu.System.t
+(** {!restore} into the engine's own run target, the system
+    {!run_sample} and {!causal_flips} restore into: the same counts and
+    hook, no fresh system. The system is the engine's; it is valid until
+    the engine's next run or restore into it. *)
+
+val restore_reference : t -> int -> Fmc_cpu.System.t
+(** {!restore} into the engine's second owned system, as a golden
+    reference to compare a run against: its restore and warm-up cycles
+    count as {!restore}'s, then its step hook is removed, so stepping
+    it counts nothing. Valid until the next {!restore_reference} or
+    {!causal_flips}, which uses the same system for its trials. *)
+
+val count_fault_run : t -> string -> unit
+(** [count_fault_run t metric]: one sample evaluated under the fault
+    model whose metric name is [metric], counted on the engine's handle
+    as [fmc_fault_runs_total] and [fmc_fault_<metric>_runs_total]
+    (deferred like the engine's other counts). *)
 
 val golden_settled : t -> int -> Bytes.t
 (** The fault-free settled node values at the start of golden cycle [c]

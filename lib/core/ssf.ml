@@ -627,8 +627,7 @@ type slot = {
   sample : Sampler.sample;
   drawn : int64;  (* the stream's state right after the draw *)
   mutable work : work;
-  mutable fills : Engine.fills list;  (* cache fills to count if it is recorded *)
-  mutable metrics : Metrics.registry option;  (* its engine observations, ditto *)
+  mutable fills : Engine.fills list;  (* engine counts to charge if it is recorded *)
 }
 
 let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_transient)
@@ -662,11 +661,16 @@ let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_tr
   let pooled = (not inject.inj_reads_rng) && domains () > 1 && Pool.acquire () in
   let helpers = if pooled then Pool.helpers (domains () - 1) else 0 in
   let replicas = Engine.replicas engine helpers in
-  (* Spans go to a fork per helper, merged back when the run returns. *)
+  (* Spans go to a fork per helper, merged back when the run returns.
+     Counts go to the caller's registry: a replica is deferred, so it
+     touches no cell, and the caller charges what a sample counted as it
+     records the sample. *)
   let forks =
-    Array.mapi (fun i _ -> { (Obs.fork eobs ~tid:(i + 1)) with Obs.metrics = None }) replicas
+    Array.mapi (fun i _ -> Obs.fork { eobs with Obs.metrics = None } ~tid:(i + 1)) replicas
   in
-  Array.iteri (fun i r -> Engine.set_obs r forks.(i)) replicas;
+  Array.iteri
+    (fun i r -> Engine.set_obs r { (forks.(i)) with Obs.metrics = eobs.Obs.metrics })
+    replicas;
   Engine.defer_fills engine pooled;
   Fun.protect ~finally:(fun () ->
       Engine.defer_fills engine false;
@@ -687,15 +691,6 @@ let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_tr
         let slot = slots.(k) in
         (match slot.work with
         | Pending ->
-            (* Observed into a registry of the sample's own, merged only
-               if the sample is recorded. *)
-            (match eobs.Obs.metrics with
-            | None -> ()
-            | Some _ ->
-                let reg = Metrics.create () in
-                slot.metrics <- Some reg;
-                let tracer = if d = 0 then eobs.Obs.tracer else forks.(d - 1).Obs.tracer in
-                Engine.set_obs engine { Obs.disabled with metrics = Some reg; tracer });
             simulate engine streams.(d) slot;
             slot.fills <- Engine.take_fills engine :: slot.fills
         | Pruned | Ran _ | Failed _ -> ());
@@ -727,15 +722,14 @@ let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_tr
                 | () -> Pending
                 | exception e -> Failed (e, Printexc.get_raw_backtrace ()))
           in
-          { sample; drawn; work; fills = [ Engine.take_fills engine ]; metrics = None })
+          { sample; drawn; work; fills = [ Engine.take_fills engine ] })
     in
     (* Simulate: a one-sample block right here, with the stream itself;
        a larger one on every domain, each on its own engine. *)
     if not pooled then (match slots.(0).work with Pending -> simulate engine rng slots.(0) | _ -> ())
     else begin
       Atomic.set next 0;
-      Pool.run ~helpers (share slots);
-      if eobs.Obs.metrics <> None then Engine.set_obs engine eobs
+      Pool.run ~helpers (share slots)
     end;
     (* Record in stream order, each with the stream where its draw left it. *)
     let k = ref 0 in
@@ -743,9 +737,6 @@ let run_samples ?(obs = Obs.disabled) ?(causal = true) ?prune ?(inject = disc_tr
       let slot = slots.(!k) in
       let i = first + !k in
       if pooled then Rng.set_state rng slot.drawn;
-      (match (slot.metrics, eobs.Obs.metrics) with
-      | Some reg, Some into -> Metrics.absorb into (Metrics.snapshot reg)
-      | _ -> ());
       List.iter (Engine.charge_fills engine) slot.fills;
       Option.iter
         (fun p -> p.note slot.sample ~covered:(match slot.work with Pruned -> true | _ -> false))

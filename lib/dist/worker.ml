@@ -145,16 +145,25 @@ let connect ?(obs = Obs.disabled) config ~fingerprint =
    (cumulative — the receiver replaces its previous copy rather than
    adding) plus any newly completed shard span. Built fresh per message;
    consumes no RNG and never touches sampling state, so attaching it
-   cannot perturb the campaign. *)
-let telemetry_ext (obs : Obs.t) ~trace_id ~spans =
+   cannot perturb the campaign. [sent] is when the worker last attached
+   one. *)
+let telemetry_ext (obs : Obs.t) ~sent ~trace_id ~spans =
   let metrics =
     match obs.Obs.metrics with Some r -> Metrics.snapshot r | None -> []
   in
+  sent := Clock.now ();
   {
     Protocol.no_extension with
     Protocol.ext_telemetry =
       Some (Telemetry.encode (Telemetry.make ~trace_id ~metrics ~spans ()));
   }
+
+(* A heartbeat carries the snapshot only if the worker has sent none for
+   this long: a heartbeat goes out every [heartbeat_every] samples, and
+   one that carries the snapshot takes several times as long to build,
+   send and absorb as one that does not. A shard's result always carries
+   it. *)
+let heartbeat_telemetry_s = 1.0
 
 let shard_span (obs : Obs.t) ~span_id ~shard ~t0 =
   {
@@ -237,13 +246,18 @@ let with_reconnects ~obs ~mx ~rng ~retry ~on_reconnect ~progress session =
    run it with a heartbeat every [heartbeat_every] samples, where a
    refused heartbeat abandons the shard, then send the result, counting
    it in [completed] once accepted. *)
-let work_lease (obs : Obs.t) config conn ~(aext : Protocol.extension) ~completed ~shard
+let work_lease (obs : Obs.t) config conn ~sent ~(aext : Protocol.extension) ~completed ~shard
     ~heartbeat ~finished run_shard =
   let trace_id, span_id = Option.value aext.Protocol.ext_trace ~default:("", "") in
   let on_sample i =
     if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
       let msg, what = heartbeat i in
-      send ~ext:(telemetry_ext obs ~trace_id ~spans:[]) conn msg;
+      let ext =
+        if Clock.now () -. !sent >= heartbeat_telemetry_s then
+          Some (telemetry_ext obs ~sent ~trace_id ~spans:[])
+        else None
+      in
+      send ?ext conn msg;
       match recv conn what with
       | Protocol.Ack { accepted = true; _ } -> ()
       | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
@@ -260,7 +274,7 @@ let work_lease (obs : Obs.t) config conn ~(aext : Protocol.extension) ~completed
          (and is the audit comparison key). *)
       let ext =
         {
-          (telemetry_ext obs ~trace_id ~spans:[ shard_span obs ~span_id ~shard ~t0 ]) with
+          (telemetry_ext obs ~sent ~trace_id ~spans:[ shard_span obs ~span_id ~shard ~t0 ]) with
           Protocol.ext_digest = Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined);
         }
       in
@@ -276,6 +290,7 @@ let work_lease (obs : Obs.t) config conn ~(aext : Protocol.extension) ~completed
 let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
   let mx = mx_create obs in
   let completed = ref 0 in
+  let sent = ref Float.neg_infinity in
   let session () =
     let conn = connect ~obs config ~fingerprint in
     let run_one (msg, aext) =
@@ -286,7 +301,7 @@ let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
           `Continue
       | Protocol.Reject { reason } -> raise (Session_error ("rejected: " ^ reason))
       | msg ->
-          lease msg (work_lease obs config conn ~aext ~completed);
+          lease msg (work_lease obs config conn ~sent ~aext ~completed);
           `Continue
     in
     Fun.protect

@@ -22,10 +22,11 @@
 
     Fleet observability: the worker reads the trace/span ids the
     service stamps on each [Assign]/[Job] and piggybacks a
-    {!Fmc_obs.Telemetry} batch on its existing messages —
-    metrics-snapshot-only on heartbeats, the snapshot plus one span
-    summary covering the shard's wall time on [Shard_done]/[Job_done],
-    next to the canonical result digest. The piggyback consumes no RNG
+    {!Fmc_obs.Telemetry} batch on its existing messages — the snapshot
+    plus one span summary covering the shard's wall time on every
+    [Shard_done]/[Job_done], next to the canonical result digest, and
+    the snapshot alone on a heartbeat when the worker has sent none for
+    a second. The piggyback consumes no RNG
     and touches no sampling state, so reports stay byte-identical with
     or without it. *)
 

@@ -4,8 +4,6 @@ module Ssf = Fmc.Ssf
 module Sampler = Fmc.Sampler
 module System = Fmc_cpu.System
 module Circuit = Fmc_cpu.Circuit
-module Metrics = Fmc_obs.Metrics
-module Obs = Fmc_obs.Obs
 
 (* ------------------------------------------------------------------ *)
 (* Parameter plumbing shared by the builders: defaults, typed parsing,
@@ -69,10 +67,10 @@ let resume_and_judge engine ?cycle_budget sys =
   Engine.observables_differ engine sys
 
 (* Exact register-error set and differing data words just past the
-   injection window, against a fresh golden reference at the same cycle
-   (as the native engine computes them). *)
+   injection window, against a golden reference restored to the same
+   cycle (as the native engine computes them). *)
 let diffs_vs_golden engine sys at =
-  let golden_ref = Engine.restore engine at in
+  let golden_ref = Engine.restore_reference engine at in
   let golden_dmem = System.dmem golden_ref in
   let dmem_diffs = ref [] in
   Array.iteri
@@ -99,19 +97,6 @@ let classify engine ?cycle_budget sys te ~struck_cells ~direct ~latched ~at
     }
   end
 
-(* Per-model sample counters, resolved from the engine's observability
-   handle (disabled handles cost one branch). Observation-only: the
-   counters never touch the sample stream or the RNG. *)
-let count_run ~metric engine =
-  match (Engine.obs engine).Obs.metrics with
-  | None -> ()
-  | Some reg ->
-      Metrics.inc
-        (Metrics.counter reg ~help:"fault-model sample evaluations" "fmc_fault_runs_total");
-      Metrics.inc
-        (Metrics.counter reg ~help:"per-model sample evaluations"
-           ("fmc_fault_" ^ metric ^ "_runs_total"))
-
 let injected ~name ~params ~doc make_run =
   let stub = { Model.name; params; doc; inject = None } in
   let metric = Model.metric_name stub in
@@ -123,7 +108,8 @@ let injected ~name ~params ~doc make_run =
           Ssf.inj_model = Model.canonical stub;
           inj_run =
             (fun engine ?cycle_budget _rng sample ->
-              count_run ~metric engine;
+              (* Observation-only: never touches the stream. *)
+              Engine.count_fault_run engine metric;
               make_run engine ?cycle_budget sample);
           inj_causal = (fun _engine (r : Engine.run_result) -> r.Engine.flips);
           inj_prunable = false;
@@ -162,7 +148,7 @@ let seu_burst params =
       let direct = List.filteri (fun i _ -> i < bits) dffs in
       if direct = [] then masked_result te ~struck_cells sample
       else begin
-        let sys = Engine.restore engine te in
+        let sys = Engine.restore_run engine te in
         List.iter (Engine.apply_flip sys net) direct;
         classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list direct)
           ~latched:[||] ~at:te sample
@@ -204,7 +190,7 @@ let instr_skip params =
     let te = Golden.target_cycle golden - sample.Sampler.t in
     if te < 1 then masked_result te ~struck_cells:0 sample
     else begin
-      let sys = Engine.restore engine te in
+      let sys = Engine.restore_run engine te in
       System.set_fetch_override sys
         (Some
            (fun ~pc:_ word ->
@@ -247,7 +233,7 @@ let double_strike params =
       let dffs, gates, struck_cells =
         Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
       in
-      let sys = Engine.restore engine te in
+      let sys = Engine.restore_run engine te in
       let strike () =
         List.iter (Engine.apply_flip sys net) dffs;
         let latched = Engine.gate_level_cycle engine sys sample gates in

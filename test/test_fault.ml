@@ -429,15 +429,20 @@ let observed () =
   let reg = Fmc_obs.Metrics.create () in
   (reg, Fmc_obs.Obs.create ~metrics:reg ())
 
-(* Every metric, with only the count of a histogram: the latency
-   histogram's buckets and sum time the samples. *)
+(* Every metric, with only the count of the latency histogram: its
+   buckets and sum time the samples. *)
 let counters reg =
   String.concat ""
     (List.map
        (fun (name, (_, v)) ->
          match v with
          | Fmc_obs.Metrics.Counter x | Fmc_obs.Metrics.Gauge x -> Printf.sprintf "%s %h\n" name x
-         | Fmc_obs.Metrics.Histo h -> Printf.sprintf "%s count %d\n" name h.Fmc_obs.Metrics.count)
+         | Fmc_obs.Metrics.Histo h when name = "fmc_sample_duration_us" ->
+             Printf.sprintf "%s count %d\n" name h.Fmc_obs.Metrics.count
+         | Fmc_obs.Metrics.Histo h ->
+             Printf.sprintf "%s counts %s sum %h count %d\n" name
+               (String.concat " " (List.map string_of_int (Array.to_list h.Fmc_obs.Metrics.counts)))
+               h.Fmc_obs.Metrics.sum h.Fmc_obs.Metrics.count)
        (Fmc_obs.Metrics.snapshot reg))
 
 let quarantine_lines entries =
@@ -569,6 +574,80 @@ let domain_cases =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Counts unchanged: every metric of a 500-sample estimate under each
+   registered model, at one and at three domains, against
+   test/ref/model-metrics.txt. That file was written by the sample loop
+   that observed each sample into a registry of its own, before engine
+   counts were deferred with the cache fills, so it pins the counts
+   against that loop and not only one domain against three. *)
+
+let model_metrics () =
+  let prep = prepare Sampler.default_mixed in
+  String.concat ""
+    (List.map
+       (fun name ->
+         let e = fresh_engine Programs.illegal_write in
+         let reg, obs = observed () in
+         ignore
+           (Ssf.estimate ~obs ~inject:(Model.injector (model name)) e prep ~samples:500 ~seed:5);
+         "model " ^ name ^ "\n" ^ counters reg)
+       Registry.names)
+
+let test_model_metrics domains () =
+  Alcotest.(check string) "the reference series" (fixture "model-metrics.txt")
+    (Ssf.with_domains domains model_metrics)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards. Every model restores into the engine's own
+   systems, so none allocates a data memory (1,024 words, straight to
+   the major heap) per sample; and an observed pooled run defers its
+   engine counts, so it builds no registry per sample. The GC counters
+   are read after a minor collection, which every domain takes part in,
+   so the helper domains' allocation is included. *)
+
+let alloc_samples = 1000
+
+(* Words per sample that [run] allocates directly in the major heap, and
+   in the minor heaps. *)
+let words_per_sample run =
+  let direct (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  run ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let per x = x /. float_of_int alloc_samples in
+  (per (direct s1 -. direct s0), per (s1.Gc.minor_words -. s0.Gc.minor_words))
+
+(* A run of each model on an engine whose golden-cycle cache is already
+   filled (cache fills allocate, once per cycle). *)
+let model_runs f =
+  let prep = prepare Sampler.default_mixed in
+  List.iter
+    (fun name ->
+      let inject = Model.injector (model name) in
+      let e = fresh_engine Programs.illegal_write in
+      let run ?obs () = ignore (Ssf.estimate ?obs ~inject e prep ~samples:alloc_samples ~seed:6) in
+      run ();
+      f name run)
+    Registry.names
+
+let test_major_words () =
+  Ssf.with_domains 1 @@ fun () ->
+  model_runs (fun name run ->
+      let major, _ = words_per_sample run in
+      if major > 16. then
+        Alcotest.failf "%s allocates %.1f major-heap words per sample (bound 16)" name major)
+
+let test_observed_minor_words () =
+  Ssf.with_domains 3 @@ fun () ->
+  model_runs (fun name run ->
+      let _, off = words_per_sample run in
+      let _, on = words_per_sample (fun () -> run ~obs:(snd (observed ())) ()) in
+      if on -. off > 64. then
+        Alcotest.failf "%s: observing costs %.1f minor words per sample (bound 64)" name (on -. off))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fmc_fault"
@@ -599,6 +678,16 @@ let () =
         List.map
           (fun (name, case) -> Alcotest.test_case name `Slow (domain_invariance case))
           domain_cases );
+      ( "counts",
+        [
+          Alcotest.test_case "reference metrics, 1 domain" `Slow
+            (test_model_metrics 1);
+          Alcotest.test_case "reference metrics, 3 domains" `Slow
+            (test_model_metrics 3);
+          Alcotest.test_case "no major words per sample" `Slow test_major_words;
+          Alcotest.test_case "no registry per sample" `Slow
+            test_observed_minor_words;
+        ] );
       ( "dist",
         [
           Alcotest.test_case "fingerprint model component" `Quick test_fingerprint_model_component;
