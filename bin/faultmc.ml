@@ -269,13 +269,6 @@ let shard_size_arg =
 (* Campaign-status rendering, shared by `status`, `top` and the scrape
    endpoint's text routes. *)
 
-let state_name = function
-  | Fmc_dist.Protocol.Queued -> "queued"
-  | Fmc_dist.Protocol.Running -> "running"
-  | Fmc_dist.Protocol.Finished -> "finished"
-  | Fmc_dist.Protocol.Parked -> "parked"
-  | Fmc_dist.Protocol.Cancelled -> "cancelled"
-
 let eta_string eta = if eta < 0. then "-" else Printf.sprintf "%.0fs" eta
 
 let render_status_entry ppf (e : Fmc_dist.Protocol.status_entry) =
@@ -285,7 +278,7 @@ let render_status_entry ppf (e : Fmc_dist.Protocol.status_entry) =
       Printf.sprintf "%d/%d" e.Fmc_dist.Protocol.st_position e.Fmc_dist.Protocol.st_queue_len
   in
   Format.fprintf ppf "%-9s pos %s  %d/%d samples  %.0f samples/s  eta %s  %s%s"
-    (state_name e.Fmc_dist.Protocol.st_state)
+    (Fmc_dist.Protocol.state_token e.Fmc_dist.Protocol.st_state)
     position
     e.Fmc_dist.Protocol.st_samples_done e.Fmc_dist.Protocol.st_samples_total
     (Float.max 0. e.Fmc_dist.Protocol.st_rate)
@@ -303,7 +296,7 @@ let status_entry_json (e : Fmc_dist.Protocol.status_entry) =
   Printf.sprintf
     "{\"fingerprint\":\"%s\",\"state\":\"%s\",\"position\":%d,\"queue_len\":%d,\"samples_done\":%d,\"samples_total\":%d,\"rate\":%.3f,\"eta_s\":%.3f,\"detail\":\"%s\"}"
     (Fmc_obs.Jsonx.escape e.Fmc_dist.Protocol.st_fingerprint)
-    (state_name e.Fmc_dist.Protocol.st_state)
+    (Fmc_dist.Protocol.state_token e.Fmc_dist.Protocol.st_state)
     e.Fmc_dist.Protocol.st_position e.Fmc_dist.Protocol.st_queue_len
     e.Fmc_dist.Protocol.st_samples_done e.Fmc_dist.Protocol.st_samples_total
     e.Fmc_dist.Protocol.st_rate e.Fmc_dist.Protocol.st_eta_s

@@ -4,18 +4,19 @@
 
    Like Lease, this module is a pure state machine: no clock, no
    threads, no I/O. The caller (the campaign service) holds its own
-   lock around every call and injects [now]. Audit selection is drawn
+   lock around every call. Audit selection is drawn
    from [Rng.substream ~seed ~shard] where the seed derives from the
    campaign fingerprint, so which shards get audited is a pure function
    of (campaign, audit rate) — restart-stable, and consuming zero
    randomness from the engine's sample streams.
 
-   Lifecycle of one audited shard:
+   Lifecycle of one audited shard, each step after the first an audit
+   lease completing in the lease table (Fmc_dist.Lease):
 
      Clear --accept--> Due [primary]
-     Due --lease--> Auditing --complete--> Passed          (digests agree)
-                                       \-> Due (2 execs)   (dispute: needs arbiter)
-     Due (2 execs) --lease--> Auditing --complete--> Settled + verdict
+     Due --complete--> Passed          (digests agree)
+                   \-> Due (2 execs)   (dispute: needs arbiter)
+     Due (2 execs) --complete--> Settled + verdict
 
    A verdict names the minority executions (the liars). The caller
    quarantines those workers and, via [victims], invalidates every
@@ -23,14 +24,8 @@
 
 type exec = { ax_worker : string; ax_digest : string }
 
-type slot =
-  | Clear
-  | Due of exec list
-  | Auditing of { execs : exec list; auditor : string; epoch : int; deadline : float }
-  | Passed
-  | Settled
-
-type config = { rate : float; seed : int64; ttl_s : float }
+type slot = Clear | Due of exec list | Passed | Settled
+type config = { rate : float; seed : int64 }
 
 type t = {
   config : config;
@@ -63,62 +58,17 @@ let note_accept t ~shard ~worker ~digest =
 
 let ran_in execs worker = List.exists (fun e -> e.ax_worker = worker) execs
 
-let next_due t ~worker ~allow_self =
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else
-      match t.slots.(i) with
-      | Due execs when allow_self || not (ran_in execs worker) -> Some i
-      | _ -> go (i + 1)
-  in
-  go 0
-
-let lease t ~shard ~auditor ~epoch ~now =
+let due t ~shard ~worker ~allow_self =
   match t.slots.(shard) with
-  | Due execs ->
-      t.slots.(shard) <-
-        Auditing { execs; auditor; epoch; deadline = now +. t.config.ttl_s }
-  | _ -> invalid_arg "Audit.lease: shard is not due for audit"
-
-let audit_epoch t ~shard ~epoch =
-  shard >= 0 && shard < Array.length t.slots
-  &&
-  match t.slots.(shard) with
-  | Auditing a -> a.epoch = epoch
-  | _ -> false
-
-let heartbeat t ~shard ~epoch ~now =
-  match t.slots.(shard) with
-  | Auditing a when a.epoch = epoch ->
-      t.slots.(shard) <- Auditing { a with deadline = now +. t.config.ttl_s };
-      true
-  | _ -> false
-
-let release t ~shard ~epoch =
-  match t.slots.(shard) with
-  | Auditing a when a.epoch = epoch -> t.slots.(shard) <- Due a.execs
-  | _ -> ()
-
-let sweep t ~now =
-  let expired = ref 0 in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Auditing a when a.deadline < now ->
-          incr expired;
-          t.slots.(i) <- Due a.execs
-      | _ -> ())
-    t.slots;
-  !expired
+  | Due execs -> allow_self || not (ran_in execs worker)
+  | Clear | Passed | Settled -> false
 
 type verdict = { vd_liars : string list; vd_replace : bool }
 
-let complete t ~shard ~epoch ~worker ~digest =
+let complete t ~shard ~worker ~digest =
   match t.slots.(shard) with
-  | Auditing a when a.epoch = epoch -> (
-      let exec = { ax_worker = worker; ax_digest = digest } in
-      let execs = a.execs @ [ exec ] in
+  | Due execs -> (
+      let execs = execs @ [ { ax_worker = worker; ax_digest = digest } ] in
       match execs with
       | [ e1; e2 ] ->
           if e1.ax_digest = e2.ax_digest then (
@@ -149,7 +99,7 @@ let complete t ~shard ~epoch ~worker ~digest =
           t.slots.(shard) <- Settled;
           `Verdict { vd_liars = liars; vd_replace = replace }
       | _ -> invalid_arg "Audit.complete: impossible execution count")
-  | _ -> `Stale
+  | Clear | Passed | Settled -> invalid_arg "Audit.complete: shard is not due for audit"
 
 let invalidate t ~shard =
   t.slots.(shard) <- Clear;
@@ -168,7 +118,7 @@ let victims t ~worker =
 
 let pending t =
   Array.fold_left
-    (fun acc slot -> match slot with Due _ | Auditing _ -> acc + 1 | _ -> acc)
+    (fun acc slot -> match slot with Due _ -> acc + 1 | _ -> acc)
     0 t.slots
 
 let finished t = pending t = 0

@@ -1,6 +1,6 @@
 (** Untrusted-worker defense for distributed campaigns.
 
-    Three mechanisms, run by the campaign service ([Fmc_sched]):
+    Two mechanisms, run by the campaign service ([Fmc_sched]):
 
     - {b Result digests} ({!Check.result_digest}): every shard result
       carries an MD5 digest over its canonical tally encoding plus its
@@ -8,15 +8,18 @@
       A mismatch is a corrupt frame, charged to the worker's breaker.
     - {b Seeded audits}: a restart-stable fraction of accepted shards
       (drawn from [Rng.substream], zero engine-stream randomness) is
-      re-leased to a different worker. Digest disagreement triggers a
+      re-executed by a different worker. Digest disagreement triggers a
       third, arbitrating execution; the minority worker is quarantined
       and its unaudited accepted shards invalidated.
-    - {b Bookkeeping for speculation}: audit epochs ride the existing
-      lease epoch fence, so a straggler's late result and a speculative
-      duplicate resolve exactly like any other stale completion.
+
+    This module keeps only the verdict bookkeeping: which accepted
+    shards are due, passed or settled, who executed them and with which
+    digest. The re-executions themselves are audit leases in the
+    campaign's [Fmc_dist.Lease] table, with its epochs, deadlines and
+    fencing (DESIGN.md §10).
 
     Pure state machine: no clock, threads or I/O. The caller holds its
-    own lock around every call and injects [now]. *)
+    own lock around every call. *)
 
 (** One execution of a shard: who ran it, what digest they reported. *)
 type exec = { ax_worker : string; ax_digest : string }
@@ -24,7 +27,6 @@ type exec = { ax_worker : string; ax_digest : string }
 type config = {
   rate : float;  (** fraction of accepted shards to audit, in [0,1] *)
   seed : int64;  (** selection seed, derived from the campaign fingerprint *)
-  ttl_s : float;  (** audit lease TTL before the obligation is re-offered *)
 }
 
 type t
@@ -47,28 +49,12 @@ val note_accept : t -> shard:int -> worker:string -> digest:string -> bool
     {!invalidate}) replaces the primary and re-draws the same
     selection. *)
 
-val next_due : t -> worker:string -> allow_self:bool -> int option
-(** Lowest-numbered shard due for audit that [worker] has not already
-    executed. [allow_self] lifts the different-worker requirement (used
-    when the fleet has only one live worker, where an audit still
-    catches nondeterminism if not collusion). *)
-
-val lease : t -> shard:int -> auditor:string -> epoch:int -> now:float -> unit
-(** Move a due shard to auditing under lease [epoch] (the caller bumps
-    the shard's lease-table epoch and hands it out as a normal
-    assignment). Raises [Invalid_argument] if the shard is not due. *)
-
-val audit_epoch : t -> shard:int -> epoch:int -> bool
-(** Does a completion under [epoch] belong to an in-flight audit (as
-    opposed to a primary lease)? Routes the service's accept path. *)
-
-val heartbeat : t -> shard:int -> epoch:int -> now:float -> bool
-val release : t -> shard:int -> epoch:int -> unit
-(** Put an in-flight audit back to due (auditor disconnected or sent a
-    corrupt result). No-op unless [epoch] matches. *)
-
-val sweep : t -> now:float -> int
-(** Expire overdue audit leases back to due; returns how many. *)
+val due : t -> shard:int -> worker:string -> allow_self:bool -> bool
+(** Is [shard] due for an audit execution by [worker] — one that has
+    not already executed it? [allow_self] lifts the different-worker
+    requirement (used when the fleet has only one live worker, where an
+    audit still catches nondeterminism if not collusion). A due shard
+    stays due while its audit lease runs. *)
 
 type verdict = {
   vd_liars : string list;
@@ -81,13 +67,13 @@ type verdict = {
 val complete :
   t ->
   shard:int ->
-  epoch:int ->
   worker:string ->
   digest:string ->
   [ `Pass  (** re-execution matched the primary *)
   | `Dispute  (** two executions disagree; lease a third to arbitrate *)
-  | `Verdict of verdict  (** quorum reached *)
-  | `Stale  (** epoch fenced off — duplicate or superseded audit *) ]
+  | `Verdict of verdict  (** quorum reached *) ]
+(** Record [worker]'s audit execution of [shard], whose audit lease just
+    completed. Raises [Invalid_argument] if the shard is not due. *)
 
 val invalidate : t -> shard:int -> unit
 (** Forget everything about [shard] (its primary came from a liar); the
@@ -99,7 +85,7 @@ val victims : t -> worker:string -> int list
     quarantined. Sorted ascending. *)
 
 val pending : t -> int
-(** Audits due or in flight. The campaign is not finished (reports must
+(** Audits due, in flight or not. The campaign is not finished (reports must
     not be served) until this reaches zero. *)
 
 val finished : t -> bool
@@ -108,8 +94,9 @@ val finished : t -> bool
 type entry = { au_shard : int; au_worker : string; au_digest : string; au_passed : bool }
 
 val export : t -> entry list
-(** Sorted by shard. In-flight audit leases are not persisted — on
-    restart a selected, unvindicated shard is simply due again. *)
+(** Sorted by shard. Audit leases live in the lease table and are not
+    persisted — on restart a selected, unvindicated shard is simply due
+    again. *)
 
 val restore : config -> nshards:int -> entry list -> t
 

@@ -84,7 +84,6 @@ type entry = {
   blobs : (int, string) Hashtbl.t;
   quarantines : (int, Campaign.quarantine_entry list) Hashtbl.t;  (* by producing shard *)
   mutable audit : Audit.t;  (* replaced wholesale on checkpoint reattach *)
-  assigned_at : (int, float * string) Hashtbl.t;  (* shard -> (lease t0, holder) *)
   mutable phase : phase;
   mutable started_at : float option;
   mutable done_samples : int;
@@ -266,7 +265,7 @@ let ckpt_dir_of dir = Filename.concat dir "campaigns"
 let audit_seed ~fp = Int64.of_int (Crc32.string fp)
 
 let audit_config config ~fp =
-  { Audit.rate = config.audit_rate; seed = audit_seed ~fp; ttl_s = config.ttl_s }
+  { Audit.rate = config.audit_rate; seed = audit_seed ~fp }
 
 let make_entry config ~dir ?checkpoint spec =
   let fp = Protocol.spec_fingerprint spec in
@@ -287,7 +286,6 @@ let make_entry config ~dir ?checkpoint spec =
     blobs = Hashtbl.create 16;
     quarantines = Hashtbl.create 16;
     audit = Audit.create (audit_config config ~fp) ~nshards:(Array.length plan);
-    assigned_at = Hashtbl.create 16;
     phase = Active;
     started_at = None;
     done_samples = 0;
@@ -412,8 +410,7 @@ let invalidate_victims_entry e ~worker =
         e.done_samples <- e.done_samples - shard_len e shard
       end;
       Audit.invalidate e.audit ~shard;
-      Lease.reopen e.lease ~shard;
-      Hashtbl.remove e.assigned_at shard)
+      Lease.reopen e.lease ~shard)
     victims;
   List.length victims
 
@@ -573,7 +570,7 @@ let quarantine_worker t ~now worker =
     iter_ordered t (fun e ->
         if active e then begin
           let dropped = invalidate_victims_entry e ~worker in
-          ignore (Lease.release_worker e.lease ~worker : int list);
+          Lease.release_worker e.lease ~worker;
           if dropped > 0 then begin
             cadd t.mx.audit_invalidated (float_of_int dropped);
             save_ckpt t e
@@ -697,7 +694,6 @@ let sweep t ~now =
   iter_ordered t (fun e ->
       if active e then begin
         expire t e ~now;
-        ignore (Audit.sweep e.audit ~now : int);
         (match (e.started_at, t.config.wall_budget_s) with
         | Some s, budget when budget > 0. && now -. s > budget ->
             park t e
@@ -712,39 +708,24 @@ let sweep t ~now =
    the audit queue, so self-audit is allowed (it still catches
    nondeterminism). *)
 let audit_offer t e ~now ~worker ~alone =
-  match Audit.next_due e.audit ~worker ~allow_self:alone with
-  | None -> None
-  | Some shard ->
-      let epoch = Lease.bump_epoch e.lease ~shard in
-      Audit.lease e.audit ~shard ~auditor:worker ~epoch ~now;
-      cinc t.mx.audits;
-      let start, len = Lease.range e.lease ~shard in
-      Some { Lease.shard; epoch; start; len }
+  let a =
+    Lease.audit e.lease ~now ~worker ~due:(fun shard ->
+        Audit.due e.audit ~shard ~worker ~allow_self:alone)
+  in
+  if a <> None then cinc t.mx.audits;
+  a
 
-(* Straggler speculation: duplicate the oldest lease once its age
+(* Straggler speculation: duplicate the oldest sole lease once its age
    exceeds [speculate_factor] times the fleet's per-shard EWMA. First
    valid completion wins; the loser fences on its epoch. *)
 let speculate_offer t e ~now ~worker =
   match t.shard_ewma with
-  | Some ewma when t.config.speculate_factor > 0. && not (Lease.finished e.lease) ->
-      let threshold = t.config.speculate_factor *. ewma in
-      let worst = ref None in
-      Hashtbl.iter
-        (fun shard (t0, holder) ->
-          let age = now -. t0 in
-          if holder <> worker && age > threshold then
-            match !worst with
-            | Some (a, _) when a >= age -> ()
-            | _ -> worst := Some (age, shard))
-        e.assigned_at;
-      (match !worst with
-      | None -> None
-      | Some (_, shard) -> (
-          match Lease.speculate e.lease ~now ~shard ~worker with
-          | Some a ->
-              cinc t.mx.audit_speculations;
-              Some a
-          | None -> None))
+  | Some ewma when t.config.speculate_factor > 0. ->
+      let a =
+        Lease.speculate e.lease ~now ~worker ~older_than:(t.config.speculate_factor *. ewma)
+      in
+      if a <> None then cinc t.mx.audit_speculations;
+      a
   | _ -> None
 
 let next_job ?(alone = false) t ~now ~worker ~scope =
@@ -759,7 +740,6 @@ let next_job ?(alone = false) t ~now ~worker ~scope =
         | `Assign a ->
             if e.started_at = None then e.started_at <- Some now;
             cinc t.mx.leases_issued;
-            Hashtbl.replace e.assigned_at a.Lease.shard (now, worker);
             Some (`Job (e.spec, a))
         | `Finished | `Wait -> (
             match audit_offer t e ~now ~worker ~alone with
@@ -820,9 +800,7 @@ let heartbeat t ~now ~worker ~fingerprint ~shard ~epoch =
     | None -> false
     | Some e -> (
         match e.phase with
-        | Active | Parked _ ->
-            Audit.heartbeat e.audit ~shard ~epoch ~now
-            || Lease.heartbeat e.lease ~now ~shard ~epoch = `Ok
+        | Active | Parked _ -> Lease.heartbeat e.lease ~now ~shard ~epoch = `Ok
         | Finished | Cancelled -> false)
   in
   if live then begin
@@ -853,66 +831,57 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                      corruption or a clumsy lie. Refuse without consuming
                      the shard's completion and put the lease back. *)
                   note_mismatch t ~now worker;
-                  Audit.release e.audit ~shard ~epoch;
                   Lease.release e.lease ~shard ~epoch;
                   `Mismatch
-              | _ ->
-                  if Audit.audit_epoch e.audit ~shard ~epoch then (
-                    match Audit.complete e.audit ~shard ~epoch ~worker ~digest:computed with
-                    | `Pass ->
-                        note_success t ~now ~worker;
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        `Audited "audit pass"
-                    | `Dispute ->
-                        cinc t.mx.audit_disputes;
-                        `Audited "audit dispute: arbitrating"
-                    | `Verdict { Audit.vd_liars; vd_replace } ->
-                        if vd_replace then begin
-                          (* The accepted primary was the lie; the
-                             arbiter's result in hand is the honest one. *)
-                          Hashtbl.replace e.blobs shard tally;
-                          if quarantined = [] then Hashtbl.remove e.quarantines shard
-                          else Hashtbl.replace e.quarantines shard quarantined
-                        end;
-                        List.iter (quarantine_worker t ~now) vd_liars;
-                        if not (List.mem worker vd_liars) then note_success t ~now ~worker;
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        `Audited "audit verdict"
-                    | `Stale ->
-                        cinc t.mx.stale_results;
-                        `Stale)
-                  else
-                    match Lease.complete e.lease ~shard ~epoch with
-                    | `Accepted ->
-                        Hashtbl.replace e.blobs shard tally;
-                        if quarantined = [] then Hashtbl.remove e.quarantines shard
-                        else Hashtbl.replace e.quarantines shard quarantined;
-                        e.done_samples <- e.done_samples + shard_len e shard;
-                        Rate.observe t.rate ~now (float_of_int (shard_len e shard));
-                        cinc t.mx.shards_completed;
-                        (match Hashtbl.find_opt e.assigned_at shard with
-                        | Some (t0, _) ->
-                            let dt = Float.max 0. (now -. t0) in
-                            Option.iter (fun h -> Metrics.observe h dt) t.mx.roundtrip;
-                            t.shard_ewma <-
-                              Some
-                                (match t.shard_ewma with
-                                | None -> dt
-                                | Some old -> (0.7 *. old) +. (0.3 *. dt));
-                            Hashtbl.remove e.assigned_at shard
-                        | None -> ());
-                        note_success t ~now ~worker;
-                        ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        refresh_gauges t;
-                        `Accepted
-                    | `Stale ->
-                        cinc t.mx.stale_results;
-                        `Stale
-                    | (`Duplicate | `Unknown) as r -> r)))
+              | _ -> (
+                  match Lease.complete e.lease ~shard ~epoch with
+                  | `Accepted { Lease.kind = Lease.Audit; _ } -> (
+                      match Audit.complete e.audit ~shard ~worker ~digest:computed with
+                      | `Pass ->
+                          note_success t ~now ~worker;
+                          save_ckpt t e;
+                          if e.phase = Active then finalize t e ~now;
+                          `Audited "audit pass"
+                      | `Dispute ->
+                          cinc t.mx.audit_disputes;
+                          `Audited "audit dispute: arbitrating"
+                      | `Verdict { Audit.vd_liars; vd_replace } ->
+                          if vd_replace then begin
+                            (* The accepted primary was the lie; the
+                               arbiter's result in hand is the honest one. *)
+                            Hashtbl.replace e.blobs shard tally;
+                            if quarantined = [] then Hashtbl.remove e.quarantines shard
+                            else Hashtbl.replace e.quarantines shard quarantined
+                          end;
+                          List.iter (quarantine_worker t ~now) vd_liars;
+                          if not (List.mem worker vd_liars) then note_success t ~now ~worker;
+                          save_ckpt t e;
+                          if e.phase = Active then finalize t e ~now;
+                          `Audited "audit verdict")
+                  | `Accepted l ->
+                      Hashtbl.replace e.blobs shard tally;
+                      if quarantined = [] then Hashtbl.remove e.quarantines shard
+                      else Hashtbl.replace e.quarantines shard quarantined;
+                      e.done_samples <- e.done_samples + shard_len e shard;
+                      Rate.observe t.rate ~now (float_of_int (shard_len e shard));
+                      cinc t.mx.shards_completed;
+                      let dt = Float.max 0. (now -. l.Lease.started) in
+                      Option.iter (fun h -> Metrics.observe h dt) t.mx.roundtrip;
+                      t.shard_ewma <-
+                        Some
+                          (match t.shard_ewma with
+                          | None -> dt
+                          | Some old -> (0.7 *. old) +. (0.3 *. dt));
+                      note_success t ~now ~worker;
+                      ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
+                      save_ckpt t e;
+                      if e.phase = Active then finalize t e ~now;
+                      refresh_gauges t;
+                      `Accepted
+                  | `Stale ->
+                      cinc t.mx.stale_results;
+                      `Stale
+                  | (`Duplicate | `Unknown) as r -> r))))
 
 (* -- reports and status -------------------------------------------------- *)
 

@@ -110,14 +110,14 @@ val next_job :
     campaign; a concrete fingerprint — one the service {!holds}, as the
     Hello check guarantees; [Not_found] otherwise — serves only that
     campaign, and answers [`Wait] while draining, since the campaign
-    will resume under the next service. Overdue leases are expired on
-    the way (counted on [fmc_dist_leases_expired_total] and charged to
-    their holder's breaker). With [audit_rate] > 0, a campaign whose
-    shards are all done may still hand out audit re-executions (under
-    fresh lease epochs), to a worker other than the shard's producers
-    unless [alone] (default false) says it is the only healthy worker
-    connected; with [speculate_factor] > 0, a straggling shard may be
-    speculatively duplicated. *)
+    will resume under the next service. Overdue leases of every kind
+    are expired on the way (counted on [fmc_dist_leases_expired_total]
+    and charged to their holder's breaker). With [audit_rate] > 0, a
+    campaign with no open shard may still hand out audit leases on done
+    shards, to a worker other than the shard's producers unless [alone]
+    (default false) says it is the only healthy worker connected; with
+    [speculate_factor] > 0, the oldest straggling shard without a
+    duplicate may be speculatively duplicated. *)
 
 val heartbeat :
   t ->
@@ -151,10 +151,11 @@ val complete :
     blob does not decode — refused without consuming the shard's one
     completion. [digest] is the worker's carried digest (if any); it is
     always recomputed server-side, and a disagreement is a [`Mismatch]
-    strike against [worker] (three strikes quarantine it). Completions
-    under an audit epoch settle the audit instead of the lease; a quorum
-    verdict quarantines the minority worker and invalidates its
-    unvindicated shards across every active campaign. *)
+    strike against [worker] (three strikes quarantine it). A completion
+    under an audit lease settles the audit instead of the shard; a
+    quorum verdict quarantines the minority worker, drops every lease it
+    holds and invalidates its unvindicated shards across every active
+    campaign. *)
 
 (** {2 Worker health} *)
 
@@ -196,7 +197,7 @@ type summary = {
   sm_queue_depth : int;  (** campaigns queued or running *)
   sm_shards_done : int;  (** over every campaign held *)
   sm_shards_total : int;
-  sm_in_flight : int;  (** live shard leases *)
+  sm_in_flight : int;  (** shards with a live lease, audit leases included *)
   sm_audits_pending : int;  (** audit re-executions due or in flight *)
   sm_breakers_open : int;
   sm_banned : int;  (** quarantined workers *)
@@ -214,10 +215,14 @@ val sweep : t -> now:float -> unit
 val drain : t -> unit
 (** Stop issuing leases ({!next_job} answers [`Drained] to the pool and
     [`Wait] to an unfinished campaign's own workers); in-flight shards
-    still heartbeat and complete. *)
+    and audits still heartbeat and complete. *)
 
 val draining : t -> bool
+
 val in_flight : t -> int
+(** Shards with a live lease (audit leases included) in active
+    campaigns. *)
+
 val idle : t -> bool
 (** No campaign is queued or running (finished/parked/cancelled only). *)
 

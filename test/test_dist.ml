@@ -210,19 +210,49 @@ let test_lease_lifecycle () =
   | _ -> Alcotest.fail "expected shard 0 epoch 2");
   Alcotest.(check bool) "stale complete fenced" true
     (Lease.complete t ~shard:0 ~epoch:1 = `Stale);
-  Alcotest.(check bool) "current complete accepted" true
-    (Lease.complete t ~shard:0 ~epoch:2 = `Accepted);
+  let accepted kind ~shard ~epoch =
+    match Lease.complete t ~shard ~epoch with `Accepted l -> l.Lease.kind = kind | _ -> false
+  in
+  Alcotest.(check bool) "current complete accepted" true (accepted Lease.First ~shard:0 ~epoch:2);
   Alcotest.(check bool) "re-delivery is duplicate" true
     (Lease.complete t ~shard:0 ~epoch:2 = `Duplicate);
   Alcotest.(check bool) "unknown shard" true (Lease.complete t ~shard:99 ~epoch:1 = `Unknown);
+  (* a straggler on shard 1 gets one speculative duplicate, which wins *)
+  (match Lease.acquire t ~now:20. ~worker:"b" with
+  | `Assign { Lease.shard = 1; epoch = 1; _ } -> ()
+  | _ -> Alcotest.fail "expected shard 1 epoch 1");
+  let spec ~now worker = Lease.speculate t ~now ~worker ~older_than:1. in
+  Alcotest.(check bool) "no duplicate of a young lease" true (spec ~now:20.5 "c" = None);
+  Alcotest.(check bool) "no duplicate for the holder" true (spec ~now:22. "b" = None);
+  (match spec ~now:22. "c" with
+  | Some { Lease.shard = 1; epoch = 2; _ } -> ()
+  | _ -> Alcotest.fail "expected a duplicate of shard 1 under epoch 2");
+  Alcotest.(check bool) "one duplicate per shard" true (spec ~now:22. "d" = None);
+  Alcotest.(check int) "a duplicated shard is in flight once" 1 (Lease.in_flight t);
+  Alcotest.(check bool) "duplicate heartbeats" true
+    (Lease.heartbeat t ~now:23. ~shard:1 ~epoch:2 = `Ok);
+  Alcotest.(check bool) "the duplicate wins" true (accepted Lease.Speculative ~shard:1 ~epoch:2);
+  Alcotest.(check bool) "the straggler's heartbeat is fenced" true
+    (Lease.heartbeat t ~now:23. ~shard:1 ~epoch:1 = `Stale);
+  Alcotest.(check bool) "the straggler's result is fenced" true
+    (Lease.complete t ~shard:1 ~epoch:1 = `Stale);
+  (* an audit re-run of a done shard leaves its accepted result alone *)
+  let audit ~now worker = Lease.audit t ~now ~worker ~due:(fun shard -> shard <> 1) in
+  (match audit ~now:23. "c" with
+  | Some { Lease.shard = 0; epoch = 3; _ } -> ()
+  | _ -> Alcotest.fail "expected an audit of shard 0 under epoch 3");
+  Alcotest.(check bool) "one audit per shard, none of an open one" true (audit ~now:23. "d" = None);
+  Alcotest.(check int) "the audit is in flight" 1 (Lease.in_flight t);
+  Alcotest.(check bool) "audit heartbeats" true (Lease.heartbeat t ~now:24. ~shard:0 ~epoch:3 = `Ok);
+  Alcotest.(check bool) "the audit completes as an audit" true (accepted Lease.Audit ~shard:0 ~epoch:3);
+  Alcotest.(check int) "an audit accepts no shard" 2 (Lease.completed t);
+  Alcotest.(check bool) "the accepted epoch still dedups" true
+    (Lease.complete t ~shard:0 ~epoch:2 = `Duplicate);
   (* drain the rest *)
-  List.iter
-    (fun _ ->
-      match Lease.acquire t ~now:20. ~worker:"b" with
-      | `Assign { Lease.shard; epoch; _ } ->
-          Alcotest.(check bool) "accepted" true (Lease.complete t ~shard ~epoch = `Accepted)
-      | _ -> Alcotest.fail "expected an assignment")
-    [ (); () ];
+  (match Lease.acquire t ~now:25. ~worker:"b" with
+  | `Assign { Lease.shard; epoch; _ } ->
+      Alcotest.(check bool) "accepted" true (accepted Lease.First ~shard ~epoch)
+  | _ -> Alcotest.fail "expected an assignment");
   Alcotest.(check bool) "finished" true (Lease.finished t);
   Alcotest.(check bool) "acquire after finish" true
     (Lease.acquire t ~now:21. ~worker:"c" = `Finished)
@@ -252,18 +282,36 @@ let test_fencing_exactly_once () =
   | `Assign { Lease.shard = 0; epoch = 1; _ } -> ()
   | _ -> Alcotest.fail "expected shard 0");
   Alcotest.(check int) "lease expires" 1 (List.length (Lease.sweep_expired lease ~now:2.));
-  (* worker b drains everything under live epochs *)
+  let accepted ~shard ~epoch =
+    match Lease.complete lease ~shard ~epoch with `Accepted _ -> true | _ -> false
+  in
+  (* worker b drains everything under live epochs, but c's speculative
+     duplicate of shard 1 wins that one and fences b's result *)
   let rec drain now =
     match Lease.acquire lease ~now ~worker:"b" with
     | `Assign { Lease.shard; epoch; _ } ->
         let blob = run_one shard in
-        Alcotest.(check bool) "accepted" true (Lease.complete lease ~shard ~epoch = `Accepted);
+        (if shard <> 1 then Alcotest.(check bool) "accepted" true (accepted ~shard ~epoch)
+         else
+           match Lease.speculate lease ~now:(now +. 0.5) ~worker:"c" ~older_than:0.2 with
+           | Some { Lease.shard = 1; epoch = dup; _ } ->
+               Alcotest.(check bool) "duplicate accepted" true (accepted ~shard ~epoch:dup);
+               Alcotest.(check bool) "straggler fenced" true
+                 (Lease.complete lease ~shard ~epoch = `Stale)
+           | _ -> Alcotest.fail "expected a duplicate of shard 1");
         Hashtbl.replace blobs shard blob;
         drain (now +. 0.1)
     | `Finished -> ()
     | `Wait -> Alcotest.fail "unexpected wait"
   in
   drain 2.;
+  (* an audit re-run of shard 0 completes without a second acceptance *)
+  (match Lease.audit lease ~now:3. ~worker:"c" ~due:(fun shard -> shard = 0) with
+  | Some { Lease.shard = 0; epoch; _ } -> (
+      match Lease.complete lease ~shard:0 ~epoch with
+      | `Accepted { Lease.kind = Lease.Audit; _ } -> ()
+      | _ -> Alcotest.fail "the audit must complete as an audit")
+  | _ -> Alcotest.fail "expected an audit lease on shard 0");
   (* worker a's zombie result arrives after the fact: fenced *)
   Alcotest.(check bool) "zombie fenced" true (Lease.complete lease ~shard:0 ~epoch:1 = `Stale);
   Alcotest.(check int) "every shard exactly once" (Array.length plan) (Lease.completed lease);

@@ -284,6 +284,136 @@ let test_straggler_speculation () =
   | _ -> Alcotest.fail "the straggler's late result must be fenced");
   Alcotest.(check (float 0.)) "stale result counted" 1.
     (metric reg "fmc_dist_stale_results_total");
+  (* Round trips of 1 s, 1 s and the duplicate's own 0.5 s. *)
+  (match Fmc_obs.Metrics.find (Fmc_obs.Metrics.snapshot reg) "fmc_dist_shard_roundtrip_seconds" with
+  | Some (Fmc_obs.Metrics.Histo h) ->
+      Alcotest.(check (float 1e-9)) "round trips timed from the winning lease" 2.5
+        h.Fmc_obs.Metrics.sum
+  | _ -> Alcotest.fail "missing round-trip histogram");
+  (match Sched.report sched ~fingerprint:fp with
+  | Some (blobs, _, _) ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | None -> Alcotest.fail "campaign must be finished");
+  Sched.shutdown sched
+
+(* Once the oldest straggler has its duplicate, the next idle worker
+   duplicates the next straggler. *)
+let test_speculation_duplicates_every_straggler () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let reg = Fmc_obs.Metrics.create () in
+  let obs = Fmc_obs.Obs.create ~metrics:reg () in
+  let config = { Sched.default_config with Sched.speculate_factor = 2.; ttl_s = 100. } in
+  let sched = Sched.create ~obs config ~dir ~now:0. in
+  let s = spec ~samples:60 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  let ask ~now worker =
+    match Sched.next_job sched ~now ~worker ~scope:fp with
+    | `Job (_, a) -> Some a.Lease.shard
+    | _ -> None
+  in
+  (* Shard 0 takes 1 s, so the EWMA reads 1 s. *)
+  (match Sched.next_job sched ~now:0. ~worker:"a" ~scope:fp with
+  | `Job (sp, a) -> run_job ~worker:"a" sched ~now:1. e prep sp a
+  | _ -> Alcotest.fail "lease shard 0");
+  Alcotest.(check (option int)) "shard 1 leased at 1.0 s" (Some 1) (ask ~now:1.0 "a");
+  Alcotest.(check (option int)) "shard 2 leased at 1.2 s" (Some 2) (ask ~now:1.2 "b");
+  Alcotest.(check (option int)) "the oldest straggler first" (Some 1) (ask ~now:5. "c");
+  Alcotest.(check (option int)) "then the other straggler" (Some 2) (ask ~now:5. "d");
+  Alcotest.(check (option int)) "one duplicate each" None (ask ~now:6. "e");
+  Alcotest.(check (float 0.)) "both speculations counted" 2.
+    (metric reg "fmc_audit_speculations_total");
+  Sched.shutdown sched
+
+(* An audit lease that misses its heartbeats expires like a first lease:
+   counted, and charged to its holder's breaker. *)
+let test_audit_lease_expiry_charged () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let reg = Fmc_obs.Metrics.create () in
+  let obs = Fmc_obs.Obs.create ~metrics:reg () in
+  let config =
+    {
+      Sched.default_config with
+      Sched.audit_rate = 1.0;
+      ttl_s = 10.;
+      breaker = { Breaker.failure_threshold = 1; cooldown_s = 60. };
+    }
+  in
+  let sched = Sched.create ~obs config ~dir ~now:0. in
+  let s = spec () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  let job ~now worker =
+    match Sched.next_job sched ~now ~worker ~scope:fp with
+    | `Job (sp, a) -> (sp, a)
+    | _ -> Alcotest.failf "%s expected a lease" worker
+  in
+  let sp, a = job ~now:0. "alice" in
+  run_job ~worker:"alice" sched ~now:1. e prep sp a;
+  let _, first = job ~now:1. "alice" in
+  let _, audit = job ~now:2. "bob" in
+  Alcotest.(check (pair int int)) "alice holds shard 1, bob audits shard 0" (1, 0)
+    (first.Lease.shard, audit.Lease.shard);
+  Sched.sweep sched ~now:20.;
+  Alcotest.(check (float 0.)) "both leases expired" 2. (metric reg "fmc_dist_leases_expired_total");
+  Alcotest.(check (pair bool bool)) "both holders charged" (false, false)
+    (Sched.healthy sched ~now:20. ~worker:"alice", Sched.healthy sched ~now:20. ~worker:"bob");
+  Sched.shutdown sched
+
+(* A worker quarantined while it holds an audit lease loses it at once:
+   an honest worker is offered that audit without waiting out the TTL. *)
+let test_quarantine_frees_audit_leases () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let config = { Sched.default_config with Sched.audit_rate = 1.0; ttl_s = 30. } in
+  let sched = Sched.create config ~dir ~now:0. in
+  let s = spec ~samples:60 () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  Alcotest.(check int) "three shards accepted" 3 (pump sched ~now:1. e prep ~scope:fp);
+  let take () =
+    match Sched.next_job sched ~now:2. ~worker:"mallory" ~scope:fp with
+    | `Job (_, a) -> a
+    | _ -> Alcotest.fail "mallory expected an audit lease"
+  in
+  Alcotest.(check int) "mallory holds shard 0's audit" 0 (take ()).Lease.shard;
+  (* Three forged digests on shard 1's audit quarantine mallory. *)
+  for _ = 1 to 3 do
+    let a = take () in
+    let sh =
+      Campaign.run_shard e prep ~seed:s.Protocol.sp_seed ~shard:a.Lease.shard ~start:a.Lease.start
+        ~len:a.Lease.len
+    in
+    match
+      Sched.complete sched ~now:2. ~fingerprint:fp ~shard:a.Lease.shard ~epoch:a.Lease.epoch
+        ~worker:"mallory" ~digest:(Some "forged")
+        ~tally:(Ssf.Tally.to_string sh.Campaign.sh_snapshot)
+        ~quarantined:sh.Campaign.sh_quarantined
+    with
+    | `Mismatch -> ()
+    | _ -> Alcotest.fail "a forged digest must be refused"
+  done;
+  Alcotest.(check bool) "mallory quarantined" true (Sched.is_banned sched ~worker:"mallory");
+  let audited = ref [] in
+  let rec drain () =
+    match Sched.next_job sched ~now:3. ~worker:"bob" ~scope:fp with
+    | `Job (sp, a) ->
+        audited := a.Lease.shard :: !audited;
+        run_job ~worker:"bob" sched ~now:3. e prep sp a;
+        drain ()
+    | `Drained -> ()
+    | `Wait -> Alcotest.failf "bob waits after auditing [%s]"
+                 (String.concat ";" (List.rev_map string_of_int !audited))
+    | `Banned -> Alcotest.fail "bob banned"
+  in
+  drain ();
+  Alcotest.(check (list int)) "bob audits every shard" [ 0; 1; 2 ] (List.sort compare !audited);
   (match Sched.report sched ~fingerprint:fp with
   | Some (blobs, _, _) ->
       Alcotest.(check string) "report bit-identical" (reference_json e prep s)
@@ -1022,6 +1152,11 @@ let () =
           Alcotest.test_case "drain stops leasing" `Quick test_drain_stops_leasing;
           Alcotest.test_case "straggler duplicated, loser fenced" `Quick
             test_straggler_speculation;
+          Alcotest.test_case "every straggler duplicated" `Quick
+            test_speculation_duplicates_every_straggler;
+          Alcotest.test_case "expired audit lease charged" `Quick test_audit_lease_expiry_charged;
+          Alcotest.test_case "quarantine frees audit leases" `Quick
+            test_quarantine_frees_audit_leases;
         ] );
       ( "recovery",
         [
