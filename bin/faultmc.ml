@@ -1309,39 +1309,34 @@ let worker_cmd =
       stop_chaos ();
       if code <> 0 then exit code
     in
-    let campaign () =
-      if pool then
-        (* Pool mode: the scheduler names each job's campaign in its
-           spec; resolve benchmarks/strategies from those names. *)
-        let resolve (spec : Fmc_dist.Protocol.spec) =
-          match
-            (benchmark_of_name spec.Fmc_dist.Protocol.sp_benchmark,
-             strategy_of_name spec.Fmc_dist.Protocol.sp_strategy,
-             Fmc_fault.Registry.parse spec.Fmc_dist.Protocol.sp_fault_model)
-          with
-          | None, _, _ ->
-              Error (Printf.sprintf "unknown benchmark %S" spec.Fmc_dist.Protocol.sp_benchmark)
-          | _, None, _ ->
-              Error (Printf.sprintf "unknown strategy %S" spec.Fmc_dist.Protocol.sp_strategy)
-          | _, _, Error e -> Error (Fmc_fault.Registry.error_message e)
-          | Some b, Some s, Ok m ->
-              let engine, prep = prepared ctx b s in
-              Ok (engine, prep, Fmc_fault.Model.injector m)
-        in
-        Fmc_dist.Worker.run_pool ~obs ~on_reconnect config ~resolve ()
-      else begin
-        let engine, prep = prepared ctx benchmark strategy in
-        let fingerprint =
-          Fmc_dist.Protocol.spec_fingerprint
-            (spec_of_args
-               ~fault_model:(Fmc_fault.Model.canonical model)
-               ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ())
-        in
-        Fmc_dist.Worker.run ~obs ?sample_budget ~inject:(Fmc_fault.Model.injector model)
-          ~on_reconnect config ~fingerprint engine prep ~seed
-      end
+    (* Every job names its campaign in its spec; resolve benchmarks,
+       strategies and fault models from those names. [--pool] only picks
+       the Hello scope: any campaign the service holds, or the one the
+       campaign options name. *)
+    let resolve (spec : Fmc_dist.Protocol.spec) =
+      match
+        ( benchmark_of_name spec.Fmc_dist.Protocol.sp_benchmark,
+          strategy_of_name spec.Fmc_dist.Protocol.sp_strategy,
+          Fmc_fault.Registry.parse spec.Fmc_dist.Protocol.sp_fault_model )
+      with
+      | None, _, _ ->
+          Error (Printf.sprintf "unknown benchmark %S" spec.Fmc_dist.Protocol.sp_benchmark)
+      | _, None, _ ->
+          Error (Printf.sprintf "unknown strategy %S" spec.Fmc_dist.Protocol.sp_strategy)
+      | _, _, Error e -> Error (Fmc_fault.Registry.error_message e)
+      | Some b, Some s, Ok m ->
+          let engine, prep = prepared ctx b s in
+          Ok (engine, prep, Fmc_fault.Model.injector m)
     in
-    match campaign () with
+    let scope =
+      if pool then Fmc_dist.Protocol.pool_fingerprint
+      else
+        Fmc_dist.Protocol.spec_fingerprint
+          (spec_of_args
+             ~fault_model:(Fmc_fault.Model.canonical model)
+             ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ())
+    in
+    match Fmc_dist.Worker.run ~obs ~on_reconnect config ~scope ~resolve with
     | accepted ->
         Format.fprintf ppf "worker %s: %d shard result(s) accepted@." name accepted;
         flush_obs_outputs ~metrics_out ~trace_out obs;
@@ -1368,9 +1363,11 @@ let worker_cmd =
       value & flag
       & info [ "pool" ]
           ~doc:
-            "Shared-pool mode against a multi-campaign scheduler ($(b,faultmc sched)): lease \
-             shards from whichever campaign the scheduler picks (its job messages carry the \
-             campaign spec), until it drains. The campaign-identity options are ignored.")
+            "Shared-pool mode: hello with the pool scope and lease shards from whichever \
+             campaign the service picks ($(b,faultmc sched)'s queue, or $(b,faultmc serve)'s one \
+             campaign), until it drains. Every job carries its campaign spec either way; the \
+             campaign-identity options, which otherwise name the one campaign to lease from, are \
+             ignored.")
   in
   let sample_budget =
     Arg.(

@@ -18,8 +18,8 @@
     v}
 
     [lie] models a lying (not merely faulty) worker: the proxy
-    reassembles protocol frames and, on a result frame
-    (Shard_done/Job_done), rewrites the tally payload while recomputing
+    reassembles protocol frames and, on a result frame ([Job_done]),
+    rewrites the tally payload while recomputing
     the CRC-32 — the frame arrives intact by every transport check and
     only {!Fmc_audit}'s digest/quorum defenses can catch it. *)
 

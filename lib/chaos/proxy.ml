@@ -101,7 +101,7 @@ let put_u32 buf off v = Bytes.set_int32_be buf off (Int32.of_int v)
 let lie_rewrite frame =
   let word = get_u32 frame 0 in
   let tag = Bytes.get frame 4 in
-  if (tag <> 'D' && tag <> 'j') || word < 4 then None
+  if tag <> 'j' || word < 4 then None
   else begin
     let payload = Bytes.sub_string frame 9 (word - 4) in
     (* Locate the "tally N" header line, then the line after it. *)

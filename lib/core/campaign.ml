@@ -5,17 +5,7 @@ module Metrics = Fmc_obs.Metrics
 
 type disposition = Crashed of string | Timed_out
 
-type quarantine_entry = {
-  q_index : int;
-  q_disposition : disposition;
-  q_stratum : Sampler.stratum;
-  q_t : int;
-  q_center : Fmc_netlist.Netlist.node;
-  q_radius : float;
-  q_width : float;
-  q_time_frac : float;
-  q_weight : float;
-}
+type quarantine_entry = { q_index : int; q_disposition : disposition; q_sample : Sampler.sample }
 
 type config = {
   checkpoint_path : string option;
@@ -137,11 +127,13 @@ let journal_line (q : quarantine_entry) =
     | Timed_out -> ("timed_out", "per-sample cycle budget exhausted")
     | Crashed msg -> ("crashed", msg)
   in
+  let s = q.q_sample in
   Printf.sprintf
     "{\"index\":%d,\"disposition\":%s,\"error\":%s,\"sample\":{\"stratum\":%s,\"t\":%d,\"center\":%d,\"radius\":%.17g,\"width\":%.17g,\"time_frac\":%.17g,\"weight\":%.17g}}"
     q.q_index (json_string disposition) (json_string error)
-    (json_string (Sampler.stratum_name q.q_stratum))
-    q.q_t q.q_center q.q_radius q.q_width q.q_time_frac q.q_weight
+    (json_string (Sampler.stratum_name s.Sampler.stratum))
+    s.Sampler.t s.Sampler.center s.Sampler.radius s.Sampler.width s.Sampler.time_frac
+    s.Sampler.weight
 
 (* Compact single-line quarantine-entry codec, shared by the distributed
    wire protocol and the coordinator checkpoint. Numeric fields are fixed
@@ -149,12 +141,13 @@ let journal_line (q : quarantine_entry) =
    the line, with newlines flattened so the entry stays one line. *)
 
 let quarantine_entry_to_string (q : quarantine_entry) =
+  let s = q.q_sample in
   let base =
     Printf.sprintf "%d %s %s %d %d %s %s %s %s" q.q_index
       (match q.q_disposition with Timed_out -> "timed_out" | Crashed _ -> "crashed")
-      (Sampler.stratum_name q.q_stratum)
-      q.q_t q.q_center (Record.hexf q.q_radius) (Record.hexf q.q_width) (Record.hexf q.q_time_frac)
-      (Record.hexf q.q_weight)
+      (Sampler.stratum_name s.Sampler.stratum)
+      s.Sampler.t s.Sampler.center (Record.hexf s.Sampler.radius) (Record.hexf s.Sampler.width)
+      (Record.hexf s.Sampler.time_frac) (Record.hexf s.Sampler.weight)
   in
   match q.q_disposition with
   | Timed_out -> base
@@ -182,13 +175,7 @@ let quarantine_entry_of_string line =
               {
                 q_index = index;
                 q_disposition = disposition;
-                q_stratum = stratum;
-                q_t = t;
-                q_center = center;
-                q_radius = radius;
-                q_width = width;
-                q_time_frac = time_frac;
-                q_weight = weight;
+                q_sample = { Sampler.t; center; radius; width; time_frac; weight; stratum };
               }
           in
           match (disposition, rest) with
@@ -203,7 +190,7 @@ let quarantine_entry_of_string line =
 (* Supervised per-sample evaluation: {!Ssf.run_samples} with a
    quarantine sink that keeps the entry list (and journal) of a run. *)
 
-let quarantine_sink ?journal entries i (sample : Sampler.sample) reason e =
+let quarantine_sink ?journal entries i sample reason e =
   let entry =
     {
       q_index = i;
@@ -211,13 +198,7 @@ let quarantine_sink ?journal entries i (sample : Sampler.sample) reason e =
         (match reason with
         | Ssf.Q_timed_out -> Timed_out
         | Ssf.Q_crashed -> Crashed (Printexc.to_string e));
-      q_stratum = sample.Sampler.stratum;
-      q_t = sample.Sampler.t;
-      q_center = sample.Sampler.center;
-      q_radius = sample.Sampler.radius;
-      q_width = sample.Sampler.width;
-      q_time_frac = sample.Sampler.time_frac;
-      q_weight = sample.Sampler.weight;
+      q_sample = sample;
     }
   in
   entries := entry :: !entries;

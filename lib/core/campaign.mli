@@ -54,13 +54,7 @@ type disposition =
 type quarantine_entry = {
   q_index : int;  (** 1-based sample index within the campaign *)
   q_disposition : disposition;
-  q_stratum : Sampler.stratum;
-  q_t : int;
-  q_center : Fmc_netlist.Netlist.node;
-  q_radius : float;
-  q_width : float;
-  q_time_frac : float;
-  q_weight : float;
+  q_sample : Sampler.sample;  (** the drawn sample that failed *)
 }
 
 type config = {

@@ -4,11 +4,13 @@
    shard: each new lease, of whatever kind, is issued under the next
    one. When a lease expires (no heartbeat before the deadline) it is
    dropped, and a completion arriving later from the presumed-dead
-   worker fences on its stale epoch. Exactly one first or speculative
-   completion is ever accepted per shard, which is what makes the
-   merged report independent of worker deaths, duplicates and
-   re-deliveries; an audit lease only ever runs on a done shard, so its
-   completion can never be mistaken for the accepted result.
+   worker fences on its stale epoch. A lease answers only its holder:
+   another worker's heartbeat, completion or release under the same
+   epoch is stale. Exactly one first or speculative completion is ever
+   accepted per shard, which is what makes the merged report
+   independent of worker deaths, duplicates and re-deliveries; an audit
+   lease only ever runs on a done shard, so its completion can never be
+   mistaken for the accepted result.
 
    The table is pure state over an injected clock (`now` parameters), so
    the fencing logic is unit-testable without timers. Thread safety is
@@ -42,7 +44,10 @@ let finished t = t.done_count = total t
 let in_flight t = Array.fold_left (fun n s -> if s.live = [] then n else n + 1) 0 t.shards
 let valid t shard = shard >= 0 && shard < total t
 let check t ~shard what = if not (valid t shard) then invalid_arg (what ^ ": bad shard")
-let live s epoch = List.find_opt (fun (l : lease) -> l.epoch = epoch) s.live
+(* The live lease under [epoch], if [worker] holds it: a lease answers
+   only its holder. *)
+let live s ~worker epoch =
+  List.find_opt (fun (l : lease) -> l.epoch = epoch && l.worker = worker) s.live
 
 let issue t i kind ~now ~worker =
   let s = t.shards.(i) in
@@ -81,21 +86,21 @@ let audit t ~now ~worker ~due =
   find t (fun i s -> s.accepted <> None && s.live = [] && due i)
   |> Option.map (fun i -> issue t i Audit ~now ~worker)
 
-let heartbeat t ~now ~shard ~epoch =
+let heartbeat t ~now ~worker ~shard ~epoch =
   if not (valid t shard) then `Stale
   else
     let s = t.shards.(shard) in
-    match live s epoch with
+    match live s ~worker epoch with
     | None -> `Stale
     | Some l ->
         s.live <- List.map (fun x -> if x == l then { l with deadline = now +. t.ttl } else x) s.live;
         `Ok
 
-let complete t ~shard ~epoch =
+let complete t ~worker ~shard ~epoch =
   if not (valid t shard) then `Unknown
   else
     let s = t.shards.(shard) in
-    match live s epoch with
+    match live s ~worker epoch with
     | Some l ->
         (* A done shard's only live lease is its audit; a running shard's
            first valid completion is accepted and fences the others. *)
@@ -119,10 +124,10 @@ let sweep_expired t ~now =
     t.shards;
   List.rev !expired
 
-let release t ~shard ~epoch =
+let release t ~worker ~shard ~epoch =
   if valid t shard then
     let s = t.shards.(shard) in
-    s.live <- List.filter (fun (l : lease) -> l.epoch <> epoch) s.live
+    Option.iter (fun l -> s.live <- List.filter (fun x -> x != l) s.live) (live s ~worker epoch)
 
 let release_worker t ~worker =
   Array.iter (fun s -> s.live <- List.filter (fun l -> l.worker <> worker) s.live) t.shards

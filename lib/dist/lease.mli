@@ -18,7 +18,11 @@
     is open again. {!complete} accepts exactly one completion per shard
     — a first or speculative lease, which makes the shard done and
     fences every other lease on it — and reports an audit lease's
-    completion without touching the accepted result.
+    completion without touching the accepted result. A lease answers
+    only its holder: {!heartbeat}, {!complete} and {!release} name the
+    sender, and a live lease under the right epoch that another worker
+    holds reads as stale, so no worker can settle the audit of its own
+    shard by completing its auditor's lease.
 
     Time is injected ([now] parameters, same clock everywhere), making
     the fencing logic deterministic under test. Not thread-safe: the
@@ -57,29 +61,35 @@ val audit : t -> now:float -> worker:string -> due:(int -> bool) -> assignment o
 (** Audit lease on the lowest done shard that has none and for which
     [due shard] holds. *)
 
-val heartbeat : t -> now:float -> shard:int -> epoch:int -> [ `Ok | `Stale ]
-(** Extend the live lease under [epoch] to [now + ttl]. [`Stale] means
-    the lease was lost (expired, released or fenced) — the worker must
-    abandon the shard. *)
+val heartbeat : t -> now:float -> worker:string -> shard:int -> epoch:int -> [ `Ok | `Stale ]
+(** Extend [worker]'s live lease under [epoch] to [now + ttl]. [`Stale]
+    means the lease was lost (expired, released or fenced) or is not
+    [worker]'s — the worker must abandon the shard. *)
 
 val complete :
-  t -> shard:int -> epoch:int -> [ `Accepted of lease | `Duplicate | `Stale | `Unknown ]
-(** End the live lease under [epoch], returning it: its [kind] says
-    whether it was an audit re-run (the shard stays done under its
+  t ->
+  worker:string ->
+  shard:int ->
+  epoch:int ->
+  [ `Accepted of lease | `Duplicate | `Stale | `Unknown ]
+(** End [worker]'s live lease under [epoch], returning it: its [kind]
+    says whether it was an audit re-run (the shard stays done under its
     accepted epoch) or the shard's one accepted result (the shard is now
     done, and its other leases fence as stale). [`Duplicate] for a
     re-delivery of the accepted epoch (safe to ack — the result is
-    bit-identical by construction); [`Stale] for an epoch with no live
-    lease; [`Unknown] for a shard outside the plan. *)
+    bit-identical by construction, and nothing changes); [`Stale] for an
+    epoch with no live lease, or a live lease another worker holds;
+    [`Unknown] for a shard outside the plan. *)
 
 val sweep_expired : t -> now:float -> (int * string) list
 (** Drop every lease of any kind whose deadline has passed; returns the
     expired [(shard, holder)] pairs so the service can count them and
     charge the heartbeat gap to the right worker's circuit breaker. *)
 
-val release : t -> shard:int -> epoch:int -> unit
-(** Drop the live lease under [epoch] without expiring it (its holder
-    sent a corrupt or digest-mismatched result). No-op if none. *)
+val release : t -> worker:string -> shard:int -> epoch:int -> unit
+(** Drop [worker]'s live lease under [epoch] without expiring it (it
+    sent a corrupt or digest-mismatched result). No-op if [worker] holds
+    no such lease. *)
 
 val release_worker : t -> worker:string -> unit
 (** Drop every lease [worker] holds, of any kind — quarantine path. *)

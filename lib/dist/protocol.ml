@@ -28,12 +28,17 @@ module Record = Fmc_prelude.Record
    result digest (Fmc_audit.Check.result_digest) computed worker-side
    so the server can cheaply detect corrupt-in-transit or lying
    payloads.
+   v6: one lease conversation — every Request_shard is answered with a
+   Job, and every lease heartbeats with Job_heartbeat and completes with
+   Job_done, whatever the connection's scope. Assign is gone; Heartbeat
+   and Shard_done remain codec entries only, and the service answers
+   them with Reject.
    Every peer is built from this tree, so a server admits exactly this
    version and answers any other Hello with a terminal Reject. *)
-let version = 5
+let version = 6
 
 (* The campaign fingerprint hashes only things that change per-sample
-   outcomes; v4 and v5 added no such thing, so the embedded version
+   outcomes; v4 to v6 added no such thing, so the embedded version
    stays 3. *)
 let fingerprint_version = 3
 
@@ -42,7 +47,7 @@ let accepts_version v = v = version
 (* The full identity of a campaign: every parameter that must agree
    between the submitting client and the evaluating worker for the shard
    results to be meaningful. This is what a Submit enqueues and a Job
-   hands to a pool worker. *)
+   hands to a worker. *)
 type spec = {
   sp_benchmark : string;
   sp_strategy : string;
@@ -93,7 +98,6 @@ type client_msg =
 
 type server_msg =
   | Welcome of { version : int }
-  | Assign of { shard : int; epoch : int; start : int; len : int }
   | No_work of { finished : bool }
   | Ack of { accepted : bool; reason : string }
   | Report of {
@@ -223,7 +227,7 @@ let read_quarantined c = Record.section c "quarantined" quarantine_of_line
    constructors stay small. *)
 type extension = {
   ext_trace : (string * string) option;
-      (* (trace_id, span_id) stamped on Assign/Job *)
+      (* (trace_id, span_id) stamped on Job *)
   ext_telemetry : string option;
       (* encoded Fmc_obs.Telemetry blob on Heartbeat/Shard_done/
          Job_heartbeat/Job_done; opaque at this layer *)
@@ -379,8 +383,6 @@ let decode_client tag payload = Result.map fst (decode_client_ext tag payload)
 
 let encode_server = function
   | Welcome { version } -> ('W', Printf.sprintf "version %d\n" version)
-  | Assign { shard; epoch; start; len } ->
-      ('A', Printf.sprintf "%d %d %d %d\n" shard epoch start len)
   | No_work { finished } -> ('N', if finished then "finished\n" else "wait\n")
   | Ack { accepted; reason } ->
       ('K', Printf.sprintf "%s %s\n" (if accepted then "ok" else "no") (one_line reason))
@@ -418,7 +420,7 @@ let encode_server = function
 let encode_server_ext ?(ext = no_extension) msg =
   let tag, payload = encode_server msg in
   match msg with
-  | (Assign _ | Job _) when ext.ext_trace <> None ->
+  | Job _ when ext.ext_trace <> None ->
       let buf = Buffer.create (String.length payload + 64) in
       Buffer.add_string buf payload;
       emit_ext_trace buf ext.ext_trace;
@@ -455,9 +457,6 @@ let read_status_entry c =
 
 let decode_server_msg c = function
   | 'W' -> Welcome { version = Record.int_of "version" (Record.field c "version") }
-  | 'A' ->
-      let shard, epoch, start, len = read_lease c in
-      Assign { shard; epoch; start; len }
   | 'N' -> (
       match Record.next c with
       | "finished" -> No_work { finished = true }
@@ -510,7 +509,7 @@ let decode_server_ext tag =
       let msg = decode_server_msg c tag in
       let ext =
         match msg with
-        | Assign _ | Job _ -> { no_extension with ext_trace = read_ext_trace c }
+        | Job _ -> { no_extension with ext_trace = read_ext_trace c }
         | _ -> no_extension
       in
       (msg, ext))

@@ -4,7 +4,15 @@
     The protocol is versioned: a {!Hello} carrying any other {!version},
     or a campaign fingerprint the service does not hold, is answered
     with {!Reject} and the connection is closed. Every peer is built
-    from this tree, so there is no negotiating down. Tally snapshots
+    from this tree, so there is no negotiating down.
+
+    There is one lease conversation: {!Request_shard} is answered with
+    a {!Job} that carries its campaign's {!spec}, and the lease is
+    renewed with {!Job_heartbeat} and ended with {!Job_done}, both
+    naming the campaign's fingerprint, whatever the connection's Hello
+    scope. The scope only decides which campaigns a connection leases
+    from, whether it may {!Fetch_report}, and what a drain tells it.
+    Tally snapshots
     travel as verbatim [Ssf.Tally.to_string] blobs and quarantine
     entries as [Campaign.quarantine_entry_to_string] lines — the same
     serializers the durable checkpoint uses, so shard state is
@@ -13,12 +21,13 @@
 open Fmc
 
 val version : int
-(** 5 since the result-audit digests (v2 introduced the CRC-framed wire
-    format, v3 the multi-campaign scheduler messages, v4 the
-    fleet-observability extensions). *)
+(** 6 since every lease speaks {!Job}/{!Job_heartbeat}/{!Job_done} (v2
+    introduced the CRC-framed wire format, v3 the multi-campaign
+    scheduler messages, v4 the fleet-observability extensions, v5 the
+    result-audit digests). *)
 
 val fingerprint_version : int
-(** The version embedded in campaign fingerprints — still 3: v4/v5
+(** The version embedded in campaign fingerprints — still 3: v4 to v6
     changed no per-sample semantics. *)
 
 val accepts_version : int -> bool
@@ -36,7 +45,7 @@ type spec = {
           upstream) *)
 }
 (** The full identity of a campaign — what a {!Submit} enqueues and a
-    {!Job} hands to a pool worker. Benchmark, strategy and model strings
+    {!Job} hands to a worker. Benchmark, strategy and model strings
     must not contain spaces (they never do; the codec would garble
     them). *)
 
@@ -61,21 +70,20 @@ type status_entry = {
 
 type client_msg =
   | Hello of { version : int; worker : string; fingerprint : string }
-      (** must be the first message on every connection; the scheduler
-          accepts {!pool_fingerprint} for pool-worker and control
-          connections *)
-  | Request_shard
+      (** must be the first message on every connection; [fingerprint]
+          is the connection's scope: a campaign the service holds, or
+          {!pool_fingerprint} for pool-worker and control connections *)
+  | Request_shard  (** answered with {!Job}, {!No_work} or {!Reject} *)
   | Heartbeat of { shard : int; epoch : int; samples_done : int }
-      (** renews the lease; answered with {!Ack} — [accepted = false]
-          means the lease was lost and the worker must abandon the
-          shard *)
+      (** retired: a codec entry only, which the service answers with
+          {!Reject}; leases heartbeat with {!Job_heartbeat} *)
   | Shard_done of {
       shard : int;
       epoch : int;
-      tally : string;  (** [Ssf.Tally.to_string] of the shard snapshot *)
+      tally : string;
       quarantined : Campaign.quarantine_entry list;
-    }
-  | Fetch_report
+    }  (** retired like {!Heartbeat}; leases complete with {!Job_done} *)
+  | Fetch_report  (** campaign-scoped connections only *)
   | Goodbye
   | Submit of { spec : spec }
       (** enqueue a campaign; answered with {!Submitted} or
@@ -85,19 +93,20 @@ type client_msg =
           fingerprint for just that one (unknown → {!Reject}) *)
   | Cancel of { fingerprint : string }  (** answered with {!Ack} *)
   | Job_heartbeat of { fingerprint : string; shard : int; epoch : int; samples_done : int }
-      (** pool-scope {!Heartbeat}: names the campaign the lease belongs
-          to *)
+      (** renews the lease on [shard] of the campaign [fingerprint];
+          answered with {!Ack} — [accepted = false] means the lease was
+          lost (or is not the sender's) and the worker must abandon the
+          shard *)
   | Job_done of {
       fingerprint : string;
       shard : int;
       epoch : int;
-      tally : string;
+      tally : string;  (** [Ssf.Tally.to_string] of the shard snapshot *)
       quarantined : Campaign.quarantine_entry list;
-    }  (** pool-scope {!Shard_done} *)
+    }  (** the lease's result; answered with {!Ack} *)
 
 type server_msg =
   | Welcome of { version : int }
-  | Assign of { shard : int; epoch : int; start : int; len : int }
   | No_work of { finished : bool }
       (** [finished]: the campaign is complete; otherwise every remaining
           shard is leased out — retry after a delay *)
@@ -115,8 +124,9 @@ type server_msg =
       (** transient refusal (the worker's circuit breaker is open):
           reconnect after at least [cooldown_s] seconds *)
   | Job of { spec : spec; shard : int; epoch : int; start : int; len : int }
-      (** pool-scope {!Assign}: carries the campaign spec so the worker
-          can build (or reuse) the right engine and sampler *)
+      (** a lease on samples [start, start + len) of [spec]'s campaign
+          under [epoch]: the spec lets the worker build (or reuse) the
+          right engine, sampler, seed and fault model *)
   | Submitted of { fingerprint : string; position : int; cached : bool }
       (** the campaign is queued at [position] (0 = front), or [cached]:
           its report is already durable — fetch it for free *)
@@ -192,16 +202,16 @@ val decode_server : char -> string -> (server_msg, string) result
 type extension = {
   ext_trace : (string * string) option;
       (** [(trace_id, span_id)] ({!Fmc_obs.Traceid}) stamped by the
-          service on {!Assign}/{!Job} *)
+          service on {!Job} *)
   ext_telemetry : string option;
       (** encoded [Fmc_obs.Telemetry] blob attached by workers to
-          {!Heartbeat}/{!Shard_done}/{!Job_heartbeat}/{!Job_done};
-          opaque at this layer *)
+          {!Job_heartbeat}/{!Job_done} (and codec-wise to the retired
+          {!Heartbeat}/{!Shard_done}); opaque at this layer *)
   ext_digest : string option;
       (** v5: canonical result digest ([Fmc_audit.Check.result_digest])
-          attached by workers to {!Shard_done}/{!Job_done}; the server
-          recomputes and compares, treating a mismatch as a corrupt
-          frame. Opaque at this layer. *)
+          attached by workers to {!Job_done} (and codec-wise to
+          {!Shard_done}); the server recomputes and compares, treating a
+          mismatch as a corrupt frame. Opaque at this layer. *)
 }
 
 val no_extension : extension

@@ -241,35 +241,37 @@ let with_reconnects ~obs ~mx ~rng ~retry ~on_reconnect ~progress session =
             Obs.span obs ~cat:"dist" "reconnect-backoff" (fun () -> Unix.sleepf sleep_s))
   done
 
-(* One leased shard, identical for a campaign's Assign and a pool's Job
-   (they differ only in the messages [heartbeat] and [finished] build):
-   run it with a heartbeat every [heartbeat_every] samples, where a
-   refused heartbeat abandons the shard, then send the result, counting
-   it in [completed] once accepted. *)
-let work_lease (obs : Obs.t) config conn ~sent ~(aext : Protocol.extension) ~completed ~shard
-    ~heartbeat ~finished run_shard =
-  let trace_id, span_id = Option.value aext.Protocol.ext_trace ~default:("", "") in
+(* One leased shard: run it under its campaign's toolchain with a
+   heartbeat every [heartbeat_every] samples, where a refused heartbeat
+   abandons the shard, then send the result, counting it in [completed]
+   once accepted. *)
+let work_job (obs : Obs.t) ?causal config conn ~sent ~completed ~toolchain
+    (spec : Protocol.spec) ~shard ~epoch ~start ~len (jext : Protocol.extension) =
+  let engine, prepared, inject = toolchain spec in
+  let fingerprint = Protocol.spec_fingerprint spec in
+  let trace_id, span_id = Option.value jext.Protocol.ext_trace ~default:("", "") in
   let on_sample i =
     if config.heartbeat_every > 0 && i mod config.heartbeat_every = 0 then begin
-      let msg, what = heartbeat i in
       let ext =
         if Clock.now () -. !sent >= heartbeat_telemetry_s then
           Some (telemetry_ext obs ~sent ~trace_id ~spans:[])
         else None
       in
-      send ?ext conn msg;
-      match recv conn what with
+      send ?ext conn (Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = i });
+      match recv conn "job_heartbeat" with
       | Protocol.Ack { accepted = true; _ } -> ()
       | Protocol.Ack { accepted = false; _ } -> raise Lease_lost
-      | _ -> protocol_error what
+      | _ -> protocol_error "job_heartbeat"
     end
   in
   let t0 = Clock.now_us () in
-  match run_shard ~on_sample with
+  match
+    Campaign.run_shard ~obs ?causal ?sample_budget:spec.Protocol.sp_sample_budget ~inject
+      ~on_sample engine prepared ~seed:spec.Protocol.sp_seed ~shard ~start ~len
+  with
   | sh -> (
       let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
       let quarantined = sh.Campaign.sh_quarantined in
-      let msg, what = finished ~tally ~quarantined in
       (* The digest lets the server verify the payload survived the trip
          (and is the audit comparison key). *)
       let ext =
@@ -278,122 +280,69 @@ let work_lease (obs : Obs.t) config conn ~sent ~(aext : Protocol.extension) ~com
           Protocol.ext_digest = Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined);
         }
       in
-      send ~ext conn msg;
-      match recv conn what with
+      send ~ext conn (Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined });
+      match recv conn "job_done" with
       | Protocol.Ack { accepted; _ } -> if accepted then incr completed
-      | _ -> protocol_error what)
+      | _ -> protocol_error "job_done")
   | exception Lease_lost -> ()
 
-(* Sessions of lease requests until the server reports the campaign (or
-   pool) finished, under the reconnect state machine. [lease] handles
-   one work message and raises [protocol_error] on anything else. *)
-let serve_leases ~obs ~on_reconnect config ~fingerprint ~rng lease =
+let run ?(obs = Obs.disabled) ?causal
+    ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~scope ~resolve =
+  (* Engines are expensive to elaborate: resolve each campaign's
+     toolchain on its first job and reuse it for every later one. *)
+  let resolved = Hashtbl.create 8 in
+  let toolchain spec =
+    let fp = Protocol.spec_fingerprint spec in
+    match Hashtbl.find_opt resolved fp with
+    | Some tc -> tc
+    | None -> (
+        match resolve spec with
+        | Ok tc ->
+            Hashtbl.replace resolved fp tc;
+            tc
+        | Error reason ->
+            (* We cannot build this campaign (unknown benchmark or
+               strategy on this host). Tear the session down: the
+               abandoned lease expires to another worker, and if every
+               session hits the same wall the reconnect budget turns the
+               misconfiguration into a clear terminal failure. *)
+            raise (Session_error ("cannot build campaign: " ^ reason)))
+  in
+  (* The backoff schedule is drawn from a substream keyed by the scope
+     and the worker name, so a (scope, name) pair retries on a
+     replayable schedule under the chaos harness. *)
+  let rng =
+    Rng.substream
+      ~seed:(Int64.of_int (Crc32.string scope))
+      ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
+  in
   let mx = mx_create obs in
   let completed = ref 0 in
   let sent = ref Float.neg_infinity in
   let session () =
-    let conn = connect ~obs config ~fingerprint in
-    let run_one (msg, aext) =
-      match msg with
-      | Protocol.No_work { finished = true } -> `Finished
-      | Protocol.No_work { finished = false } ->
+    let conn = connect ~obs config ~fingerprint:scope in
+    let rec loop () =
+      send conn Protocol.Request_shard;
+      match recv_ext conn "request_shard" with
+      | Protocol.No_work { finished = true }, _ -> (
+          try send conn Protocol.Goodbye
+          with Wire.Closed | Wire.Timeout | Unix.Unix_error _ -> ())
+      | Protocol.No_work { finished = false }, _ ->
           Unix.sleepf config.retry_delay_s;
-          `Continue
-      | Protocol.Reject { reason } -> raise (Session_error ("rejected: " ^ reason))
-      | msg ->
-          lease msg (work_lease obs config conn ~sent ~aext ~completed);
-          `Continue
+          loop ()
+      | Protocol.Job { spec; shard; epoch; start; len }, jext ->
+          work_job obs ?causal config conn ~sent ~completed ~toolchain spec ~shard ~epoch ~start
+            ~len jext;
+          loop ()
+      | Protocol.Reject { reason }, _ -> raise (Session_error ("rejected: " ^ reason))
+      | _ -> protocol_error "request_shard"
     in
-    Fun.protect
-      ~finally:(fun () -> Wire.close conn)
-      (fun () ->
-        let rec loop () =
-          send conn Protocol.Request_shard;
-          match run_one (recv_ext conn "request_shard") with
-          | `Continue -> loop ()
-          | `Finished -> (
-              try send conn Protocol.Goodbye
-              with Wire.Closed | Wire.Timeout | Unix.Unix_error _ -> ())
-        in
-        loop ())
+    Fun.protect ~finally:(fun () -> Wire.close conn) loop
   in
   with_reconnects ~obs ~mx ~rng ~retry:config.retry ~on_reconnect
     ~progress:(fun () -> !completed)
     session;
   !completed
-
-let run ?(obs = Obs.disabled) ?causal ?sample_budget ?inject
-    ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~fingerprint engine
-    prepared ~seed =
-  (* The worker's backoff schedule is drawn from its own substream of
-     the campaign seed, so a (seed, worker name) pair retries on a
-     replayable schedule under the chaos harness. *)
-  let rng =
-    Rng.substream ~seed:(Int64.of_int seed)
-      ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
-  in
-  serve_leases ~obs ~on_reconnect config ~fingerprint ~rng (fun msg work ->
-      match msg with
-      | Protocol.Assign { shard; epoch; start; len } ->
-          work ~shard
-            ~heartbeat:(fun i ->
-              (Protocol.Heartbeat { shard; epoch; samples_done = i }, "heartbeat"))
-            ~finished:(fun ~tally ~quarantined ->
-              (Protocol.Shard_done { shard; epoch; tally; quarantined }, "shard_done"))
-            (fun ~on_sample ->
-              Campaign.run_shard ~obs ?causal ?sample_budget ?inject ~on_sample engine prepared
-                ~seed ~shard ~start ~len)
-      | _ -> protocol_error "request_shard")
-
-(* -- pool mode: serve every campaign the scheduler holds ----------------- *)
-
-let run_pool ?(obs = Obs.disabled) ?causal
-    ?(on_reconnect = fun ~attempt:_ ~sleep_s:_ ~reason:_ -> ()) config ~resolve () =
-  (* Engines are expensive to elaborate; resolve each spec's toolchain
-     once and reuse it for every later job of the same campaign (and, in
-     the resolver's discretion, across campaigns sharing a benchmark). *)
-  let resolved : (string, Engine.t * Sampler.prepared * Ssf.inject) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let toolchain_for spec =
-    let fp = Protocol.spec_fingerprint spec in
-    match Hashtbl.find_opt resolved fp with
-    | Some triple -> Ok triple
-    | None -> (
-        match resolve spec with
-        | Ok triple ->
-            Hashtbl.replace resolved fp triple;
-            Ok triple
-        | Error _ as e -> e)
-  in
-  let rng =
-    Rng.substream ~seed:1L ~shard:(Hashtbl.hash config.worker_name land 0x3FFFFFFF)
-  in
-  serve_leases ~obs ~on_reconnect config ~fingerprint:Protocol.pool_fingerprint ~rng
-    (fun msg work ->
-      match msg with
-      | Protocol.Job { spec; shard; epoch; start; len } -> (
-          let fingerprint = Protocol.spec_fingerprint spec in
-          match toolchain_for spec with
-          | Error reason ->
-              (* We cannot build this campaign (unknown benchmark or
-                 strategy on this host). Tear the session down: the
-                 abandoned lease expires to another worker, and if every
-                 session hits the same wall the reconnect budget turns
-                 the misconfiguration into a clear terminal failure. *)
-              raise (Session_error ("cannot build campaign: " ^ reason))
-          | Ok (engine, prepared, inject) ->
-              work ~shard
-                ~heartbeat:(fun i ->
-                  ( Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = i },
-                    "job_heartbeat" ))
-                ~finished:(fun ~tally ~quarantined ->
-                  (Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined }, "job_done"))
-                (fun ~on_sample ->
-                  Campaign.run_shard ~obs ?causal ?sample_budget:spec.Protocol.sp_sample_budget
-                    ~inject ~on_sample engine prepared ~seed:spec.Protocol.sp_seed ~shard ~start
-                    ~len))
-      | _ -> protocol_error "request_shard")
 
 (* -- report fetching ----------------------------------------------------- *)
 

@@ -1,13 +1,16 @@
 (** The distributed campaign worker ([faultmc worker]) and the report
     client ([faultmc evaluate --connect]).
 
-    A worker builds its engine/prepared sampler locally (the same way a
-    local campaign would), connects, and loops: lease a shard, run it
-    under the shard's RNG substream via {!Campaign.run_shard}, stream
-    the tally snapshot + quarantine entries back. Heartbeats are sent
-    from the per-sample hook; a negatively-acked heartbeat (lost lease)
-    abandons the shard mid-run — the re-issued lease reproduces the
-    bit-identical result elsewhere.
+    A worker connects under a scope (one campaign's fingerprint, or
+    {!Protocol.pool_fingerprint}) and loops: lease a shard — a
+    {!Protocol.Job} carrying its campaign's spec, from which the worker
+    builds (once per campaign) its engine, prepared sampler and
+    fault-model injector — run it under the shard's RNG substream via
+    {!Campaign.run_shard}, stream the tally snapshot + quarantine
+    entries back in a {!Protocol.Job_done}. {!Protocol.Job_heartbeat}s
+    are sent from the per-sample hook; a negatively-acked heartbeat
+    (lost lease) abandons the shard mid-run — the re-issued lease
+    reproduces the bit-identical result elsewhere.
 
     Reconnects (DESIGN.md §11): a transport failure mid-campaign
     (connection drop, corrupt stream, socket deadline, mid-session
@@ -16,15 +19,15 @@
     re-enters connecting with exponential backoff and decorrelated
     jitter, bounded by {!retry.max_attempts} consecutive attempts and a
     {!retry.budget_s} total-sleep budget. The backoff schedule draws
-    from the worker's own RNG substream of the campaign seed, so it
+    from an RNG substream keyed by the scope and the worker name, so it
     replays under the chaos harness. Only a handshake [Reject]
     (version or fingerprint mismatch, quarantine) is terminal.
 
     Fleet observability: the worker reads the trace/span ids the
-    service stamps on each [Assign]/[Job] and piggybacks a
+    service stamps on each [Job] and piggybacks a
     {!Fmc_obs.Telemetry} batch on its existing messages — the snapshot
     plus one span summary covering the shard's wall time on every
-    [Shard_done]/[Job_done], next to the canonical result digest, and
+    [Job_done], next to the canonical result digest, and
     the snapshot alone on a heartbeat when the worker has sent none for
     a second. The piggyback consumes no RNG
     and touches no sampling state, so reports stay byte-identical with
@@ -74,49 +77,31 @@ val default_config : addr:Wire.addr -> worker_name:string -> config
 val run :
   ?obs:Fmc_obs.Obs.t ->
   ?causal:bool ->
-  ?sample_budget:int ->
-  ?inject:Ssf.inject ->
   ?on_reconnect:(attempt:int -> sleep_s:float -> reason:string -> unit) ->
   config ->
-  fingerprint:string ->
-  Engine.t ->
-  Sampler.prepared ->
-  seed:int ->
+  scope:string ->
+  resolve:(Protocol.spec -> (Engine.t * Sampler.prepared * Ssf.inject, string) result) ->
   int
-(** Work until the service reports the campaign finished; returns
-    the number of shard results this worker got accepted. [causal],
-    [sample_budget], [inject] (the campaign's fault-model injector,
-    default {!Ssf.disc_transient}) and [seed] must match the
-    fingerprint's campaign (the fingerprint encodes them — a mismatch is
-    rejected at hello).
+(** Hello with [scope] — a campaign fingerprint the service holds
+    ([faultmc worker]), or {!Protocol.pool_fingerprint} to lease from
+    whichever campaign the service picks ([faultmc worker --pool]) —
+    and work until the service answers [No_work {finished = true}]: the
+    scoped campaign is finished, or a pool worker is drained and told
+    to exit. Each {!Protocol.Job} carries its campaign's
+    {!Protocol.spec}, which supplies the seed, sample budget, strategy
+    and fault model; [resolve] turns a spec into the local engine,
+    prepared sampler and fault-model injector (typically by elaborating
+    the named benchmark). Resolutions are cached by fingerprint for the
+    run, and a resolution [Error] tears the session down (the lease
+    expires to another worker; a worker that can never resolve
+    exhausts its reconnect budget and fails loudly). Returns the number
+    of shard results this worker got accepted.
     [on_reconnect] fires before each backoff sleep (CLI logging).
     Under [obs], counts wire bytes, [fmc_dist_reconnects_total], the
     [fmc_dist_reconnect_backoff_seconds] histogram, and inherits
     {!Campaign.run_shard}'s spans and tally metrics. Raises {!Rejected}
     on a handshake refusal and [Failure] once the reconnect attempt cap
     or time budget is exhausted. *)
-
-val run_pool :
-  ?obs:Fmc_obs.Obs.t ->
-  ?causal:bool ->
-  ?on_reconnect:(attempt:int -> sleep_s:float -> reason:string -> unit) ->
-  config ->
-  resolve:(Protocol.spec -> (Engine.t * Sampler.prepared * Ssf.inject, string) result) ->
-  unit ->
-  int
-(** Pool mode ([faultmc worker --pool]): hello with
-    {!Protocol.pool_fingerprint} and lease shards from whichever
-    campaign the scheduler wants run, until it answers
-    [No_work {finished = true}] (drained and told to exit). Each
-    {!Protocol.Job} carries its campaign's {!Protocol.spec}; [resolve]
-    turns a spec into the local engine, prepared sampler and fault-model
-    injector (typically by elaborating the named benchmark) —
-    resolutions are cached by fingerprint for the process lifetime, and
-    a resolution [Error] tears the session down (the lease expires to
-    another worker; a worker that can never resolve exhausts its
-    reconnect budget and fails loudly). Seed and sample budget come from the spec itself.
-    Returns the number of accepted shard results; shares {!run}'s
-    reconnect machinery, metrics and terminal failures. *)
 
 type fetch_error =
   | Fetch_timeout of float  (** waited this many seconds *)

@@ -800,7 +800,7 @@ let heartbeat t ~now ~worker ~fingerprint ~shard ~epoch =
     | None -> false
     | Some e -> (
         match e.phase with
-        | Active | Parked _ -> Lease.heartbeat e.lease ~now ~shard ~epoch = `Ok
+        | Active | Parked _ -> Lease.heartbeat e.lease ~now ~worker ~shard ~epoch = `Ok
         | Finished | Cancelled -> false)
   in
   if live then begin
@@ -831,10 +831,10 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                      corruption or a clumsy lie. Refuse without consuming
                      the shard's completion and put the lease back. *)
                   note_mismatch t ~now worker;
-                  Lease.release e.lease ~shard ~epoch;
+                  Lease.release e.lease ~worker ~shard ~epoch;
                   `Mismatch
               | _ -> (
-                  match Lease.complete e.lease ~shard ~epoch with
+                  match Lease.complete e.lease ~worker ~shard ~epoch with
                   | `Accepted { Lease.kind = Lease.Audit; _ } -> (
                       match Audit.complete e.audit ~shard ~worker ~digest:computed with
                       | `Pass ->

@@ -127,6 +127,8 @@ val heartbeat :
   shard:int ->
   epoch:int ->
   [ `Ok | `Stale ]
+(** Renew [worker]'s lease; [`Stale] when the lease is gone or
+    [worker] does not hold it. *)
 
 val complete :
   t ->
@@ -151,7 +153,9 @@ val complete :
     blob does not decode — refused without consuming the shard's one
     completion. [digest] is the worker's carried digest (if any); it is
     always recomputed server-side, and a disagreement is a [`Mismatch]
-    strike against [worker] (three strikes quarantine it). A completion
+    strike against [worker] (three strikes quarantine it) that puts
+    [worker]'s lease back up for offer. Only the lease's holder can
+    complete or release it: [`Stale] for any other [worker]. A completion
     under an audit lease settles the audit instead of the shard; a
     quorum verdict quarantines the minority worker, drops every lease it
     holds and invalidates its unvindicated shards across every active

@@ -6,15 +6,19 @@
    Every connection carries a scope (its Hello fingerprint): pool
    workers and control clients announce Protocol.pool_fingerprint,
    while campaign-scoped connections ([faultmc worker], [evaluate
-   --connect], [submit --wait]) name one campaign the service holds and
-   speak the campaign message set against it. The same rules apply to
-   every connection: a Hello naming an unknown campaign, an old
-   protocol version or a quarantined worker is refused terminally; a
-   worker whose circuit breaker is open is parked with Retry_later; a
-   corrupt frame is charged to its sender's breaker; and below the
-   require_workers floor leasing pauses. Only names that ask for shards
-   count as workers there: report fetchers and control clients say
-   Hello too, but never lease.
+   --connect], [submit --wait]) name one campaign the service holds.
+   The scope decides which campaigns a connection leases from, whether
+   it may fetch a report, and what a drain tells it; the lease
+   conversation itself is the same for every scope — Request_shard is
+   answered with a Job, and Job_heartbeat/Job_done are routed by the
+   fingerprint they carry. The same rules apply to every connection: a
+   Hello naming an unknown campaign, an old protocol version or a
+   quarantined worker is refused terminally; a worker whose circuit
+   breaker is open is parked with Retry_later; a corrupt frame is
+   charged to its sender's breaker; and below the require_workers floor
+   leasing pauses. Only names that ask for shards count as workers
+   there: report fetchers and control clients say Hello too, but never
+   lease.
 
    Stopping: SIGTERM (or SIGINT, or a test's request_drain) sets the
    drain flag; the tick stops leasing, in-flight shards finish and are
@@ -278,33 +282,19 @@ let handle_msg st ~scope ~worker ~digest msg =
       else (
         match Sched.next_job sched ~now ~worker ~scope ~alone:(healthy_workers st ~now <= 1) with
         | `Job (spec, { Sched.Lease.shard; epoch; start; len }) ->
-            if pool then Protocol.Job { spec; shard; epoch; start; len }
-            else Protocol.Assign { shard; epoch; start; len }
+            Protocol.Job { spec; shard; epoch; start; len }
         | `Wait when st.stopped -> raise Done_serving
         | `Wait -> Protocol.No_work { finished = false }
         | `Drained ->
             l.settled <- true;
             Protocol.No_work { finished = true }
         | `Banned -> Protocol.Reject { reason = "worker quarantined: failed result audit" })
-  | Protocol.Heartbeat { shard; epoch; samples_done = _ } ->
-      if pool then Protocol.Reject { reason = "pool connections heartbeat with job_heartbeat" }
-      else
-        let r = Sched.heartbeat sched ~now ~worker ~fingerprint:scope ~shard ~epoch in
-        fence st ~worker r;
-        heartbeat_reply r
+  | Protocol.Heartbeat _ | Protocol.Shard_done _ ->
+      Protocol.Reject { reason = "leases heartbeat with job_heartbeat and complete with job_done" }
   | Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = _ } ->
       let r = Sched.heartbeat sched ~now ~worker ~fingerprint ~shard ~epoch in
       fence st ~worker r;
       heartbeat_reply r
-  | Protocol.Shard_done { shard; epoch; tally; quarantined } ->
-      if pool then Protocol.Reject { reason = "pool connections complete with job_done" }
-      else
-        let r =
-          Sched.complete sched ~now ~fingerprint:scope ~shard ~epoch ~worker ~digest ~tally
-            ~quarantined
-        in
-        fence st ~worker r;
-        complete_reply st r
   | Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined } ->
       let r =
         Sched.complete sched ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantined
@@ -341,12 +331,10 @@ let absorb_telemetry st ~worker (ext : Protocol.extension) =
 
 (* Trace/span ids stamped on leases: pure functions of the campaign
    fingerprint and shard index. *)
-let trace_ext ~scope = function
+let trace_ext = function
   | Protocol.Job { spec; shard; _ } ->
       let fingerprint = Protocol.spec_fingerprint spec in
       Some (Traceid.trace_id ~fingerprint, Traceid.span_id ~fingerprint ~shard)
-  | Protocol.Assign { shard; _ } ->
-      Some (Traceid.trace_id ~fingerprint:scope, Traceid.span_id ~fingerprint:scope ~shard)
   | _ -> None
 
 (* The first frame must be a current-version Hello naming the pool scope
@@ -448,7 +436,7 @@ let handle_conn st fd =
                       raise Done_serving
                   | Some reply ->
                       send
-                        ~ext:{ Protocol.no_extension with ext_trace = trace_ext ~scope reply }
+                        ~ext:{ Protocol.no_extension with ext_trace = trace_ext reply }
                         conn reply)
               | Error msg ->
                   locked st (fun () ->

@@ -7,7 +7,13 @@
     workers and control clients, a campaign the service holds for
     campaign-scoped workers and report fetchers — and serves {!Sched}
     over it, one handler thread per connection, every scheduler call
-    behind one mutex.
+    behind one mutex. Every lease speaks one conversation, whatever the
+    scope: [Request_shard] is answered with a [Job], and
+    [Job_heartbeat]/[Job_done] are routed to the campaign whose
+    fingerprint they carry. The scope decides which campaigns a
+    connection leases from, whether it may [Fetch_report], and what a
+    drain tells it. The retired [Heartbeat] and [Shard_done] are
+    answered with [Reject] and change no lease.
 
     The same rules apply to every connection. A Hello with another
     protocol version, an unknown campaign fingerprint or a quarantined
@@ -80,7 +86,7 @@ type control = { request_drain : unit -> unit }
     The read-only surface [--http-port] mounts on its scrape endpoint —
     thunks over live service state, each thread-safe and cheap enough to
     call per scrape. Workers get trace/span ids stamped on every
-    [Job]/[Assign] (pure functions of campaign fingerprint and shard)
+    [Job] (pure functions of campaign fingerprint and shard)
     and their piggybacked {!Fmc_obs.Telemetry} absorbed into a fleet
     store; the view exposes the merged metrics and the stitched
     trace. *)

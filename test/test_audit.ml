@@ -32,7 +32,7 @@ let take ?(now = 0.) lease t ~worker =
 (* The service's audit completion: the lease ends as an audit, and the
    digest goes to the verdict bookkeeping. *)
 let finish lease t (a : Lease.assignment) ~worker ~digest =
-  match Lease.complete lease ~shard:a.Lease.shard ~epoch:a.Lease.epoch with
+  match Lease.complete lease ~worker ~shard:a.Lease.shard ~epoch:a.Lease.epoch with
   | `Accepted { Lease.kind = Lease.Audit; _ } -> Audit.complete t ~shard:a.Lease.shard ~worker ~digest
   | _ -> Alcotest.fail "an audit lease must complete as an audit"
 
@@ -145,14 +145,14 @@ let test_audit_dispute_verdict_against_auditor () =
 (* An audit lease is an ordinary lease of the shard's lease table: its
    own epoch, fenced, kept alive by heartbeats, swept on expiry and
    released on a bad result — each of which puts the audit back up for
-   offer. *)
+   offer — and it answers only its holder. *)
 let test_epoch_fencing_release_sweep () =
   let t = Audit.create (cfg ()) ~nshards:1 in
   let lease = Lease.create ~plan:[| (0, 10) |] ~ttl:5. in
   (match Lease.acquire lease ~now:0. ~worker:"alice" with
   | `Assign { Lease.shard = 0; epoch = 1; _ } -> ()
   | _ -> Alcotest.fail "alice's first lease");
-  (match Lease.complete lease ~shard:0 ~epoch:1 with
+  (match Lease.complete lease ~worker:"alice" ~shard:0 ~epoch:1 with
   | `Accepted { Lease.kind = Lease.First; _ } -> ()
   | _ -> Alcotest.fail "the first lease is accepted");
   ignore (Audit.note_accept t ~shard:0 ~worker:"alice" ~digest:"d");
@@ -163,28 +163,35 @@ let test_epoch_fencing_release_sweep () =
   Alcotest.(check int) "the audit runs under a fresh epoch" 2 a.Lease.epoch;
   Alcotest.(check bool) "one audit lease per shard" true (offer ~now:0. "carol" = None);
   Alcotest.(check bool) "a fenced epoch is stale" true
-    (Lease.complete lease ~shard:0 ~epoch:9 = `Stale);
+    (Lease.complete lease ~worker:"bob" ~shard:0 ~epoch:9 = `Stale);
   Alcotest.(check bool) "the primary's epoch is a re-delivery, not the audit" true
-    (Lease.complete lease ~shard:0 ~epoch:1 = `Duplicate);
-  (* Heartbeats under the right epoch keep the audit lease alive. *)
+    (Lease.complete lease ~worker:"alice" ~shard:0 ~epoch:1 = `Duplicate);
+  (* Heartbeats under the right epoch, from the holder, keep the audit
+     lease alive. *)
   Alcotest.(check bool) "heartbeat accepted" true
-    (Lease.heartbeat lease ~now:4. ~shard:0 ~epoch:2 = `Ok);
+    (Lease.heartbeat lease ~now:4. ~worker:"bob" ~shard:0 ~epoch:2 = `Ok);
   Alcotest.(check bool) "wrong-epoch heartbeat refused" true
-    (Lease.heartbeat lease ~now:4. ~shard:0 ~epoch:9 = `Stale);
+    (Lease.heartbeat lease ~now:4. ~worker:"bob" ~shard:0 ~epoch:9 = `Stale);
+  Alcotest.(check bool) "another worker's heartbeat refused" true
+    (Lease.heartbeat lease ~now:4. ~worker:"alice" ~shard:0 ~epoch:2 = `Stale);
+  Alcotest.(check bool) "the producer cannot complete its auditor's lease" true
+    (Lease.complete lease ~worker:"alice" ~shard:0 ~epoch:2 = `Stale);
   Alcotest.(check (list (pair int string))) "nothing overdue yet" []
     (Lease.sweep_expired lease ~now:8.);
   Alcotest.(check (list (pair int string))) "TTL expiry names the auditor" [ (0, "bob") ]
     (Lease.sweep_expired lease ~now:20.);
   Alcotest.(check bool) "the expired audit's result is stale" true
-    (Lease.complete lease ~shard:0 ~epoch:2 = `Stale);
+    (Lease.complete lease ~worker:"bob" ~shard:0 ~epoch:2 = `Stale);
   Alcotest.(check int) "the audit is still owed" 1 (Audit.pending t);
   (* Release after a bad result does the same, but only under the
-     leased epoch. *)
+     leased epoch and by the holder. *)
   let a = take ~now:21. lease t ~worker:"carol" in
   Alcotest.(check int) "re-offered under the next epoch" 3 a.Lease.epoch;
-  Lease.release lease ~shard:0 ~epoch:9;
+  Lease.release lease ~worker:"carol" ~shard:0 ~epoch:9;
   Alcotest.(check bool) "wrong-epoch release is a no-op" true (offer ~now:21. "dave" = None);
-  Lease.release lease ~shard:0 ~epoch:3;
+  Lease.release lease ~worker:"alice" ~shard:0 ~epoch:3;
+  Alcotest.(check bool) "another worker's release is a no-op" true (offer ~now:21. "dave" = None);
+  Lease.release lease ~worker:"carol" ~shard:0 ~epoch:3;
   Alcotest.(check bool) "released back to due" true (offer ~now:21. "dave" <> None)
 
 let test_victims_and_invalidate () =

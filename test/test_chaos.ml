@@ -26,6 +26,10 @@ let prepare strategy =
     (Experiments.precharac (Lazy.force ctx))
     ~placement:(Engine.placement e)
 
+(* A worker's resolver that hands every job this process's engine and
+   prepared sampler under the default fault model. *)
+let local e prep (_ : Protocol.spec) = Ok (e, prep, Ssf.disc_transient)
+
 (* ------------------------------------------------------------------ *)
 (* CRC-32 *)
 
@@ -315,7 +319,7 @@ let test_breaker_parks_and_recovers () =
           retry = { Worker.base_s = 0.05; cap_s = 0.5; max_attempts = 20; budget_s = 30. };
         }
       in
-      let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run ~obs:wobs wcfg ~scope:fingerprint ~resolve:(local e prep) in
       Alcotest.(check int) "parked worker still ran every shard" (Array.length plan) accepted;
       Thread.join server;
       let dist =
@@ -413,12 +417,13 @@ let chaos_round ~round =
              (match recv conn with Protocol.Welcome _ -> () | _ -> ());
              send conn Protocol.Request_shard;
              (match recv conn with
-             | Protocol.Assign { shard; epoch; start; len } ->
+             | Protocol.Job { shard; epoch; start; len; _ } ->
                  let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
                  Thread.delay 1.3;
                  send conn
-                   (Protocol.Shard_done
+                   (Protocol.Job_done
                       {
+                        fingerprint;
                         shard;
                         epoch;
                         tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
@@ -441,7 +446,7 @@ let chaos_round ~round =
                 retry = { Worker.base_s = 0.05; cap_s = 0.5; max_attempts = 100; budget_s = 120. };
               }
             in
-            Thread.create (fun () -> ignore (Worker.run wcfg ~fingerprint e prep ~seed)) ()
+            Thread.create (fun () -> ignore (Worker.run wcfg ~scope:fingerprint ~resolve:(local e prep))) ()
           in
           let w1 = worker "w1" and w2 = worker "w2" in
           Thread.join w1;
@@ -509,7 +514,7 @@ let test_lying_proxy_caught_by_audit () =
         ~finally:(fun () -> Fmc_chaos.Proxy.stop proxy)
         (fun () ->
           (* The liar: runs every shard honestly but attaches no digest,
-             and every Shard_done crosses the lying proxy. The mutated
+             and every Job_done crosses the lying proxy. The mutated
              results arrive wire-valid and are accepted. *)
           (* The service binds in its own thread and the proxy dials
              upstream once per client, so a liar that arrives first is
@@ -535,11 +540,12 @@ let test_lying_proxy_caught_by_audit () =
             if n > 0 then begin
               send conn Protocol.Request_shard;
               match recv conn with
-              | Protocol.Assign { shard; epoch; start; len } ->
+              | Protocol.Job { shard; epoch; start; len; _ } ->
                   let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
                   send conn
-                    (Protocol.Shard_done
+                    (Protocol.Job_done
                        {
+                         fingerprint;
                          shard;
                          epoch;
                          tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
@@ -549,7 +555,7 @@ let test_lying_proxy_caught_by_audit () =
                   | Protocol.Ack { accepted = true; _ } -> ()
                   | _ -> Alcotest.fail "an undigested lie must be accepted");
                   grab (n - 1)
-              | _ -> Alcotest.fail "expected an assignment"
+              | _ -> Alcotest.fail "expected a job"
             end
           in
           grab (Array.length plan);
@@ -564,7 +570,7 @@ let test_lying_proxy_caught_by_audit () =
               retry_delay_s = 0.1;
             }
           in
-          let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
+          let accepted = Worker.run wcfg ~scope:fingerprint ~resolve:(local e prep) in
           Alcotest.(check bool) "honest worker executed audits and re-runs" true (accepted >= 1);
           Thread.join server;
           let shards = finished_shards !outcome in

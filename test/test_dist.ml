@@ -22,6 +22,10 @@ let prepare strategy =
     (Experiments.precharac (Lazy.force ctx))
     ~placement:(Engine.placement e)
 
+(* A worker's resolver that hands every job this process's engine and
+   prepared sampler under the default fault model. *)
+let local e prep (_ : Protocol.spec) = Ok (e, prep, Ssf.disc_transient)
+
 let exact = Alcotest.(check (float 0.))
 
 let check_reports_equal (a : Ssf.report) (b : Ssf.report) =
@@ -96,17 +100,22 @@ let test_tally_codec_roundtrip () =
         (Campaign.shard_report ~strategy:"mixed" s)
         (Campaign.shard_report ~strategy:"mixed" s')
 
+let sample_fixture =
+  {
+    Sampler.t = 7;
+    center = 991;
+    radius = 3.25;
+    width = 110.5;
+    time_frac = 0.625;
+    weight = 1.75e-3;
+    stratum = Sampler.Vulnerable;
+  }
+
 let quarantine_fixture =
   {
     Campaign.q_index = 123;
     q_disposition = Campaign.Crashed "Failure(\"boom with spaces\nand a newline\")";
-    q_stratum = Sampler.Vulnerable;
-    q_t = 7;
-    q_center = 991;
-    q_radius = 3.25;
-    q_width = 110.5;
-    q_time_frac = 0.625;
-    q_weight = 1.75e-3;
+    q_sample = sample_fixture;
   }
 
 let test_quarantine_codec_roundtrip () =
@@ -115,9 +124,7 @@ let test_quarantine_codec_roundtrip () =
     | Error msg -> Alcotest.failf "decode failed: %s" msg
     | Ok e' ->
         Alcotest.(check int) "index" e.Campaign.q_index e'.Campaign.q_index;
-        Alcotest.(check bool) "stratum" true (e.Campaign.q_stratum = e'.Campaign.q_stratum);
-        exact "weight" e.Campaign.q_weight e'.Campaign.q_weight;
-        exact "radius" e.Campaign.q_radius e'.Campaign.q_radius;
+        Alcotest.(check bool) "sample" true (e.Campaign.q_sample = e'.Campaign.q_sample);
         (match (e.Campaign.q_disposition, e'.Campaign.q_disposition) with
         | Campaign.Timed_out, Campaign.Timed_out -> ()
         | Campaign.Crashed m, Campaign.Crashed m' ->
@@ -168,7 +175,6 @@ let test_protocol_roundtrip () =
     [
       Protocol.Welcome { version = Protocol.version };
       Protocol.Retry_later { cooldown_s = 2.5 };
-      Protocol.Assign { shard = 0; epoch = 1; start = 0; len = 100 };
       Protocol.No_work { finished = true };
       Protocol.No_work { finished = false };
       Protocol.Ack { accepted = false; reason = "stale epoch" };
@@ -198,25 +204,34 @@ let test_lease_lifecycle () =
   | _ -> Alcotest.fail "expected shard 0 epoch 1");
   Alcotest.(check int) "in flight" 1 (Lease.in_flight t);
   (* heartbeat extends the deadline *)
-  Alcotest.(check bool) "heartbeat ok" true (Lease.heartbeat t ~now:5. ~shard:0 ~epoch:1 = `Ok);
+  Alcotest.(check bool) "heartbeat ok" true
+    (Lease.heartbeat t ~now:5. ~worker:"a" ~shard:0 ~epoch:1 = `Ok);
   Alcotest.(check int) "no expiry before deadline" 0 (List.length (Lease.sweep_expired t ~now:12.));
   Alcotest.(check (list (pair int string))) "expiry after deadline names the holder" [ (0, "a") ]
     (Lease.sweep_expired t ~now:16.);
   Alcotest.(check bool) "late heartbeat stale" true
-    (Lease.heartbeat t ~now:16. ~shard:0 ~epoch:1 = `Stale);
+    (Lease.heartbeat t ~now:16. ~worker:"a" ~shard:0 ~epoch:1 = `Stale);
   (* the shard comes back under a bumped epoch *)
   (match Lease.acquire t ~now:16. ~worker:"b" with
   | `Assign { Lease.shard = 0; epoch = 2; _ } -> ()
   | _ -> Alcotest.fail "expected shard 0 epoch 2");
   Alcotest.(check bool) "stale complete fenced" true
-    (Lease.complete t ~shard:0 ~epoch:1 = `Stale);
-  let accepted kind ~shard ~epoch =
-    match Lease.complete t ~shard ~epoch with `Accepted l -> l.Lease.kind = kind | _ -> false
+    (Lease.complete t ~worker:"a" ~shard:0 ~epoch:1 = `Stale);
+  let accepted kind ~worker ~shard ~epoch =
+    match Lease.complete t ~worker ~shard ~epoch with
+    | `Accepted l -> l.Lease.kind = kind
+    | _ -> false
   in
-  Alcotest.(check bool) "current complete accepted" true (accepted Lease.First ~shard:0 ~epoch:2);
+  Alcotest.(check bool) "only the holder heartbeats" true
+    (Lease.heartbeat t ~now:16. ~worker:"a" ~shard:0 ~epoch:2 = `Stale);
+  Alcotest.(check bool) "only the holder completes" true
+    (Lease.complete t ~worker:"a" ~shard:0 ~epoch:2 = `Stale);
+  Alcotest.(check bool) "current complete accepted" true
+    (accepted Lease.First ~worker:"b" ~shard:0 ~epoch:2);
   Alcotest.(check bool) "re-delivery is duplicate" true
-    (Lease.complete t ~shard:0 ~epoch:2 = `Duplicate);
-  Alcotest.(check bool) "unknown shard" true (Lease.complete t ~shard:99 ~epoch:1 = `Unknown);
+    (Lease.complete t ~worker:"b" ~shard:0 ~epoch:2 = `Duplicate);
+  Alcotest.(check bool) "unknown shard" true
+    (Lease.complete t ~worker:"b" ~shard:99 ~epoch:1 = `Unknown);
   (* a straggler on shard 1 gets one speculative duplicate, which wins *)
   (match Lease.acquire t ~now:20. ~worker:"b" with
   | `Assign { Lease.shard = 1; epoch = 1; _ } -> ()
@@ -230,12 +245,13 @@ let test_lease_lifecycle () =
   Alcotest.(check bool) "one duplicate per shard" true (spec ~now:22. "d" = None);
   Alcotest.(check int) "a duplicated shard is in flight once" 1 (Lease.in_flight t);
   Alcotest.(check bool) "duplicate heartbeats" true
-    (Lease.heartbeat t ~now:23. ~shard:1 ~epoch:2 = `Ok);
-  Alcotest.(check bool) "the duplicate wins" true (accepted Lease.Speculative ~shard:1 ~epoch:2);
+    (Lease.heartbeat t ~now:23. ~worker:"c" ~shard:1 ~epoch:2 = `Ok);
+  Alcotest.(check bool) "the duplicate wins" true
+    (accepted Lease.Speculative ~worker:"c" ~shard:1 ~epoch:2);
   Alcotest.(check bool) "the straggler's heartbeat is fenced" true
-    (Lease.heartbeat t ~now:23. ~shard:1 ~epoch:1 = `Stale);
+    (Lease.heartbeat t ~now:23. ~worker:"b" ~shard:1 ~epoch:1 = `Stale);
   Alcotest.(check bool) "the straggler's result is fenced" true
-    (Lease.complete t ~shard:1 ~epoch:1 = `Stale);
+    (Lease.complete t ~worker:"b" ~shard:1 ~epoch:1 = `Stale);
   (* an audit re-run of a done shard leaves its accepted result alone *)
   let audit ~now worker = Lease.audit t ~now ~worker ~due:(fun shard -> shard <> 1) in
   (match audit ~now:23. "c" with
@@ -243,15 +259,19 @@ let test_lease_lifecycle () =
   | _ -> Alcotest.fail "expected an audit of shard 0 under epoch 3");
   Alcotest.(check bool) "one audit per shard, none of an open one" true (audit ~now:23. "d" = None);
   Alcotest.(check int) "the audit is in flight" 1 (Lease.in_flight t);
-  Alcotest.(check bool) "audit heartbeats" true (Lease.heartbeat t ~now:24. ~shard:0 ~epoch:3 = `Ok);
-  Alcotest.(check bool) "the audit completes as an audit" true (accepted Lease.Audit ~shard:0 ~epoch:3);
+  Alcotest.(check bool) "audit heartbeats" true
+    (Lease.heartbeat t ~now:24. ~worker:"c" ~shard:0 ~epoch:3 = `Ok);
+  Alcotest.(check bool) "the producer cannot settle its own audit" true
+    (Lease.complete t ~worker:"b" ~shard:0 ~epoch:3 = `Stale);
+  Alcotest.(check bool) "the audit completes as an audit" true
+    (accepted Lease.Audit ~worker:"c" ~shard:0 ~epoch:3);
   Alcotest.(check int) "an audit accepts no shard" 2 (Lease.completed t);
   Alcotest.(check bool) "the accepted epoch still dedups" true
-    (Lease.complete t ~shard:0 ~epoch:2 = `Duplicate);
+    (Lease.complete t ~worker:"b" ~shard:0 ~epoch:2 = `Duplicate);
   (* drain the rest *)
   (match Lease.acquire t ~now:25. ~worker:"b" with
   | `Assign { Lease.shard; epoch; _ } ->
-      Alcotest.(check bool) "accepted" true (accepted Lease.First ~shard ~epoch)
+      Alcotest.(check bool) "accepted" true (accepted Lease.First ~worker:"b" ~shard ~epoch)
   | _ -> Alcotest.fail "expected an assignment");
   Alcotest.(check bool) "finished" true (Lease.finished t);
   Alcotest.(check bool) "acquire after finish" true
@@ -282,8 +302,8 @@ let test_fencing_exactly_once () =
   | `Assign { Lease.shard = 0; epoch = 1; _ } -> ()
   | _ -> Alcotest.fail "expected shard 0");
   Alcotest.(check int) "lease expires" 1 (List.length (Lease.sweep_expired lease ~now:2.));
-  let accepted ~shard ~epoch =
-    match Lease.complete lease ~shard ~epoch with `Accepted _ -> true | _ -> false
+  let accepted ~worker ~shard ~epoch =
+    match Lease.complete lease ~worker ~shard ~epoch with `Accepted _ -> true | _ -> false
   in
   (* worker b drains everything under live epochs, but c's speculative
      duplicate of shard 1 wins that one and fences b's result *)
@@ -291,13 +311,15 @@ let test_fencing_exactly_once () =
     match Lease.acquire lease ~now ~worker:"b" with
     | `Assign { Lease.shard; epoch; _ } ->
         let blob = run_one shard in
-        (if shard <> 1 then Alcotest.(check bool) "accepted" true (accepted ~shard ~epoch)
+        (if shard <> 1 then
+           Alcotest.(check bool) "accepted" true (accepted ~worker:"b" ~shard ~epoch)
          else
            match Lease.speculate lease ~now:(now +. 0.5) ~worker:"c" ~older_than:0.2 with
            | Some { Lease.shard = 1; epoch = dup; _ } ->
-               Alcotest.(check bool) "duplicate accepted" true (accepted ~shard ~epoch:dup);
+               Alcotest.(check bool) "duplicate accepted" true
+                 (accepted ~worker:"c" ~shard ~epoch:dup);
                Alcotest.(check bool) "straggler fenced" true
-                 (Lease.complete lease ~shard ~epoch = `Stale)
+                 (Lease.complete lease ~worker:"b" ~shard ~epoch = `Stale)
            | _ -> Alcotest.fail "expected a duplicate of shard 1");
         Hashtbl.replace blobs shard blob;
         drain (now +. 0.1)
@@ -308,12 +330,13 @@ let test_fencing_exactly_once () =
   (* an audit re-run of shard 0 completes without a second acceptance *)
   (match Lease.audit lease ~now:3. ~worker:"c" ~due:(fun shard -> shard = 0) with
   | Some { Lease.shard = 0; epoch; _ } -> (
-      match Lease.complete lease ~shard:0 ~epoch with
+      match Lease.complete lease ~worker:"c" ~shard:0 ~epoch with
       | `Accepted { Lease.kind = Lease.Audit; _ } -> ()
       | _ -> Alcotest.fail "the audit must complete as an audit")
   | _ -> Alcotest.fail "expected an audit lease on shard 0");
   (* worker a's zombie result arrives after the fact: fenced *)
-  Alcotest.(check bool) "zombie fenced" true (Lease.complete lease ~shard:0 ~epoch:1 = `Stale);
+  Alcotest.(check bool) "zombie fenced" true
+    (Lease.complete lease ~worker:"a" ~shard:0 ~epoch:1 = `Stale);
   Alcotest.(check int) "every shard exactly once" (Array.length plan) (Lease.completed lease);
   let shards = Hashtbl.fold (fun i b acc -> (i, b) :: acc) blobs [] in
   match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
@@ -489,14 +512,14 @@ let test_loopback_campaign_with_dead_worker () =
       send conn Protocol.Request_shard;
       let shard, epoch, start, len =
         match recv conn with
-        | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
-        | _ -> Alcotest.fail "expected an assignment"
+        | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
+        | _ -> Alcotest.fail "expected a job"
       in
       Alcotest.(check int) "first lease epoch" 1 epoch;
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let blob = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
       Thread.delay 1.6 (* past the TTL: the service expires the lease *);
-      send conn (Protocol.Shard_done { shard; epoch; tally = blob; quarantined = [] });
+      send conn (Protocol.Job_done { fingerprint; shard; epoch; tally = blob; quarantined = [] });
       (match recv conn with
       | Protocol.Ack { accepted = false; _ } -> ()
       | _ -> Alcotest.fail "zombie result must be fenced");
@@ -510,7 +533,7 @@ let test_loopback_campaign_with_dead_worker () =
           retry_delay_s = 0.1;
         }
       in
-      let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run wcfg ~scope:fingerprint ~resolve:(local e prep) in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
       Thread.join server;
       let shards, quarantined = finished_report !outcome in
@@ -568,18 +591,21 @@ let test_loopback_campaign_with_dead_worker () =
 let test_old_versions_refused () =
   Alcotest.(check bool) "v3 refused" false (Protocol.accepts_version 3);
   Alcotest.(check bool) "v4 refused" false (Protocol.accepts_version 4);
-  Alcotest.(check bool) "v5 accepted" true (Protocol.accepts_version Protocol.version);
+  Alcotest.(check bool) "v5 refused" false (Protocol.accepts_version 5);
+  Alcotest.(check int) "the current version is 6" 6 Protocol.version;
+  Alcotest.(check bool) "v6 accepted" true (Protocol.accepts_version Protocol.version);
   Alcotest.(check bool) "future version refused" false
     (Protocol.accepts_version (Protocol.version + 1));
   (* The campaign fingerprint is part of the handshake contract and
      must not move with the wire version. *)
   Alcotest.(check int) "fingerprint version stays 3" 3 Protocol.fingerprint_version
 
-(* The v5 digest extension rides Shard_done/Job_done and round-trips
-   next to the v4 telemetry sections. *)
+(* The v5 digest extension rides Job_done and round-trips next to the
+   v4 telemetry sections. *)
 let test_digest_extension_roundtrip () =
   let msg =
-    Protocol.Shard_done { shard = 1; epoch = 2; tally = "line one\n"; quarantined = [] }
+    Protocol.Job_done
+      { fingerprint = "fp"; shard = 1; epoch = 2; tally = "line one\n"; quarantined = [] }
   in
   let ext = { Protocol.no_extension with Protocol.ext_digest = Some "00ff00ffdeadbeef" } in
   let tag, payload = Protocol.encode_client_ext ~ext msg in
@@ -666,7 +692,7 @@ let test_loopback_fleet_telemetry () =
                 (contains reason "version")
           | _ -> Alcotest.failf "a v%d hello must be rejected" version);
           Wire.close conn)
-        [ 3; 4 ];
+        [ 3; 4; 5 ];
       (* A current peer sees trace ids stamped on its lease and gets its
          piggybacked telemetry absorbed into the fleet view. *)
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
@@ -680,8 +706,8 @@ let test_loopback_fleet_telemetry () =
       send conn Protocol.Request_shard;
       let (shard, epoch, start, len), ext =
         match recv_ext conn with
-        | Protocol.Assign { shard; epoch; start; len }, ext -> ((shard, epoch, start, len), ext)
-        | _ -> Alcotest.fail "expected an assignment"
+        | Protocol.Job { shard; epoch; start; len; _ }, ext -> ((shard, epoch, start, len), ext)
+        | _ -> Alcotest.fail "expected a job"
       in
       (match ext.Protocol.ext_trace with
       | Some (tid, sid) ->
@@ -691,7 +717,7 @@ let test_loopback_fleet_telemetry () =
           Alcotest.(check string) "shard span id stamped"
             (Fmc_obs.Traceid.span_id ~fingerprint ~shard)
             sid
-      | None -> Alcotest.fail "an assign must carry trace ids");
+      | None -> Alcotest.fail "a job must carry trace ids");
       (* Heartbeat with a telemetry batch piggybacked on the side. *)
       let wreg = Fmc_obs.Metrics.create () in
       Fmc_obs.Metrics.add (Fmc_obs.Metrics.counter wreg "fmc_dist_worker_marker_total") 2.;
@@ -722,7 +748,8 @@ let test_loopback_fleet_telemetry () =
         }
       in
       let tag, payload =
-        Protocol.encode_client_ext ~ext (Protocol.Heartbeat { shard; epoch; samples_done = 1 })
+        Protocol.encode_client_ext ~ext
+          (Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = 1 })
       in
       Wire.write_frame conn ~tag payload;
       (match recv conn with
@@ -743,8 +770,9 @@ let test_loopback_fleet_telemetry () =
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let tag, payload =
         Protocol.encode_client_ext ~ext
-          (Protocol.Shard_done
+          (Protocol.Job_done
              {
+               fingerprint;
                shard;
                epoch;
                tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
@@ -768,7 +796,7 @@ let test_loopback_fleet_telemetry () =
           retry_delay_s = 0.1;
         }
       in
-      let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run ~obs:wobs wcfg ~scope:fingerprint ~resolve:(local e prep) in
       Alcotest.(check int) "worker ran the remaining shards" (Array.length plan - 1) accepted;
       Thread.join server;
       let shards, _ = finished_report !outcome in
@@ -790,6 +818,102 @@ let test_loopback_fleet_telemetry () =
         (fun needle ->
           Alcotest.(check bool) (needle ^ " on the stitched trace") true (contains trace needle))
         [ "process_name"; "manual"; "v4-worker"; "\"pid\":1"; "\"pid\":2"; "\"pid\":3" ])
+
+(* The retired lease messages: a Heartbeat or a Shard_done gets a
+   Reject and changes no lease. The lease they name stays live, nothing
+   is accepted, and its holder still renews and completes it with
+   Job_heartbeat and Job_done. *)
+let test_retired_messages_rejected () =
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let samples = 60 and shard_size = 30 and seed = 7 in
+  let fingerprint =
+    Protocol.fingerprint ~strategy:(Sampler.name prep) ~benchmark:"write" ~samples ~seed
+      ~shard_size ~sample_budget:None ()
+  in
+  let sock_path = Filename.temp_file "fmc-dist" ".sock" in
+  Sys.remove sock_path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
+    (fun () ->
+      let addr = Wire.Unix_path sock_path in
+      let reg = Fmc_obs.Metrics.create () in
+      let obs = Fmc_obs.Obs.create ~metrics:reg () in
+      let view = ref None and outcome = ref None in
+      let server =
+        Thread.create
+          (fun () ->
+            outcome :=
+              Some
+                (serve_campaign ~obs
+                   ~on_view:(fun v -> view := Some v)
+                   ~ttl_s:5.0 ~linger_s:0.5 addr prep ~samples ~seed ~shard_size))
+          ()
+      in
+      let conn = Wire.conn (Wire.connect ~attempts:40 ~delay_s:0.05 addr) in
+      send conn (Protocol.Hello { version = Protocol.version; worker = "raw"; fingerprint });
+      (match recv conn with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
+      send conn Protocol.Request_shard;
+      let shard, epoch, start, len =
+        match recv conn with
+        | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
+        | _ -> Alcotest.fail "expected a job"
+      in
+      let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
+      let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
+      let quarantined = sh.Campaign.sh_quarantined in
+      let reply msg =
+        send conn msg;
+        recv conn
+      in
+      (match reply (Protocol.Heartbeat { shard; epoch; samples_done = 1 }) with
+      | Protocol.Reject _ -> ()
+      | _ -> Alcotest.fail "a heartbeat must be rejected");
+      (match reply (Protocol.Shard_done { shard; epoch; tally; quarantined }) with
+      | Protocol.Reject _ -> ()
+      | _ -> Alcotest.fail "a shard_done must be rejected");
+      let counter name =
+        match Fmc_obs.Metrics.find (Fmc_obs.Metrics.snapshot reg) name with
+        | Some (Fmc_obs.Metrics.Counter v) -> v
+        | _ -> 0.
+      in
+      let health = (Option.get !view).Service.vw_health () in
+      Alcotest.(check (pair int int)) "the lease still in flight, nothing accepted" (1, 0)
+        (health.Service.h_in_flight, health.Service.h_shards_done);
+      exact "no heartbeat reached the lease table" 0. (counter "fmc_dist_heartbeats_total");
+      exact "no result fenced" 0. (counter "fmc_dist_stale_results_total");
+      (match reply (Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = 1 }) with
+      | Protocol.Ack { accepted = true; _ } -> ()
+      | _ -> Alcotest.fail "the holder's job_heartbeat must renew the lease");
+      (match reply (Protocol.Job_done { fingerprint; shard; epoch; tally; quarantined }) with
+      | Protocol.Ack { accepted = true; reason = "" } -> ()
+      | _ -> Alcotest.fail "the holder's job_done must be accepted");
+      (* The same client runs the other shard and is told the campaign
+         is finished. *)
+      (match reply Protocol.Request_shard with
+      | Protocol.Job { shard; epoch; start; len; _ } -> (
+          let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
+          let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
+          match
+            reply
+              (Protocol.Job_done
+                 { fingerprint; shard; epoch; tally; quarantined = sh.Campaign.sh_quarantined })
+          with
+          | Protocol.Ack { accepted = true; _ } -> ()
+          | _ -> Alcotest.fail "the second shard must be accepted")
+      | _ -> Alcotest.fail "expected the second job");
+      (match reply Protocol.Request_shard with
+      | Protocol.No_work { finished = true } -> ()
+      | _ -> Alcotest.fail "expected the campaign finished");
+      send conn Protocol.Goodbye;
+      Wire.close conn;
+      Thread.join server;
+      let shards, _ = finished_report !outcome in
+      match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
+      | Error msg -> Alcotest.failf "merge failed: %s" msg
+      | Ok dist ->
+          let reference = Campaign.estimate_sharded e prep ~samples ~seed ~shard_size in
+          check_reports_equal reference.Campaign.report dist)
 
 (* ------------------------------------------------------------------ *)
 (* Untrusted workers: the canonical result digest gates
@@ -850,13 +974,19 @@ let test_loopback_lying_worker_quarantined () =
       send conn Protocol.Request_shard;
       let shard, epoch, start, len =
         match recv conn with
-        | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
-        | _ -> Alcotest.fail "expected an assignment"
+        | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
+        | _ -> Alcotest.fail "expected a job"
       in
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       send_with_digest conn ~digest:"feedfacefeedface"
-        (Protocol.Shard_done
-           { shard; epoch; tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot; quarantined = [] });
+        (Protocol.Job_done
+           {
+             fingerprint;
+             shard;
+             epoch;
+             tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
+             quarantined = [];
+           });
       (match recv conn with
       | Protocol.Ack { accepted = false; reason } ->
           Alcotest.(check bool) "mismatch named in the refusal" true (contains reason "digest")
@@ -867,14 +997,14 @@ let test_loopback_lying_worker_quarantined () =
       send conn Protocol.Request_shard;
       let shard, epoch, start, len =
         match recv conn with
-        | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
-        | _ -> Alcotest.fail "expected a second assignment"
+        | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
+        | _ -> Alcotest.fail "expected a second job"
       in
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let lie = mutate_tally (Ssf.Tally.to_string sh.Campaign.sh_snapshot) in
       send_with_digest conn
         ~digest:(Fmc_audit.Audit.Check.result_digest ~tally:lie ~quarantined:[])
-        (Protocol.Shard_done { shard; epoch; tally = lie; quarantined = [] });
+        (Protocol.Job_done { fingerprint; shard; epoch; tally = lie; quarantined = [] });
       (match recv conn with
       | Protocol.Ack { accepted = true; _ } -> ()
       | _ -> Alcotest.fail "a consistent lie passes the digest gate");
@@ -890,7 +1020,7 @@ let test_loopback_lying_worker_quarantined () =
           retry_delay_s = 0.1;
         }
       in
-      let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run wcfg ~scope:fingerprint ~resolve:(local e prep) in
       Alcotest.(check bool) "honest worker ran primaries and audits" true
         (accepted >= Array.length plan - 1);
       (* Quarantine is terminal: mallory's reconnect is rejected at hello. *)
@@ -969,21 +1099,14 @@ let crashed_fixture =
   {
     Campaign.q_index = 123;
     q_disposition = Campaign.Crashed "Failure(\"boom with spaces\")";
-    q_stratum = Sampler.Vulnerable;
-    q_t = 7;
-    q_center = 991;
-    q_radius = 3.25;
-    q_width = 110.5;
-    q_time_frac = 0.625;
-    q_weight = 1.75e-3;
+    q_sample = sample_fixture;
   }
 
 let timed_out_fixture =
   {
-    crashed_fixture with
     Campaign.q_index = 124;
     q_disposition = Campaign.Timed_out;
-    q_stratum = Sampler.Rest;
+    q_sample = { sample_fixture with Sampler.stratum = Sampler.Rest };
   }
 
 let ckpt_fixture =
@@ -1114,7 +1237,6 @@ let client_fixtures =
 let server_fixtures =
   [
     Protocol.Welcome { version = Protocol.version };
-    Protocol.Assign { shard = 0; epoch = 1; start = 0; len = 250 };
     Protocol.No_work { finished = true };
     Protocol.No_work { finished = false };
     Protocol.Ack { accepted = true; reason = "" };
@@ -1173,7 +1295,7 @@ let client_ext_of msg (ext : Protocol.extension) =
 
 let server_ext_of msg (ext : Protocol.extension) =
   match msg with
-  | Protocol.Assign _ | Protocol.Job _ -> { Protocol.no_extension with ext_trace = ext.ext_trace }
+  | Protocol.Job _ -> { Protocol.no_extension with ext_trace = ext.ext_trace }
   | _ -> Protocol.no_extension
 
 (* Every message under every extension: (tag, payload, what it decodes to). *)
@@ -1560,6 +1682,8 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "old versions refused at hello" `Quick test_old_versions_refused;
+          Alcotest.test_case "retired lease messages rejected" `Quick
+            test_retired_messages_rejected;
           Alcotest.test_case "telemetry piggyback, bit-exact merge" `Quick
             test_loopback_fleet_telemetry;
         ] );

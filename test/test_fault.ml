@@ -380,13 +380,13 @@ let test_loopback_model_campaign () =
       send conn Protocol.Request_shard;
       let shard, epoch, start, len =
         match recv conn with
-        | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
-        | _ -> Alcotest.fail "expected an assignment"
+        | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
+        | _ -> Alcotest.fail "expected a job"
       in
       let sh = Campaign.run_shard ~inject e prep ~seed ~shard ~start ~len in
       let blob = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
       Thread.delay 1.6 (* past the TTL: the service expires the lease *);
-      send conn (Protocol.Shard_done { shard; epoch; tally = blob; quarantined = [] });
+      send conn (Protocol.Job_done { fingerprint; shard; epoch; tally = blob; quarantined = [] });
       (match recv conn with
       | Protocol.Ack { accepted = false; _ } -> ()
       | _ -> Alcotest.fail "zombie result must be fenced");
@@ -399,7 +399,7 @@ let test_loopback_model_campaign () =
           retry_delay_s = 0.1;
         }
       in
-      let accepted = Worker.run ~inject wcfg ~fingerprint e prep ~seed in
+      let accepted = Worker.run wcfg ~scope:fingerprint ~resolve:(fun _ -> Ok (e, prep, inject)) in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
       Thread.join server;
       let shards =

@@ -1,9 +1,10 @@
 (* Tests for the campaign service: WAL framing and torn-tail replay,
    admission control and cancellation, report caching, straggler
-   speculation, kill -9 recovery (WAL + per-campaign checkpoints) with
-   bit-identical merged reports, a loopback service driving a shared
-   pool worker over a Unix socket through submit / fetch / cached
-   resubmit / drain, self-audit by a lone worker, and the
+   speculation, the rule that a lease answers only its holder, kill -9
+   recovery (WAL + per-campaign checkpoints) with bit-identical merged
+   reports, a loopback service driving a shared pool worker over a
+   Unix socket through submit / fetch / cached resubmit / drain,
+   self-audit by a lone worker, and the
    pinned-campaign ([faultmc serve]) rules: the linger exit, a drain
    and restart in mid-campaign, refused foreign submissions, unknown
    fingerprints and bad checkpoints. *)
@@ -24,6 +25,10 @@ let prepare strategy =
     (Experiments.default_attack (Lazy.force ctx))
     (Experiments.precharac (Lazy.force ctx))
     ~placement:(Engine.placement e)
+
+(* A worker's resolver that hands every job this process's engine and
+   prepared sampler under the default fault model. *)
+let local e prep (_ : Protocol.spec) = Ok (e, prep, Ssf.disc_transient)
 
 let temp_dir () =
   let path = Filename.temp_file "fmc-sched" ".dir" in
@@ -421,6 +426,110 @@ let test_quarantine_frees_audit_leases () =
   | None -> Alcotest.fail "campaign must be finished");
   Sched.shutdown sched
 
+(* Flip the last digit of the tally's first line ("samples %d"): the
+   blob still decodes, but its digest moves — a consistent lie. *)
+let mutate_tally blob =
+  let eol = String.index blob '\n' in
+  let b = Bytes.of_string blob in
+  Bytes.set b (eol - 1) (if Bytes.get b (eol - 1) = '0' then '1' else '0');
+  Bytes.to_string b
+
+(* A lease answers only its holder. A liar whose lie was accepted
+   cannot settle the audit of its own shard by completing its auditor's
+   lease with the same lie: that completion is stale, the auditor's
+   honest result opens a dispute, a third worker arbitrates, and the
+   liar is quarantined with the report equal to the reference. *)
+let test_liar_cannot_complete_its_audit () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let config = { Sched.default_config with Sched.audit_rate = 1.0 } in
+  let sched = Sched.create config ~dir ~now:0. in
+  let s = spec ~samples:20 () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  let lease ~now worker =
+    match Sched.next_job sched ~now ~worker ~scope:fp with
+    | `Job (_, a) -> a
+    | _ -> Alcotest.failf "%s expected a lease" worker
+  in
+  let sh = Campaign.run_shard e prep ~seed:s.Protocol.sp_seed ~shard:0 ~start:0 ~len:20 in
+  let quarantined = sh.Campaign.sh_quarantined in
+  let truth = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
+  let lie = mutate_tally truth in
+  let complete ~now worker (a : Lease.assignment) tally =
+    Sched.complete sched ~now ~fingerprint:fp ~shard:a.Lease.shard ~epoch:a.Lease.epoch ~worker
+      ~digest:(Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined))
+      ~tally ~quarantined
+  in
+  (match complete ~now:1. "mallory" (lease ~now:0. "mallory") lie with
+  | `Accepted -> ()
+  | _ -> Alcotest.fail "a consistent lie passes the digest gate");
+  let audit = lease ~now:2. "bob" in
+  Alcotest.(check (pair int int)) "bob audits shard 0 under epoch 2" (0, 2)
+    (audit.Lease.shard, audit.Lease.epoch);
+  (match complete ~now:3. "mallory" audit lie with
+  | `Stale -> ()
+  | `Audited reason -> Alcotest.failf "mallory settled bob's audit lease (%s)" reason
+  | _ -> Alcotest.fail "mallory's completion of bob's lease must be stale");
+  (match complete ~now:4. "bob" audit truth with
+  | `Audited "audit dispute: arbitrating" -> ()
+  | _ -> Alcotest.fail "bob's honest result must open a dispute");
+  (match complete ~now:6. "carol" (lease ~now:5. "carol") truth with
+  | `Audited "audit verdict" -> ()
+  | _ -> Alcotest.fail "carol's arbitration must reach a verdict");
+  Alcotest.(check bool) "mallory quarantined" true (Sched.is_banned sched ~worker:"mallory");
+  (match Sched.report sched ~fingerprint:fp with
+  | Some (blobs, _, _) ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | None -> Alcotest.fail "campaign must be finished");
+  Sched.shutdown sched
+
+(* A forged completion of another worker's lease is a digest mismatch
+   charged to the forger, and the holder keeps its lease: it still
+   heartbeats, no one else is offered the shard, and it completes. *)
+let test_forged_completion_keeps_holder_lease () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let sched = Sched.create Sched.default_config ~dir ~now:0. in
+  let s = spec ~samples:20 () in
+  let fp = Protocol.spec_fingerprint s in
+  (match Sched.submit sched ~now:0. s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  let a =
+    match Sched.next_job sched ~now:0. ~worker:"bob" ~scope:fp with
+    | `Job (_, a) -> a
+    | _ -> Alcotest.fail "bob expected a lease"
+  in
+  let sh = Campaign.run_shard e prep ~seed:s.Protocol.sp_seed ~shard:0 ~start:0 ~len:20 in
+  let tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot in
+  let quarantined = sh.Campaign.sh_quarantined in
+  let complete ~now worker digest =
+    Sched.complete sched ~now ~fingerprint:fp ~shard:a.Lease.shard ~epoch:a.Lease.epoch ~worker
+      ~digest ~tally ~quarantined
+  in
+  (match complete ~now:1. "mallory" (Some "forged") with
+  | `Mismatch -> ()
+  | _ -> Alcotest.fail "a forged digest is a mismatch");
+  Alcotest.(check bool) "bob's heartbeat still live" true
+    (Sched.heartbeat sched ~now:2. ~worker:"bob" ~fingerprint:fp ~shard:a.Lease.shard
+       ~epoch:a.Lease.epoch
+    = `Ok);
+  (match Sched.next_job sched ~now:2. ~worker:"carol" ~scope:fp with
+  | `Wait -> ()
+  | _ -> Alcotest.fail "the shard is still bob's");
+  (match complete ~now:3. "bob" (Some (Fmc_audit.Audit.Check.result_digest ~tally ~quarantined))
+   with
+  | `Accepted -> ()
+  | _ -> Alcotest.fail "bob's result must be accepted");
+  (match Sched.report sched ~fingerprint:fp with
+  | Some (blobs, _, _) ->
+      Alcotest.(check string) "report bit-identical" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | None -> Alcotest.fail "campaign must be finished");
+  Sched.shutdown sched
+
 let test_drain_stops_leasing () =
   with_dir @@ fun dir ->
   let now = 50. in
@@ -462,7 +571,7 @@ let test_kill9_recovery_bit_identical () =
     [ s1; s2; s3 ];
   Alcotest.(check int) "s1 runs fully" 3 (pump sched1 ~now e prep ~scope:fp1);
   (match Sched.next_job sched1 ~now ~worker:"w" ~scope:fp2 with
-  | `Job (sp, a) -> run_job sched1 ~now e prep sp a
+  | `Job (sp, a) -> run_job ~worker:"w" sched1 ~now e prep sp a
   | _ -> Alcotest.fail "lease one s2 shard");
   (* sched1 is abandoned here, WAL handle and all, like a SIGKILL. *)
   let reg = Fmc_obs.Metrics.create () in
@@ -665,7 +774,7 @@ let test_service_loopback_pool () =
               { (Worker.default_config ~addr ~worker_name:"pool-1") with Worker.retry_delay_s = 0.05 }
             in
             accepted :=
-              Worker.run_pool wcfg ~resolve:(fun _ -> Ok (e, prep, Ssf.disc_transient)) ())
+              Worker.run wcfg ~scope:Protocol.pool_fingerprint ~resolve:(local e prep))
           ()
       in
       (* Wait for the report on a campaign-scoped connection; pending
@@ -761,7 +870,7 @@ let test_lone_worker_self_audits () =
         let wcfg =
           { (Worker.default_config ~addr ~worker_name:"pool-1") with Worker.retry_delay_s = 0.05 }
         in
-        ignore (Worker.run_pool wcfg ~resolve:(fun _ -> Ok (e, prep, Ssf.disc_transient)) () : int))
+        ignore (Worker.run wcfg ~scope:Protocol.pool_fingerprint ~resolve:(local e prep) : int))
       ()
   in
   Thread.join fetcher;
@@ -809,7 +918,7 @@ let test_linger_zero_waits_for_clients () =
   send conn (Protocol.Hello { version = Protocol.version; worker = "watcher"; fingerprint = fp });
   (match recv conn with Protocol.Welcome _ -> () | _ -> Alcotest.fail "expected welcome");
   let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
-  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~scope:fp ~resolve:(local e prep));
   (* Several ticks after the campaign finished, with the linger long
      gone, the watcher's open connection still holds the service. *)
   Thread.delay 0.8;
@@ -855,19 +964,25 @@ let test_linger_waits_for_sleeping_lessee () =
   let conn = hello () in
   send conn Protocol.Request_shard;
   (match recv conn with
-  | Protocol.Assign { shard; epoch; start; len } ->
+  | Protocol.Job { shard; epoch; start; len; _ } ->
       let sh = Campaign.run_shard e prep ~seed:5 ~shard ~start ~len in
       send conn
-        (Protocol.Shard_done
-           { shard; epoch; tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot; quarantined = [] });
+        (Protocol.Job_done
+           {
+             fingerprint = fp;
+             shard;
+             epoch;
+             tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
+             quarantined = [];
+           });
       (match recv conn with
       | Protocol.Ack { accepted = true; _ } -> ()
       | _ -> Alcotest.fail "expected the shard accepted")
-  | _ -> Alcotest.fail "expected an assignment");
+  | _ -> Alcotest.fail "expected a job");
   Wire.close conn;
   (* Another worker finishes the campaign and is told so. *)
   let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
-  Alcotest.(check int) "worker ran the other shard" 1 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  Alcotest.(check int) "worker ran the other shard" 1 (Worker.run wcfg ~scope:fp ~resolve:(local e prep));
   (* Five lingers later, with no connection open, the sleeper is still owed. *)
   Thread.delay 1.0;
   Alcotest.(check bool) "service up while the sleeper is owed" true (!outcome = None);
@@ -910,7 +1025,7 @@ let test_drain_ends_linger_and_state () =
       ()
   in
   let wcfg = { (Worker.default_config ~addr ~worker_name:"w") with Worker.retry_delay_s = 0.05 } in
-  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~fingerprint:fp e prep ~seed:5);
+  Alcotest.(check int) "worker ran every shard" 2 (Worker.run wcfg ~scope:fp ~resolve:(local e prep));
   Alcotest.(check int) "one ephemeral state directory" 1 (Array.length (Sys.readdir tmp));
   let t0 = Unix.gettimeofday () in
   (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
@@ -954,7 +1069,7 @@ let test_drain_keeps_workers_for_restart () =
   send conn Protocol.Request_shard;
   let shard, epoch, start, len =
     match recv conn with
-    | Protocol.Assign { shard; epoch; start; len } -> (shard, epoch, start, len)
+    | Protocol.Job { shard; epoch; start; len; _ } -> (shard, epoch, start, len)
     | _ -> Alcotest.fail "expected a lease"
   in
   (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
@@ -971,7 +1086,7 @@ let test_drain_keeps_workers_for_restart () =
             retry = { Worker.base_s = 0.05; cap_s = 0.2; max_attempts = 50; budget_s = 20. };
           }
         in
-        completed := Worker.run wcfg ~fingerprint:fp e prep ~seed:5;
+        completed := Worker.run wcfg ~scope:fp ~resolve:(local e prep);
         returned := true)
       ()
   in
@@ -980,8 +1095,9 @@ let test_drain_keeps_workers_for_restart () =
   Alcotest.(check bool) "the in-flight lease holds the service" true (!first = None);
   let sh = Campaign.run_shard e prep ~seed:5 ~shard ~start ~len in
   send conn
-    (Protocol.Shard_done
+    (Protocol.Job_done
        {
+         fingerprint = fp;
          shard;
          epoch;
          tally = Ssf.Tally.to_string sh.Campaign.sh_snapshot;
@@ -1061,7 +1177,7 @@ let test_unknown_fingerprint_rejected () =
     }
   in
   let stray = Protocol.spec_fingerprint (spec ~seed:6 ()) in
-  (match Worker.run wcfg ~fingerprint:stray e prep ~seed:6 with
+  (match Worker.run wcfg ~scope:stray ~resolve:(local e prep) with
   | _ -> Alcotest.fail "a campaign the service does not hold must be rejected"
   | exception Worker.Rejected reason ->
       Alcotest.(check bool) "unknown campaign named" true
@@ -1157,6 +1273,10 @@ let () =
           Alcotest.test_case "expired audit lease charged" `Quick test_audit_lease_expiry_charged;
           Alcotest.test_case "quarantine frees audit leases" `Quick
             test_quarantine_frees_audit_leases;
+          Alcotest.test_case "a liar cannot complete its own audit" `Quick
+            test_liar_cannot_complete_its_audit;
+          Alcotest.test_case "a forged completion keeps the holder's lease" `Quick
+            test_forged_completion_keeps_holder_lease;
         ] );
       ( "recovery",
         [
