@@ -276,12 +276,18 @@ let handle_client t client =
       | server ->
           let closed = ref false in
           let cm = Mutex.create () in
+          (* A close alone sends no FIN while the other pump is still
+             blocked reading the socket; a shutdown ends the connection
+             at both peers at once. *)
           let sever () =
             Mutex.lock cm;
             let first = not !closed in
             closed := true;
             Mutex.unlock cm;
             if first then begin
+              List.iter
+                (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+                [ client; server ];
               close_quietly client;
               close_quietly server
             end

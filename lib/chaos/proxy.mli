@@ -14,7 +14,9 @@
     forwards a prefix then severs; [dup] forwards a chunk twice
     (desynchronizing the stream); [drop] severs outright; [partition]
     opens a periodic window during which new connections are refused
-    and live ones severed.
+    and live ones severed. Severing shuts both sockets down before
+    closing them, so the client and the upstream both see the
+    connection end at once.
 
     Threading: one accept thread plus two pump threads per connection;
     {!stop} joins the accept thread and severs everything live. *)

@@ -65,12 +65,12 @@ let count_fault_run_now ei metric =
   Metrics.inc all;
   Metrics.inc model
 
-(* What the golden run does in cycle [c], filled on first use. *)
+(* The golden run at the start of cycle [c], filled on first use. *)
 type entry = {
-  arch : Arch.t;  (* golden architectural state at the start of [c] *)
-  writes : (int * int) list;  (* (address, value) of the data words cycle [c] changes *)
+  arch : Arch.t;  (* golden architectural state *)
+  dmem : int array;  (* golden data memory *)
   settled : Bytes.t;  (* fault-free settled node values, a Cycle_sim.save_values image *)
-  fill_cycles : int;  (* RTL cycles the fill stepped: its restore's warm-up plus cycle [c] *)
+  fill_cycles : int;  (* RTL cycles the fill's restore stepped *)
   charged : bool Atomic.t;  (* the fill is counted (see [charge]) *)
 }
 
@@ -237,25 +237,12 @@ let step_hook t =
           t.hook <- hook;
           hook)
 
-let restore t cycle =
-  count_restore t;
-  Golden.restore_at ?on_step:(step_hook t) t.golden cycle
-
-(* [restore] into a system the engine owns: the same counts, no fresh
-   data memory (an array too large for the minor heap). *)
-let restore_into t sys cycle =
-  count_restore t;
-  Golden.restore_into ?on_step:(step_hook t) t.golden sys cycle
-
+(* The engine's one restore, into the system it owns: no fresh data
+   memory (an array too large for the minor heap). *)
 let restore_run t cycle =
-  restore_into t t.sys cycle;
+  count_restore t;
+  Golden.restore_into ?on_step:(step_hook t) t.golden t.sys cycle;
   t.sys
-
-let restore_reference t cycle =
-  restore_into t t.trial cycle;
-  (* Only the warm-up counts: [causal_flips] steps [trial] unhooked. *)
-  System.set_on_step t.trial None;
-  t.trial
 
 let count_fault_run t metric =
   match t.einst with
@@ -264,19 +251,17 @@ let count_fault_run t metric =
       if t.deferred then t.pending.runs <- metric :: t.pending.runs
       else count_fault_run_now ei metric
 
+(* The entry keeps the restored system's state and memory: nothing
+   else holds that system. *)
 let fill t c =
   let stepped = ref 0 in
   let sys = Golden.restore_at ~on_step:(fun () -> incr stepped) t.golden c in
-  let arch = Arch.copy (System.state sys) in
-  let net_dmem = Netsys.dmem t.netsys in
-  Array.blit (System.dmem sys) 0 net_dmem 0 (Array.length net_dmem);
+  let arch = System.state sys and dmem = System.dmem sys in
+  Array.blit dmem 0 (Netsys.dmem t.netsys) 0 (Array.length dmem);
   Netsys.load_arch t.netsys arch;
   Netsys.settle t.netsys;
   let settled = Cycle_sim.save_values (Netsys.sim t.netsys) in
-  ignore (System.step sys);
-  let writes = ref [] in
-  Array.iteri (fun a v -> if v <> net_dmem.(a) then writes := (a, v) :: !writes) (System.dmem sys);
-  { arch; writes = List.rev !writes; settled; fill_cycles = !stepped; charged = Atomic.make false }
+  { arch; dmem; settled; fill_cycles = !stepped; charged = Atomic.make false }
 
 (* A fill is counted (one restore, its RTL cycles) once, on the handle of
    the first sample that touches the entry; on a single domain that is
@@ -373,13 +358,11 @@ let settle_at t sys =
    [hit n] says a transient on port node [n] overlaps the latch window, so
    the RAM captures the corrupted value exactly like a flip-flop would —
    the same-cycle channel a classic fault attack uses to commit a store
-   whose violation flag was suppressed. Returns the (address, previous
-   value) of the word written, if any. *)
+   whose violation flag was suppressed. *)
 let commit_write t sys ~hit =
   let sim = Netsys.sim t.netsys in
   let bit node = Cycle_sim.value sim node <> hit node in
-  if not (bit t.circuit.Circuit.dmem_we) then None
-  else begin
+  if bit t.circuit.Circuit.dmem_we then begin
     let bus nodes =
       let v = ref 0 in
       Array.iteri (fun i node -> if bit node then v := !v lor (1 lsl i)) nodes;
@@ -387,9 +370,7 @@ let commit_write t sys ~hit =
     in
     let dmem = System.dmem sys in
     let addr = bus t.circuit.Circuit.dmem_addr land (Array.length dmem - 1) in
-    let previous = dmem.(addr) in
-    dmem.(addr) <- bus t.circuit.Circuit.dmem_wdata;
-    Some (addr, previous)
+    dmem.(addr) <- bus t.circuit.Circuit.dmem_wdata
   end
 
 (* Write the latched next state back to RTL and count the cycle. *)
@@ -399,8 +380,7 @@ let writeback t sys =
   List.iter (fun (name, _) -> Arch.set_group st name (Cycle_sim.read_group sim name)) Arch.groups;
   System.advance_externally sys
 
-(* [gate_level_cycle], also returning the memory write it committed. *)
-let gate_cycle t sys (sample : Sampler.sample) gate_strikes =
+let gate_level_cycle t sys (sample : Sampler.sample) gate_strikes =
   settle_at t sys;
   let time = sample.Sampler.time_frac *. t.tconfig.Transient.clock_period in
   let strikes =
@@ -408,16 +388,12 @@ let gate_cycle t sys (sample : Sampler.sample) gate_strikes =
   in
   let sim = Netsys.sim t.netsys in
   let result = Transient.inject ~scratch:t.transient ~watch:t.watch sim t.tconfig ~strikes in
-  let write =
-    commit_write t sys ~hit:(fun node -> Array.mem node result.Transient.watched_hits)
-  in
+  commit_write t sys ~hit:(fun node -> Array.mem node result.Transient.watched_hits);
   (* The flip-flops latch fault-free values; the latched errors are the
      caller's to apply. *)
   Cycle_sim.latch sim;
   writeback t sys;
-  (result.Transient.latched, write)
-
-let gate_level_cycle t sys sample gate_strikes = fst (gate_cycle t sys sample gate_strikes)
+  result.Transient.latched
 
 let partition_disc ?(cell_filter = fun _ -> true) t center radius =
   let cells =
@@ -456,37 +432,49 @@ let state_bit_diffs faulty golden_state =
       bits 0 [])
     Arch.groups
 
-(* Data words where [sys]'s memory differs from the golden run's at
-   [te + cycles], ascending by address. [sys] held the golden memory at
-   [te] and has since taken the faulty [writes] ((address, previous
-   value), oldest first); in between, the golden run changed only the
-   words its cache entries list. *)
-let dmem_diffs t sys ~te ~cycles writes =
-  let golden_writes = List.concat (List.init cycles (fun k -> (entry t (te + k)).writes)) in
-  let dmem = System.dmem sys in
-  let golden a =
-    let base = match List.assoc_opt a writes with Some previous -> previous | None -> dmem.(a) in
-    List.fold_left (fun v (a', w) -> if a' = a then w else v) base golden_writes
+(* The register errors and the differing data words of [sys] against the
+   golden run at the start of cycle [at], the memory ascending by
+   address. Every sample scans the whole memory, so the scan is
+   unchecked once the lengths agree, and it allocates only for words
+   that differ. *)
+let errors t sys ~at =
+  let golden = entry t at in
+  let dmem = System.dmem sys and gold = golden.dmem in
+  if Array.length dmem <> Array.length gold then invalid_arg "Engine.errors: data memory size";
+  let rec words a acc =
+    if a < 0 then acc
+    else if Array.unsafe_get dmem a = Array.unsafe_get gold a then words (a - 1) acc
+    else words (a - 1) ((a, dmem.(a)) :: acc)
   in
-  List.sort_uniq compare (List.map fst writes @ List.map fst golden_writes)
-  |> List.filter_map (fun a -> if dmem.(a) <> golden a then Some (a, dmem.(a)) else None)
+  (state_bit_diffs (System.state sys) golden.arch, words (Array.length dmem - 1) [])
+
+(* Resume [sys] to the end of the benchmark, under the optional watchdog,
+   and judge the attack by the observables. *)
+let resume t ?cycle_budget sys =
+  let budget = t.program.Programs.max_cycles + 100 in
+  System.set_watchdog sys cycle_budget;
+  ignore (System.run sys ~max_cycles:(max 1 (budget - System.cycle sys)));
+  System.set_watchdog sys None;
+  observables_differ t sys
+
+let masked ?(struck_cells = 0) t (sample : Sampler.sample) =
+  {
+    sample;
+    te = Golden.target_cycle t.golden - sample.Sampler.t;
+    outcome = Masked;
+    success = false;
+    flips = [];
+    dmem_diffs = [];
+    direct = [||];
+    latched = [||];
+    struck_cells;
+  }
 
 let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) ?(resilience = 10.)
     ?cycle_budget rng (sample : Sampler.sample) =
   if impact_cycles < 1 then invalid_arg "Engine.run_sample: impact_cycles must be >= 1";
   let te = Golden.target_cycle t.golden - sample.Sampler.t in
-  if te < 1 then
-    {
-      sample;
-      te;
-      outcome = Masked;
-      success = false;
-      flips = [];
-      dmem_diffs = [];
-      direct = [||];
-      latched = [||];
-      struck_cells = 0;
-    }
+  if te < 1 then masked t sample
   else begin
     let t_begin = match t.einst with None -> 0. | Some _ -> Fmc_obs.Clock.now_us () in
     let net = t.circuit.Circuit.net in
@@ -499,13 +487,12 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
        cycle (paper §3.2: "our framework can easily incorporate multi-cycle
        impact"). *)
     List.iter (apply_flip sys net) direct;
-    let latched = ref [] and writes = ref [] in
+    let latched = ref [] in
     for _ = 1 to impact_cycles do
-      let latched_raw, write =
+      let latched_raw =
         count_gate_cycle t;
-        Obs.span t.obs ~cat:"engine" "gate_cycle" (fun () -> gate_cycle t sys sample gate_hits)
+        Obs.span t.obs ~cat:"engine" "gate_cycle" (fun () -> gate_level_cycle t sys sample gate_hits)
       in
-      Option.iter (fun w -> writes := w :: !writes) write;
       let survivors = List.filter survives (Array.to_list latched_raw) in
       (* Latched errors corrupt the post-cycle state before the next
          impacted cycle executes. *)
@@ -515,9 +502,7 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
     let latched = List.sort_uniq compare !latched in
     (* Exact error set vs the golden run just past the impact window. *)
     let flips, dmem_diffs =
-      Obs.span t.obs ~cat:"engine" "masking" (fun () ->
-          ( state_bit_diffs (System.state sys) (entry t (te + impact_cycles)).arch,
-            dmem_diffs t sys ~te ~cycles:impact_cycles (List.rev !writes) ))
+      Obs.span t.obs ~cat:"engine" "masking" (fun () -> errors t sys ~at:(te + impact_cycles))
     in
     let mem_clean = dmem_diffs = [] in
     let flip_nodes = List.map (fun (g, b) -> (N.register_group net g).(b)) flips in
@@ -534,17 +519,10 @@ let run_sample t ?cell_filter ?(impact_cycles = 1) ?(hardened = fun _ -> false) 
         (Analytical e, e)
       end
       else begin
-        let budget = t.program.Fmc_isa.Programs.max_cycles + 100 in
         (* The optional watchdog bounds the RTL resume loop so a pathological
            sample raises [System.Cycle_budget_exhausted] instead of running
            away; the campaign runner quarantines it. *)
-        let e =
-          Obs.span t.obs ~cat:"engine" "rtl_resume" (fun () ->
-              System.set_watchdog sys cycle_budget;
-              ignore (System.run sys ~max_cycles:(max 1 (budget - System.cycle sys)));
-              System.set_watchdog sys None;
-              observables_differ t sys)
-        in
+        let e = Obs.span t.obs ~cat:"engine" "rtl_resume" (fun () -> resume t ?cycle_budget sys) in
         (Resumed e, e)
       end
     in
@@ -568,20 +546,15 @@ let run_glitch t ~te ~period =
   if te < 1 then { g_te = te; g_success = false; g_stale = [] }
   else begin
     let net = t.circuit.Circuit.net in
-    let sys = restore t te in
+    let sys = restore_run t te in
     (* Evaluate the glitched cycle at gate level: settle, commit the memory
        write at the nominal edge, clock with the shortened period. *)
     settle_at t sys;
-    ignore (commit_write t sys ~hit:(fun _ -> false));
+    commit_write t sys ~hit:(fun _ -> false);
     let stale = Glitch.latch_with_glitch t.timing t.tconfig (Netsys.sim t.netsys) ~period in
     writeback t sys;
-    let budget = t.program.Programs.max_cycles + 100 in
-    ignore (System.run sys ~max_cycles:(max 1 (budget - System.cycle sys)));
-    {
-      g_te = te;
-      g_success = observables_differ t sys;
-      g_stale = Array.to_list (Array.map (N.dff_group net) stale);
-    }
+    let g_success = resume t sys in
+    { g_te = te; g_success; g_stale = Array.to_list (Array.map (N.dff_group net) stale) }
   end
 
 let glitch_critical_path t = Glitch.critical_path t.timing
@@ -602,15 +575,13 @@ let causal_flips t (r : run_result) =
     let sys = restore_run t (r.te + 1) in
     List.iter (flip (System.state sys)) r.flips;
     List.iter (fun (a, v) -> (System.dmem sys).(a) <- v) r.dmem_diffs;
-    let budget = t.program.Programs.max_cycles + 100 in
     (* The trial system never carries hooks, so its cycles go uncounted
        as a fresh system's would. *)
     let trial = t.trial in
     let fails_without f =
       System.copy_into ~src:sys trial;
       flip (System.state trial) f;
-      ignore (System.run trial ~max_cycles:(max 1 (budget - System.cycle trial)));
-      not (observables_differ t trial)
+      not (resume t trial)
     in
     match List.filter fails_without r.flips with
     | [] -> r.flips
@@ -628,7 +599,7 @@ let static_vulnerable t =
         | Programs.Attack_write -> Arch.Write
         | Programs.Attack_exec -> Arch.Exec
       in
-      let base = System.state (restore t (Golden.target_cycle t.golden)) in
+      let base = System.state (restore_run t (Golden.target_cycle t.golden)) in
       Array.iter
         (fun dff ->
           let group, bit = N.dff_group net dff in
@@ -653,7 +624,7 @@ let static_vulnerable t =
 let gate_flips_only t rng (sample : Sampler.sample) =
   ignore rng;
   let te = max 1 (Golden.target_cycle t.golden - sample.Sampler.t) in
-  let sys = restore t te in
+  let sys = restore_run t te in
   let dff_hits, gate_hits, _ = partition_disc t sample.Sampler.center sample.Sampler.radius in
   List.iter (apply_flip sys t.circuit.Circuit.net) dff_hits;
   let latched = gate_level_cycle t sys sample gate_hits in

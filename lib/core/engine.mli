@@ -12,9 +12,10 @@
       ([Fmc_gatesim.Transient]), and collect the registers that latch
       errors;
     + compare the post-cycle state and memory against the golden run at
-      [Te + 1], then classify: no flips — masked; flips confined to memory-type
-      registers — analytical evaluation; otherwise inject the flips back
-      into the RTL state and resume RTL simulation to completion;
+      [Te + 1] ({!errors}), then classify: no flips — masked; flips
+      confined to memory-type registers — analytical evaluation;
+      otherwise inject the flips back into the RTL state and resume RTL
+      simulation to completion ({!resume});
     + the attack succeeded iff a benchmark observable differs from the
       golden run.
 
@@ -78,9 +79,10 @@ val set_obs : t -> Fmc_obs.Obs.t -> unit
     and bump the engine counters ([fmc_restores_total],
     [fmc_rtl_cycles_total], [fmc_gate_cycles_total],
     [fmc_sample_duration_us]). The restore and RTL-cycle counters cover
-    every golden restore made through {!restore} and the owned-target
-    restores: samples, causal attribution, golden-cycle cache fills and
-    the fault models. Unless the engine is deferred ({!defer_fills}), a
+    every golden restore the engine makes: {!restore_run} (samples,
+    causal attribution, the fault models, {!run_glitch},
+    {!static_vulnerable}, {!gate_flips_only}) and the golden-cycle cache
+    fills. Unless the engine is deferred ({!defer_fills}), a
     count lands on the handle's registry at once. Callers rarely need
     this directly: {!Ssf.estimate} installs its [?obs] on the engine for
     the run's duration and restores the previous handle afterwards.
@@ -89,27 +91,14 @@ val set_obs : t -> Fmc_obs.Obs.t -> unit
 
 val golden : t -> Golden.t
 
-val restore : t -> int -> Fmc_cpu.System.t
-(** [Golden.restore_at] of the engine's golden run: a fresh system at the
-    given cycle. With observability installed it bumps
-    [fmc_restores_total] and arms the [fmc_rtl_cycles_total] hook on the
-    returned system (warm-up cycles and any later resume count, on the
-    engine as it is at each step). {!run_sample}, {!causal_flips} and the fault models restore the same
-    way, with the same counts, into systems the engine owns instead
-    ({!restore_run}, {!restore_reference}). *)
-
 val restore_run : t -> int -> Fmc_cpu.System.t
-(** {!restore} into the engine's own run target, the system
-    {!run_sample} and {!causal_flips} restore into: the same counts and
-    hook, no fresh system. The system is the engine's; it is valid until
-    the engine's next run or restore into it. *)
-
-val restore_reference : t -> int -> Fmc_cpu.System.t
-(** {!restore} into the engine's second owned system, as a golden
-    reference to compare a run against: its restore and warm-up cycles
-    count as {!restore}'s, then its step hook is removed, so stepping
-    it counts nothing. Valid until the next {!restore_reference} or
-    {!causal_flips}, which uses the same system for its trials. *)
+(** The engine's one golden restore: {!Golden.restore_into} of the
+    engine's golden run into the system the engine owns, at the given
+    cycle, with no fresh data memory. With observability installed it
+    bumps [fmc_restores_total] and arms the [fmc_rtl_cycles_total] hook
+    on the system (warm-up cycles and any later resume count, on the
+    engine as it is at each step). The system is the engine's; it is
+    valid until the engine's next run or restore. *)
 
 val count_fault_run : t -> string -> unit
 (** [count_fault_run t metric]: one sample evaluated under the fault
@@ -121,8 +110,10 @@ val golden_settled : t -> int -> Bytes.t
 (** The fault-free settled node values at the start of golden cycle [c]
     (every gate at its stable value, inputs driven from the golden
     memories), one byte per node as {!Fmc_gatesim.Cycle_sim.save_values}
-    encodes them. Comes from the engine's golden-cycle cache (see
-    {!gate_level_cycle}); callers must not mutate it. *)
+    encodes them. Comes from the engine's golden-cycle cache, whose
+    entry for [c] also holds the golden architectural state and data
+    memory at the start of [c] (see {!gate_level_cycle} and {!errors});
+    callers must not mutate it. *)
 
 val placement : t -> Fmc_layout.Placement.t
 val precharac : t -> Precharac.t
@@ -159,7 +150,8 @@ val run_sample :
   Fmc_prelude.Rng.t ->
   Sampler.sample ->
   run_result
-(** [cell_filter] restricts which struck cells take effect (used by the
+(** One fault-attack run of the native disc-transient model.
+    [cell_filter] restricts which struck cells take effect (used by the
     comb-vs-seq population studies of Fig. 10). [impact_cycles] (default 1)
     models a sustained radiation event: direct upsets land once, fresh
     transients are injected on each of the impacted cycles (paper §3.2's
@@ -171,6 +163,14 @@ val run_sample :
     ({!Campaign}) turns this into a [Timed_out] quarantine instead of an
     aborted run. Unset means the benchmark's own [max_cycles + 100] cap
     alone bounds the resume. *)
+
+val masked : ?struck_cells:int -> t -> Sampler.sample -> run_result
+(** The result of a sample that ran no injection, or whose injection
+    left no error: outcome [Masked], no flips, data words or struck
+    flip-flops, [te = Tt - t] and [struck_cells] (default 0).
+    {!run_sample} returns it for a strike before reset, the fault models
+    for their masked samples and {!Ssf.pruned_result} for a certified
+    one. *)
 
 (** {2 Injection building blocks}
 
@@ -200,7 +200,23 @@ val observables_differ : t -> Fmc_cpu.System.t -> bool
 val state_bit_diffs : Fmc_cpu.Arch.t -> Fmc_cpu.Arch.t -> (string * int) list
 (** [(group, bit)] positions where the two architectural states differ,
     in canonical group order — the exact register-error extraction
-    {!run_sample} performs against the golden reference. *)
+    {!errors} performs against the golden reference. *)
+
+val errors : t -> Fmc_cpu.System.t -> at:int -> (string * int) list * (int * int) list
+(** [errors t sys ~at]: the register errors ({!state_bit_diffs}) and the
+    (address, value) data words, ascending by address, where [sys]
+    differs from the golden run at the start of cycle [at] — the one
+    masking check of {!run_sample} and every fault model. The golden
+    state and memory come from the golden-cycle cache (filled on first
+    use of [at], which may lie past the golden run's halt), so the check
+    restores nothing once the cycle is cached. *)
+
+val resume : t -> ?cycle_budget:int -> Fmc_cpu.System.t -> bool
+(** Run the system to the end of the benchmark ([max_cycles + 100]
+    cycles from reset at most) and judge the attack by
+    {!observables_differ}: the RTL resume of {!run_sample},
+    {!causal_flips}, {!run_glitch} and the fault models. [cycle_budget]
+    arms the watchdog for the resume, as {!run_sample} documents. *)
 
 val gate_level_cycle :
   t -> Fmc_cpu.System.t -> Sampler.sample -> Fmc_netlist.Netlist.node list -> Fmc_netlist.Netlist.node array
@@ -260,4 +276,4 @@ val gate_flips_only :
   t -> Fmc_prelude.Rng.t -> Sampler.sample -> Fmc_netlist.Netlist.node array * Fmc_netlist.Netlist.node array
 (** Gate-level-only evaluation of a strike at the injection cycle:
     [(latched, direct)] flip sets with no downstream run — the error-pattern
-    studies of Fig. 7 use this. *)
+    studies of Fig. 7 use this. Restores through {!restore_run}. *)

@@ -9,7 +9,6 @@ type t = {
   target_cycle : int;
   halt_cycle : int;
   final_observables : int list;
-  final_state : Fmc_cpu.Arch.t;
 }
 
 let run ?(checkpoint_every = 16) (program : Programs.t) =
@@ -38,14 +37,12 @@ let run ?(checkpoint_every = 16) (program : Programs.t) =
     target_cycle = (if !target >= 0 then !target else halt_cycle);
     halt_cycle;
     final_observables = System.observable_values sys;
-    final_state = Fmc_cpu.Arch.copy (System.state sys);
   }
 
 let program t = t.program
 let target_cycle t = t.target_cycle
 let halt_cycle t = t.halt_cycle
 let final_observables t = t.final_observables
-let final_state t = Fmc_cpu.Arch.copy t.final_state
 
 let nearest_checkpoint t cycle =
   let idx = max 0 (min (cycle / t.interval) (Array.length t.checkpoints - 1)) in

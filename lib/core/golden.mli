@@ -23,9 +23,6 @@ val halt_cycle : t -> int
 
 val final_observables : t -> int list
 
-val final_state : t -> Fmc_cpu.Arch.t
-(** A copy of the architectural state at the end of the golden run. *)
-
 val nearest_checkpoint : t -> int -> Fmc_cpu.System.checkpoint
 (** The latest checkpoint at or before the given cycle. *)
 

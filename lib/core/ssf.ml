@@ -533,23 +533,11 @@ type prune = {
   note : Sampler.sample -> covered:bool -> unit;
 }
 
-(* The analytical result a pruned sample is tallied with: exactly what
-   [Engine.run_sample] returns for a provably masked sample. The pruner's
+(* The analytical result a pruned sample is tallied with. The pruner's
    certificate guarantees outcome/success/flips; [direct]/[latched]/
    [struck_cells] are only read by [Tally.record] on successful samples,
    which a masked one never is. *)
-let pruned_result engine (sample : Sampler.sample) =
-  {
-    Engine.sample;
-    te = Golden.target_cycle (Engine.golden engine) - sample.Sampler.t;
-    outcome = Engine.Masked;
-    success = false;
-    flips = [];
-    dmem_diffs = [];
-    direct = [||];
-    latched = [||];
-    struck_cells = 0;
-  }
+let pruned_result engine sample = Engine.masked engine sample
 
 (* A per-sample fault model. The record is plain functions so [lib/core]
    stays independent of the model registry ([Fmc_fault] constructs the

@@ -221,9 +221,9 @@ type prune = {
 }
 
 val pruned_result : Engine.t -> Sampler.sample -> Engine.run_result
-(** The analytical result a certified-masked sample is tallied with:
-    field-for-field what {!Engine.run_sample} returns on its masked path
-    ([outcome = Masked], [success = false], no flips), so a pruned run
+(** The analytical result a certified-masked sample is tallied with,
+    {!Engine.masked}: [outcome = Masked], [success = false], no flips,
+    as {!Engine.run_sample} returns on its masked path, so a pruned run
     stays bit-identical to the simulated one. *)
 
 val run_samples :

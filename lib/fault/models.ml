@@ -41,49 +41,15 @@ let nondefault params = List.sort compare (List.filter_map (fun p -> p) params)
 let int_nondefault key v ~default = if v = default then None else Some (key, string_of_int v)
 
 (* ------------------------------------------------------------------ *)
-(* Injection scaffolding shared by the synthetic models. *)
-
-let masked_result te ~struck_cells (sample : Sampler.sample) =
-  {
-    Engine.sample;
-    te;
-    outcome = Engine.Masked;
-    success = false;
-    flips = [];
-    dmem_diffs = [];
-    direct = [||];
-    latched = [||];
-    struck_cells;
-  }
-
-(* Resume the RTL run to completion under the optional watchdog and
-   judge success by the benchmark observables — the same resume phase
-   [Engine.run_sample] ends with. *)
-let resume_and_judge engine ?cycle_budget sys =
-  let budget = (Engine.program engine).Fmc_isa.Programs.max_cycles + 100 in
-  System.set_watchdog sys cycle_budget;
-  ignore (System.run sys ~max_cycles:(max 1 (budget - System.cycle sys)));
-  System.set_watchdog sys None;
-  Engine.observables_differ engine sys
-
-(* Exact register-error set and differing data words just past the
-   injection window, against a golden reference restored to the same
-   cycle (as the native engine computes them). *)
-let diffs_vs_golden engine sys at =
-  let golden_ref = Engine.restore_reference engine at in
-  let golden_dmem = System.dmem golden_ref in
-  let dmem_diffs = ref [] in
-  Array.iteri
-    (fun a v -> if v <> golden_dmem.(a) then dmem_diffs := (a, v) :: !dmem_diffs)
-    (System.dmem sys);
-  (Engine.state_bit_diffs (System.state sys) (System.state golden_ref), List.rev !dmem_diffs)
+(* Injection scaffolding shared by the synthetic models: the errors just
+   past the injection window, judged as the native engine judges them. *)
 
 let classify engine ?cycle_budget sys te ~struck_cells ~direct ~latched ~at
     (sample : Sampler.sample) =
-  let flips, dmem_diffs = diffs_vs_golden engine sys at in
-  if flips = [] && dmem_diffs = [] then masked_result te ~struck_cells sample
+  let flips, dmem_diffs = Engine.errors engine sys ~at in
+  if flips = [] && dmem_diffs = [] then Engine.masked ~struck_cells engine sample
   else begin
-    let success = resume_and_judge engine ?cycle_budget sys in
+    let success = Engine.resume engine ?cycle_budget sys in
     {
       Engine.sample;
       te;
@@ -107,10 +73,13 @@ let injected ~name ~params ~doc make_run =
         {
           Ssf.inj_model = Model.canonical stub;
           inj_run =
-            (fun engine ?cycle_budget _rng sample ->
+            (fun engine ?cycle_budget _rng (sample : Sampler.sample) ->
               (* Observation-only: never touches the stream. *)
               Engine.count_fault_run engine metric;
-              make_run engine ?cycle_budget sample);
+              (* A strike before reset is masked, as in the native engine. *)
+              let te = Golden.target_cycle (Engine.golden engine) - sample.Sampler.t in
+              if te < 1 then Engine.masked engine sample
+              else make_run engine ?cycle_budget ~te sample);
           inj_causal = (fun _engine (r : Engine.run_result) -> r.Engine.flips);
           inj_prunable = false;
           inj_reads_rng = false;
@@ -136,23 +105,18 @@ let disc_transient params =
 let seu_burst params =
   let* () = check_keys ~valid:[ "bits" ] params in
   let* bits = int_param params "bits" ~default:2 ~min:1 ~max:64 in
-  let run engine ?cycle_budget (sample : Sampler.sample) =
-    let golden = Engine.golden engine in
-    let te = Golden.target_cycle golden - sample.Sampler.t in
-    if te < 1 then masked_result te ~struck_cells:0 sample
+  let run engine ?cycle_budget ~te (sample : Sampler.sample) =
+    let net = (Engine.circuit engine).Circuit.net in
+    let dffs, _gates, struck_cells =
+      Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
+    in
+    let direct = List.filteri (fun i _ -> i < bits) dffs in
+    if direct = [] then Engine.masked ~struck_cells engine sample
     else begin
-      let net = (Engine.circuit engine).Circuit.net in
-      let dffs, _gates, struck_cells =
-        Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
-      in
-      let direct = List.filteri (fun i _ -> i < bits) dffs in
-      if direct = [] then masked_result te ~struck_cells sample
-      else begin
-        let sys = Engine.restore_run engine te in
-        List.iter (Engine.apply_flip sys net) direct;
-        classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list direct)
-          ~latched:[||] ~at:te sample
-      end
+      let sys = Engine.restore_run engine te in
+      List.iter (Engine.apply_flip sys net) direct;
+      classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list direct)
+        ~latched:[||] ~at:te sample
     end
   in
   Ok
@@ -185,21 +149,15 @@ let instr_skip params =
     else Ok ()
   in
   let nop = Fmc_isa.Isa.encode Fmc_isa.Isa.Nop in
-  let run engine ?cycle_budget (sample : Sampler.sample) =
-    let golden = Engine.golden engine in
-    let te = Golden.target_cycle golden - sample.Sampler.t in
-    if te < 1 then masked_result te ~struck_cells:0 sample
-    else begin
-      let sys = Engine.restore_run engine te in
-      System.set_fetch_override sys
-        (Some
-           (fun ~pc:_ word ->
-             match mode with Skip -> nop | Corrupt -> (word lxor mask) land 0xffff));
-      ignore (System.step sys);
-      System.set_fetch_override sys None;
-      classify engine ?cycle_budget sys te ~struck_cells:0 ~direct:[||] ~latched:[||]
-        ~at:(te + 1) sample
-    end
+  let run engine ?cycle_budget ~te sample =
+    let sys = Engine.restore_run engine te in
+    System.set_fetch_override sys
+      (Some
+         (fun ~pc:_ word -> match mode with Skip -> nop | Corrupt -> (word lxor mask) land 0xffff));
+    ignore (System.step sys);
+    System.set_fetch_override sys None;
+    classify engine ?cycle_budget sys te ~struck_cells:0 ~direct:[||] ~latched:[||] ~at:(te + 1)
+      sample
   in
   Ok
     (injected ~name:"instr-skip"
@@ -224,35 +182,29 @@ let instr_skip params =
 let double_strike params =
   let* () = check_keys ~valid:[ "gap" ] params in
   let* gap = int_param params "gap" ~default:2 ~min:1 ~max:64 in
-  let run engine ?cycle_budget (sample : Sampler.sample) =
-    let golden = Engine.golden engine in
-    let te = Golden.target_cycle golden - sample.Sampler.t in
-    if te < 1 then masked_result te ~struck_cells:0 sample
-    else begin
-      let net = (Engine.circuit engine).Circuit.net in
-      let dffs, gates, struck_cells =
-        Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
-      in
-      let sys = Engine.restore_run engine te in
-      let strike () =
-        List.iter (Engine.apply_flip sys net) dffs;
-        let latched = Engine.gate_level_cycle engine sys sample gates in
-        (* [gate_level_cycle] writes the fault-free-latched next state
-           back; latched errors are applied as corrections, exactly as
-           the native engine does. *)
-        Array.iter (Engine.apply_flip sys net) latched;
-        latched
-      in
-      let latched1 = strike () in
-      System.run_to_cycle sys (te + gap);
-      let latched2 = strike () in
-      let latched =
-        Array.of_list
-          (List.sort_uniq compare (Array.to_list latched1 @ Array.to_list latched2))
-      in
-      classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list dffs) ~latched
-        ~at:(te + gap + 1) sample
-    end
+  let run engine ?cycle_budget ~te (sample : Sampler.sample) =
+    let net = (Engine.circuit engine).Circuit.net in
+    let dffs, gates, struck_cells =
+      Engine.partition_disc engine sample.Sampler.center sample.Sampler.radius
+    in
+    let sys = Engine.restore_run engine te in
+    let strike () =
+      List.iter (Engine.apply_flip sys net) dffs;
+      let latched = Engine.gate_level_cycle engine sys sample gates in
+      (* [gate_level_cycle] writes the fault-free-latched next state
+         back; latched errors are applied as corrections, exactly as
+         the native engine does. *)
+      Array.iter (Engine.apply_flip sys net) latched;
+      latched
+    in
+    let latched1 = strike () in
+    System.run_to_cycle sys (te + gap);
+    let latched2 = strike () in
+    let latched =
+      Array.of_list (List.sort_uniq compare (Array.to_list latched1 @ Array.to_list latched2))
+    in
+    classify engine ?cycle_budget sys te ~struck_cells ~direct:(Array.of_list dffs) ~latched
+      ~at:(te + gap + 1) sample
   in
   Ok
     (injected ~name:"double-strike"

@@ -9,15 +9,18 @@
     ([inj_reads_rng = false]): the same (engine, sample) pair always
     produces the same result, which is what keeps per-model campaigns
     bit-exact across domains, shards, resumes and distributed
-    workers. *)
+    workers. The three injected models restore once per struck sample
+    ({!Fmc.Engine.restore_run}) and are judged by the engine's own code:
+    {!Fmc.Engine.errors} against the golden-cycle cache at the end of
+    the injection window, then {!Fmc.Engine.masked} or
+    {!Fmc.Engine.resume}. *)
 
 val disc_transient : (string * string) list -> (Model.t, string) result
 (** The paper's native model — radiation disc, direct SEUs plus
     gate-level voltage transients at the injection cycle. No
-    parameters; carries no injector ([Model.inject = None]), so the
-    evaluation is the engine's own path and reports stay byte-identical
-    to the pre-subsystem code. The only model masking certificates are
-    sound for. *)
+    parameters; its injector is {!Fmc.Ssf.disc_transient}, the engine's
+    own path, so reports stay byte-identical to the pre-subsystem code.
+    The only model masking certificates are sound for. *)
 
 val seu_burst : (string * string) list -> (Model.t, string) result
 (** Direct multi-bit SEU burst: up to [bits] (default 2, 1..64) of the

@@ -609,6 +609,53 @@ let test_chaos_campaign_bit_exact () =
   done;
   Alcotest.(check bool) "chaos injected at least one fault" true (!total >= 1)
 
+(* A severed connection ends at both peers at once. With every chunk
+   dropped, the proxy severs the connection on the client's first
+   bytes, while its other pump is blocked reading from the upstream;
+   the upstream must still read end-of-file at once, not when that
+   read returns, or the service keeps the connection (and its exit
+   rule waits) until its own I/O deadline. *)
+let test_sever_reaches_upstream () =
+  let hidden = temp_sock "fmc-chaos-sev-up" and public = temp_sock "fmc-chaos-sev-pub" in
+  let listener = Wire.listen (Wire.Unix_path hidden) in
+  let plan =
+    match Fmc_chaos.Plan.parse "drop p=1" with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "chaos plan: %s" msg
+  in
+  let proxy =
+    Fmc_chaos.Proxy.start ~listen:(Wire.Unix_path public) ~upstream:(Wire.Unix_path hidden) ~plan
+      ~seed:1L ()
+  in
+  let readable fd ~within =
+    match Unix.select [ fd ] [] [] within with [ _ ], _, _ -> true | _ -> false
+  in
+  let client = Wire.connect ~attempts:40 ~delay_s:0.05 (Wire.Unix_path public) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client;
+      Fmc_chaos.Proxy.stop proxy;
+      Unix.close listener;
+      if Sys.file_exists hidden then Sys.remove hidden)
+    (fun () ->
+      if not (readable listener ~within:5.) then Alcotest.fail "the proxy never dialled upstream";
+      let upstream, _ = Unix.accept listener in
+      Fun.protect
+        ~finally:(fun () -> Unix.close upstream)
+        (fun () ->
+          ignore (Unix.write_substring client "hello" 0 5);
+          let started = Unix.gettimeofday () in
+          let ended =
+            readable upstream ~within:1.
+            &&
+            match Unix.read upstream (Bytes.create 16) 0 16 with
+            | n -> n = 0
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+          in
+          if not ended then
+            Alcotest.failf "the upstream saw no end of the severed connection in %.2f s"
+              (Unix.gettimeofday () -. started)))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -634,6 +681,8 @@ let () =
           Alcotest.test_case "parse round-trip" `Quick test_plan_parse_roundtrip;
           Alcotest.test_case "rejects bad plans" `Quick test_plan_parse_rejects;
         ] );
+      ( "proxy",
+        [ Alcotest.test_case "a severed connection ends upstream" `Quick test_sever_reaches_upstream ] );
       ( "campaign",
         [
           Alcotest.test_case "breaker parks and recovers" `Slow test_breaker_parks_and_recovers;

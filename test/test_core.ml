@@ -689,6 +689,50 @@ let resettle_props =
         Sim.save_values (Netsys.sim incr) = Sim.save_values (Netsys.sim full));
   ]
 
+(* The masking check reads the golden-cycle cache; a real golden restore
+   must give the same answer. Faulty states are built on the engine's own
+   restore target (flipped register bits, overwritten data words, a few
+   RTL steps), sometimes run on past the golden run's halt, as a
+   double strike 64 cycles later does. *)
+let errors_props =
+  let engines =
+    lazy
+      (Array.map
+         (Experiments.engine_for (Lazy.force ctx))
+         [| Programs.illegal_write; Programs.illegal_read; Programs.illegal_exec |])
+  in
+  [
+    QCheck.Test.make ~name:"errors from the cache = errors against a golden restore" ~count:150
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let e = Rng.choose rng (Lazy.force engines) in
+        let g = Engine.golden e in
+        let net = (Engine.circuit e).Circuit.net in
+        let te = max 1 (Golden.target_cycle g - Rng.int rng 50) in
+        let sys = Engine.restore_run e te in
+        let dmem = System.dmem sys in
+        for _ = 1 to Rng.int rng 4 do
+          Engine.apply_flip sys net (Rng.choose rng (N.dffs net))
+        done;
+        for _ = 1 to Rng.int rng 4 do
+          dmem.(Rng.int rng (Array.length dmem)) <- Rng.int rng 0x10000
+        done;
+        for _ = 1 to Rng.int rng 4 do
+          ignore (System.step sys)
+        done;
+        if Rng.int rng 4 = 0 then System.run_to_cycle sys (System.cycle sys + 64);
+        let at = System.cycle sys in
+        let golden = Golden.restore_at g at in
+        let words =
+          List.filter_map
+            (fun a -> if dmem.(a) <> (System.dmem golden).(a) then Some (a, dmem.(a)) else None)
+            (List.init (Array.length dmem) Fun.id)
+        in
+        Engine.errors e sys ~at
+        = (Engine.state_bit_diffs (System.state sys) (System.state golden), words));
+  ]
+
 let test_engine_glitch () =
   let e = engine () in
   let tt = Golden.target_cycle (Engine.golden e) in
@@ -1060,6 +1104,7 @@ let () =
         ] );
       ("engine-props", List.map QCheck_alcotest.to_alcotest engine_props);
       ("resettle", List.map QCheck_alcotest.to_alcotest resettle_props);
+      ("errors", List.map QCheck_alcotest.to_alcotest errors_props);
       ("export", [ Alcotest.test_case "csv and json" `Slow test_export_csv_and_json ]);
       ( "harden",
         [

@@ -579,7 +579,10 @@ let domain_cases =
    test/ref/model-metrics.txt. That file was written by the sample loop
    that observed each sample into a registry of its own, before engine
    counts were deferred with the cache fills, so it pins the counts
-   against that loop and not only one domain against three. *)
+   against that loop and not only one domain against three. Its restore
+   and RTL-cycle lines alone were rewritten when the injected models
+   began judging against the golden-cycle cache, whose fills step no
+   cycle past the one they cache. *)
 
 let model_metrics () =
   let prep = prepare Sampler.default_mixed in
@@ -599,8 +602,10 @@ let test_model_metrics domains () =
 
 (* ------------------------------------------------------------------ *)
 (* Allocation guards. Every model restores into the engine's own
-   systems, so none allocates a data memory (1,024 words, straight to
-   the major heap) per sample; and an observed pooled run defers its
+   system and judges against the golden-cycle cache, so none allocates
+   a data memory (1,024 words, straight to the major heap) per sample;
+   a cache fill allocates one per cycle, before the guarded run starts.
+   And an observed pooled run defers its
    engine counts, so it builds no registry per sample. The GC counters
    are read after a minor collection, which every domain takes part in,
    so the helper domains' allocation is included. *)
