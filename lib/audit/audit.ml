@@ -125,19 +125,17 @@ let finished t = pending t = 0
 
 type entry = { au_shard : int; au_worker : string; au_digest : string; au_passed : bool }
 
+let entry t ~shard =
+  Option.map
+    (fun exec ->
+      let passed = match t.slots.(shard) with Passed | Settled -> true | _ -> false in
+      { au_shard = shard; au_worker = exec.ax_worker; au_digest = exec.ax_digest; au_passed = passed })
+    (Hashtbl.find_opt t.primaries shard)
+
 let export t =
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun shard exec ->
-      let passed =
-        match t.slots.(shard) with Passed | Settled -> true | _ -> false
-      in
-      entries :=
-        { au_shard = shard; au_worker = exec.ax_worker; au_digest = exec.ax_digest;
-          au_passed = passed }
-        :: !entries)
-    t.primaries;
-  List.sort (fun a b -> compare a.au_shard b.au_shard) !entries
+  Hashtbl.fold (fun shard _ acc -> shard :: acc) t.primaries []
+  |> List.sort compare
+  |> List.filter_map (fun shard -> entry t ~shard)
 
 let restore config ~nshards entries =
   let t = create config ~nshards in

@@ -93,10 +93,15 @@ val finished : t -> bool
 (** Durable form for checkpoints: one entry per accepted shard. *)
 type entry = { au_shard : int; au_worker : string; au_digest : string; au_passed : bool }
 
+val entry : t -> shard:int -> entry option
+(** [shard]'s entry, [None] until a primary is noted (or after
+    {!invalidate}): what a checkpoint delta records for one accepted
+    shard or audit pass. *)
+
 val export : t -> entry list
-(** Sorted by shard. Audit leases live in the lease table and are not
-    persisted — on restart a selected, unvindicated shard is simply due
-    again. *)
+(** Every {!entry}, sorted by shard. Audit leases live in the lease
+    table and are not persisted — on restart a selected, unvindicated
+    shard is simply due again. *)
 
 val restore : config -> nshards:int -> entry list -> t
 

@@ -23,9 +23,6 @@ val halt_cycle : t -> int
 
 val final_observables : t -> int list
 
-val nearest_checkpoint : t -> int -> Fmc_cpu.System.checkpoint
-(** The latest checkpoint at or before the given cycle. *)
-
 val restore_at : ?on_step:(unit -> unit) -> t -> int -> Fmc_cpu.System.t
 (** A fresh system advanced to exactly the given cycle via the nearest
     checkpoint. [on_step] (an observability hook, see

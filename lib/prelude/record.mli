@@ -9,8 +9,10 @@
     another record embedded as a line-counted section; floats are hex
     literals. A file on disk is a record sealed by a ["crc %08x"]
     trailer line, the CRC-32 of every byte before it, and is replaced
-    atomically. Decoders read through a {!cursor} under {!parse} or
-    {!load_sealed}, which turn every failure into an [Error]. *)
+    atomically; a file may also grow by sealed deltas after that
+    snapshot ({!append_sealed}). Decoders read through a {!cursor}
+    under {!parse}, {!load_sealed} or {!load_appended}, which turn every
+    failure into an [Error]. *)
 
 (** {2 Writing} *)
 
@@ -110,3 +112,37 @@ val load_sealed :
     header is checked first so a file of another version is named as
     such rather than as corrupt. Raises [Sys_error] when the file cannot
     be read. *)
+
+(** {2 Appended files}
+
+    A snapshot written by {!write_sealed}, then any number of deltas,
+    each a ["delta n"] line giving its body's byte length, the body (a
+    record), and a ["crc %08x"] trailer over that line and the body. A
+    delta is found by its length and the snapshot's end by its counted
+    sections, never by searching for a line, so no body line can end
+    either early. *)
+
+val append_sealed : path:string -> string -> unit
+(** Append [body] as one delta to the existing file [path]. Nothing is
+    synced: the delta survives the writer's [kill -9],
+    not a power loss. A write cut short leaves a damaged tail, which
+    {!load_appended} drops; append nothing after one. Raises [Sys_error]
+    when [path] does not exist. *)
+
+val load_appended :
+  path:string ->
+  header:(string -> unit) ->
+  (cursor -> 'a) ->
+  (cursor -> 'b) ->
+  ('a * 'b list * bool, string) result
+(** [load_appended ~path ~header snapshot delta] reads what
+    {!write_sealed} and {!append_sealed} wrote: [header] gets the first
+    line, [snapshot] decodes the lines after it up to where its sections
+    end, which must be followed by the trailer of every byte before it;
+    then [delta] decodes each delta's body as {!parse} does, in file
+    order. The snapshot is refused ([Error]) on any truncation or byte
+    change, named by the parse error or CRC mismatch it causes. The
+    deltas stop at the first one that is cut short, fails its CRC or its
+    decoder: it and everything after it are dropped, not refused. The
+    flag is [true] when nothing was dropped. Linear in the file size.
+    Raises [Sys_error] when the file cannot be read. *)

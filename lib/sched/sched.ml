@@ -14,10 +14,17 @@
      <dir>/campaigns/<md5>.ckpt
                               per-campaign progress (Fmc_dist.Ckpt):
                               every accepted shard blob and its audit
-                              bookkeeping, written after each
-                              completion. A campaign submitted with an
+                              bookkeeping, a snapshot followed by one
+                              appended delta per accepted shard or
+                              audit pass. A campaign submitted with an
                               explicit checkpoint path keeps it there
                               instead (`faultmc serve --checkpoint`).
+
+   The checkpoint is written whole only when it is created and at its
+   compaction points: when the campaign completes, when an audit verdict
+   or a quarantine drops or replaces accepted results (a delta cannot),
+   and when recovery finds deltas or a damaged tail in it, so no delta
+   is ever appended after torn bytes.
 
    kill -9 recovery is therefore: replay the WAL to rebuild the queue in
    submission order, then reattach each campaign's checkpoint to seed
@@ -84,6 +91,9 @@ type entry = {
   blobs : (int, string) Hashtbl.t;
   quarantines : (int, Campaign.quarantine_entry list) Hashtbl.t;  (* by producing shard *)
   mutable audit : Audit.t;  (* replaced wholesale on checkpoint reattach *)
+  mutable appendable : bool;
+      (* the checkpoint file ends where this process last wrote it or
+         read it as a bare snapshot, so a delta may follow *)
   mutable phase : phase;
   mutable started_at : float option;
   mutable done_samples : int;
@@ -286,6 +296,7 @@ let make_entry config ~dir ?checkpoint spec =
     blobs = Hashtbl.create 16;
     quarantines = Hashtbl.create 16;
     audit = Audit.create (audit_config config ~fp) ~nshards:(Array.length plan);
+    appendable = false;
     phase = Active;
     started_at = None;
     done_samples = 0;
@@ -331,11 +342,14 @@ let sorted_blobs e =
 
 (* The checkpoint carries the fleet-wide quarantine list as well, so a
    campaign resumed from its checkpoint alone (`serve --checkpoint`,
-   whose WAL dies with the process) still refuses the workers it banned. *)
+   whose WAL dies with the process) still refuses the workers it banned.
+   A failed write leaves the file behind the tables, so nothing may be
+   appended to it until a save succeeds. *)
 let save_ckpt t e =
   let dir = Filename.dirname e.ckpt_path in
   (if not (Sys.file_exists dir) then
      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  e.appendable <- false;
   Ckpt.save ~path:e.ckpt_path
     {
       Ckpt.st_fingerprint = e.fp;
@@ -343,7 +357,8 @@ let save_ckpt t e =
       st_quarantined = sorted_quarantined e;
       st_audit =
         { Ckpt.au_entries = Audit.export e.audit; au_banned = List.rev t.banned };
-    }
+    };
+  e.appendable <- true
 
 (* -- recovery ------------------------------------------------------------ *)
 
@@ -372,14 +387,18 @@ let attach_quarantines e entries =
     entries
 
 (* Load [e]'s checkpoint, if it has one, into its tables; returns the
-   quarantined workers it names. *)
+   quarantined workers it names. A file with deltas is rewritten as a
+   bare snapshot of what was read, so no delta is ever appended after a
+   damaged tail, which would hide it from the next recovery. *)
 let attach_ckpt ~config e =
   if not (Sys.file_exists e.ckpt_path) then Ok []
   else
-    match Ckpt.load ~path:e.ckpt_path with
+    match Ckpt.read ~path:e.ckpt_path with
     | Error msg -> Error (Unreadable msg)
-    | Ok st when st.Ckpt.st_fingerprint <> e.fp -> Error Foreign_campaign
-    | Ok st ->
+    | Ok (st, _) when st.Ckpt.st_fingerprint <> e.fp -> Error Foreign_campaign
+    | Ok (st, shape) ->
+        if shape = `Appended then Ckpt.save ~path:e.ckpt_path st;
+        e.appendable <- true;
         List.iter
           (fun (shard, blob) ->
             if shard >= 0 && shard < Array.length e.plan && not (Hashtbl.mem e.blobs shard)
@@ -397,11 +416,26 @@ let attach_ckpt ~config e =
 
 let entry_complete e = Lease.finished e.lease && Audit.finished e.audit
 
+(* Persist an accepted shard or an audit pass of [shard]: one delta
+   carrying the shard's audit entry, and for an accepted shard its blob,
+   quarantine entries and the banned list. The whole snapshot is written
+   instead while the file is not appendable, and once the campaign is
+   complete, so a finished campaign's file is a bare snapshot. *)
+let persist t e ~shard ?accepted ?quarantined ?banned () =
+  match Audit.entry e.audit ~shard with
+  | Some audit when e.appendable && not (entry_complete e) ->
+      e.appendable <- false;
+      Ckpt.append ~path:e.ckpt_path ?shard:accepted ?quarantined ?banned audit;
+      e.appendable <- true
+  | Some _ | None -> save_ckpt t e
+
 (* Drop every accepted-but-unvindicated shard [worker] produced in [e]:
    the quarantine path, and its crash-recovery replay. Returns how many
-   shards were invalidated. *)
+   shards were invalidated. A delta cannot drop a shard, so the next
+   write after any drop is a whole snapshot. *)
 let invalidate_victims_entry e ~worker =
   let victims = Audit.victims e.audit ~worker in
+  if victims <> [] then e.appendable <- false;
   List.iter
     (fun shard ->
       if Hashtbl.mem e.blobs shard then begin
@@ -839,7 +873,7 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                       match Audit.complete e.audit ~shard ~worker ~digest:computed with
                       | `Pass ->
                           note_success t ~now ~worker;
-                          save_ckpt t e;
+                          persist t e ~shard ();
                           if e.phase = Active then finalize t e ~now;
                           `Audited "audit pass"
                       | `Dispute ->
@@ -874,7 +908,8 @@ let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantin
                           | Some old -> (0.7 *. old) +. (0.3 *. dt));
                       note_success t ~now ~worker;
                       ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
-                      save_ckpt t e;
+                      persist t e ~shard ~accepted:(shard, tally) ~quarantined
+                        ~banned:(List.rev t.banned) ();
                       if e.phase = Active then finalize t e ~now;
                       refresh_gauges t;
                       `Accepted

@@ -6,11 +6,13 @@
     State lives under one directory: [<dir>/wal/] holds the {!Wal}
     segments describing the queue (submit/finished/parked/cancelled/
     quarantined, all idempotent), [<dir>/campaigns/<md5>.ckpt] the
-    per-campaign {!Fmc_dist.Ckpt} progress written after every accepted
-    shard. {!create} recovers both after [kill -9]: the WAL replay
-    rebuilds the queue in submission order (counted on
-    [fmc_sched_recoveries_total]), checkpoints reattach finished
-    shards, and the log is compacted to a fresh tear-free segment.
+    per-campaign {!Fmc_dist.Ckpt} progress: a snapshot, then one
+    appended delta per accepted shard or audit pass. {!create} recovers
+    both after [kill -9]: the WAL replay rebuilds the queue in
+    submission order (counted on [fmc_sched_recoveries_total]),
+    checkpoints reattach finished shards (a checkpoint holding deltas is
+    rewritten as a bare snapshot first), and the log is compacted to a
+    fresh tear-free segment.
 
     Like {!Fmc_dist.Lease}, nothing here reads the wall clock ([now] is
     always injected) and nothing takes locks — the {!Service} wraps
@@ -80,7 +82,8 @@ val submit :
   | `Invalid of string  (** malformed spec (non-positive samples/shard) *) ]
 (** [checkpoint] keeps a new campaign's progress at that path instead
     of under the state directory, resuming from it when the file exists
-    and adopting the quarantine list it carries. The path is not
+    (rewriting it as a bare snapshot if it holds deltas) and adopting
+    the quarantine list it carries. The path is not
     recorded in the WAL: it suits a service whose state directory lives
     only as long as the process ([faultmc serve]). Raises
     {!Bad_checkpoint} — before anything is committed — when that file
@@ -147,9 +150,13 @@ val complete :
   | `Invalid of string
   | `Mismatch  (** the carried digest disagrees with the payload *)
   | `Audited of string  (** an audit re-execution landed (reason text) *) ]
-(** [`Accepted] persists the campaign checkpoint before returning and
-    finalizes the campaign (WAL "finished" record, report cached) when
-    it was the last shard and no audit is pending. [`Invalid]: the tally
+(** [`Accepted] persists the shard before returning, by appending one
+    delta to the campaign checkpoint (an audit pass appends its audit
+    entry alone), and finalizes the campaign (WAL "finished" record,
+    report cached) when it was the last shard and no audit is pending;
+    that last write is a whole snapshot instead, so a finished
+    campaign's checkpoint is bare. An audit verdict rewrites the whole
+    checkpoint. [`Invalid]: the tally
     blob does not decode — refused without consuming the shard's one
     completion. [digest] is the worker's carried digest (if any); it is
     always recomputed server-side, and a disagreement is a [`Mismatch]

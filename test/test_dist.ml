@@ -1556,6 +1556,94 @@ let test_sealed_codecs_refuse () =
             [ "strata"; "contributions"; "trace" ] );
         ])
 
+(* -- appended checkpoints --------------------------------------------------- *)
+
+(* A snapshot, then two deltas: shard 2 accepted with its quarantine
+   entry, audit entry and banned list, then shard 0's audit passed. The
+   banned names are lines a reader that searched for a marker would stop
+   at, in the snapshot and in a delta alike. *)
+let passed_0, unpassed_2 =
+  match ckpt_fixture.Ckpt.st_audit.Ckpt.au_entries with
+  | [ a; b ] -> (a, b)
+  | _ -> assert false
+
+let append_banned = [ "crc 00000000"; "end"; "mallory" ]
+
+let append_states =
+  let with_audit entries banned =
+    { ckpt_fixture with Ckpt.st_audit = { Ckpt.au_entries = entries; au_banned = banned } }
+  in
+  let unpassed_0 = { passed_0 with Fmc_audit.Audit.au_passed = false } in
+  [
+    {
+      (with_audit [ unpassed_0 ] [ "crc 00000000"; "end" ]) with
+      Ckpt.st_shards = [ List.hd ckpt_fixture.Ckpt.st_shards ];
+      st_quarantined = [ crashed_fixture ];
+    };
+    with_audit [ unpassed_0; unpassed_2 ] append_banned;
+    with_audit [ passed_0; unpassed_2 ] append_banned;
+  ]
+
+(* Write the appended fixture; returns the offset each delta starts at. *)
+let write_appended path =
+  let size () = (Unix.stat path).Unix.st_size in
+  Ckpt.save ~path (List.hd append_states);
+  let d1 = size () in
+  Ckpt.append ~path
+    ~shard:(List.nth ckpt_fixture.Ckpt.st_shards 1)
+    ~quarantined:[ timed_out_fixture ] ~banned:append_banned unpassed_2;
+  let d2 = size () in
+  Ckpt.append ~path passed_0;
+  (d1, d2)
+
+let test_appended_checkpoint () =
+  with_temp ".ckpt" (fun path ->
+      let d1, d2 = write_appended path in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check bool) "appended checkpoint bytes unchanged" true
+        (String.equal (ref_bytes "codec-dist-append.ckpt") bytes);
+      let read text =
+        write_bytes path text;
+        Ckpt.read ~path
+      in
+      let describe = function
+        | Error m -> "refused: " ^ m
+        | Ok (st, shape) -> (
+            (match shape with `Snapshot -> "snapshot " | `Appended -> "appended ")
+            ^
+            match List.find_index (( = ) st) append_states with
+            | Some k -> Printf.sprintf "state %d" k
+            | None -> "another state")
+      in
+      let expect what got want =
+        if got <> want then
+          Alcotest.failf "%s: got %s, want %s" what (describe got) (describe want)
+      in
+      let s0, s1, s2 =
+        match append_states with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      expect "whole file" (read bytes) (Ok (s2, `Appended));
+      expect "cut after the snapshot" (read (String.sub bytes 0 d1)) (Ok (s0, `Snapshot));
+      expect "cut after the first delta" (read (String.sub bytes 0 d2)) (Ok (s1, `Appended));
+      (* What a damaged byte at [i] leaves: the snapshot refuses it, and a
+         delta is dropped with every delta after it. *)
+      let survivor i =
+        if i < d1 then None else if i < d2 then Some s0 else Some s1
+      in
+      let check_each what texts =
+        List.iteri
+          (fun i text ->
+            match (survivor i, read text) with
+            | None, Error _ -> ()
+            | Some s, Ok (st, _) when st = s -> ()
+            | want, got ->
+                let want = match want with None -> Error "anything" | Some s -> Ok (s, `Appended) in
+                expect (Printf.sprintf "%s at byte %d of %d" what i (String.length bytes)) got want)
+          texts
+      in
+      check_each "cut" (truncations bytes);
+      check_each "changed byte" (mutations bytes))
+
 (* A CRC-valid result frame whose tally count is not a count is a decode
    error charged to the sender, whatever the malformed number: the
    service answers Reject and trips a one-failure breaker, so the next
@@ -1702,6 +1790,8 @@ let () =
           Alcotest.test_case "protocol refuses malformed payloads" `Quick test_protocol_refuses;
           Alcotest.test_case "sealed files refuse malformed input" `Quick
             test_sealed_codecs_refuse;
+          Alcotest.test_case "appended checkpoint drops only damaged deltas" `Quick
+            test_appended_checkpoint;
           Alcotest.test_case "malformed count charged to the sender" `Quick
             test_malformed_count_charged;
           Alcotest.test_case "fetch_report returns a negative count's error" `Quick

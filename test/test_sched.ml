@@ -65,18 +65,22 @@ let metric reg name =
   | Some (Fmc_obs.Metrics.Gauge v) -> v
   | _ -> Alcotest.failf "missing metric %s" name
 
-(* Run one leased job on the local engine and feed the result back. *)
-let run_job ?(worker = "pump") sched ~now e prep (sp : Protocol.spec) (a : Lease.assignment) =
+(* A leased job's result on the local engine: its tally blob and
+   quarantine entries. *)
+let shard_result e prep (sp : Protocol.spec) (a : Lease.assignment) =
   let sh =
     Campaign.run_shard e prep ~seed:sp.Protocol.sp_seed ~shard:a.Lease.shard ~start:a.Lease.start
       ~len:a.Lease.len
   in
+  (Ssf.Tally.to_string sh.Campaign.sh_snapshot, sh.Campaign.sh_quarantined)
+
+(* Run one leased job on the local engine and feed the result back. *)
+let run_job ?(worker = "pump") sched ~now e prep (sp : Protocol.spec) (a : Lease.assignment) =
+  let tally, quarantined = shard_result e prep sp a in
   match
     Sched.complete sched ~now
       ~fingerprint:(Protocol.spec_fingerprint sp)
-      ~shard:a.Lease.shard ~epoch:a.Lease.epoch ~worker ~digest:None
-      ~tally:(Ssf.Tally.to_string sh.Campaign.sh_snapshot)
-      ~quarantined:sh.Campaign.sh_quarantined
+      ~shard:a.Lease.shard ~epoch:a.Lease.epoch ~worker ~digest:None ~tally ~quarantined
   with
   | `Accepted | `Audited _ -> ()
   | `Duplicate | `Stale | `Unknown | `Invalid _ | `Mismatch ->
@@ -726,6 +730,121 @@ let test_torn_submit_record_dropped () =
   | _ -> Alcotest.fail "the torn campaign resubmits cleanly");
   Sched.shutdown sched2
 
+(* Lease one shard of [fp] and complete it; returns the accepted tally
+   blob and quarantine entries. *)
+let accept_one sched ~now e prep ~fp =
+  match Sched.next_job sched ~now ~worker:"pump" ~scope:fp with
+  | `Job (sp, a) -> (
+      let tally, quarantined = shard_result e prep sp a in
+      match
+        Sched.complete sched ~now ~fingerprint:fp ~shard:a.Lease.shard ~epoch:a.Lease.epoch
+          ~worker:"pump" ~digest:None ~tally ~quarantined
+      with
+      | `Accepted -> (tally, quarantined)
+      | _ -> Alcotest.fail "completion not accepted")
+  | `Wait | `Drained | `Banned -> Alcotest.fail "expected a job"
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* The accept path appends. After the accept that creates the checkpoint
+   and short of the one that finishes the campaign, each accept leaves
+   the previous bytes a prefix of the new ones and adds its blob plus an
+   overhead that does not grow with the shards already written. The
+   finished file is a bare snapshot, byte for byte what [Ckpt.save]
+   writes of it. *)
+let test_accept_appends () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let now = 10. in
+  let shards = 6 in
+  let s = spec ~samples:(20 * shards) ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  let path = Filename.concat dir "campaign.ckpt" in
+  let sched = Sched.create Sched.default_config ~dir:(Filename.concat dir "state") ~now in
+  (match Sched.submit sched ~now ~checkpoint:path s with
+  | `Queued _ -> ()
+  | _ -> Alcotest.fail "submit");
+  let overheads =
+    List.init shards (fun k ->
+        let before = if k = 0 then "" else file_bytes path in
+        let tally, quarantined = accept_one sched ~now e prep ~fp in
+        let after = file_bytes path in
+        if k = 0 || k = shards - 1 then None
+        else begin
+          if not (String.starts_with ~prefix:before after) then
+            Alcotest.failf "accept %d rewrote the checkpoint" (k + 1);
+          let entries =
+            List.fold_left
+              (fun n q -> n + String.length (Campaign.quarantine_entry_to_string q) + 1)
+              0 quarantined
+          in
+          Some (String.length after - String.length before - String.length tally - entries)
+        end)
+    |> List.filter_map Fun.id
+  in
+  let second = List.hd overheads and last_but_one = List.nth overheads (shards - 3) in
+  Alcotest.(check int) "same overhead at the 2nd and the last-but-one accept" second last_but_one;
+  Alcotest.(check bool) (Printf.sprintf "bounded overhead (%d bytes)" second) true (second < 200);
+  (match Ckpt.read ~path with
+  | Ok (st, `Snapshot) ->
+      Alcotest.(check int) "every shard" shards (List.length st.Ckpt.st_shards);
+      let again = Filename.concat dir "again.ckpt" in
+      Ckpt.save ~path:again st;
+      Alcotest.(check string) "finished file is Ckpt.save's" (file_bytes again) (file_bytes path)
+  | Ok (_, `Appended) -> Alcotest.fail "a finished campaign's checkpoint is a bare snapshot"
+  | Error m -> Alcotest.fail m);
+  Sched.shutdown sched
+
+(* A torn tail costs only its own shards: the third accept's delta is
+   cut mid-record, so recovery brings back two shards; two more are
+   accepted, and a second recovery must find all four. Appending after
+   the torn bytes would hide them. *)
+let test_torn_delta_costs_its_shards () =
+  with_dir @@ fun dir ->
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let now = 10. in
+  let s = spec ~samples:100 ~seed:5 () in
+  let fp = Protocol.spec_fingerprint s in
+  let ckpt () =
+    let campaigns = Filename.concat dir "campaigns" in
+    match Sys.readdir campaigns with
+    | [| f |] -> Filename.concat campaigns f
+    | _ -> Alcotest.fail "one campaign checkpoint"
+  in
+  let size () = (Unix.stat (ckpt ())).Unix.st_size in
+  let samples_done sched =
+    match Sched.status sched ~now ~fingerprint:fp with
+    | [ st ] -> st.Protocol.st_samples_done
+    | _ -> Alcotest.fail "no status"
+  in
+  let accept sched n =
+    for _ = 1 to n do
+      ignore (accept_one sched ~now e prep ~fp : string * Campaign.quarantine_entry list)
+    done
+  in
+  let sched1 = Sched.create Sched.default_config ~dir ~now in
+  (match Sched.submit sched1 ~now s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
+  accept sched1 2;
+  let intact = size () in
+  accept sched1 1;
+  (* sched1 is abandoned mid-append, as if killed: half the delta. *)
+  Unix.truncate (ckpt ()) (intact + ((size () - intact) / 2));
+  let sched2 = Sched.create Sched.default_config ~dir ~now in
+  Alcotest.(check int) "the torn shard is not recovered" 40 (samples_done sched2);
+  accept sched2 2;
+  (* sched2 is abandoned too. *)
+  let sched3 = Sched.create Sched.default_config ~dir ~now in
+  Alcotest.(check int) "all four accepted shards recovered" 80 (samples_done sched3);
+  Alcotest.(check int) "only the missing shard runs" 1 (pump sched3 ~now e prep ~scope:fp);
+  (match Sched.report sched3 ~fingerprint:fp with
+  | Some (blobs, _, _) ->
+      Alcotest.(check string) "bit-identical after a torn tail" (reference_json e prep s)
+        (merged_json "mixed" blobs)
+  | None -> Alcotest.fail "the campaign must finish");
+  Sched.shutdown sched3
+
 (* ------------------------------------------------------------------ *)
 (* Loopback service + shared pool worker *)
 
@@ -1285,6 +1404,9 @@ let () =
           Alcotest.test_case "kill -9 mid-audit preserves obligations" `Slow
             test_kill9_mid_audit_preserves_obligations;
           Alcotest.test_case "torn submit record dropped" `Quick test_torn_submit_record_dropped;
+          Alcotest.test_case "the accept path appends" `Quick test_accept_appends;
+          Alcotest.test_case "a torn delta costs only its shards" `Quick
+            test_torn_delta_costs_its_shards;
         ] );
       ( "service",
         [
