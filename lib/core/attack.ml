@@ -67,6 +67,12 @@ let validate t =
   (match Dist.support_int t.temporal with
   | [] -> invalid_arg "Attack.validate: empty temporal support"
   | _ -> ());
-  match t.spatial with
+  (match t.spatial with
   | Uniform_cells [||] -> invalid_arg "Attack.validate: empty target block"
-  | Uniform_cells _ | Delta_cell _ -> ()
+  | Uniform_cells _ | Delta_cell _ -> ());
+  let non_negative what (Dist.Uniform_float (lo, _) as d) =
+    Dist.validate_float d;
+    if lo < 0. then invalid_arg ("Attack.validate: negative " ^ what)
+  in
+  non_negative "radius" t.radius;
+  non_negative "width" t.width

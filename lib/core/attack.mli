@@ -42,3 +42,5 @@ val default : Fmc_layout.Placement.t -> block:Fmc_netlist.Netlist.node array -> 
     radius [U\[0.8, 2.2\]] placement units, width [U\[100, 350\]] ps. *)
 
 val validate : t -> unit
+(** Raises [Invalid_argument] on an empty temporal support or target block,
+    or on a radius or width range that is ill-formed or reaches below 0. *)

@@ -41,5 +41,9 @@ let support_int = function
       |> List.filteri (fun i _ -> Wdist.pmf w i > 0.)
       |> List.sort_uniq compare
 
+let validate_float (Uniform_float (lo, hi)) =
+  if not (Float.is_finite lo && Float.is_finite hi && lo <= hi) then
+    invalid_arg "Dist: ill-formed float range"
+
 let sample_float (Uniform_float (lo, hi)) rng =
   if hi <= lo then lo else lo +. Rng.float rng (hi -. lo)

@@ -24,3 +24,6 @@ val sample_float : float_dist -> Fmc_prelude.Rng.t -> float
 
 val validate_int : int_dist -> unit
 (** Raises [Invalid_argument] on an empty/ill-formed distribution. *)
+
+val validate_float : float_dist -> unit
+(** Raises [Invalid_argument] unless both bounds are finite and [lo <= hi]. *)

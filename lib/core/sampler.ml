@@ -51,20 +51,19 @@ type cone_machinery = {
   levels : cone_level array;  (* per support index *)
 }
 
-type mode =
-  | P_random
-  | P_cone of cone_machinery
-  | P_mixed of {
-      v_cells : N.node array;  (* block cells whose disc can flip a vulnerable bit *)
-      m_v : float;  (* f-mass of the vulnerable stratum *)
-      rest : cone_machinery;
-      v_alloc : float;
-    }
+(* How a stratum draws (t, centre). *)
+type plan =
+  | Nominal of N.node array  (* t from the attack's f_T, the centre uniform over the cells *)
+  | Cone of cone_machinery  (* t from g_T, the centre from g_{P|T} *)
+
+(* A row of the stratum table: the stratum's exact f-mass and its share of
+   the draws. *)
+type row = { tag : stratum; mass : float; alloc : float; plan : plan }
 
 type prepared = {
   strategy : strategy;
   attack : Attack.t;
-  mode : mode;
+  table : row list;  (* in pick order; the allocations sum to 1 *)
   block_pmf : N.node -> float;
   f_t : int -> float;
 }
@@ -93,13 +92,12 @@ let build_cone_machinery precharac ~temporal_support ~eligible ~cell_score =
       temporal_support
   in
   let nonempty = Array.of_list (List.filter (fun (_, l, _) -> l <> None) (Array.to_list per_t)) in
-  if Array.length nonempty = 0 then None
-  else begin
-    let support = Array.map (fun (t, _, _) -> t) nonempty in
-    let omegas = Array.map (fun (_, _, w) -> w) nonempty in
-    let levels = Array.map (fun (_, l, _) -> Option.get l) nonempty in
-    Some { support; g_t = Wdist.create omegas; levels }
-  end
+  if Array.length nonempty = 0 then
+    invalid_arg "Sampler.prepare: empty sample space (no eligible block cell in any cone slice)";
+  let support = Array.map (fun (t, _, _) -> t) nonempty in
+  let omegas = Array.map (fun (_, _, w) -> w) nonempty in
+  let levels = Array.map (fun (_, l, _) -> Option.get l) nonempty in
+  { support; g_t = Wdist.create omegas; levels }
 
 let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement =
   Attack.validate attack;
@@ -180,26 +178,17 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
       done;
       !acc /. float_of_int (Array.length ns)
   in
-  let mode =
+  let cone eligible cell_score =
+    Cone (build_cone_machinery precharac ~temporal_support ~eligible ~cell_score)
+  in
+  let whole plan = [ { tag = All; mass = 1.; alloc = 1.; plan } ] in
+  let table =
     match strategy with
-    | Random -> P_random
-    | Fanin_cone -> begin
-        match
-          build_cone_machinery precharac ~temporal_support ~eligible:block_set
-            ~cell_score:(fun _ _ -> 1.)
-        with
-        | Some m -> P_cone m
-        | None -> invalid_arg "Sampler.prepare: empty sample space (target block misses every cone slice)"
-      end
-    | Importance { alpha; beta; dead_weight; gamma } -> begin
+    | Random -> whole (Nominal block)
+    | Fanin_cone -> whole (cone block_set (fun _ _ -> 1.))
+    | Importance { alpha; beta; dead_weight; gamma } ->
         let score = importance_score ~alpha ~beta ~dead_weight ~gamma in
-        match
-          build_cone_machinery precharac ~temporal_support ~eligible:block_set
-            ~cell_score:(smoothed_max score)
-        with
-        | Some m -> P_cone m
-        | None -> invalid_arg "Sampler.prepare: empty sample space (target block misses every cone slice)"
-      end
+        whole (cone block_set (smoothed_max score))
     | Mixed { alpha; beta; dead_weight; v_allocation } ->
         if v_allocation <= 0. || v_allocation >= 1. then
           invalid_arg "Sampler.prepare: v_allocation must be in (0, 1)";
@@ -235,53 +224,48 @@ let prepare ?(static_vuln = fun _ -> false) strategy attack precharac ~placement
           let base_score = importance_score ~alpha ~beta ~dead_weight ~gamma:0. t in
           fun cell -> base_score cell +. if Hashtbl.mem near_vuln cell then 12. else 0.
         in
-        let rest =
-          match
-            build_cone_machinery precharac ~temporal_support ~eligible:rest_set
-              ~cell_score:(smoothed_mean score)
-          with
-          | Some m -> m
-          | None -> invalid_arg "Sampler.prepare: Mixed rest stratum is empty"
-        in
-        P_mixed { v_cells; m_v; rest; v_alloc = v_allocation }
+        let rest = cone rest_set (smoothed_mean score) in
+        [
+          { tag = Vulnerable; mass = m_v; alloc = v_allocation; plan = Nominal v_cells };
+          { tag = Rest; mass = 1. -. m_v; alloc = 1. -. v_allocation; plan = rest };
+        ]
   in
-  { strategy; attack; mode; block_pmf; f_t }
+  { strategy; attack; table; block_pmf; f_t }
 
-(* Draw from a cone machinery; [stratum_mass] conditions f on the stratum. *)
-let draw_cone p (m : cone_machinery) rng ~stratum ~stratum_mass ~radius ~width ~time_frac =
-  let idx = Wdist.sample m.g_t rng in
-  let t = m.support.(idx) in
-  let level = m.levels.(idx) in
-  let ci = Wdist.sample level.cell_dist rng in
-  let center = level.candidates.(ci) in
-  let g_t = Wdist.pmf m.g_t idx in
-  let g_cell = Wdist.pmf level.cell_dist ci in
-  let f = p.f_t t *. p.block_pmf center /. stratum_mass in
-  { t; center; radius; width; time_frac; weight = f /. (g_t *. g_cell); stratum }
+(* The one importance weight, f(t, c | s) / g(t, c | s), from the
+   probabilities the draw read at its own indices. A [Nominal] stratum
+   draws t from f_T, so it leaves f_T out of f and g alike ([g_t = 1.]):
+   the factor cancels exactly, not merely to the last bit. *)
+let weight p s ~t ~center ~g_t ~g_cell =
+  let f_t = match s.plan with Nominal _ -> 1. | Cone _ -> p.f_t t in
+  f_t *. p.block_pmf center /. s.mass /. (g_t *. g_cell)
+
+(* The row whose cumulative allocation first exceeds [u]. *)
+let rec pick u = function
+  | [ s ] -> s
+  | s :: rest -> if u < s.alloc then s else pick (u -. s.alloc) rest
+  | [] -> invalid_arg "Sampler: empty stratum table"
 
 let draw_raw p rng =
   let radius = Dist.sample_float p.attack.Attack.radius rng in
   let width = Dist.sample_float p.attack.Attack.width rng in
   let time_frac = Rng.float rng 1.0 in
-  match p.mode with
-  | P_random ->
-      let t = Dist.sample_int p.attack.Attack.temporal rng in
-      let cells = Attack.spatial_cells p.attack.Attack.spatial in
-      let center = Rng.choose rng cells in
-      { t; center; radius; width; time_frac; weight = 1.; stratum = All }
-  | P_cone m -> draw_cone p m rng ~stratum:All ~stratum_mass:1. ~radius ~width ~time_frac
-  | P_mixed { v_cells; m_v; rest; v_alloc } ->
-      if Rng.float rng 1.0 < v_alloc then begin
-        (* Within the vulnerable stratum: t from the nominal temporal
-           distribution, center uniform over the stratum cells; the weight
-           is f(t, c | V) / g(t, c). *)
+  (* A lone stratum is picked without reading the stream. *)
+  let s = match p.table with [ s ] -> s | table -> pick (Rng.float rng 1.0) table in
+  let t, center, g_t, g_cell =
+    match s.plan with
+    | Nominal cells ->
         let t = Dist.sample_int p.attack.Attack.temporal rng in
-        let center = Rng.choose rng v_cells in
-        let f_cond = p.block_pmf center /. m_v in
-        let g_cell = 1. /. float_of_int (Array.length v_cells) in
-        { t; center; radius; width; time_frac; weight = f_cond /. g_cell; stratum = Vulnerable }
-      end
-      else draw_cone p rest rng ~stratum:Rest ~stratum_mass:(1. -. m_v) ~radius ~width ~time_frac
+        (t, Rng.choose rng cells, 1., 1. /. float_of_int (Array.length cells))
+    | Cone m ->
+        let i = Wdist.sample m.g_t rng in
+        let level = m.levels.(i) in
+        let ci = Wdist.sample level.cell_dist rng in
+        let g_t = Wdist.pmf m.g_t i and g_cell = Wdist.pmf level.cell_dist ci in
+        (m.support.(i), level.candidates.(ci), g_t, g_cell)
+  in
+  let weight = weight p s ~t ~center ~g_t ~g_cell in
+  { t; center; radius; width; time_frac; weight; stratum = s.tag }
 
 let draw ?(obs = Fmc_obs.Obs.disabled) p rng =
   (* The RNG stream is consumed entirely inside [draw_raw], so tracing the
@@ -292,34 +276,33 @@ let draw ?(obs = Fmc_obs.Obs.disabled) p rng =
 
 let name p = strategy_name p.strategy
 
-let strata p =
-  match p.mode with
-  | P_random | P_cone _ -> [ (All, 1.) ]
-  | P_mixed { m_v; _ } -> [ (Vulnerable, m_v); (Rest, 1. -. m_v) ]
+let strata p = List.map (fun s -> (s.tag, s.mass)) p.table
 
 let temporal_pmf p =
-  match p.mode with
-  | P_random -> List.map (fun t -> (t, p.f_t t)) (Dist.support_int p.attack.Attack.temporal)
-  | P_cone m -> Array.to_list (Array.mapi (fun i t -> (t, Wdist.pmf m.g_t i)) m.support)
-  | P_mixed { rest; v_alloc; _ } ->
-      (* Marginal of the realized draw distribution over both strata. *)
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun t -> Hashtbl.replace tbl t (v_alloc *. p.f_t t))
-        (Dist.support_int p.attack.Attack.temporal);
-      Array.iteri
-        (fun i t ->
-          let cur = try Hashtbl.find tbl t with Not_found -> 0. in
-          Hashtbl.replace tbl t (cur +. ((1. -. v_alloc) *. Wdist.pmf rest.g_t i)))
-        rest.support;
-      Hashtbl.fold (fun t pr acc -> (t, pr) :: acc) tbl [] |> List.sort compare
+  (* Each stratum's g_T(t | s), weighted by its share of the draws. *)
+  let tbl = Hashtbl.create 64 in
+  let add s t g =
+    Hashtbl.replace tbl t (Option.value (Hashtbl.find_opt tbl t) ~default:0. +. (s.alloc *. g))
+  in
+  let f_support = Dist.support_int p.attack.Attack.temporal in
+  List.iter
+    (fun s ->
+      match s.plan with
+      | Nominal _ -> List.iter (fun t -> add s t (p.f_t t)) f_support
+      | Cone m -> Array.iteri (fun i t -> add s t (Wdist.pmf m.g_t i)) m.support)
+    p.table;
+  List.sort compare (Hashtbl.fold (fun t g acc -> (t, g) :: acc) tbl [])
 
-let sample_space_size p =
-  match p.mode with
-  | P_random ->
-      List.length (Dist.support_int p.attack.Attack.temporal)
-      * Array.length (Attack.spatial_cells p.attack.Attack.spatial)
-  | P_cone m -> Array.fold_left (fun acc l -> acc + Array.length l.candidates) 0 m.levels
-  | P_mixed { v_cells; rest; _ } ->
-      (List.length (Dist.support_int p.attack.Attack.temporal) * Array.length v_cells)
-      + Array.fold_left (fun acc l -> acc + Array.length l.candidates) 0 rest.levels
+let density p stratum ~t ~center =
+  match List.find_opt (fun s -> s.tag = stratum) p.table with
+  | None -> invalid_arg "Sampler.density: not a stratum of this strategy"
+  | Some { plan = Nominal cells; _ } ->
+      if Array.mem center cells then p.f_t t *. (1. /. float_of_int (Array.length cells)) else 0.
+  | Some { plan = Cone m; _ } -> (
+      match Array.find_index (Int.equal t) m.support with
+      | None -> 0.
+      | Some i -> (
+          let level = m.levels.(i) in
+          match Array.find_index (Int.equal center) level.candidates with
+          | None -> 0.
+          | Some ci -> Wdist.pmf m.g_t i *. Wdist.pmf level.cell_dist ci))

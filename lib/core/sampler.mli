@@ -12,10 +12,21 @@
 
     Radius, pulse width and intra-cycle strike time are technique
     variation, sampled identically under every strategy, so they cancel in
-    the importance weights. Draws carry the exact weight
-    [f_{T,P} / g_{T,P}] so that the weighted estimator stays unbiased over
-    the cone-restricted support (outside it the attack cannot reach the
-    responding signals — paper Observation 1). *)
+    the importance weights.
+
+    A prepared strategy is a table of strata, each with its tag, exact
+    [f]-mass [m_s], share of the draws and plan: [t] from [f_T] and the
+    center uniform over a cell array ([Random]; [Mixed]'s vulnerable
+    stratum), or [t] and center from the cone tables [g_T] and [g_{P|T}]
+    (the other strategies; [Mixed]'s rest). Each draw's weight is
+    [f(t, c | s) / g(t, c | s)], with [f(t, c | s) = f_T(t) f_P(c) / m_s] and
+    [g] as {!density} gives it. A stratum that draws [t] from [f_T] leaves
+    [f_T] out of both, so that factor cancels exactly. The estimator is
+    unbiased for the part of [f] that the support covers, and no more: a
+    disc centered outside [Omega_t] can still cover cells inside it. On the
+    default write attack 167 of the 4,268 (t, center) pairs that can
+    succeed lie outside [Fanin_cone]'s and [Importance]'s support, which
+    puts their expectations 2.76% below the exact SSF (ROADMAP item 1c). *)
 
 type strategy =
   | Random
@@ -66,9 +77,7 @@ type sample = {
   radius : float;
   width : float;  (** transient pulse width, ps *)
   time_frac : float;  (** strike start as a fraction of the clock period *)
-  weight : float;
-      (** importance weight: [f/g] for single-stratum strategies, the
-          within-stratum [f(.|s)/g] for [Mixed] *)
+  weight : float;  (** [f(t, c | s) / g(t, c | s)] within its stratum *)
   stratum : stratum;  (** [All] except under [Mixed] *)
 }
 
@@ -81,12 +90,11 @@ val prepare :
   Precharac.t ->
   placement:Fmc_layout.Placement.t ->
   prepared
-(** Precomputes the per-depth candidate sets and weight tables. Importance
+(** Builds the stratum table and its cone tables. Importance
     scores are smoothed over each center's radiated neighborhood (largest
     attack radius) so that a disc covering a critical cell is never
-    under-sampled. Raises [Invalid_argument] if a cone-based strategy has
-    an empty sample space (no overlap between the target block and any
-    [Omega_t]). *)
+    under-sampled. Raises [Invalid_argument] if a cone stratum has an empty
+    sample space (none of its block cells lies in any [Omega_t]). *)
 
 val draw : ?obs:Fmc_obs.Obs.t -> prepared -> Fmc_prelude.Rng.t -> sample
 (** [obs] (default {!Fmc_obs.Obs.disabled}) wraps the draw in a ["draw"]
@@ -104,5 +112,7 @@ val temporal_pmf : prepared -> (int * float) list
 (** The realized sampling distribution [g_T] over timing distances
     (Fig. 8a). For [Random] this is just [f_T]. *)
 
-val sample_space_size : prepared -> int
-(** Total number of (t, center) pairs with non-zero sampling probability. *)
+val density : prepared -> stratum -> t:int -> center:Fmc_netlist.Netlist.node -> float
+(** [g(t, center | s)]: the probability that a draw within stratum [s] is
+    that pair, 0 off its support. Raises [Invalid_argument] if [s] is not
+    one of {!strata}. *)

@@ -52,7 +52,13 @@ let test_dist_float () =
     let v = Dist.sample_float (Dist.Uniform_float (1.5, 2.5)) rng in
     Alcotest.(check bool) "in range" true (v >= 1.5 && v < 2.5)
   done;
-  Alcotest.(check (float 1e-9)) "degenerate" 3. (Dist.sample_float (Dist.Uniform_float (3., 3.)) rng)
+  Alcotest.(check (float 1e-9)) "degenerate" 3. (Dist.sample_float (Dist.Uniform_float (3., 3.)) rng);
+  Dist.validate_float (Dist.Uniform_float (3., 3.));
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises "ill-formed" (Invalid_argument "Dist: ill-formed float range") (fun () ->
+          Dist.validate_float (Dist.Uniform_float (lo, hi))))
+    [ (2.2, 0.8); (nan, 1.); (0., nan); (neg_infinity, 1.); (0., infinity) ]
 
 (* ------------------------------------------------------------------ *)
 (* Attack *)
@@ -87,7 +93,18 @@ let test_attack_validate () =
   Alcotest.check_raises "empty block" (Invalid_argument "Attack.validate: empty target block")
     (fun () -> Attack.validate { a with Attack.spatial = Attack.Uniform_cells [||] });
   (* Negative timing distances are allowed (shots after the target). *)
-  Attack.validate { a with Attack.temporal = Dist.Uniform_int (-5, 5) }
+  Attack.validate { a with Attack.temporal = Dist.Uniform_int (-5, 5) };
+  (* An inverted range would strike every sample at [lo] while [prepare]
+     smoothed over discs of radius [hi]. *)
+  Alcotest.check_raises "inverted radius" (Invalid_argument "Dist: ill-formed float range")
+    (fun () -> Attack.validate { a with Attack.radius = Dist.Uniform_float (2.2, 0.8) });
+  Alcotest.check_raises "NaN width" (Invalid_argument "Dist: ill-formed float range") (fun () ->
+      Attack.validate { a with Attack.width = Dist.Uniform_float (nan, 350.) });
+  Alcotest.check_raises "negative radius" (Invalid_argument "Attack.validate: negative radius")
+    (fun () -> Attack.validate { a with Attack.radius = Dist.Uniform_float (-0.5, 2.2) });
+  Alcotest.check_raises "negative width" (Invalid_argument "Attack.validate: negative width")
+    (fun () -> Attack.validate { a with Attack.width = Dist.Uniform_float (-1., 350.) });
+  Attack.validate { a with Attack.radius = Dist.Uniform_float (1.5, 1.5) }
 
 (* ------------------------------------------------------------------ *)
 (* Golden *)
@@ -350,10 +367,74 @@ let test_sampler_strata () =
   let prep = prepare Sampler.Random in
   Alcotest.(check bool) "random single stratum" true (Sampler.strata prep = [ (Sampler.All, 1.) ])
 
-let test_sampler_sample_space_reduction () =
-  let random_space = Sampler.sample_space_size (prepare Sampler.Random) in
-  let cone_space = Sampler.sample_space_size (prepare Sampler.Fanin_cone) in
-  Alcotest.(check bool) "cone space not larger" true (cone_space <= random_space)
+(* Each stratum's [density] over the default write attack's 50 x 1,647
+   (t, cell) pairs: it sums to 1, its support has the pinned size, it is 0
+   off the attack, and every drawn weight is f_T f_P / (m_s g). The sizes
+   move on purpose when the cone support does. *)
+let test_sampler_density () =
+  let a = attack () in
+  let block = Attack.spatial_cells a.Attack.spatial in
+  let f_p = Attack.pmf_spatial a.Attack.spatial in
+  let outside =
+    Array.to_list (Fmc_layout.Placement.cells (placement ()))
+    |> List.filter (fun c -> not (Array.mem c block))
+    |> List.filteri (fun i _ -> i mod 40 = 0)
+  in
+  let supports strat =
+    let prep = prepare strat in
+    let sizes =
+      List.map
+        (fun (s, _) ->
+          let what = Sampler.strategy_name strat ^ " " ^ Sampler.stratum_name s in
+          let off ~t center =
+            if Sampler.density prep s ~t ~center <> 0. then
+              Alcotest.failf "%s: density at t=%d, cell %d is not 0" what t center
+          in
+          let total = ref 0. and size = ref 0 in
+          for t = 0 to 49 do
+            Array.iter
+              (fun center ->
+                let g = Sampler.density prep s ~t ~center in
+                total := !total +. g;
+                if g > 0. then incr size)
+              block;
+            List.iter (off ~t) outside
+          done;
+          List.iter (fun t -> Array.iter (off ~t) block) [ -1; 50 ];
+          Alcotest.(check (float 1e-9)) (what ^ " density sums to 1") 1. !total;
+          (Sampler.stratum_name s, !size))
+        (Sampler.strata prep)
+    in
+    let rng = Rng.create 7 in
+    for _ = 1 to 2000 do
+      let d = Sampler.draw prep rng in
+      let m = List.assoc d.Sampler.stratum (Sampler.strata prep) in
+      let g = Sampler.density prep d.Sampler.stratum ~t:d.Sampler.t ~center:d.Sampler.center in
+      let f = Dist.pmf_int a.Attack.temporal d.Sampler.t *. f_p d.Sampler.center in
+      let expected = f /. (m *. g) in
+      if Float.abs (d.Sampler.weight -. expected) > 1e-12 *. expected then
+        Alcotest.failf "%s: weight %h, f / (m g) = %h" (Sampler.name prep) d.Sampler.weight expected
+    done;
+    (Sampler.strategy_name strat, sizes)
+  in
+  let sizes =
+    List.map supports
+      [ Sampler.Random; Sampler.Fanin_cone; Sampler.default_importance; Sampler.default_mixed ]
+  in
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "support sizes"
+    [
+      ("random", [ ("all", 82_350) ]);
+      ("fanin-cone", [ ("all", 74_765) ]);
+      ("importance", [ ("all", 74_765) ]);
+      ("mixed", [ ("vulnerable", 2_150); ("rest", 72_685) ]);
+    ]
+    sizes;
+  let size name = List.assoc "all" (List.assoc name sizes) in
+  Alcotest.(check bool) "cone space not larger" true (size "fanin-cone" <= size "random");
+  Alcotest.check_raises "a stratum the strategy lacks"
+    (Invalid_argument "Sampler.density: not a stratum of this strategy") (fun () ->
+      ignore (Sampler.density (prepare Sampler.Random) Sampler.Rest ~t:0 ~center:block.(0)))
 
 let test_sampler_mixed_stratum_tags () =
   let prep = prepare Sampler.default_mixed in
@@ -1065,7 +1146,7 @@ let () =
           Alcotest.test_case "temporal pmf normalized" `Slow test_sampler_temporal_pmf_normalized;
           Alcotest.test_case "weights positive" `Slow test_sampler_weights_positive;
           Alcotest.test_case "strata masses" `Slow test_sampler_strata;
-          Alcotest.test_case "sample-space reduction" `Slow test_sampler_sample_space_reduction;
+          Alcotest.test_case "density and support" `Slow test_sampler_density;
           Alcotest.test_case "mixed stratum tags" `Slow test_sampler_mixed_stratum_tags;
         ] );
       ( "analytical",

@@ -155,6 +155,35 @@ let test_byte_identity_sharded () =
   Alcotest.(check string) "read sharded" (fixture "sharded-read.json")
     (Export.report_json r.Campaign.report ^ "\n")
 
+(* Every strategy's draws on the default write attack, against
+   test/ref/sampler-draws.txt: the stratum masses and g_T, the first 20
+   draws at seed 11, and an MD5 over 20,000 draws at that seed, every
+   float in hex. The reports above reach an importance weight only
+   through 8 significant digits, and pin no random or fanin-cone draw.
+   Only [prepare], [draw], [strata] and [temporal_pmf] are read, so the
+   file pins what the sampler draws, not how it represents it. *)
+let sampler_draws strategy =
+  let prep = prepare strategy in
+  let rng = Fmc_prelude.Rng.create 11 in
+  let line (s : Sampler.sample) =
+    Printf.sprintf "draw %d %d %h %h %h %h %s\n" s.t s.center s.radius s.width s.time_frac
+      s.weight (Sampler.stratum_name s.stratum)
+  in
+  let draws = List.init 20_000 (fun _ -> line (Sampler.draw prep rng)) in
+  let lines f l = String.concat "" (List.map f l) in
+  Printf.sprintf "strategy %s\n" (Sampler.name prep)
+  ^ lines (fun (s, m) -> Printf.sprintf "stratum %s %h\n" (Sampler.stratum_name s) m)
+      (Sampler.strata prep)
+  ^ lines (fun (t, g) -> Printf.sprintf "g_t %d %h\n" t g) (Sampler.temporal_pmf prep)
+  ^ lines Fun.id (List.filteri (fun i _ -> i < 20) draws)
+  ^ Printf.sprintf "md5 %s\n" (Digest.to_hex (Digest.string (String.concat "" draws)))
+
+let test_byte_identity_sampler () =
+  Alcotest.(check string) "every strategy's draws" (fixture "sampler-draws.txt")
+    (String.concat ""
+       (List.map sampler_draws
+          [ Sampler.Random; Sampler.Fanin_cone; Sampler.default_importance; Sampler.default_mixed ]))
+
 (* ------------------------------------------------------------------ *)
 (* Per-model determinism: all builtin injectors draw zero RNG, so the
    same seed must reproduce the same report — plain and sharded. *)
@@ -668,6 +697,8 @@ let () =
             test_byte_identity_plain;
           Alcotest.test_case "sharded reports match pre-subsystem reference" `Slow
             test_byte_identity_sharded;
+          Alcotest.test_case "every strategy's draws match reference" `Slow
+            test_byte_identity_sampler;
         ] );
       ( "models",
         [
