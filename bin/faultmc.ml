@@ -992,8 +992,8 @@ let sva_cmd =
         let claimed, violations = Fmc_sva.Pruner.self_check ~points pruner in
         if violations = [] then
           Format.eprintf
-            "sva check: %d/%d random (cell, cycle) points claimed masked; every claim confirmed \
-             by full simulation@."
+            "sva check: %d/%d random (strike, cycle) points claimed masked; every claim \
+             confirmed by full simulation@."
             claimed points
         else begin
           Format.eprintf
@@ -1015,8 +1015,10 @@ let sva_cmd =
       & opt (some int) None
       & info [ "check" ] ~docv:"N"
           ~doc:
-            "Soundness cross-check: draw $(docv) random (cell, cycle) points the certificates \
-             claim masked, run the full engine on each, and exit non-zero on any disagreement.")
+            "Soundness cross-check: draw $(docv) random (strike, cycle) points the certificates \
+             claim masked, half of them one flip-flop and half a disc round a gate with the \
+             default attack's radius, width and strike time, run the full engine on each, and \
+             exit non-zero on any disagreement.")
   in
   Cmd.v
     (Cmd.info "sva"

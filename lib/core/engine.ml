@@ -191,6 +191,7 @@ let placement t = t.placement
 let precharac t = t.precharac
 let circuit t = t.circuit
 let transient_config t = t.tconfig
+let watch t = t.watch
 let program t = t.program
 
 (* Every engine count goes to the handle's cells, or while deferred to

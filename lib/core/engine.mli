@@ -119,6 +119,12 @@ val placement : t -> Fmc_layout.Placement.t
 val precharac : t -> Precharac.t
 val circuit : t -> Fmc_cpu.Circuit.t
 val transient_config : t -> Fmc_gatesim.Transient.config
+
+val watch : t -> Fmc_netlist.Netlist.node array
+(** The memory write port (write enable, address, data): the nodes a
+    gate-level cycle passes to {!Fmc_gatesim.Transient.inject} as
+    [watch]. *)
+
 val program : t -> Fmc_isa.Programs.t
 
 type outcome =

@@ -51,6 +51,54 @@ let default_config net =
 
 type strike = { node : N.node; time : float; width : float }
 
+(* Per node, the shortest and longest sum of gate delays from its output
+   to a sink [inject] checks; [lo]/[hi] are the latch window widened by
+   [reach_margin]. *)
+type reach = { dmin : float array; dmax : float array; lo : float; hi : float }
+
+(* A pulse's start gains one gate delay at a time, while the bound sums
+   the delays first: the margin absorbs the difference in rounding. *)
+let reach_margin = 1e-3
+
+let reach ?(watch = [||]) net config =
+  let n = N.num_nodes net in
+  let dmin = Array.make n infinity and dmax = Array.make n neg_infinity in
+  let sink = Array.make n false in
+  Array.iter (fun f -> sink.(N.dff_d net f) <- true) (N.dffs net);
+  Array.iter (fun w -> sink.(w) <- true) watch;
+  let gates = N.gates net in
+  for i = Array.length gates - 1 downto 0 do
+    let g = gates.(i) in
+    if sink.(g) then begin
+      dmin.(g) <- 0.;
+      dmax.(g) <- 0.
+    end;
+    Array.iter
+      (fun h ->
+        match N.kind net h with
+        | K.Gate gate ->
+            let d = gate_delay config gate in
+            dmin.(g) <- Float.min dmin.(g) (d +. dmin.(h));
+            dmax.(g) <- Float.max dmax.(g) (d +. dmax.(h))
+        | K.Input | K.Const _ | K.Dff _ -> ())
+      (N.fanouts net g)
+  done;
+  (* A struck flip-flop is a direct upset, whatever the time. *)
+  Array.iter
+    (fun f ->
+      dmin.(f) <- neg_infinity;
+      dmax.(f) <- infinity)
+    (N.dffs net);
+  {
+    dmin;
+    dmax;
+    lo = config.clock_period -. config.setup_time -. reach_margin;
+    hi = config.clock_period +. config.hold_time +. reach_margin;
+  }
+
+let misses_window r node ~time ~width =
+  time +. r.dmin.(node) >= r.hi || time +. r.dmax.(node) +. width <= r.lo
+
 type pulse = { start : float; width : float }
 
 type result = {

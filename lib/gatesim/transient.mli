@@ -48,6 +48,33 @@ type strike = {
   width : float;
 }
 
+type reach
+(** A static bound on when a strike's pulses can be at a latch sink: for
+    every node, the shortest and longest sum of {!gate_delay}s from its
+    output to a sink {!inject} checks (a flip-flop's D input driver or a
+    watched node). Two float arrays, filled in one reverse-topological
+    pass. *)
+
+val reach : ?watch:Fmc_netlist.Netlist.node array -> Fmc_netlist.Netlist.t -> config -> reach
+(** [watch] must be the nodes later passed to {!inject}. *)
+
+val misses_window : reach -> Fmc_netlist.Netlist.node -> time:float -> width:float -> bool
+(** [misses_window r node ~time ~width]: a strike on [node] at [time]
+    with [width] can neither latch nor hit a watched node. For a gate
+    that holds when its pulse, shifted by every path to a sink, lies
+    wholly before or wholly after the latch window
+    [\[clock_period - setup_time, clock_period + hold_time\]] (each side
+    with a 1e-3 ps margin), or when no sink is reachable. It is false
+    for a flip-flop (a direct upset) and true for an input or constant
+    (which {!inject} ignores).
+
+    Sound for any set of strikes, whatever the settled values: a pulse
+    is born at the struck gate and only gains gate delays, attenuation
+    and logical masking only narrow or drop pulses, and merging takes
+    the union of overlapping pulses. So if [misses_window] holds for
+    every strike, {!inject}'s [latched], [direct] and [watched_hits]
+    are empty. *)
+
 type result = {
   latched : Fmc_netlist.Netlist.node array;
       (** flip-flops whose D input latched a pulse, ascending id *)

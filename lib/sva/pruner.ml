@@ -3,12 +3,15 @@ module K = Fmc_netlist.Kind
 module Rng = Fmc_prelude.Rng
 module Worklist = Fmc_netlist.Worklist
 module Placement = Fmc_layout.Placement
+module Transient = Fmc_gatesim.Transient
 module Circuit = Fmc_cpu.Circuit
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 module Engine = Fmc.Engine
 module Golden = Fmc.Golden
 module Sampler = Fmc.Sampler
+module Attack = Fmc.Attack
+module Dist = Fmc.Dist
 
 type stats = { mutable checked : int; mutable pruned : int; mutable certificates : int }
 
@@ -47,6 +50,8 @@ type t = {
       (* bit 1: flip-flop D input or the memory write-enable; bit 2:
          write-port bus bit (address/data), a sink only on golden-write
          cycles. An X reaching a live sink refutes the certificate. *)
+  reach : Transient.reach;  (* which struck gates' pulses miss every latch window *)
+  period : float;  (* a strike lands at [time_frac *. period], as in the engine *)
   values : Bytes.t;  (* scratch abstract state *)
   wl : Worklist.t;
   stats : stats;
@@ -77,6 +82,7 @@ let create ?(obs = Obs.disabled) engine =
           }
   in
   let n = N.num_nodes net in
+  let tconfig = Engine.transient_config engine in
   let sink = Array.make n 0 in
   Array.iter (fun f -> sink.(N.dff_d net f) <- sink.(N.dff_d net f) lor 1) (N.dffs net);
   sink.(circuit.Circuit.dmem_we) <- sink.(circuit.Circuit.dmem_we) lor 1;
@@ -90,6 +96,8 @@ let create ?(obs = Obs.disabled) engine =
     target_cycle = Golden.target_cycle (Engine.golden engine);
     pc_members = N.register_group net "pc";
     sink;
+    reach = Transient.reach ~watch:(Engine.watch engine) net tconfig;
+    period = tconfig.Transient.clock_period;
     values = Bytes.make n b_false;
     wl = Worklist.create net;
     stats = { checked = 0; pruned = 0; certificates = 0 };
@@ -116,14 +124,21 @@ exception Refuted
 let work_budget = 160
 
 (* Joint abstract evaluation of one injection cycle: golden values
-   everywhere, X at every struck cell. Rather than sweeping the whole
-   netlist, the X-front is chased through the struck cells' fan-out cone
-   with a worklist ordered by logic level (sound because the
-   combinational part is acyclic and [N.level] respects fan-in order) —
-   for maskable samples the front dies out after a handful of gates, and
-   for the rest the first X that reaches a live sink (a flip-flop D
-   input, the memory write-enable, or the write-port buses on a
-   golden-write cycle) refutes the certificate immediately.
+   everywhere, X at every struck flip-flop and at every struck gate whose
+   pulse may overlap a latch window. A struck gate whose pulse, shifted
+   by every path to a latch sink, lies wholly before or after the window
+   ([Transient.misses_window]) stays golden: its pulse can latch
+   nothing, and a pulse never changes a settled value. When no cell is
+   left to taint, the sample is covered without a walk.
+
+   Rather than sweeping the whole netlist, the X-front is chased through
+   the tainted cells' fan-out cone with a worklist ordered by logic level
+   (sound because the combinational part is acyclic and [N.level]
+   respects fan-in order) — for maskable samples the front dies out
+   after a handful of gates, and for the rest the first X that reaches a
+   live sink (a flip-flop D input, the memory write-enable, or the
+   write-port buses on a golden-write cycle) refutes the certificate
+   immediately.
 
    The processor's two input buses are state-dependent ([instr =
    imem[pc]], [dmem_rdata = dmem[dmem_addr]]): an unknown stored pc bit
@@ -134,11 +149,22 @@ let work_budget = 160
    round is a fixpoint.
 
    Covered iff no live sink was ever tainted: every flip-flop D and the
-   memory write port are then definite and equal to golden, so the
-   latched state and memory provably equal the golden run at [te + 1] and
-   the engine would classify the sample as exactly [Masked]. *)
-let compute t ~te ~(cells : N.node array) =
+   memory write port then settle as in the golden run and carry no pulse
+   in the window, so the latched state and memory provably equal the
+   golden run at [te + 1] and the engine would classify the sample as
+   exactly [Masked] (DESIGN.md §13). *)
+let compute t ~te ~time ~width ~(cells : N.node array) =
   let net = t.net in
+  (* Input/const strikes are ignored, matching the engine's strike
+     partition. *)
+  let live c =
+    match N.kind net c with
+    | K.Dff _ -> true
+    | K.Gate _ -> not (Transient.misses_window t.reach c ~time ~width)
+    | K.Input | K.Const _ -> false
+  in
+  (not (Array.exists live cells))
+  ||
   let gold = Engine.golden_settled t.engine te in
   let values = t.values in
   Bytes.blit gold 0 values 0 (Bytes.length gold);
@@ -170,43 +196,30 @@ let compute t ~te ~(cells : N.node array) =
       drain ()
     end
   in
-  let struck_any = ref false in
-  let covered =
-    try
-      Array.iter
-        (fun c ->
-          match N.kind net c with
-          | K.Dff _ | K.Gate _ ->
-              (* A struck gate carries an injected pulse: X regardless of its
-                 inputs. [taint] pins it to X permanently, which subsumes the
-                 forced-output treatment. Input/const strikes are ignored,
-                 matching the engine's strike partition. *)
-              struck_any := true;
-              taint c
-          | K.Input | K.Const _ -> ())
-        cells;
-      if !struck_any then begin
-        (* The fetched word indexes imem by the pc register group's stored
-           bits (Netsys.settle), so any struck pc bit poisons instr. *)
-        if any_unknown values t.pc_members then Array.iter taint t.circuit.Circuit.instr;
-        drain ();
-        if any_unknown values t.circuit.Circuit.dmem_addr then begin
-          (* New round so gates settled definite in the first round are
-             re-enqueued when the widened read data re-taints them. *)
-          Worklist.rearm t.wl;
-          Array.iter taint t.circuit.Circuit.dmem_rdata;
-          drain ()
-        end
-      end;
-      true
-    with Refuted -> false
-  in
-  covered
+  try
+    (* A live struck cell is X regardless of its inputs: [taint] pins it
+       to X permanently, which subsumes the forced-output treatment. *)
+    Array.iter (fun c -> if live c then taint c) cells;
+    (* The fetched word indexes imem by the pc register group's stored
+       bits (Netsys.settle), so any struck pc bit poisons instr. *)
+    if any_unknown values t.pc_members then Array.iter taint t.circuit.Circuit.instr;
+    drain ();
+    if any_unknown values t.circuit.Circuit.dmem_addr then begin
+      (* New round so gates settled definite in the first round are
+         re-enqueued when the widened read data re-taints them. *)
+      Worklist.rearm t.wl;
+      Array.iter taint t.circuit.Circuit.dmem_rdata;
+      drain ()
+    end;
+    true
+  with Refuted -> false
 
 let covered t (sample : Sampler.sample) =
   let te = t.target_cycle - sample.Sampler.t in
   te < 1 (* the engine short-circuits to Masked *)
   || compute t ~te
+       ~time:(sample.Sampler.time_frac *. t.period)
+       ~width:sample.Sampler.width
        ~cells:
          (Placement.within_indexed t.pindex ~center:sample.Sampler.center
             ~radius:sample.Sampler.radius)
@@ -231,8 +244,13 @@ let check t sample =
 
 let prune t = { Fmc.Ssf.covered = covered t; note = note t }
 
+(* The k-th claimed point strikes one flip-flop at radius 0 for even k
+   and a disc round a gate for odd k, the disc's radius, width and strike
+   time drawn as the default attack draws them, so that the claims also
+   reach the latch-window rule (a struck flip-flop is always X). *)
 let self_check ?(points = 50) ?(seed = 7) t =
-  let dffs = N.dffs t.net in
+  let dffs = N.dffs t.net and gates = N.gates t.net in
+  let attack = Attack.default (Engine.placement t.engine) ~block:gates in
   let draw_rng = Rng.create seed in
   let sim_rng = Rng.create (seed + 1) in
   let checked = ref 0 in
@@ -241,15 +259,22 @@ let self_check ?(points = 50) ?(seed = 7) t =
   let max_tries = points * 200 in
   while !checked < points && !tried < max_tries do
     incr tried;
-    let f = Rng.choose draw_rng dffs in
+    let center, radius, width, time_frac =
+      if !checked mod 2 = 0 then (Rng.choose draw_rng dffs, 0., 80., 0.3)
+      else
+        let center = Rng.choose draw_rng gates in
+        let radius = Dist.sample_float attack.Attack.radius draw_rng in
+        let width = Dist.sample_float attack.Attack.width draw_rng in
+        (center, radius, width, Rng.float draw_rng 1.0)
+    in
     let te = Rng.int_in draw_rng 1 (max 1 t.target_cycle) in
     let sample =
       {
         Sampler.t = t.target_cycle - te;
-        center = f;
-        radius = 0.;
-        width = 80.;
-        time_frac = 0.3;
+        center;
+        radius;
+        width;
+        time_frac;
         weight = 1.;
         stratum = Sampler.All;
       }
@@ -257,7 +282,7 @@ let self_check ?(points = 50) ?(seed = 7) t =
     if covered t sample then begin
       incr checked;
       let r = Engine.run_sample t.engine sim_rng sample in
-      if r.Engine.outcome <> Engine.Masked then violations := (f, te) :: !violations
+      if r.Engine.outcome <> Engine.Masked then violations := (center, te) :: !violations
     end
   done;
   (!checked, List.rev !violations)

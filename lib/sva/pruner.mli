@@ -10,10 +10,16 @@
     The certificate is a joint three-valued propagation of the whole
     struck-cell set at the sample's injection cycle (per-cell certificates
     do {e not} compose: two unknowns can reconverge and still cancel, or
-    not). Definiteness of every flip-flop D input and of the memory write
-    port, under golden seeds with X at struck cells, implies the latched
-    state and memory equal the golden run — the soundness argument is
-    spelled out in DESIGN.md §13.
+    not). A struck flip-flop is X. A struck gate is X unless
+    {!Fmc_gatesim.Transient.misses_window} proves that its pulse, shifted
+    by every path to a flip-flop D input or memory write-port bit, lies
+    wholly before or after the latch window there; such a gate keeps its
+    golden value, since a pulse never changes a settled one. When no
+    struck cell is X, the sample is covered without a walk. Definiteness
+    of every flip-flop D input and of the memory write port, under
+    golden seeds with X at those cells, implies the latched state and
+    memory equal the golden run — the soundness argument is spelled out
+    in DESIGN.md §13.
 
     The propagation chases the X-front through the struck cells' fan-out
     cone with a logic-level-ordered worklist, refutes at the first X that
@@ -53,8 +59,12 @@ val prune_ratio : t -> float
 
 val self_check :
   ?points:int -> ?seed:int -> t -> int * (Fmc_netlist.Netlist.node * int) list
-(** Soundness cross-check: draw random single-flip-flop (cell, cycle)
-    points, keep the ones the pruner claims covered, run the full engine
-    on each and report [(claimed, violations)] where every violation is a
-    [(dff, te)] the engine did {e not} classify as [Masked] (must be
-    empty). Wired behind [faultmc sva --check] and the test suite. *)
+(** Soundness cross-check: draw random (strike, cycle) points, keep the
+    ones the pruner claims covered, run the full engine on each and
+    report [(claimed, violations)] where every violation is a
+    [(centre, te)] the engine did {e not} classify as [Masked] (must be
+    empty). Claimed points alternate between one flip-flop struck at
+    radius 0 and a disc round a gate, whose radius, width and strike time
+    are drawn from the default attack's ranges; so [claimed = points]
+    means half of them are gate-centred. It gives up after [200 * points]
+    draws. Wired behind [faultmc sva --check] and the test suite. *)

@@ -241,6 +241,44 @@ let test_transient_mux_sensitization () =
   let res = Tr.inject sim config ~strikes:strike in
   Alcotest.(check (array int)) "differing data propagates" [| r |] res.Tr.latched
 
+(* input -> Buf b1 -> Buf b2 -> D, and a Not gate that reaches no
+   flip-flop. Under [base_config] the window is [970, 1020] and a Buf
+   adds 40 ps; width 200 is above the attenuation threshold, so a pulse
+   keeps its width. The bound must certify a strike whose pulse ends 1 ps
+   before the window opens or starts 1 ps after it closes, and refuse
+   (and the engine latch) one 1 ps the other side of either edge. *)
+let test_transient_window_bound_edges () =
+  let b = B.create () in
+  let inp = B.add_input b ~name:"i" in
+  let b1 = B.add_gate b K.Buf [| inp |] in
+  let b2 = B.add_gate b K.Buf [| b1 |] in
+  let stray = B.add_gate b K.Not [| inp |] in
+  let r = B.add_dff b ~group:"r" ~bit:0 ~init:false in
+  B.connect_dff b r ~d:b2;
+  B.set_output b ~name:"o" stray;
+  let net = N.of_builder b in
+  let sim = Sim.create net in
+  Sim.eval_comb sim;
+  let config = base_config net in
+  let bound = Tr.reach net config in
+  let width = 200. in
+  let case what node time ~certified =
+    Alcotest.(check bool) (what ^ ": certified") certified (Tr.misses_window bound node ~time ~width);
+    let res = Tr.inject sim config ~strikes:[ { Tr.node; time; width } ] in
+    Alcotest.(check (array int)) (what ^ ": latched") (if certified then [||] else [| r |]) res.Tr.latched
+  in
+  (* b1's pulse reaches D at time + 40. *)
+  case "ends 1 ps before the window" b1 729. ~certified:true;
+  case "ends 1 ps inside the window" b1 731. ~certified:false;
+  case "starts 1 ps after the window" b1 981. ~certified:true;
+  case "starts 1 ps inside the window" b1 979. ~certified:false;
+  (* b2 drives D itself. *)
+  case "D driver, ends 1 ps before" b2 769. ~certified:true;
+  case "D driver, starts 1 ps inside" b2 1019. ~certified:false;
+  Alcotest.(check bool) "no sink reachable" true (Tr.misses_window bound stray ~time:900. ~width);
+  Alcotest.(check bool) "a struck flip-flop is never certified" false
+    (Tr.misses_window bound r ~time:0. ~width:1.)
+
 (* ------------------------------------------------------------------ *)
 (* Vcd *)
 
@@ -614,50 +652,109 @@ let event_driven_matches_sweep rng scratch sim ~watch =
   Tr.inject ~scratch ~watch sim config ~strikes = expected
   && Tr.inject ~watch sim config ~strikes = expected
 
+(* The processor with its memory write port as the watch, and the
+   crypto core with its ciphertext register, each with one scratch. *)
+let cpu =
+  lazy
+    (let circuit = Fmc_cpu.Circuit.build () in
+     let watch =
+       Array.concat
+         [
+           [| circuit.Fmc_cpu.Circuit.dmem_we |];
+           circuit.Fmc_cpu.Circuit.dmem_addr;
+           circuit.Fmc_cpu.Circuit.dmem_wdata;
+         ]
+     in
+     (circuit, watch, Tr.scratch circuit.Fmc_cpu.Circuit.net))
+
+let crypto =
+  lazy
+    (let core = Fmc_crypto.Core_circuit.build () in
+     (core, Tr.scratch core.Fmc_crypto.Core_circuit.net))
+
+(* The processor settled at a random cycle of a benchmark run. *)
+let settled_cpu rng =
+  let circuit, watch, scratch = Lazy.force cpu in
+  let sys = Fmc_cpu.Netsys.create circuit Fmc_isa.Programs.illegal_write in
+  for _ = 1 to Rng.int rng 160 do
+    Fmc_cpu.Netsys.step sys
+  done;
+  Fmc_cpu.Netsys.settle sys;
+  (Fmc_cpu.Netsys.sim sys, watch, scratch)
+
+(* The crypto core in a random state under random inputs. *)
+let settled_crypto rng =
+  let core, scratch = Lazy.force crypto in
+  let net = core.Fmc_crypto.Core_circuit.net in
+  let sim = Sim.create net in
+  Array.iter (fun d -> if Rng.bool rng then Sim.flip sim d) (N.dffs net);
+  Array.iter (fun i -> Sim.set_input sim i (Rng.bool rng)) (N.inputs net);
+  Sim.eval_comb sim;
+  (sim, core.Fmc_crypto.Core_circuit.ct, scratch)
+
 let oracle_props =
-  let cpu =
-    lazy
-      (let circuit = Fmc_cpu.Circuit.build () in
-       let watch =
-         Array.concat
-           [
-             [| circuit.Fmc_cpu.Circuit.dmem_we |];
-             circuit.Fmc_cpu.Circuit.dmem_addr;
-             circuit.Fmc_cpu.Circuit.dmem_wdata;
-           ]
-       in
-       (circuit, watch, Tr.scratch circuit.Fmc_cpu.Circuit.net))
-  in
-  let crypto =
-    lazy
-      (let core = Fmc_crypto.Core_circuit.build () in
-       (core, Tr.scratch core.Fmc_crypto.Core_circuit.net))
-  in
   [
     QCheck.Test.make ~name:"event-driven = full sweep (processor netlist)" ~count:80
       QCheck.(int_range 0 100_000)
       (fun seed ->
         let rng = Rng.create seed in
-        let circuit, watch, scratch = Lazy.force cpu in
-        let program = Fmc_isa.Programs.illegal_write in
-        let sys = Fmc_cpu.Netsys.create circuit program in
-        for _ = 1 to Rng.int rng 160 do
-          Fmc_cpu.Netsys.step sys
-        done;
-        Fmc_cpu.Netsys.settle sys;
-        event_driven_matches_sweep rng scratch (Fmc_cpu.Netsys.sim sys) ~watch);
+        let sim, watch, scratch = settled_cpu rng in
+        event_driven_matches_sweep rng scratch sim ~watch);
     QCheck.Test.make ~name:"event-driven = full sweep (crypto core)" ~count:80
       QCheck.(int_range 0 100_000)
       (fun seed ->
         let rng = Rng.create seed in
-        let core, scratch = Lazy.force crypto in
-        let net = core.Fmc_crypto.Core_circuit.net in
-        let sim = Sim.create net in
-        Array.iter (fun d -> if Rng.bool rng then Sim.flip sim d) (N.dffs net);
-        Array.iter (fun i -> Sim.set_input sim i (Rng.bool rng)) (N.inputs net);
-        Sim.eval_comb sim;
-        event_driven_matches_sweep rng scratch sim ~watch:core.Fmc_crypto.Core_circuit.ct);
+        let sim, watch, scratch = settled_crypto rng in
+        event_driven_matches_sweep rng scratch sim ~watch);
   ]
+
+(* The latch-window bound against the pulse engine: 1-8 random gates
+   struck at random times and widths, under a randomly tightened
+   pulse-list bound; whenever every strike is certified, nothing latches
+   and no watched node is hit. [states] settled states, [sets] strike
+   sets on each; returns how many sets were wholly certified, so a
+   predicate that never certifies fails the caller's minimum. *)
+let bound_never_latches ~seed ~states ~sets settled =
+  let rng = Rng.create seed in
+  let certified = ref 0 in
+  for _ = 1 to states do
+    let sim, watch, scratch = settled rng in
+    let net = Sim.netlist sim in
+    let base = Tr.default_config net in
+    let config = { base with Tr.max_pulses_per_net = Rng.choose rng [| 1; 2; 8 |] } in
+    let bound = Tr.reach ~watch net config in
+    let gates = N.gates net in
+    for _ = 1 to sets do
+      let strikes =
+        List.init (1 + Rng.int rng 8) (fun _ ->
+            {
+              Tr.node = Rng.choose rng gates;
+              time = Rng.float rng config.Tr.clock_period;
+              width = 20. +. Rng.float rng 400.;
+            })
+      in
+      if
+        List.for_all
+          (fun { Tr.node; time; width } -> Tr.misses_window bound node ~time ~width)
+          strikes
+      then begin
+        incr certified;
+        let r = Tr.inject ~scratch ~watch sim config ~strikes in
+        Alcotest.(check (array int)) "certified strikes latch nothing" [||] r.Tr.latched;
+        Alcotest.(check (array int)) "certified strikes hit no watched node" [||]
+          r.Tr.watched_hits
+      end
+    done
+  done;
+  !certified
+
+let test_bound_processor () =
+  let certified = bound_never_latches ~seed:5 ~states:20 ~sets:40 settled_cpu in
+  Alcotest.(check bool) (Printf.sprintf "%d of 800 sets certified" certified) true (certified >= 200)
+
+let test_bound_crypto () =
+  let certified = bound_never_latches ~seed:6 ~states:20 ~sets:40 settled_crypto in
+  Alcotest.(check bool) (Printf.sprintf "%d of 800 sets certified" certified) true (certified >= 200)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -681,6 +778,7 @@ let () =
           Alcotest.test_case "direct flip-flop strike" `Quick test_transient_direct_dff_strike;
           Alcotest.test_case "argument validation" `Quick test_transient_validation;
           Alcotest.test_case "mux sensitization" `Quick test_transient_mux_sensitization;
+          Alcotest.test_case "latch-window bound edges" `Quick test_transient_window_bound_edges;
         ] );
       ( "vcd",
         [
@@ -703,5 +801,10 @@ let () =
           Alcotest.test_case "canonical key" `Quick test_pattern_key;
         ] );
       ("props", q transient_props);
-      ("oracle", q oracle_props);
+      ( "oracle",
+        q oracle_props
+        @ [
+            Alcotest.test_case "latch-window bound (processor netlist)" `Quick test_bound_processor;
+            Alcotest.test_case "latch-window bound (crypto core)" `Quick test_bound_crypto;
+          ] );
     ]

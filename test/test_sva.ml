@@ -163,8 +163,8 @@ let test_window_distances () =
 
 let ctx = lazy (Experiments.context ())
 
-let prepare e =
-  Sampler.prepare ~static_vuln:(Engine.static_vulnerable e) Sampler.default_mixed
+let prepare e strategy =
+  Sampler.prepare ~static_vuln:(Engine.static_vulnerable e) strategy
     (Experiments.default_attack (Lazy.force ctx))
     (Experiments.precharac (Lazy.force ctx))
     ~placement:(Engine.placement e)
@@ -186,16 +186,62 @@ let test_certificate_artifact () =
   in
   Alcotest.(check bool) "schema tagged" true (contains "faultmc-sva-v1")
 
+(* Every other claimed point is a disc round a gate, so the claims
+   reach the latch-window rule as well as single flip-flops. *)
 let test_pruner_self_check () =
   let e = Experiments.engine_for (Lazy.force ctx) Programs.illegal_write in
   let p = Pruner.create e in
   let claimed, violations = Pruner.self_check ~points:30 p in
-  Alcotest.(check bool) "some points claimed masked" true (claimed > 0);
+  Alcotest.(check int) "30 points claimed masked, 15 of them gate-centred discs" 30 claimed;
   Alcotest.(check int) "every claim confirmed by the engine" 0 (List.length violations)
 
-let check_pruned_report_identical prog ~expect_pruning =
+(* A grid over the default attack's block at radius 1.5: every point the
+   pruner certifies must be Masked under full simulation. The certified
+   count is pinned; the three-valued walk alone certifies about a tenth
+   as many. *)
+let check_certified_grid prog ~expect =
+  let c = Lazy.force ctx in
+  let e = Experiments.engine_for c prog in
+  let p = Pruner.create e in
+  let rng = Rng.create 0 in
+  let certified = ref 0 and unmasked = ref 0 in
+  for k = 0 to 9 do
+    Array.iteri
+      (fun i center ->
+        if i mod 7 = 0 then
+          List.iter
+            (fun time_frac ->
+              List.iter
+                (fun width ->
+                  let sample =
+                    {
+                      Sampler.t = 5 * k;
+                      center;
+                      radius = 1.5;
+                      width;
+                      time_frac;
+                      weight = 1.;
+                      stratum = Sampler.All;
+                    }
+                  in
+                  if Pruner.covered p sample then begin
+                    incr certified;
+                    if (Engine.run_sample e rng sample).Engine.outcome <> Engine.Masked then
+                      incr unmasked
+                  end)
+                [ 100.; 225.; 350. ])
+            [ 0.125; 0.375; 0.625; 0.875 ])
+      (Experiments.default_block c)
+  done;
+  Alcotest.(check int) "every certified point masked" 0 !unmasked;
+  Alcotest.(check int) "certified points" expect !certified
+
+let test_certified_grid_write () = check_certified_grid Programs.illegal_write ~expect:14_634
+let test_certified_grid_read () = check_certified_grid Programs.illegal_read ~expect:14_533
+
+let check_pruned_report_identical prog strategy =
   let e = Experiments.engine_for (Lazy.force ctx) prog in
-  let prep = prepare e in
+  let prep = prepare e strategy in
   let plain = Ssf.estimate e prep ~samples:500 ~seed:11 in
   let e2 = Experiments.engine_for (Lazy.force ctx) prog in
   let pruner = Pruner.create e2 in
@@ -204,14 +250,16 @@ let check_pruned_report_identical prog ~expect_pruning =
     (Export.report_json plain) (Export.report_json pruned);
   let s = Pruner.stats pruner in
   Alcotest.(check int) "every sample checked" 500 s.Pruner.checked;
-  if expect_pruning then
-    Alcotest.(check bool) "nonzero prune ratio" true (s.Pruner.pruned > 0)
+  Alcotest.(check bool) "nonzero prune count" true (s.Pruner.pruned > 0)
 
 let test_pruned_byte_identical_write () =
-  check_pruned_report_identical Programs.illegal_write ~expect_pruning:true
+  check_pruned_report_identical Programs.illegal_write Sampler.default_mixed
 
 let test_pruned_byte_identical_read () =
-  check_pruned_report_identical Programs.illegal_read ~expect_pruning:false
+  check_pruned_report_identical Programs.illegal_read Sampler.default_mixed
+
+let test_pruned_byte_identical_read_random () =
+  check_pruned_report_identical Programs.illegal_read Sampler.Random
 
 (* ------------------------------------------------------------------ *)
 
@@ -225,6 +273,9 @@ let () =
         [
           Alcotest.test_case "artifact fields and schema" `Quick test_certificate_artifact;
           Alcotest.test_case "pruner self-check" `Slow test_pruner_self_check;
+          Alcotest.test_case "illegal_write certified grid masked" `Slow
+            test_certified_grid_write;
+          Alcotest.test_case "illegal_read certified grid masked" `Slow test_certified_grid_read;
         ] );
       ( "pruning",
         [
@@ -232,5 +283,7 @@ let () =
             test_pruned_byte_identical_write;
           Alcotest.test_case "illegal_read report byte-identical" `Slow
             test_pruned_byte_identical_read;
+          Alcotest.test_case "illegal_read random report byte-identical" `Slow
+            test_pruned_byte_identical_read_random;
         ] );
     ]
