@@ -9,9 +9,9 @@
      harden        critical registers and hardening trade-off
      lint          static-analysis passes over the benchmark netlists
      sva           sound masking certificates (workload constants, observability windows)
-     serve         distributed-campaign coordinator (shard leases over TCP/Unix sockets)
-     worker        distributed-campaign worker (leases shards from a coordinator or pool)
-     sched         multi-campaign scheduler (durable WAL queue, crash recovery, shedding)
+     serve         one-campaign distributed service (shard leases over TCP/Unix sockets)
+     worker        distributed-campaign worker (leases shards from a serve or sched service)
+     sched         multi-campaign scheduler (durable queue log, crash recovery, shedding)
      submit        queue a campaign on a scheduler (and optionally wait for its report)
      status        a scheduler's queue, progress and ETAs
      cancel        cancel a queued or running campaign
@@ -261,7 +261,7 @@ let duration_conv =
 let shard_size_arg =
   let doc =
     "Shard size in samples: the campaign is cut into contiguous shards of $(docv), each evaluated \
-     under its own RNG substream. Must agree between coordinator, workers and any local reference \
+     under its own RNG substream. Must agree between service, workers and any local reference \
      run for the reports to be bit-identical."
   in
   Arg.(value & opt int default_shard_size & info [ "shard-size" ] ~docv:"N" ~doc)
@@ -536,8 +536,8 @@ let evaluate_cmd =
     match connect with
     | Some addrstr ->
         (* Report client: no engine, no context — fetch the finished
-           campaign's shard blobs from the coordinator and merge locally
-           through the same Merge path the coordinator itself uses. *)
+           campaign's shard blobs from the service and merge locally
+           through the same Merge path the service itself uses. *)
         if campaign_mode || half_width <> None then begin
           prerr_endline "faultmc: --connect only combines with the campaign-identity options";
           exit 2
@@ -731,9 +731,9 @@ let evaluate_cmd =
       & opt (some string) None
       & info [ "connect" ] ~docv:"ADDR"
           ~doc:
-            "Fetch a distributed campaign's report from the coordinator at $(docv) (HOST:PORT or \
+            "Fetch a distributed campaign's report from the service at $(docv) (HOST:PORT or \
              unix:PATH) instead of evaluating locally. The campaign-identity options (benchmark, \
-             strategy, -n, --seed, --sample-budget) must match the coordinator's.")
+             strategy, -n, --seed, --sample-budget) must match the service's.")
   in
   let shard_size_opt =
     Arg.(
@@ -1177,7 +1177,7 @@ let serve_cmd =
         fmt
     in
     match
-      run_service ~obs ~what:"coordinator" ~chaos ~http_port ~fleet_trace_out
+      run_service ~obs ~what:"service" ~chaos ~http_port ~fleet_trace_out
         ~campaign:{ Fmc_sched.Service.spec; checkpoint; linger_s = linger }
         addr configure
     with
@@ -1264,7 +1264,7 @@ let serve_cmd =
       const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ listen_arg
       $ shard_size_arg $ lease_ttl_arg $ linger $ max_idle $ checkpoint $ sample_budget
       $ require_workers $ io_deadline_arg $ breaker_failures $ breaker_cooldown $ audit_rate_arg
-      $ speculate_factor_arg $ chaos_args "coordinator" $ http_port_arg "campaign"
+      $ speculate_factor_arg $ chaos_args "service" $ http_port_arg "campaign"
       $ fleet_trace_out_arg $ json $ fault_model_arg $ metrics_out_arg $ trace_out_arg)
 
 (* worker *)
@@ -1280,7 +1280,7 @@ let worker_cmd =
       match name with Some n -> n | None -> Printf.sprintf "worker-%d" (Unix.getpid ())
     in
     (* Under --chaos-plan the worker dials a local fault-injection proxy
-       that forwards to the real coordinator. *)
+       that forwards to the real service. *)
     let connect_addr, stop_chaos =
       match chaos_plan with
       | None -> (addr, fun () -> ())
@@ -1344,21 +1344,21 @@ let worker_cmd =
         flush_obs_outputs ~metrics_out ~trace_out obs;
         finish 0
     | exception Fmc_dist.Worker.Rejected reason ->
-        Format.eprintf "faultmc: coordinator rejected us: %s@." reason;
+        Format.eprintf "faultmc: service rejected us: %s@." reason;
         finish 2
     | exception Failure msg ->
         Format.eprintf "faultmc: %s@." msg;
         flush_obs_outputs ~metrics_out ~trace_out obs;
         finish 1
     | exception Unix.Unix_error (e, _, _) ->
-        Format.eprintf "faultmc: coordinator connection failed: %s@." (Unix.error_message e);
+        Format.eprintf "faultmc: service connection failed: %s@." (Unix.error_message e);
         finish 1
   in
   let addr =
     Arg.(
       required
       & opt (some addr_conv) None
-      & info [ "connect" ] ~docv:"ADDR" ~doc:"Coordinator address: HOST:PORT or unix:PATH.")
+      & info [ "connect" ] ~docv:"ADDR" ~doc:"Service address: HOST:PORT or unix:PATH.")
   in
   let pool =
     Arg.(
@@ -1376,7 +1376,7 @@ let worker_cmd =
       value
       & opt (some int) None
       & info [ "sample-budget" ] ~docv:"CYCLES"
-          ~doc:"Per-sample RTL cycle budget (must match the coordinator's).")
+          ~doc:"Per-sample RTL cycle budget (must match the service's).")
   in
   let name_arg =
     Arg.(
@@ -1396,7 +1396,7 @@ let worker_cmd =
       value & opt float 120.
       & info [ "io-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Socket read/write deadline; a stalled coordinator link times out (and triggers a \
+            "Socket read/write deadline; a stalled service link times out (and triggers a \
              reconnect) after this long.")
   in
   let reconnect_attempts =
@@ -1414,13 +1414,14 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run distributed-campaign shards for a coordinator. The benchmark, strategy, -n, --seed, \
-          --shard-size, --sample-budget and --fault-model must match the coordinator's campaign.")
+         "Run distributed-campaign shards for a service ($(b,serve) or $(b,sched)). The benchmark, \
+          strategy, -n, --seed, --shard-size, --sample-budget and --fault-model must match the \
+          service's campaign.")
     Term.(
       const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ addr $ pool
       $ shard_size_arg $ sample_budget $ fault_model_arg $ name_arg $ heartbeat_every
       $ io_deadline $ reconnect_attempts $ reconnect_budget
-      $ chaos_plan_arg "worker's coordinator link" $ chaos_seed_arg $ chaos_log_arg
+      $ chaos_plan_arg "worker's service link" $ chaos_seed_arg $ chaos_log_arg
       $ metrics_out_arg $ trace_out_arg $ progress_arg)
 
 (* sched / submit / status / cancel — the multi-campaign scheduler *)
@@ -1479,7 +1480,7 @@ let sched_cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
-            "Durable scheduler state: the submission-queue WAL and per-campaign checkpoints. \
+            "Durable scheduler state: the submission-queue log and per-campaign checkpoints. \
              Restarting with the same $(docv) recovers every queued, running and finished \
              campaign — even after kill -9.")
   in
@@ -1519,9 +1520,9 @@ let sched_cmd =
   Cmd.v
     (Cmd.info "sched"
        ~doc:
-         "Run the multi-campaign scheduler: a durable WAL-backed submission queue leasing shards \
-          of every active campaign to a shared worker pool, with crash recovery, report caching \
-          and overload shedding.")
+         "Run the multi-campaign scheduler: a durable submission queue leasing shards of every \
+          active campaign to a shared worker pool, with crash recovery, report caching and \
+          overload shedding.")
     Term.(
       const run $ listen_arg $ state_dir $ queue_depth $ lease_ttl_arg $ wall_budget $ retry_after
       $ max_idle $ io_deadline_arg $ audit_rate_arg $ speculate_factor_arg
@@ -1968,7 +1969,7 @@ let top_cmd =
               ("fmc_dist_leasing_paused", "leasing paused");
               ("fmc_dist_reconnects_total", "worker reconnects");
               ("fmc_dist_leases_expired_total", "lease expiries");
-              ("fmc_sched_wal_torn_records_total", "torn WAL records");
+              ("fmc_sched_wal_torn_records_total", "torn queue-log records");
             ]
           in
           let found =
@@ -2011,9 +2012,9 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Live fleet view: poll a coordinator's or scheduler's $(b,--http-port) scrape endpoint \
-          and show campaign progress, ETAs, per-worker lease/breaker state and fleet gauges, \
-          refreshed in place.")
+         "Live fleet view: poll a $(b,serve) or $(b,sched) service's $(b,--http-port) scrape \
+          endpoint and show campaign progress, ETAs, per-worker lease/breaker state and fleet \
+          gauges, refreshed in place.")
     Term.(const run $ connect_arg "Scrape-endpoint" $ interval $ once)
 
 (* experiments *)

@@ -136,7 +136,7 @@ let journal_line (q : quarantine_entry) =
     s.Sampler.weight
 
 (* Compact single-line quarantine-entry codec, shared by the distributed
-   wire protocol and the coordinator checkpoint. Numeric fields are fixed
+   wire protocol and the service checkpoint. Numeric fields are fixed
    position; a crash message is the (possibly space-containing) tail of
    the line, with newlines flattened so the entry stays one line. *)
 

@@ -27,7 +27,7 @@
     ([inj_model] of the {!Ssf.inject}, refused on resume mismatch
     exactly like the strategy), seed, RNG state — around the shared
     {!Ssf.Tally.to_string} codec (the same serializer the distributed
-    campaign service ([Fmc_dist]) ships shard results and coordinator
+    campaign service ([Fmc_dist]) ships shard results and service
     state with), sealed by a [crc %08x] trailer line (CRC-32 of every
     byte up to and including the [end] marker; {!Fmc_prelude.Record}),
     so truncation or bit rot is detected before any of the body is
@@ -132,12 +132,12 @@ val run :
 
 val journal_line : quarantine_entry -> string
 (** The failure journal's JSON rendering of one entry (no trailing
-    newline) — exposed so the distributed coordinator can journal entries
+    newline) — exposed so the campaign service can journal entries
     reported by remote workers in the exact format local campaigns use. *)
 
 val quarantine_entry_to_string : quarantine_entry -> string
 (** Compact single-line text codec for a quarantine entry, shared by the
-    distributed wire protocol and the coordinator checkpoint. A crash
+    distributed wire protocol and the service checkpoint. A crash
     message survives verbatim except that newlines are flattened to
     spaces. *)
 
@@ -190,7 +190,7 @@ val run_shard :
     [start]. *)
 
 val shard_report : strategy:string -> Ssf.Tally.snapshot -> Ssf.report
-(** [Ssf.Tally.report] of a restored snapshot: how both the coordinator
+(** [Ssf.Tally.report] of a restored snapshot: how both the service
     and {!estimate_sharded} turn a shard's (possibly wire-decoded)
     snapshot into a mergeable report. Restoring then reporting is
     bit-exact, so the merged campaign report cannot depend on whether a

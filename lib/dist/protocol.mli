@@ -168,7 +168,7 @@ val spec_fingerprint : spec -> string
 
 val spec_line : spec -> string
 (** Single-line spec codec ([key=value] words), embedded in Submit and
-    Job payloads and in the scheduler's WAL records. Emits 7 words
+    Job payloads and in the scheduler's queue-log records. Emits 7 words
     ([model=] last). *)
 
 val spec_of_line : string -> (spec, string) result

@@ -26,8 +26,8 @@ val parse : string -> (Model.t, error) result
 
 val parse_exn : string -> Model.t
 (** {!parse}, raising [Invalid_argument] with {!error_message} on
-    error — for trusted inputs (validated specs replayed from a WAL or
-    checkpoint). *)
+    error — for trusted inputs (validated specs replayed from the
+    scheduler's queue log or a checkpoint). *)
 
 val valid : string -> bool
 (** [valid spec] is [true] iff {!parse} succeeds — scheduler-side spec

@@ -1,7 +1,7 @@
 (* Line-oriented record framing: the one copy of the section counts,
    blobs, hex floats, CRC seal and appended deltas that every text codec
-   of the tree (tally snapshots, both checkpoints, protocol payloads,
-   telemetry) is written in. *)
+   of the tree (tally snapshots, both checkpoints, the scheduler's queue
+   log, protocol payloads, telemetry) is written in. *)
 
 exception Bad of string
 
@@ -124,7 +124,20 @@ let crc_sub s pos len = Crc32.extend_sub 0 (Bytes.unsafe_of_string s) ~pos ~len
 let trailer crc = Printf.sprintf "crc %08x\n" crc
 let trailer_len = 13
 
-let write_sealed ~path body =
+(* [~sync] makes a write outlive a power loss, not only its writer: the
+   file is fsynced before the call returns and, after a rename, so is
+   the directory holding the new name. A directory the file system will
+   not fsync is left as it is. *)
+let fsync oc = Unix.fsync (Unix.descr_of_out_channel oc)
+
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      (try Unix.fsync fd with Unix.Unix_error _ -> ());
+      Unix.close fd
+
+let write_sealed ?(sync = false) ~path body =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
@@ -132,12 +145,14 @@ let write_sealed ~path body =
     (fun () ->
       output_string oc body;
       output_string oc (trailer (Crc32.string body));
-      flush oc);
-  Sys.rename tmp path
+      flush oc;
+      if sync then fsync oc);
+  Sys.rename tmp path;
+  if sync then fsync_dir (Filename.dirname path)
 
 (* A delta is found by its length, never by searching for a line, so no
    body line (a worker named "crc 00000000") can end it early. *)
-let append_sealed ~path body =
+let append_sealed ?(sync = false) ~path body =
   let head = Printf.sprintf "delta %d\n" (String.length body) in
   let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
   Fun.protect
@@ -146,7 +161,8 @@ let append_sealed ~path body =
       output_string oc head;
       output_string oc body;
       output_string oc (trailer (Crc32.extend (Crc32.string head) body));
-      flush oc)
+      flush oc;
+      if sync then fsync oc)
 
 (* Check a trailer line against the CRC of the bytes it seals. The
    stored word must be the writer's exact lowercase spelling, so no

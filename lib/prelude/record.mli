@@ -1,8 +1,8 @@
 (** Line-oriented record framing shared by every text codec: the tally
     snapshot blob ([Ssf.Tally]), the campaign checkpoint ([Campaign]),
-    the campaign-service checkpoint ([Fmc_dist.Ckpt]), the wire
-    protocol's payloads ([Fmc_dist.Protocol]) and the telemetry blob
-    ([Fmc_obs.Telemetry]).
+    the campaign-service checkpoint ([Fmc_dist.Ckpt]), the scheduler's
+    queue log ([Fmc_sched.Sched]), the wire protocol's payloads
+    ([Fmc_dist.Protocol]) and the telemetry blob ([Fmc_obs.Telemetry]).
 
     A record is newline-terminated lines of space-separated words.
     Sections are count-prefixed (["kw n"], then [n] items); a blob is
@@ -99,10 +99,13 @@ val finish : cursor -> unit
 
 (** {2 Sealed files} *)
 
-val write_sealed : path:string -> string -> unit
+val write_sealed : ?sync:bool -> path:string -> string -> unit
 (** Write [body] and its ["crc %08x"] trailer to [path ^ ".tmp"], then
     rename it onto [path]: a crash mid-write leaves the previous file
-    intact. *)
+    intact. With [~sync:true] the [.tmp] file is fsynced before the
+    rename and its directory after it, so the new file survives a power
+    loss once the call returns; a directory the file system will not
+    fsync is skipped. The bytes written do not depend on [sync]. *)
 
 val load_sealed :
   path:string -> header:(string -> unit) -> (cursor -> 'a) -> ('a, string) result
@@ -122,12 +125,13 @@ val load_sealed :
     sections, never by searching for a line, so no body line can end
     either early. *)
 
-val append_sealed : path:string -> string -> unit
-(** Append [body] as one delta to the existing file [path]. Nothing is
-    synced: the delta survives the writer's [kill -9],
-    not a power loss. A write cut short leaves a damaged tail, which
-    {!load_appended} drops; append nothing after one. Raises [Sys_error]
-    when [path] does not exist. *)
+val append_sealed : ?sync:bool -> path:string -> string -> unit
+(** Append [body] as one delta to the existing file [path]. By default
+    nothing is synced: the delta survives the writer's [kill -9], not a
+    power loss. With [~sync:true] the file is fsynced before the call
+    returns, with the same bytes. A write cut short leaves a damaged
+    tail, which {!load_appended} drops; append nothing after one.
+    Raises [Sys_error] when [path] does not exist. *)
 
 val load_appended :
   path:string ->

@@ -3,14 +3,15 @@
    round-robin shard dispatch across every active campaign, report
    caching, result auditing and per-worker health.
 
-   Durability is split between two artifacts, each reusing an existing
-   codec:
+   Durability is split between two artifacts, both in the one sealed
+   framing of Fmc_prelude.Record:
 
-     <dir>/wal/seg-*.wal      the queue itself (Wal): which campaigns
-                              were submitted, finished, parked or
-                              cancelled, and which workers were
-                              quarantined — idempotent records, replayed
-                              and compacted at startup;
+     <dir>/queue              the queue itself: which campaigns were
+                              submitted, finished, parked or cancelled,
+                              and which workers were quarantined — a
+                              snapshot of idempotent records followed by
+                              one fsynced delta per record, replayed and
+                              compacted at startup;
      <dir>/campaigns/<md5>.ckpt
                               per-campaign progress (Fmc_dist.Ckpt):
                               every accepted shard blob and its audit
@@ -26,11 +27,11 @@
    and when recovery finds deltas or a damaged tail in it, so no delta
    is ever appended after torn bytes.
 
-   kill -9 recovery is therefore: replay the WAL to rebuild the queue in
-   submission order, then reattach each campaign's checkpoint to seed
-   its lease table's Done set. A campaign whose checkpoint holds every
-   shard is finished even if the crash beat the "finished" WAL record;
-   a campaign whose WAL says finished but whose checkpoint is missing
+   kill -9 recovery is therefore: replay the queue log to rebuild the
+   queue in submission order, then reattach each campaign's checkpoint
+   to seed its lease table's Done set. A campaign whose checkpoint holds
+   every shard is finished even if the crash beat the "finished" record;
+   a campaign whose log says finished but whose checkpoint is missing
    shards is quietly re-queued — shard results depend only on
    (seed, shard), so re-running them reproduces the identical report.
 
@@ -49,6 +50,7 @@ module Lease = Fmc_dist.Lease
 module Breaker = Fmc_dist.Breaker
 module Ckpt = Fmc_dist.Ckpt
 module Crc32 = Fmc_prelude.Crc32
+module Record = Fmc_prelude.Record
 module Audit = Fmc_audit.Audit
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
@@ -139,17 +141,17 @@ let mx_create (obs : Obs.t) =
     submissions = c "campaign submissions accepted" "fmc_sched_submissions_total";
     rejected = c "submissions refused by admission control" "fmc_sched_rejected_total";
     cache_hits = c "submissions answered from the report cache" "fmc_sched_cache_hits_total";
-    recoveries = c "campaigns recovered from WAL + checkpoints" "fmc_sched_recoveries_total";
+    recoveries = c "campaigns recovered from queue log + checkpoints" "fmc_sched_recoveries_total";
     finished = c "campaigns run to completion" "fmc_sched_campaigns_finished_total";
     parked = c "campaigns parked by quarantine policy" "fmc_sched_parked_total";
     cancelled = c "campaigns cancelled by request" "fmc_sched_cancelled_total";
-    wal_records = c "intact WAL records replayed at startup" "fmc_sched_wal_records_total";
-    wal_torn = c "torn WAL tails detected at startup" "fmc_sched_wal_torn_records_total";
+    wal_records = c "intact queue-log records replayed at startup" "fmc_sched_wal_records_total";
+    wal_torn = c "damaged queue-log tails dropped at startup" "fmc_sched_wal_torn_records_total";
     q_depth = g "campaigns queued or running" "fmc_sched_queue_depth";
     running = g "campaigns with completed or in-flight shards" "fmc_sched_campaigns_running";
     in_flight = g "shard leases currently live across campaigns" "fmc_sched_shards_in_flight";
     wal_fsync =
-      h "durable WAL append latency (write + fsync)" "fmc_sched_wal_fsync_seconds"
+      h "durable queue-log append latency (write + fsync)" "fmc_sched_wal_fsync_seconds"
         [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1. |];
     leases_issued = c "shard leases handed out" "fmc_dist_leases_issued_total";
     leases_expired = c "leases lost to missed heartbeats" "fmc_dist_leases_expired_total";
@@ -179,8 +181,8 @@ let gset g v = Option.iter (fun g -> Metrics.set g (float_of_int v)) g
 type t = {
   config : config;
   dir : string;
-  wal : Wal.t;
-  wal_torn_at_start : int;
+  queue : string;  (* the queue log's path *)
+  torn_at_start : int;
   entries : (string, entry) Hashtbl.t;
   mutable order : string list;  (* submission order, oldest first *)
   mutable rotation : int;  (* round-robin cursor over active entries *)
@@ -194,36 +196,67 @@ type t = {
   mx : mx;
 }
 
+(* -- the queue log ------------------------------------------------------- *)
+
+(* A queue record is its kind, then its fields, one line each. *)
+let one_line = Record.one_line
+let rec_submit spec = [ "submit"; Protocol.spec_line spec ]
+let rec_finished fp elapsed = [ "finished"; fp; Record.hexf elapsed ]
+let rec_parked fp reason = [ "parked"; fp; one_line reason ]
+let rec_cancelled fp = [ "cancelled"; fp ]
+let rec_quarantine worker = [ "quarantined"; one_line worker ]
+
+(* The log is a sealed snapshot (this header, a ["records n"] count and
+   n records) followed by one delta per record appended since, each
+   record a ["record k"] section of its lines: a campaign checkpoint's
+   shape. Every write is fsynced, so a record is durable before the
+   call that logged it returns. *)
+let queue_header = "faultmc-queue 1"
+
+let write_queue ~path records =
+  let buf = Buffer.create 1024 in
+  Record.add_line buf queue_header;
+  Printf.bprintf buf "records %d\n" (List.length records);
+  List.iter (Record.add_section buf "record") records;
+  Record.write_sealed ~sync:true ~path (Buffer.contents buf)
+
+let read_record c = Record.section c "record" Fun.id
+
+(* The snapshot's records and the intact deltas', oldest first, and 1
+   if a damaged delta ended the replay, else 0. *)
+let read_queue ~path =
+  Record.load_appended ~path
+    ~header:(fun h -> if h <> queue_header then Record.fail "not a queue log: %S" h)
+    (fun c -> Record.take (Record.count c "records") (fun () -> read_record c))
+    (fun c ->
+      let r = read_record c in
+      Record.finish c;
+      r)
+  |> Result.map (fun (snapshot, deltas, whole) -> (snapshot @ deltas, if whole then 0 else 1))
+
 (* Observation-only exception to the injected-[now] design: the fsync
    stopwatch reads the process clock directly, because callers inject
    logical time (tests drive a fake [now]) while the fsync cost being
    measured is real. *)
-let wal_append t payload =
+let queue_append t record =
+  let buf = Buffer.create 128 in
+  Record.add_section buf "record" record;
+  let append () = Record.append_sealed ~sync:true ~path:t.queue (Buffer.contents buf) in
   match t.mx.wal_fsync with
-  | None -> Wal.append t.wal payload
+  | None -> append ()
   | Some h ->
       let t0 = Clock.now () in
-      Wal.append t.wal payload;
+      append ();
       Metrics.observe h (Float.max 0. (Clock.now () -. t0))
 
-(* -- WAL records --------------------------------------------------------- *)
-
-let one_line = Fmc_prelude.Record.one_line
-let rec_submit spec = "submit\n" ^ Protocol.spec_line spec
-let rec_finished fp elapsed = Printf.sprintf "finished\n%s\n%h" fp elapsed
-let rec_parked fp reason = Printf.sprintf "parked\n%s\n%s" fp (one_line reason)
-let rec_cancelled fp = "cancelled\n" ^ fp
-let rec_quarantine worker = "quarantined\n" ^ one_line worker
-
-type wal_op =
+type queue_op =
   | Op_submit of Protocol.spec
   | Op_finished of string * float
   | Op_parked of string * string
   | Op_cancelled of string
   | Op_quarantine of string
 
-let parse_record payload =
-  match String.split_on_char '\n' payload with
+let parse_record = function
   | [ "submit"; line ] -> (
       match Protocol.spec_of_line line with Ok sp -> Some (Op_submit sp) | Error _ -> None)
   | [ "finished"; fp; e ] ->
@@ -342,9 +375,9 @@ let sorted_blobs e =
 
 (* The checkpoint carries the fleet-wide quarantine list as well, so a
    campaign resumed from its checkpoint alone (`serve --checkpoint`,
-   whose WAL dies with the process) still refuses the workers it banned.
-   A failed write leaves the file behind the tables, so nothing may be
-   appended to it until a save succeeds. *)
+   whose queue log dies with the process) still refuses the workers it
+   banned. A failed write leaves the file behind the tables, so nothing
+   may be appended to it until a save succeeds. *)
 let save_ckpt t e =
   let dir = Filename.dirname e.ckpt_path in
   (if not (Sys.file_exists dir) then
@@ -448,10 +481,9 @@ let invalidate_victims_entry e ~worker =
     victims;
   List.length victims
 
-(* Rebuild the queue from replayed WAL records, then reattach each
-   campaign's checkpoint. Runs before the WAL handle exists (the old
-   segments must survive until the compacted one is durable), so it
-   only touches the entry tables. An unreadable checkpoint re-runs its
+(* Rebuild the queue from the replayed log records, then reattach each
+   campaign's checkpoint. Runs before the log is compacted, so it only
+   touches the entry tables. An unreadable checkpoint re-runs its
    campaign from scratch. *)
 let recover ~config ~dir ~entries records =
   let order = ref [] in
@@ -469,8 +501,8 @@ let recover ~config ~dir ~entries records =
               let fp = Protocol.spec_fingerprint spec in
               match Hashtbl.find_opt entries fp with
               | Some e ->
-                  (* Revival after a cancel; duplicates from compaction
-                     land here too and change nothing. *)
+                  (* Revival after a cancel; a repeated submit of a
+                     live campaign changes nothing. *)
                   if e.phase = Cancelled then e.phase <- Active
               | None ->
                   let e = make_entry config ~dir spec in
@@ -493,7 +525,7 @@ let recover ~config ~dir ~entries records =
     records;
   let order = List.rev !order in
   (* Reconcile phases against the evidence: a complete checkpoint
-     finishes the campaign even if the crash beat the "finished" WAL
+     finishes the campaign even if the crash beat the "finished"
      record, and a "finished" record without the shards to back it
      re-queues the campaign (re-running is free and bit-exact). *)
   List.iter
@@ -502,7 +534,7 @@ let recover ~config ~dir ~entries records =
       | None -> ()
       | Some e -> (
           ignore (attach_ckpt ~config e : (string list, checkpoint_error) result);
-          (* The quarantine WAL record is durable before the victims'
+          (* The quarantine record is durable before the victims'
              checkpoints are rewritten, so replay the invalidation — a
              no-op when the crash came after it finished. *)
           List.iter
@@ -539,23 +571,38 @@ let create ?(obs = Obs.disabled) config ~dir ~now =
     invalid_arg "Sched.create: audit_rate outside [0,1]";
   if config.speculate_factor < 0. then invalid_arg "Sched.create: negative speculate_factor";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let wal_dir = Filename.concat dir "wal" in
-  let replayed = Wal.replay ~dir:wal_dir in
+  (* Starting empty on a queue that cannot be replayed would orphan every
+     checkpoint under campaigns/. The snapshot is written to a .tmp,
+     fsynced and renamed, so a crash cannot damage it. *)
+  let refuse why = failwith (Printf.sprintf "state directory %s: %s" dir why) in
+  if Sys.file_exists (Filename.concat dir "wal") then
+    refuse
+      "its wal/ queue is of an older layout, which this version does not read (finish its \
+       campaigns with the faultmc that wrote it)";
+  let queue = Filename.concat dir "queue" in
+  let records, torn =
+    if not (Sys.file_exists queue) then ([], 0)
+    else
+      match read_queue ~path:queue with
+      | Ok r -> r
+      | Error m -> refuse ("damaged queue log: " ^ m)
+  in
   let mx = mx_create obs in
-  cadd mx.wal_records (float_of_int (List.length replayed.Wal.records));
-  cadd mx.wal_torn (float_of_int replayed.Wal.torn);
+  cadd mx.wal_records (float_of_int (List.length records));
+  cadd mx.wal_torn (float_of_int torn);
   let entries = Hashtbl.create 16 in
-  let order, banned = recover ~config ~dir ~entries replayed.Wal.records in
+  let order, banned = recover ~config ~dir ~entries records in
   let recovered = Hashtbl.length entries in
   if recovered > 0 then cadd mx.recoveries (float_of_int recovered);
-  (* Compacting here also truncates any torn tail: the next replay reads
-     a minimal, tear-free log. *)
+  (* Compacting here also drops any damaged tail: nothing is appended
+     after one, and the next replay reads a minimal log. *)
+  write_queue ~path:queue (records_of_state ~entries ~banned order);
   let t =
     {
       config;
       dir;
-      wal = Wal.start ~dir:wal_dir ~initial:(records_of_state ~entries ~banned order);
-      wal_torn_at_start = replayed.Wal.torn;
+      queue;
+      torn_at_start = torn;
       entries;
       order;
       rotation = 0;
@@ -581,7 +628,7 @@ let finalize t e ~now =
   if e.phase <> Finished && entry_complete e then begin
     e.phase <- Finished;
     e.elapsed_s <- (match e.started_at with Some s -> now -. s | None -> 0.);
-    wal_append t (rec_finished e.fp e.elapsed_s);
+    queue_append t (rec_finished e.fp e.elapsed_s);
     cinc t.mx.finished;
     refresh_gauges t
   end
@@ -595,7 +642,7 @@ let finalize t e ~now =
 let quarantine_worker t ~now worker =
   if worker <> "" && not (is_banned t ~worker) then begin
     t.banned <- worker :: t.banned;
-    wal_append t (rec_quarantine worker);
+    queue_append t (rec_quarantine worker);
     gset t.mx.audit_quarantined (List.length t.banned);
     let b = breaker_for t worker in
     if Breaker.state b ~now <> Breaker.Open then cinc t.mx.breaker_opened;
@@ -625,7 +672,7 @@ let note_mismatch t ~now worker =
 let park t e reason =
   if active e then begin
     e.phase <- Parked reason;
-    wal_append t (rec_parked e.fp reason);
+    queue_append t (rec_parked e.fp reason);
     cinc t.mx.parked;
     refresh_gauges t
   end
@@ -655,7 +702,7 @@ let admit_checkpointed t ~now ~checkpoint e =
   | Ok banned ->
       Hashtbl.replace t.entries e.fp e;
       t.order <- t.order @ [ e.fp ];
-      wal_append t (rec_submit e.spec);
+      queue_append t (rec_submit e.spec);
       List.iter (quarantine_worker t ~now) banned;
       finalize t e ~now
 
@@ -673,7 +720,7 @@ let submit t ~now ?checkpoint spec =
               `Cached
           | Cancelled ->
               e.phase <- Active;
-              wal_append t (rec_submit e.spec);
+              queue_append t (rec_submit e.spec);
               cinc t.mx.submissions;
               refresh_gauges t;
               `Queued (position_of t e)
@@ -691,7 +738,7 @@ let submit t ~now ?checkpoint spec =
             | None ->
                 Hashtbl.replace t.entries fp e;
                 t.order <- t.order @ [ fp ];
-                wal_append t (rec_submit spec));
+                queue_append t (rec_submit spec));
             cinc t.mx.submissions;
             refresh_gauges t;
             if e.phase = Finished then `Cached else `Queued (position_of t e)
@@ -706,7 +753,7 @@ let cancel t ~fingerprint =
       | Cancelled -> `Cancelled
       | Active | Parked _ ->
           e.phase <- Cancelled;
-          wal_append t (rec_cancelled e.fp);
+          queue_append t (rec_cancelled e.fp);
           cinc t.mx.cancelled;
           refresh_gauges t;
           `Cancelled)
@@ -1009,7 +1056,7 @@ let summary t ~now =
     sm_audits_pending = sum (fun e -> Audit.pending e.audit);
     sm_breakers_open = open_breakers t ~now;
     sm_banned = List.length t.banned;
-    sm_wal_torn = t.wal_torn_at_start;
+    sm_wal_torn = t.torn_at_start;
   }
 
 type worker_health = { wh_breaker : Breaker.state; wh_banned : bool; wh_mismatches : int }
@@ -1034,13 +1081,7 @@ let in_flight t = List.fold_left (fun n e -> n + Lease.in_flight e.lease) 0 (act
 let idle t = active_entries t = []
 let last_activity t = t.last_activity
 
+(* Rewrite the log as a bare snapshot of the final state: the next
+   startup reads no delta. *)
 let shutdown t =
-  (* Rewrite the WAL as one compacted segment of the final state — the
-     next startup replays a minimal, tear-free log. *)
-  let wal_dir = Wal.dir t.wal in
-  Wal.close t.wal;
-  let w =
-    Wal.start ~dir:wal_dir
-      ~initial:(records_of_state ~entries:t.entries ~banned:t.banned t.order)
-  in
-  Wal.close w
+  write_queue ~path:t.queue (records_of_state ~entries:t.entries ~banned:t.banned t.order)

@@ -3,16 +3,18 @@
     caching by campaign fingerprint, result auditing, and per-worker
     health.
 
-    State lives under one directory: [<dir>/wal/] holds the {!Wal}
-    segments describing the queue (submit/finished/parked/cancelled/
-    quarantined, all idempotent), [<dir>/campaigns/<md5>.ckpt] the
-    per-campaign {!Fmc_dist.Ckpt} progress: a snapshot, then one
-    appended delta per accepted shard or audit pass. {!create} recovers
-    both after [kill -9]: the WAL replay rebuilds the queue in
-    submission order (counted on [fmc_sched_recoveries_total]),
-    checkpoints reattach finished shards (a checkpoint holding deltas is
-    rewritten as a bare snapshot first), and the log is compacted to a
-    fresh tear-free segment.
+    State lives under one directory, in the one sealed framing of
+    {!Fmc_prelude.Record}. [<dir>/queue] is the queue log: a snapshot
+    (header [faultmc-queue 1]) of the records describing the queue
+    (submit/finished/parked/cancelled/quarantined, all idempotent), then
+    one delta per record, each fsynced before the call that wrote it
+    returns. [<dir>/campaigns/<md5>.ckpt] holds the per-campaign
+    {!Fmc_dist.Ckpt} progress: a snapshot, then one unsynced delta per
+    accepted shard or audit pass. {!create} recovers both after
+    [kill -9]: the log replay rebuilds the queue in submission order
+    (counted on [fmc_sched_recoveries_total]), checkpoints reattach
+    finished shards (a checkpoint holding deltas is rewritten as a bare
+    snapshot first), and the log is compacted to a bare snapshot.
 
     Like {!Fmc_dist.Lease}, nothing here reads the wall clock ([now] is
     always injected) and nothing takes locks — the {!Service} wraps
@@ -67,9 +69,16 @@ exception Bad_checkpoint of string * checkpoint_error
 type t
 
 val create : ?obs:Fmc_obs.Obs.t -> config -> dir:string -> now:float -> t
-(** Open (creating if needed) the state directory, replay + compact the
-    WAL, reattach campaign checkpoints (an unreadable one re-runs its
-    campaign from scratch). *)
+(** Open (creating if needed) the state directory, replay the queue log
+    and compact it (tmp, fsync, rename, directory fsync), and reattach
+    campaign checkpoints (an unreadable one re-runs its campaign from
+    scratch). A delta that is cut short or fails its CRC or parse ends
+    the replay: it and every later delta are dropped and counted once on
+    [fmc_sched_wal_torn_records_total]. Raises [Failure], naming [dir],
+    when the queue cannot be replayed, rather than start empty and
+    orphan every checkpoint: a snapshot that fails its CRC or its parse
+    (a crash cannot tear it), or a [wal/] directory of the older
+    layout. *)
 
 val submit :
   t ->
@@ -212,7 +221,7 @@ type summary = {
   sm_audits_pending : int;  (** audit re-executions due or in flight *)
   sm_breakers_open : int;
   sm_banned : int;  (** quarantined workers *)
-  sm_wal_torn : int;  (** torn WAL tails detected at startup *)
+  sm_wal_torn : int;  (** damaged queue-log tails dropped at startup *)
 }
 
 val summary : t -> now:float -> summary
@@ -242,4 +251,4 @@ val last_activity : t -> float
     idle-exit clock. *)
 
 val shutdown : t -> unit
-(** Flush and compact the WAL to a single segment of the final state. *)
+(** Compact the queue log to a bare snapshot of the final state. *)

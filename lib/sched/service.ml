@@ -22,8 +22,8 @@
 
    Stopping: SIGTERM (or SIGINT, or a test's request_drain) sets the
    drain flag; the tick stops leasing, in-flight shards finish and are
-   checkpointed, and once none remain the loop exits, compacts the WAL
-   and returns. A worker of an unfinished campaign is told to wait
+   checkpointed, and once none remain the loop exits, compacts the queue
+   log and returns. A worker of an unfinished campaign is told to wait
    through the drain, not to quit, and once the service has returned
    its connection is closed at its next request, as a process exit
    would, so it reconnects to the service that resumes the campaign. An

@@ -26,15 +26,15 @@
     [fmc_dist_frames_corrupt_total] counters to {!Sched}'s series.
 
     SIGTERM/SIGINT (when [handle_signals]) drain: leasing stops,
-    in-flight shards finish and checkpoint, the WAL is compacted, and
-    {!serve} returns. With [max_idle_s > 0] an idle service exits on its
-    own. *)
+    in-flight shards finish and checkpoint, the queue log is compacted,
+    and {!serve} returns. With [max_idle_s > 0] an idle service exits on
+    its own. *)
 
 type config = {
   addr : Fmc_dist.Wire.addr;
   state_dir : string option;
-      (** WAL + campaign checkpoints live here; [None] uses a fresh
-          directory that is removed when {!serve} returns *)
+      (** the queue log and campaign checkpoints live here; [None] uses a
+          fresh directory that is removed when {!serve} returns *)
   sched : Sched.config;
   require_workers : int;
       (** minimum healthy connected workers before shards are leased;
@@ -104,7 +104,7 @@ type health = {
   h_leasing_paused : bool;  (** below the [require_workers] floor *)
   h_audits_pending : int;  (** audit re-executions due or in flight *)
   h_quarantined_workers : int;
-  h_wal_torn : int;  (** torn WAL tails detected at the last startup *)
+  h_wal_torn : int;  (** damaged queue-log tails dropped at the last startup *)
 }
 
 type worker_view = {

@@ -1644,6 +1644,18 @@ let test_appended_checkpoint () =
       check_each "cut" (truncations bytes);
       check_each "changed byte" (mutations bytes))
 
+(* [~sync] only adds fsyncs: a synced snapshot and delta are the bytes
+   of unsynced ones. *)
+let test_sync_same_bytes () =
+  let write ?sync path =
+    Fmc_prelude.Record.write_sealed ?sync ~path "faultmc-test 1\nitems 1\nalpha\n";
+    Fmc_prelude.Record.append_sealed ?sync ~path "beta\n";
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  with_temp ".rec" (fun plain ->
+      with_temp ".rec" (fun synced ->
+          Alcotest.(check string) "same bytes" (write plain) (write ~sync:true synced)))
+
 (* A CRC-valid result frame whose tally count is not a count is a decode
    error charged to the sender, whatever the malformed number: the
    service answers Reject and trips a one-failure breaker, so the next
@@ -1792,6 +1804,7 @@ let () =
             test_sealed_codecs_refuse;
           Alcotest.test_case "appended checkpoint drops only damaged deltas" `Quick
             test_appended_checkpoint;
+          Alcotest.test_case "sync writes the same bytes" `Quick test_sync_same_bytes;
           Alcotest.test_case "malformed count charged to the sender" `Quick
             test_malformed_count_charged;
           Alcotest.test_case "fetch_report returns a negative count's error" `Quick

@@ -1,16 +1,15 @@
-(* Tests for the campaign service: WAL framing and torn-tail replay,
-   admission control and cancellation, report caching, straggler
-   speculation, the rule that a lease answers only its holder, kill -9
-   recovery (WAL + per-campaign checkpoints) with bit-identical merged
-   reports, a loopback service driving a shared pool worker over a
-   Unix socket through submit / fetch / cached resubmit / drain,
-   self-audit by a lone worker, and the
-   pinned-campaign ([faultmc serve]) rules: the linger exit, a drain
-   and restart in mid-campaign, refused foreign submissions, unknown
-   fingerprints and bad checkpoints. *)
+(* Tests for the campaign service: the queue log's compaction, torn
+   tail and refused snapshots, admission control and cancellation,
+   report caching, straggler speculation, the rule that a lease answers
+   only its holder, kill -9 recovery (queue log + per-campaign
+   checkpoints) with bit-identical merged reports, a loopback service
+   driving a shared pool worker over a Unix socket through submit /
+   fetch / cached resubmit / drain, self-audit by a lone worker, and
+   the pinned-campaign ([faultmc serve]) rules: the linger exit, a
+   drain and restart in mid-campaign, refused foreign submissions,
+   unknown fingerprints and bad checkpoints. *)
 
 module Programs = Fmc_isa.Programs
-module Wal = Fmc_sched.Wal
 module Sched = Fmc_sched.Sched
 module Service = Fmc_sched.Service
 open Fmc
@@ -115,71 +114,133 @@ let reference_json e prep (sp : Protocol.spec) =
   Export.report_json result.Campaign.report
 
 (* ------------------------------------------------------------------ *)
-(* WAL *)
+(* The queue log *)
 
-let test_wal_roundtrip () =
+let queue_log dir = Filename.concat dir "queue"
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+let write_bytes path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let change_byte path i =
+  let b = Bytes.of_string (file_bytes path) in
+  Bytes.set b i (if Bytes.get b i = 'x' then 'y' else 'x');
+  write_bytes path (Bytes.to_string b)
+
+(* The deltas appended after the log's snapshot. *)
+let queue_deltas dir =
+  String.split_on_char '\n' (file_bytes (queue_log dir))
+  |> List.filter (String.starts_with ~prefix:"delta ")
+  |> List.length
+
+let submit_all sched ~now specs =
+  List.iter
+    (fun s -> match Sched.submit sched ~now s with `Queued _ -> () | _ -> Alcotest.fail "submit")
+    specs
+
+(* Every campaign's fingerprint and state, in submission order. *)
+let states sched ~now =
+  List.map
+    (fun st -> (st.Protocol.st_fingerprint, st.Protocol.st_state))
+    (Sched.status sched ~now ~fingerprint:"")
+
+(* Reopen [dir]: the scheduler, and the records it replayed and the
+   damaged tails it dropped. *)
+let reopen dir ~now =
+  let reg = Fmc_obs.Metrics.create () in
+  let obs = Fmc_obs.Obs.create ~metrics:reg () in
+  let sched = Sched.create ~obs Sched.default_config ~dir ~now in
+  (sched, metric reg "fmc_sched_wal_records_total", metric reg "fmc_sched_wal_torn_records_total")
+
+let test_queue_roundtrip () =
   with_dir @@ fun dir ->
-  let empty = Wal.replay ~dir in
-  Alcotest.(check (list string)) "empty" [] empty.Wal.records;
-  let w = Wal.start ~dir ~initial:[ "alpha"; "beta" ] in
-  Wal.append w "gamma";
-  Wal.append w (String.make 5000 'x');
-  Wal.close w;
-  let r = Wal.replay ~dir in
-  Alcotest.(check (list string))
-    "records in order"
-    [ "alpha"; "beta"; "gamma"; String.make 5000 'x' ]
-    r.Wal.records;
-  Alcotest.(check int) "no tears" 0 r.Wal.torn;
-  (* Compaction rewrites the state into a single fresh segment. *)
-  let w2 = Wal.start ~dir ~initial:r.Wal.records in
-  Wal.close w2;
-  let r2 = Wal.replay ~dir in
-  Alcotest.(check (list string)) "post-compaction" r.Wal.records r2.Wal.records;
-  Alcotest.(check int) "one segment" 1 r2.Wal.segments
+  let now = 10. in
+  let sched = Sched.create Sched.default_config ~dir ~now in
+  Alcotest.(check int) "a fresh log has no delta" 0 (queue_deltas dir);
+  let s2 = spec ~seed:9 () in
+  submit_all sched ~now [ spec ~seed:5 (); s2; spec ~seed:13 () ];
+  (match Sched.cancel sched ~fingerprint:(Protocol.spec_fingerprint s2) with
+  | `Cancelled -> ()
+  | _ -> Alcotest.fail "cancel");
+  Alcotest.(check int) "three submits and a cancel append four deltas" 4 (queue_deltas dir);
+  let before = states sched ~now in
+  Sched.shutdown sched;
+  Alcotest.(check int) "shutdown leaves a bare snapshot" 0 (queue_deltas dir);
+  Alcotest.(check string) "header" "faultmc-queue 1"
+    (List.hd (String.split_on_char '\n' (file_bytes (queue_log dir))));
+  let sched2, records, torn = reopen dir ~now in
+  Alcotest.(check bool) "same campaigns in the same states" true (states sched2 ~now = before);
+  Alcotest.(check (float 0.)) "three submits and a cancel replayed" 4. records;
+  Alcotest.(check (float 0.)) "nothing torn" 0. torn;
+  Sched.shutdown sched2
 
-let wal_segment dir =
-  match Array.to_list (Sys.readdir dir) |> List.filter (fun n -> Filename.check_suffix n ".wal")
-  with
-  | [ seg ] -> Filename.concat dir seg
-  | l -> Alcotest.failf "expected one segment, found %d" (List.length l)
-
-let test_wal_torn_tail () =
+(* A crash mid-append cuts the last delta short: at every cut inside
+   it, that record alone is dropped and counted once. *)
+let test_queue_torn_tail () =
   with_dir @@ fun dir ->
-  let w = Wal.start ~dir ~initial:[] in
-  Wal.append w "first";
-  Wal.append w "second";
-  Wal.append w "third";
-  Wal.close w;
-  (* Tear the tail the way a crash mid-append would: the final record
-     loses its last bytes. *)
-  let seg = wal_segment dir in
-  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  Unix.ftruncate fd (size - 2);
-  Unix.close fd;
-  let r = Wal.replay ~dir in
-  Alcotest.(check (list string)) "intact prefix" [ "first"; "second" ] r.Wal.records;
-  Alcotest.(check int) "tear counted" 1 r.Wal.torn
+  let now = 10. in
+  let s1 = spec ~seed:5 () in
+  let sched = Sched.create Sched.default_config ~dir ~now in
+  submit_all sched ~now [ s1 ];
+  let intact = String.length (file_bytes (queue_log dir)) in
+  submit_all sched ~now [ spec ~seed:9 () ];
+  let whole = file_bytes (queue_log dir) in
+  for cut = intact to String.length whole - 1 do
+    write_bytes (queue_log dir) (String.sub whole 0 cut);
+    let sched, records, torn = reopen dir ~now in
+    let at = Printf.sprintf " (cut at byte %d)" cut in
+    Alcotest.(check (list string)) ("only the intact submission" ^ at)
+      [ Protocol.spec_fingerprint s1 ]
+      (List.map fst (states sched ~now));
+    Alcotest.(check (float 0.)) ("one record" ^ at) 1. records;
+    Alcotest.(check (float 0.)) ("torn" ^ at) (if cut = intact then 0. else 1.) torn
+  done
 
-let test_wal_mid_corruption_stops_replay () =
+let test_queue_mid_corruption_stops_replay () =
   with_dir @@ fun dir ->
-  let w = Wal.start ~dir ~initial:[] in
-  Wal.append w "aaaaaaaa";
-  Wal.append w "bbbbbbbb";
-  Wal.append w "cccccccc";
-  Wal.close w;
-  (* Flip a payload byte of the middle record: its CRC no longer checks
-     out, and nothing after it may be applied either. *)
-  let seg = wal_segment dir in
-  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
-  let middle_payload = 8 + 8 + 8 + 2 (* rec1 header+payload, rec2 header, 2 in *) in
-  ignore (Unix.lseek fd middle_payload Unix.SEEK_SET);
-  ignore (Unix.write_substring fd "X" 0 1);
-  Unix.close fd;
-  let r = Wal.replay ~dir in
-  Alcotest.(check (list string)) "only the prefix survives" [ "aaaaaaaa" ] r.Wal.records;
-  Alcotest.(check int) "tear counted" 1 r.Wal.torn
+  let now = 10. in
+  let s1 = spec ~seed:5 () in
+  let sched = Sched.create Sched.default_config ~dir ~now in
+  submit_all sched ~now [ s1 ];
+  let second = String.length (file_bytes (queue_log dir)) in
+  submit_all sched ~now [ spec ~seed:9 (); spec ~seed:13 () ];
+  (* Change a byte inside the second delta's body: its CRC no longer
+     checks out, and the intact third delta must not be applied without
+     it. *)
+  change_byte (queue_log dir) (second + 30);
+  let sched2, records, torn = reopen dir ~now in
+  Alcotest.(check (list string)) "only the first campaign survives"
+    [ Protocol.spec_fingerprint s1 ]
+    (List.map fst (states sched2 ~now));
+  Alcotest.(check (float 0.)) "one record" 1. records;
+  Alcotest.(check (float 0.)) "tear counted" 1. torn;
+  Sched.shutdown sched2
+
+let expect_refused dir what =
+  match Sched.create Sched.default_config ~dir ~now:10. with
+  | _ -> Alcotest.failf "%s must be refused" what
+  | exception Failure msg ->
+      if not (String.starts_with ~prefix:("state directory " ^ dir ^ ": ") msg) then
+        Alcotest.failf "%s: %S does not name %s" what msg dir
+
+(* The snapshot is written to a .tmp, fsynced and renamed, so no crash
+   damages it: one that does not check out is refused, not replayed as
+   an empty queue that would orphan every checkpoint. *)
+let test_damaged_snapshot_refused () =
+  with_dir @@ fun dir ->
+  let now = 10. in
+  let sched = Sched.create Sched.default_config ~dir ~now in
+  submit_all sched ~now [ spec ~seed:5 (); spec ~seed:9 () ];
+  Sched.shutdown sched;
+  let snapshot = file_bytes (queue_log dir) in
+  change_byte (queue_log dir) (String.length snapshot / 2);
+  expect_refused dir "a changed snapshot byte";
+  write_bytes (queue_log dir) (String.sub snapshot 0 (String.length snapshot - 5));
+  expect_refused dir "a cut snapshot"
+
+let test_old_layout_refused () =
+  with_dir @@ fun dir ->
+  Unix.mkdir (Filename.concat dir "wal") 0o755;
+  expect_refused dir "a wal/ directory";
+  Alcotest.(check bool) "no queue log written" false (Sys.file_exists (queue_log dir))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler state machine *)
@@ -577,7 +638,7 @@ let test_kill9_recovery_bit_identical () =
   (match Sched.next_job sched1 ~now ~worker:"w" ~scope:fp2 with
   | `Job (sp, a) -> run_job ~worker:"w" sched1 ~now e prep sp a
   | _ -> Alcotest.fail "lease one s2 shard");
-  (* sched1 is abandoned here, WAL handle and all, like a SIGKILL. *)
+  (* sched1 is abandoned here, queue log and all, like a SIGKILL. *)
   let reg = Fmc_obs.Metrics.create () in
   let obs = Fmc_obs.Obs.create ~metrics:reg () in
   let sched2 = Sched.create ~obs Sched.default_config ~dir ~now:(now +. 10.) in
@@ -660,7 +721,7 @@ let test_kill9_mid_audit_preserves_obligations () =
   | _ -> Alcotest.fail "honest second shard accepted");
   Alcotest.(check bool) "report withheld while audits are pending" true
     (Sched.report sched1 ~fingerprint:fp = None);
-  (* sched1 is abandoned here — WAL handle, audit leases and all. *)
+  (* sched1 is abandoned here — queue log, audit leases and all. *)
   let sched2 = Sched.create config ~dir ~now in
   Alcotest.(check bool) "audit obligations survive kill -9" true
     (Sched.report sched2 ~fingerprint:fp = None);
@@ -706,10 +767,9 @@ let test_torn_submit_record_dropped () =
   let sched1 = Sched.create Sched.default_config ~dir ~now in
   (match Sched.submit sched1 ~now s1 with `Queued 0 -> () | _ -> Alcotest.fail "submit s1");
   (match Sched.submit sched1 ~now s2 with `Queued 1 -> () | _ -> Alcotest.fail "submit s2");
-  (* Tear the tail of the live WAL: the s2 submit record is the victim,
-     as if the crash hit mid-append. *)
-  let seg = wal_segment (Filename.concat dir "wal") in
-  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
+  (* Tear the tail of the live queue log: the s2 submit record is the
+     victim, as if the crash hit mid-append. *)
+  let fd = Unix.openfile (queue_log dir) [ Unix.O_WRONLY ] 0 in
   let size = (Unix.fstat fd).Unix.st_size in
   Unix.ftruncate fd (size - 3);
   Unix.close fd;
@@ -743,8 +803,6 @@ let accept_one sched ~now e prep ~fp =
       | `Accepted -> (tally, quarantined)
       | _ -> Alcotest.fail "completion not accepted")
   | `Wait | `Drained | `Banned -> Alcotest.fail "expected a job"
-
-let file_bytes path = In_channel.with_open_bin path In_channel.input_all
 
 (* The accept path appends. After the accept that creates the checkpoint
    and short of the one that finishes the campaign, each accept leaves
@@ -1332,9 +1390,9 @@ let test_bad_checkpoint_refused () =
   | exception Sched.Bad_checkpoint (_, Sched.Foreign_campaign) -> ());
   Alcotest.(check bool) "never bound (foreign)" false (Sys.file_exists path)
 
-(* The WAL that recorded a quarantine dies with a [serve] process, so a
-   service resumed from the checkpoint alone takes the banned names from
-   it and still refuses those workers at hello. *)
+(* The queue log that recorded a quarantine dies with a [serve]
+   process, so a service resumed from the checkpoint alone takes the
+   banned names from it and still refuses those workers at hello. *)
 let test_resumed_checkpoint_keeps_quarantine () =
   with_dir @@ fun dir ->
   with_sock @@ fun _ addr ->
@@ -1374,12 +1432,14 @@ let test_resumed_checkpoint_keeps_quarantine () =
 let () =
   Alcotest.run "fmc_sched"
     [
-      ( "wal",
+      ( "queue",
         [
-          Alcotest.test_case "roundtrip and compaction" `Quick test_wal_roundtrip;
-          Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
-          Alcotest.test_case "mid-segment corruption stops replay" `Quick
-            test_wal_mid_corruption_stops_replay;
+          Alcotest.test_case "roundtrip and compaction" `Quick test_queue_roundtrip;
+          Alcotest.test_case "torn tail" `Quick test_queue_torn_tail;
+          Alcotest.test_case "mid-log corruption stops replay" `Quick
+            test_queue_mid_corruption_stops_replay;
+          Alcotest.test_case "damaged snapshot refused" `Quick test_damaged_snapshot_refused;
+          Alcotest.test_case "old wal/ layout refused" `Quick test_old_layout_refused;
         ] );
       ( "sched",
         [
